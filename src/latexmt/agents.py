@@ -2,7 +2,12 @@
 
 One translator pass over all units (building a rolling document summary and
 a first-occurrence-wins term dictionary as it goes), then batched
-validation rounds.  Two validation dimensions are purely mechanical
+validation rounds.  Translations run one after another, because each one's
+prompt carries the summary and dictionary the previous ones built; the
+calls that do not feed each other (a section's terminology and summary
+updates, the judge calls of a round, the revisions of a round) go through
+:meth:`LlmClient.map`, which keeps results, findings, warnings and the
+transcript in unit order.  Two validation dimensions are purely mechanical
 (placeholder and control-sequence conservation); the third asks a judge
 model about content completeness and degrades to "skipped" when no usable
 judge reply is available.  Units still failing after the round cap fall
@@ -14,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import prompts
 from .config import language_name
@@ -273,19 +279,35 @@ def validate_translations(
     """
     if warnings is None:
         warnings = []
+    checked = [
+        (
+            unit,
+            check_placeholder_integrity(unit)
+            + check_command_integrity(unit, config.command_allowlist),
+        )
+        for unit in units
+        if unit.needs_translation and unit.translated_text is not None
+    ]
+    judging = config.completeness_check and client is not None
+
+    def judge(unit: TranslationUnit):
+        scratch, notes = ErrorReport(round_index), []
+        found = check_content_completeness(unit, client, config, scratch, notes)
+        return found, scratch.skipped, notes
+
+    verdicts = iter(
+        client.map(judge, [u for u, mechanical in checked if not mechanical])
+        if judging
+        else ()
+    )
     report = ErrorReport(round_index)
-    for unit in units:
-        if not unit.needs_translation or unit.translated_text is None:
-            continue
-        mechanical = check_placeholder_integrity(unit)
-        mechanical += check_command_integrity(unit, config.command_allowlist)
+    for unit, mechanical in checked:
         report.findings.extend(mechanical)
-        if mechanical:
-            continue
-        if config.completeness_check and client is not None:
-            report.findings.extend(
-                check_content_completeness(unit, client, config, report, warnings)
-            )
+        if judging and not mechanical:
+            found, skipped, notes = next(verdicts)
+            report.findings.extend(found)
+            report.skipped.extend(skipped)
+            warnings.extend(notes)
     return report
 
 
@@ -490,11 +512,24 @@ def run_pipeline(
             warnings.append(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
             continue
-        extract_terms(
-            unit.source_text, unit.translated_text, dictionary, client, config, warnings
+        if unit.granularity != GRAN_SECTION:
+            extract_terms(
+                unit.source_text, unit.translated_text, dictionary, client, config, warnings
+            )
+            continue
+        terms_notes: list[str] = []
+        summary_notes: list[str] = []
+        _, summary = client.map(
+            lambda job: job(),
+            [
+                partial(
+                    extract_terms, unit.source_text, unit.translated_text,
+                    dictionary, client, config, terms_notes,
+                ),
+                partial(update_summary, summary, unit.source_text, client, config, summary_notes),
+            ],
         )
-        if unit.granularity == GRAN_SECTION:
-            summary = update_summary(summary, unit.source_text, client, config, warnings)
+        warnings += terms_notes + summary_notes
 
     wanted = [u for u in units if u.needs_translation]
     if wanted and all(u.status == STATUS_FAILED for u in wanted):
@@ -522,12 +557,17 @@ def run_pipeline(
                     f"rounds; falling back to source text"
                 )
             break
-        for unit in pending:
+
+        def revise(unit: TranslationUnit) -> tuple[str | None, str | None]:
             try:
-                unit.translated_text = retranslate_unit(
-                    unit, report.for_unit(unit.id), client, config
-                )
+                return retranslate_unit(unit, report.for_unit(unit.id), client, config), None
             except LlmError as exc:
-                warnings.append(f"revision failed for unit {unit.id}: {exc}")
+                return None, f"revision failed for unit {unit.id}: {exc}"
+
+        for unit, (text, failure) in zip(pending, client.map(revise, pending)):
+            if failure is None:
+                unit.translated_text = text
+            else:
+                warnings.append(failure)
 
     return PipelineResult(units, summary, dictionary, rounds_used, reports, warnings)

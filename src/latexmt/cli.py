@@ -67,6 +67,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
+# Model calls one document keeps in flight at most, where they do not
+# depend on each other; ``workers`` projects run side by side on top.
+MAX_IN_FLIGHT = 8
+
 
 # --------------------------------------------------------------------------
 # translate
@@ -100,6 +104,9 @@ def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
         retry_budget=config.retry_budget,
         backoff_base=config.backoff_base,
         transcript_path=transcript,
+        # A scripted mock hands out replies in call order, so its calls
+        # must keep the order of a serial run.
+        max_in_flight=1 if config.mock == "scripted" else MAX_IN_FLIGHT,
     )
 
 

@@ -40,7 +40,14 @@ class AuthError(LlmError):
 
 
 class TransientLlmError(LlmError):
-    """A retryable transport failure (rate limit, 5xx, timeout)."""
+    """A retryable transport failure (rate limit, 5xx, timeout).
+
+    ``retry_after`` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str = "", retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RetryBudgetExhausted(LlmError):
@@ -58,10 +65,6 @@ class EmptyCompletion(LlmError):
 
 class ScriptExhausted(LlmError):
     """A scripted mock ran out of canned replies."""
-
-
-class LlmUnparseableReply(LlmError):
-    """A reply did not match the strict format an agent requires."""
 
 
 # --------------------------------------------------------------------------

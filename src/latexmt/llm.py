@@ -1,20 +1,24 @@
 """Chat-completion access: one real HTTP backend, three deterministic mocks.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
-accounting and the optional request transcript.  Backends implement a
-single ``complete(request) -> ChatResult`` method, so tests can swap in the
-mocks and the rest of the pipeline cannot tell the difference.
+accounting, the optional request transcript and the ordered fan-out of
+independent calls.  Backends implement a single
+``complete(request) -> ChatResult`` method, so tests can swap in the mocks
+and the rest of the pipeline cannot tell the difference.  Backends may be
+called from several threads at once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import requests
 
@@ -95,7 +99,7 @@ class UsageLedger:
     @property
     def total_cost(self) -> float:
         with self._lock:
-            return sum(r.cost for r in self._records)
+            return math.fsum(r.cost for r in self._records)
 
     def summary(self) -> dict:
         with self._lock:
@@ -103,7 +107,9 @@ class UsageLedger:
                 "calls": len(self._records),
                 "prompt_tokens": sum(r.prompt_tokens for r in self._records),
                 "completion_tokens": sum(r.completion_tokens for r in self._records),
-                "cost": round(sum(r.cost for r in self._records), 6),
+                # fsum is exact, so the total does not depend on the order
+                # in which concurrent calls were recorded.
+                "cost": round(math.fsum(r.cost for r in self._records), 6),
             }
 
 
@@ -112,14 +118,23 @@ def _estimate_tokens(text: str) -> int:
     return max(1, len(text) // 4)
 
 
-class EchoBackend:
-    """Returns the user message unchanged. The identity translator."""
+class _CallCounter:
+    """A ``calls`` count that concurrent callers can bump safely."""
 
     def __init__(self):
         self.calls = 0
+        self._lock = threading.Lock()
+
+    def _count(self) -> None:
+        with self._lock:
+            self.calls += 1
+
+
+class EchoBackend(_CallCounter):
+    """Returns the user message unchanged. The identity translator."""
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self.calls += 1
+        self._count()
         return ChatResult(
             request.user_message,
             _estimate_tokens(request.system_prompt + request.user_message),
@@ -127,13 +142,13 @@ class EchoBackend:
         )
 
 
-class ScriptedBackend:
-    """Replays a fixed list of replies in order; runs dry loudly."""
+class ScriptedBackend(_CallCounter):
+    """Replays a fixed list of replies in call order; runs dry loudly."""
 
     def __init__(self, replies: Sequence[str]):
+        super().__init__()
         self._replies = list(replies)
         self._next = 0
-        self.calls = 0
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ScriptedBackend":
@@ -151,13 +166,14 @@ class ScriptedBackend:
         return cls(replies)
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self.calls += 1
-        if self._next >= len(self._replies):
-            raise ScriptExhausted(
-                f"scripted backend exhausted after {len(self._replies)} replies"
-            )
-        reply = self._replies[self._next]
-        self._next += 1
+        with self._lock:
+            self.calls += 1
+            if self._next >= len(self._replies):
+                raise ScriptExhausted(
+                    f"scripted backend exhausted after {len(self._replies)} replies"
+                )
+            reply = self._replies[self._next]
+            self._next += 1
         return ChatResult(
             reply,
             _estimate_tokens(request.system_prompt + request.user_message),
@@ -169,7 +185,7 @@ class ScriptedBackend:
         return len(self._replies) - self._next
 
 
-class RuleBackend:
+class RuleBackend(_CallCounter):
     """First regex rule matching the user message wins; optional default."""
 
     def __init__(
@@ -177,12 +193,12 @@ class RuleBackend:
         rules: Sequence[tuple[str, str | Callable[[re.Match, ChatRequest], str]]],
         default: str | None = None,
     ):
+        super().__init__()
         self._rules = [(re.compile(pat, re.S), reply) for pat, reply in rules]
         self._default = default
-        self.calls = 0
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self.calls += 1
+        self._count()
         for pattern, reply in self._rules:
             m = pattern.search(request.user_message)
             if m is not None:
@@ -201,7 +217,17 @@ class RuleBackend:
         )
 
 
-class HttpBackend:
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a ``Retry-After`` header in its delta-seconds form.
+
+    The HTTP-date form, and anything malformed, gives None: the client
+    then waits its own backoff.
+    """
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+class HttpBackend(_CallCounter):
     """OpenAI-compatible /chat/completions over HTTP."""
 
     def __init__(
@@ -212,6 +238,7 @@ class HttpBackend:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        super().__init__()
         endpoint = endpoint.rstrip("/")
         if not endpoint.endswith("/chat/completions"):
             endpoint += "/chat/completions"
@@ -220,10 +247,9 @@ class HttpBackend:
         self.api_key = api_key
         self.timeout = timeout
         self._session = session or requests.Session()
-        self.calls = 0
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self.calls += 1
+        self._count()
         payload = {
             "model": request.model or self.model,
             "messages": request.messages(),
@@ -242,7 +268,14 @@ class HttpBackend:
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientLlmError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            retry_after = (
+                _retry_after(resp.headers.get("Retry-After"))
+                if resp.status_code in (429, 503)
+                else None
+            )
+            raise TransientLlmError(
+                f"HTTP {resp.status_code}: {resp.text[:200]}", retry_after
+            )
         if resp.status_code != 200:
             raise LlmError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
@@ -258,13 +291,20 @@ class HttpBackend:
         )
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
 @dataclass
 class LlmClient:
     """Retry loop + bookkeeping around a backend.
 
     Transient failures back off exponentially up to ``retry_budget``
-    attempts; auth failures and malformed-payload errors propagate at once.
-    ``sleep`` is injectable so tests never wait.
+    attempts, or wait as long as the server's ``Retry-After`` asks if that
+    is longer, never more than ``backoff_cap``; auth failures and
+    malformed-payload errors propagate at once.  ``sleep`` is injectable so
+    tests never wait.  :meth:`map` runs up to ``max_in_flight`` independent
+    calls at once; the default of 1 keeps every call in program order.
     """
 
     backend: object
@@ -274,6 +314,13 @@ class LlmClient:
     backoff_cap: float = 30.0
     transcript_path: Path | None = None
     sleep: Callable[[float], None] = time.sleep
+    max_in_flight: int = 1
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+    _local: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
 
     def chat(self, request: ChatRequest) -> str:
         last: Exception | None = None
@@ -283,7 +330,8 @@ class LlmClient:
             except TransientLlmError as exc:
                 last = exc
                 if attempt + 1 < self.retry_budget:
-                    self.sleep(min(self.backoff_cap, self.backoff_base * 2**attempt))
+                    backoff = self.backoff_base * 2**attempt
+                    self.sleep(min(self.backoff_cap, max(backoff, exc.retry_after or 0.0)))
                 continue
             if not result.text.strip():
                 raise EmptyCompletion("backend returned an empty reply")
@@ -292,9 +340,61 @@ class LlmClient:
             return result.text
         raise RetryBudgetExhausted(self.retry_budget, last or LlmError("no attempt ran"))
 
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """``[fn(item) for item in items]``, up to ``max_in_flight`` at a time.
+
+        *fn* must not depend on another item's effects.  Results come back
+        in item order, and each item's transcript lines are held until the
+        items before it are done, so the transcript reads exactly as a
+        serial run's.  If an item raises, items not yet started are
+        dropped, the rest finish, their lines are written, and the first
+        exception in item order is raised.
+        """
+        items = list(items)
+        workers = min(self.max_in_flight, len(items))
+        if workers <= 1:
+            return [fn(item) for item in items]
+        held: list[list[str]] = [[] for _ in items]
+        results: list[R] = []
+        error: BaseException | None = None
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(self._holding, lines, fn, item)
+                for lines, item in zip(held, items)
+            ]
+            for lines, future in zip(held, futures):
+                if future.cancelled():
+                    continue
+                exc = future.exception()
+                self._write(lines)
+                if exc is None:
+                    results.append(future.result())
+                elif error is None:
+                    error = exc
+                    pool.shutdown(wait=False, cancel_futures=True)
+        if error is not None:
+            raise error
+        return results
+
     @property
     def calls(self) -> int:
         return self.ledger.calls
+
+    def _holding(self, lines: list[str], fn: Callable[[T], R], item: T) -> R:
+        """Run ``fn(item)`` with this thread's transcript lines kept in *lines*."""
+        self._local.lines = lines
+        try:
+            return fn(item)
+        finally:
+            self._local.lines = None
+
+    def _write(self, lines: list[str]) -> None:
+        held = getattr(self._local, "lines", None)
+        if held is not None:
+            held.extend(lines)
+        elif lines:
+            with self._lock, open(self.transcript_path, "a", encoding="utf-8") as fh:
+                fh.writelines(lines)
 
     def _transcribe(self, request: ChatRequest, result: ChatResult) -> None:
         if self.transcript_path is None:
@@ -310,5 +410,4 @@ class LlmClient:
             ensure_ascii=True,
             sort_keys=True,
         )
-        with open(self.transcript_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        self._write([line + "\n"])

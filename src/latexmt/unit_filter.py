@@ -124,12 +124,22 @@ def classify_units(
     model: str = "",
     warnings: list[str] | None = None,
 ) -> list[FilterDecision]:
-    """Classify every environment unit and apply the decisions in place."""
+    """Classify every environment unit and apply the decisions in place.
+
+    The units are independent, so with a client they are classified through
+    :meth:`LlmClient.map`; decisions and warnings keep unit order.
+    """
+    envs = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
+
+    def classify(unit: TranslationUnit) -> tuple[FilterDecision, list[str]]:
+        notes: list[str] = []
+        return classify_unit(unit, protected, client, parse_retries, model, notes), notes
+
+    outcomes = client.map(classify, envs) if client is not None else map(classify, envs)
     decisions = []
-    for unit in units:
-        if unit.granularity != GRAN_ENVIRONMENT:
-            continue
-        decision = classify_unit(unit, protected, client, parse_retries, model, warnings)
+    for unit, (decision, notes) in zip(envs, outcomes):
         unit.needs_translation = decision.translate
         decisions.append(decision)
+        if warnings is not None:
+            warnings.extend(notes)
     return decisions

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from latexmt import cli
+from latexmt.config import load_config
 
 from conftest import write_files
 
@@ -208,6 +209,24 @@ def test_translate_max_rounds_override(tmp_path):
     assert code == 0
     report = json.loads((out / "doc" / "report.json").read_text())
     assert report["rounds_used"] == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, bound",
+    [
+        ({"mock": "echo"}, cli.MAX_IN_FLIGHT),
+        ({"mock": "scripted", "mock_script": "replies.json"}, 1),
+        ({}, cli.MAX_IN_FLIGHT),
+    ],
+)
+def test_build_client_in_flight_bound(tmp_path, overrides, bound):
+    (tmp_path / "replies.json").write_text("[]")
+    overrides = {
+        k: str(tmp_path / v) if k == "mock_script" else v for k, v in overrides.items()
+    }
+    client = cli._build_client(load_config(None, overrides), None)
+    assert client.max_in_flight == bound
+    assert cli.MAX_IN_FLIGHT == 8
 
 
 def test_translate_rejects_bad_config(tmp_path):

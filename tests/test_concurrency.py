@@ -1,0 +1,168 @@
+"""Stress: a document's concurrent model calls leave a serial run's outputs.
+
+A content-keyed rule backend sleeps a per-request jitter, so calls finish
+out of order; the interpreter switches threads far more often than usual,
+and the client keeps more calls in flight than the machine has cores.
+report.json and the transcript must still match a bound-1 run byte for
+byte, with the same ledger totals.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import sys
+import threading
+import time
+
+from latexmt import cli, prompts
+from latexmt.config import load_config
+from latexmt.errors import TransientLlmError
+from latexmt.llm import RuleBackend
+from latexmt.placeholders import TOKEN_RE
+
+from conftest import write_files
+
+JOIN_TIMEOUT_S = 60.0
+FILTER_PROMPT = prompts.render("filter")
+BUILD_CLIENT = cli._build_client
+
+
+def _project(sections: int = 14) -> dict[str, str]:
+    parts = ["\\documentclass{article}\n\\begin{document}\n"]
+    for i in range(sections):
+        parts.append(
+            f"\\section{{Part {i}}}\n"
+            f"The measurement number {i} depends on \\emph{{calibration}} and "
+            f"temperature drift, see \\cite{{ref{i}}}.\n"
+            f"\\begin{{remark}}\nRemark {i} explains why the baseline "
+            f"procedure {'works' if i % 2 else 'fails'} in practice.\n\\end{{remark}}\n"
+            f"\\begin{{equation}}\nx_{i} = y^{i}\n\\end{{equation}}\n"
+            f"\\begin{{figure}}\n\\caption{{Spectrum {i} with \\textbf{{peaks}}}}\n"
+            f"\\end{{figure}}\n"
+            f"Closing sentence of part {i} about reproducibility.\n"
+        )
+    parts.append("\\end{document}\n")
+    return {"main.tex": "".join(parts)}
+
+
+def _hash(text: str) -> int:
+    digest = hashlib.blake2b(text.encode("utf-8", "surrogateescape"), digest_size=4)
+    return int.from_bytes(digest.digest(), "big")
+
+
+class Replies:
+    """Replies computed from the request alone, after a per-request jitter.
+
+    A share of requests fails its first attempt; a share of corrector
+    requests fails every attempt.  Tracks the most calls seen in flight.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._seen: set[str] = set()
+        self._in_flight = 0
+        self.max_in_flight = 0
+
+    def __call__(self, match, request) -> str:
+        key = request.system_prompt[:60] + "\0" + request.user_message
+        h = _hash(key)
+        with self._lock:
+            first = key not in self._seen
+            self._seen.add(key)
+            self._in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self._in_flight)
+        try:
+            time.sleep((h >> 16) % 7 * 0.0005)
+            if first and h % 9 == 0:
+                raise TransientLlmError("first attempt refused")
+            return self._reply(h, request)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+    @staticmethod
+    def _reply(h: int, request) -> str:
+        message = request.user_message
+        if request.system_prompt == FILTER_PROMPT:
+            return "Perhaps" if h % 3 == 0 else ("True" if h % 2 else "False")
+        if message.startswith("[Source]\n"):
+            words = sorted(set(re.findall(r"[a-z]{6,}", message.split("\n\n[Translation]")[0])))
+            if h % 4 == 0 or not words:
+                return "N/A"
+            pairs = [f'"{w}" - "{w.upper()}"' for w in words[h % len(words):][:2]]
+            return "\n".join(pairs + (["not a pair"] if h % 4 == 1 else []))
+        if message.startswith("prev_summary:\n"):
+            prev, _, new = message.partition("\n\nnew_section:\n")
+            words = prev.removeprefix("prev_summary:\n").split() + new.split()[:6]
+            return " ".join(words[-40:])
+        if message.startswith("[Original]\n"):
+            original, _, rest = message.removeprefix("[Original]\n").partition("\n\n[Translation]\n")
+            if "\n\n[Error Reports]\n" in rest:
+                if h % 8 == 0:
+                    raise TransientLlmError("corrector down")
+                return original
+            if h % 5 == 0:
+                return "- a clause is missing"
+            return "unclear" if h % 3 == 0 else "OK"
+        m = TOKEN_RE.search(message)
+        if m is not None and h % 6 == 0:
+            return message[: m.start()] + message[m.end() :]
+        return message
+
+
+def _translate(project, out, bound: int, monkeypatch):
+    built = []
+    replies = Replies()
+
+    def build(config, logs_dir):
+        client = BUILD_CLIENT(config, logs_dir)
+        client.backend = RuleBackend([(r"", replies)])
+        client.max_in_flight = bound
+        built.append(client)
+        return client
+
+    monkeypatch.setattr(cli, "_build_client", build)
+    config = load_config(
+        None,
+        {"out_dir": str(out), "compile_enabled": False, "mock": "echo", "backoff_base": 0.0},
+    )
+    outcomes = []
+    worker = threading.Thread(
+        target=lambda: outcomes.append(cli.translate_project(project, config))
+    )
+    worker.start()
+    worker.join(JOIN_TIMEOUT_S)
+    assert not worker.is_alive(), "translate_project did not finish in time"
+    assert outcomes and outcomes[0].ok, outcomes
+    root = outcomes[0].out_dir
+    return (
+        (root / "report.json").read_bytes(),
+        (root / "logs" / "llm_transcript.jsonl").read_bytes(),
+        built[0].ledger.summary(),
+        replies.max_in_flight,
+    )
+
+
+def test_concurrent_document_matches_serial_run(tmp_path, monkeypatch):
+    project = write_files(tmp_path / "paper", _project())
+    bound = (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial = _translate(project, tmp_path / "serial", 1, monkeypatch)
+        runs = [
+            _translate(project, tmp_path / f"concurrent{i}", bound, monkeypatch)
+            for i in range(3)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    report, transcript, ledger, in_flight = serial
+    assert in_flight == 1
+    assert b"revision failed" in report and b"unparseable" in report
+    for run in runs:
+        assert run[0] == report
+        assert run[1] == transcript
+        assert run[2] == ledger
+        assert run[3] > 1

@@ -1,5 +1,8 @@
 """Config loading: YAML, env interpolation, coercion, engine choice."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from latexmt.config import (
@@ -139,3 +142,14 @@ def test_empty_file_means_defaults(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("")
     assert load_config(path).target_language == "zh"
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    for var in re.findall(r"\$\{(\w+)\}", blocks[0]):
+        monkeypatch.setenv(var, f"value-of-{var}")
+    path = tmp_path / "run.yaml"
+    path.write_text(blocks[0])
+    load_config(path)

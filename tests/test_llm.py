@@ -1,6 +1,8 @@
-"""Client retry behaviour, mock backends, HTTP adapter, usage ledger."""
+"""Client retry behaviour, mock backends, HTTP adapter, usage ledger, fan-out."""
 
 import json
+import threading
+import time
 
 import pytest
 import requests
@@ -210,9 +212,10 @@ def test_transcript_written_as_jsonl(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
         self.text = text or (json.dumps(payload) if payload is not None else "")
 
     def json(self):
@@ -296,3 +299,115 @@ def test_client_retries_http_transients_end_to_end():
     client = client_for(backend, retry_budget=2)
     assert client.chat(req()) == "done"
     assert len(session.requests) == 2
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize(
+    "headers, wanted",
+    [
+        ({"Retry-After": "7"}, 7.0),
+        ({"Retry-After": " 0 "}, 0.0),
+        ({}, None),
+        ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+        ({"Retry-After": "-3"}, None),
+        ({"Retry-After": "1.5"}, None),
+        ({"Retry-After": "soon"}, None),
+    ],
+)
+def test_http_backend_reads_retry_after_seconds(status, headers, wanted):
+    session = FakeSession([FakeResponse(status, headers=headers)])
+    backend = HttpBackend("http://h", session=session)
+    with pytest.raises(TransientLlmError) as info:
+        backend.complete(req())
+    assert info.value.retry_after == wanted
+
+
+def test_client_waits_as_long_as_retry_after_asks_within_the_cap():
+    naps = []
+    session = FakeSession(
+        [
+            FakeResponse(429, headers={"Retry-After": "4"}),  # longer than 0.5 backoff
+            FakeResponse(503, headers={"Retry-After": "120"}),  # capped at 30
+            FakeResponse(429, headers={"Retry-After": "soon"}),  # malformed: 2.0 backoff
+            FakeResponse(429),  # absent: 4.0 backoff
+            FakeResponse(429, headers={"Retry-After": "1"}),  # shorter than 8.0 backoff
+            FakeResponse(200, ok_payload("done")),
+        ]
+    )
+    client = LlmClient(
+        HttpBackend("http://h", session=session),
+        UsageLedger(),
+        retry_budget=6,
+        backoff_base=0.5,
+        backoff_cap=30.0,
+        sleep=naps.append,
+    )
+    assert client.chat(req()) == "done"
+    assert naps == [4.0, 30.0, 2.0, 4.0, 8.0]
+
+
+# --------------------------------------------------------------------------
+# ordered fan-out
+
+
+def transcript_users(path):
+    return [json.loads(line)["user"] for line in path.read_text().splitlines()]
+
+
+def test_map_returns_results_and_transcript_in_item_order(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=4)
+    items = [str(i) for i in range(12)]
+    threads = threading.active_count()
+
+    def call(item):
+        time.sleep(0.001 * (12 - int(item)))  # later items finish first
+        return client.chat(req(item))
+
+    assert client.map(call, items) == items
+    assert transcript_users(path) == items
+    assert client.calls == 12
+    assert threading.active_count() == threads  # no pool outlives the call
+
+
+def test_map_runs_up_to_the_bound_at_once():
+    client = client_for(EchoBackend(), max_in_flight=4)
+    barrier = threading.Barrier(4, timeout=10)
+
+    def meet(item):
+        barrier.wait()  # breaks, and raises, unless four items run together
+        return item
+
+    assert client.map(meet, range(8)) == list(range(8))
+
+
+def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=3)
+
+    def call(item):
+        if item == 2:
+            raise ValueError("item 2 broke")
+        time.sleep(0.02)  # items 0 and 1 are still running when item 2 raises
+        return client.chat(req(str(item)))
+
+    with pytest.raises(ValueError, match="item 2 broke"):
+        client.map(call, range(30))
+    assert transcript_users(path)[:2] == ["0", "1"]
+    assert client.calls < 30  # items not yet started were dropped
+
+
+def test_map_with_bound_one_runs_inline_in_order(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    client = client_for(ScriptedBackend(["a", "b", "c"]), transcript_path=path)
+    assert client.max_in_flight == 1
+    seen = []
+
+    def call(item):
+        seen.append(threading.get_ident())
+        reply = client.chat(req(item))
+        assert transcript_users(path)[-1] == item  # written at once, not held
+        return reply
+
+    assert client.map(call, ["x", "y", "z"]) == ["a", "b", "c"]
+    assert seen == [threading.get_ident()] * 3
