@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import prompts
-from .config import language_name
+from .config import RunConfig
 from .errors import LlmError, PipelineFailed
 from .llm import ChatRequest, LlmClient
 from .parser import (
@@ -58,31 +58,6 @@ DEFAULT_COMMAND_ALLOWLIST = frozenset(
 _CONTROL_WORD_RE = re.compile(r"\\[^\W\d_]+", re.UNICODE)
 
 _TERM_LINE_RE = re.compile(r'^\s*"(.+?)"\s*-\s*"(.+?)"\s*$')
-
-
-@dataclass
-class PipelineConfig:
-    source_language: str = "en"
-    target_language: str = "zh"
-    model: str = ""
-    translator_temperature: float = 0.7
-    judge_temperature: float = 0.0
-    agent_max_new_tokens: int = 8192
-    max_validation_rounds: int = 3
-    term_dict_cap: int = 200
-    completeness_check: bool = True
-    command_allowlist: frozenset = DEFAULT_COMMAND_ALLOWLIST
-    prompt_dir: str | None = None
-
-    def __post_init__(self):
-        if self.max_validation_rounds < 1:
-            raise ValueError("max_validation_rounds must be at least 1")
-        if self.term_dict_cap < 1:
-            raise ValueError("term_dict_cap must be at least 1")
-
-    @property
-    def tgt_language_name(self) -> str:
-        return language_name(self.target_language)
 
 
 @dataclass
@@ -223,7 +198,7 @@ def check_command_integrity(
 def check_content_completeness(
     unit: TranslationUnit,
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
     report: ErrorReport,
     warnings: list[str],
 ) -> list[Finding]:
@@ -234,9 +209,7 @@ def check_content_completeness(
     (including transport failure) skips the dimension for this unit.
     """
     request = ChatRequest(
-        system_prompt=prompts.render(
-            "completeness", config.tgt_language_name, config.prompt_dir
-        ),
+        system_prompt=prompts.render_for("completeness", config),
         user_message=(
             f"[Original]\n{unit.source_text}\n\n[Translation]\n{unit.translated_text}"
         ),
@@ -268,7 +241,7 @@ def validate_translations(
     units: list[TranslationUnit],
     round_index: int,
     client: LlmClient | None,
-    config: PipelineConfig,
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> ErrorReport:
     """Batch-validate every candidate translation in *units*.
@@ -280,11 +253,7 @@ def validate_translations(
     if warnings is None:
         warnings = []
     checked = [
-        (
-            unit,
-            check_placeholder_integrity(unit)
-            + check_command_integrity(unit, config.command_allowlist),
-        )
+        (unit, check_placeholder_integrity(unit) + check_command_integrity(unit))
         for unit in units
         if unit.needs_translation and unit.translated_text is not None
     ]
@@ -316,9 +285,9 @@ def validate_translations(
 
 
 def render_translator_system(
-    summary: Summary, dictionary: TermDictionary, config: PipelineConfig
+    summary: Summary, dictionary: TermDictionary, config: RunConfig
 ) -> str:
-    base = prompts.render("translator", config.tgt_language_name, config.prompt_dir)
+    base = prompts.render_for("translator", config)
     dict_block = dictionary.render(config.term_dict_cap)
     return (
         f"{base}\n\n[Summary]\n{summary.text or '(none yet)'}"
@@ -331,7 +300,7 @@ def translate_unit(
     summary: Summary,
     dictionary: TermDictionary,
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
 ) -> str:
     """One translator call; the unit source is the entire user message."""
     request = ChatRequest(
@@ -348,16 +317,14 @@ def retranslate_unit(
     unit: TranslationUnit,
     findings: list[Finding],
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
 ) -> str:
     """One corrector call: original + current translation + what is wrong."""
     if not findings:
         raise ValueError("retranslate_unit needs at least one finding")
     errors_block = "\n".join(f"- [{f.dimension}] {f.description}" for f in findings)
     request = ChatRequest(
-        system_prompt=prompts.render(
-            "corrector", config.tgt_language_name, config.prompt_dir
-        ),
+        system_prompt=prompts.render_for("corrector", config),
         user_message=(
             f"[Original]\n{unit.source_text}\n\n"
             f"[Translation]\n{unit.translated_text}\n\n"
@@ -374,7 +341,7 @@ def update_summary(
     summary: Summary,
     new_section: str,
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> Summary:
     """Fold a just-translated section into the rolling summary.
@@ -385,7 +352,7 @@ def update_summary(
     if warnings is None:
         warnings = []
     request = ChatRequest(
-        system_prompt=prompts.render("summarizer", prompt_dir=config.prompt_dir),
+        system_prompt=prompts.render_for("summarizer", config),
         user_message=(
             f"prev_summary:\n{summary.text or '(empty)'}\n\nnew_section:\n{new_section}"
         ),
@@ -413,7 +380,7 @@ def extract_terms(
     translated_text: str,
     dictionary: TermDictionary,
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> list[tuple[str, str]]:
     """Mine new term pairs from one source/translation pair.
@@ -425,9 +392,7 @@ def extract_terms(
     if warnings is None:
         warnings = []
     request = ChatRequest(
-        system_prompt=prompts.render(
-            "terminology", config.tgt_language_name, config.prompt_dir
-        ),
+        system_prompt=prompts.render_for("terminology", config),
         user_message=f"[Source]\n{source_text}\n\n[Translation]\n{translated_text}",
         temperature=config.judge_temperature,
         max_new_tokens=config.agent_max_new_tokens,
@@ -483,7 +448,7 @@ class PipelineResult:
 def run_pipeline(
     units: list[TranslationUnit],
     client: LlmClient,
-    config: PipelineConfig,
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> PipelineResult:
     """Translate every unit, then validate/revise until clean or capped.
@@ -492,8 +457,10 @@ def run_pipeline(
     the workload shrinks monotonically.  A unit that still has findings
     after ``max_validation_rounds`` is marked FAILED and will fall back to
     its source text at reassembly.  The run as a whole fails only when no
-    unit at all produced a candidate translation.
+    unit at all produced a candidate translation.  An invalid *config*
+    raises :class:`ConfigError` before any call.
     """
+    config.validate()
     if warnings is None:
         warnings = []
     summary = Summary()

@@ -27,11 +27,12 @@ from pathlib import Path
 
 import yaml
 
-from .agents import PipelineConfig, run_pipeline
+from .agents import run_pipeline
 from .config import RunConfig, base_language, load_config
 from .errors import (
     ConfigError,
     EmptyCorpus,
+    EngineNotFound,
     EngineTimeout,
     LatexmtError,
     MissingMainFile,
@@ -53,13 +54,6 @@ from .parser import (
     enumerate_units,
     parse_project,
     units_to_manifest,
-)
-from .placeholders import (
-    KIND_FILE_BEGIN,
-    KIND_FILE_END,
-    PlaceholderMap,
-    file_begin_token,
-    file_end_token,
 )
 from .unit_filter import ProtectedEnvList, classify_units
 
@@ -117,14 +111,6 @@ def _preamble_table(config: RunConfig) -> dict:
     return table
 
 
-def _file_map(merged) -> PlaceholderMap:
-    pmap = PlaceholderMap()
-    for b in merged.boundaries:
-        pmap.add(file_begin_token(b.token_id), KIND_FILE_BEGIN, b.directive)
-        pmap.add(file_end_token(b.token_id), KIND_FILE_END, "")
-    return pmap
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n",
@@ -135,7 +121,6 @@ def _write_json(path: Path, payload) -> None:
 def _write_maps(parsed, units, maps_dir: Path) -> None:
     parsed.cap_map.save(maps_dir / "cap_map.json")
     parsed.env_map.save(maps_dir / "env_map.json")
-    _file_map(parsed.merged).save(maps_dir / "file_map.json")
     _write_json(
         maps_dir / "file_boundaries.json",
         [
@@ -155,9 +140,6 @@ def _compile_step(
     warnings: list[str],
 ) -> tuple[dict, float | None]:
     engine = config.chosen_engine
-    if shutil.which(engine) is None:
-        warnings.append(f"TeX engine not found on PATH: {engine}; compilation skipped")
-        return {"skipped": True, "reason": f"engine not found: {engine}"}, None
     try:
         report = compile_document(
             tex_dir,
@@ -167,6 +149,9 @@ def _compile_step(
             passes=config.compile_passes,
             count_box_warnings=config.count_box_warnings,
         )
+    except EngineNotFound:
+        warnings.append(f"TeX engine not found on PATH: {engine}; compilation skipped")
+        return {"skipped": True, "reason": f"engine not found: {engine}"}, None
     except EngineTimeout as exc:
         warnings.append(str(exc))
         return {"skipped": False, "engine": engine, "success": False, "reason": str(exc)}, None
@@ -234,27 +219,8 @@ def translate_project(
     fc = None
     compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
     try:
-        decisions = classify_units(
-            units,
-            protected,
-            client,
-            parse_retries=config.filter_parse_retries,
-            model=config.model,
-            warnings=warnings,
-        )
-        pipeline_config = PipelineConfig(
-            source_language=config.source_language,
-            target_language=config.target_language,
-            model=config.model,
-            translator_temperature=config.translator_temperature,
-            judge_temperature=config.judge_temperature,
-            agent_max_new_tokens=config.agent_max_new_tokens,
-            max_validation_rounds=config.max_validation_rounds,
-            term_dict_cap=config.term_dict_cap,
-            completeness_check=config.completeness_check,
-            prompt_dir=config.prompt_dir or None,
-        )
-        result = run_pipeline(units, client, pipeline_config, warnings)
+        decisions = classify_units(units, protected, client, config, warnings)
+        result = run_pipeline(units, client, config, warnings)
         body = reassemble(units, parsed.cap_map, parsed.env_map, parsed.merged)
         written = unmerge(body, parsed.merged, tex_dir)
         if config.inject_preamble:

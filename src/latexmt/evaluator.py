@@ -157,35 +157,23 @@ class CorpusScore:
         return "\n".join(lines)
 
 
-def _compiled_flag(stats) -> bool:
-    # LogStats carries `compiled`; a compile report carries `success`.
-    if hasattr(stats, "compiled"):
-        return bool(stats.compiled)
-    return bool(stats.success)
-
-
 def score_corpus(
     items: list[tuple[str, LogStats]],
     params: FCScoreParams | None = None,
 ) -> CorpusScore:
-    """Score every (doc_id, stats) pair and average; empty input is an error.
-
-    The stats object may be a :class:`LogStats` or any compile report with
-    ``error_count``/``warning_count`` and a success flag.
-    """
+    """Score every (doc_id, stats) pair and average; empty input is an error."""
     if not items:
         raise EmptyCorpus("no documents to score")
     p = params or FCScoreParams()
     docs = []
     for doc_id, stats in items:
-        compiled = _compiled_flag(stats)
         docs.append(
             DocumentScore(
                 doc_id,
                 stats.error_count,
                 stats.warning_count,
-                compiled,
-                fc_score(stats.error_count, stats.warning_count, compiled, p),
+                stats.compiled,
+                fc_score(stats.error_count, stats.warning_count, stats.compiled, p),
             )
         )
     mean = sum(d.score for d in docs) / len(docs)

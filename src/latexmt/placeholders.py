@@ -15,10 +15,8 @@ from typing import Iterator
 
 KIND_CAP = "CAP"
 KIND_ENV = "ENV"
-KIND_FILE_BEGIN = "FILE_BEGIN"
-KIND_FILE_END = "FILE_END"
 
-_KINDS = (KIND_CAP, KIND_ENV, KIND_FILE_BEGIN, KIND_FILE_END)
+_KINDS = (KIND_CAP, KIND_ENV)
 
 # Any token this package ever emits.
 TOKEN_RE = re.compile(

@@ -4,6 +4,7 @@ Templates live as plain text under ``latexmt/data/prompts`` and use a
 single literal slot, ``{tgt_language}``, replaced by the human-readable
 target language name.  Plain ``str.replace`` is used instead of
 ``str.format`` because the templates are full of LaTeX braces.
+:func:`render_for` is the one place a run's config becomes a prompt.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+
+from .config import RunConfig, language_name
 
 TEMPLATE_NAMES = (
     "translator",
@@ -29,10 +32,13 @@ def _packaged(name: str) -> str:
 
 
 def load_template(name: str, prompt_dir: Path | str | None = None) -> str:
-    """Return the raw template text; *prompt_dir* overrides packaged assets."""
+    """Return the raw template text; *prompt_dir* overrides packaged assets.
+
+    An empty *prompt_dir* means unset, as in the config file.
+    """
     if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown prompt template: {name!r}")
-    if prompt_dir is not None:
+    if prompt_dir:
         override = Path(prompt_dir) / f"{name}.txt"
         if override.is_file():
             return override.read_text(encoding="utf-8")
@@ -45,3 +51,8 @@ def render(name: str, tgt_language: str = "", prompt_dir: Path | str | None = No
     if tgt_language:
         text = text.replace("{tgt_language}", tgt_language)
     return text
+
+
+def render_for(name: str, config: RunConfig) -> str:
+    """Template *name* for a run: *config*'s target language and prompt_dir."""
+    return render(name, language_name(config.target_language), config.prompt_dir)

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import prompts
+from .config import RunConfig
 from .errors import LlmError
 from .llm import ChatRequest, LlmClient
 from .parser import GRAN_ENVIRONMENT, TranslationUnit
@@ -72,8 +73,7 @@ def classify_unit(
     unit: TranslationUnit,
     protected: ProtectedEnvList,
     client: LlmClient | None,
-    parse_retries: int = 3,
-    model: str = "",
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> FilterDecision:
     """Decide whether one environment unit's content should be translated.
@@ -88,13 +88,13 @@ def classify_unit(
     if client is None:
         return FilterDecision(unit.id, False, SOURCE_DEFAULT)
     request = ChatRequest(
-        system_prompt=prompts.render("filter"),
+        system_prompt=prompts.render_for("filter", config),
         user_message=unit.source_text,
         temperature=FILTER_TEMPERATURE,
         max_new_tokens=FILTER_MAX_NEW_TOKENS,
-        model=model,
+        model=config.model,
     )
-    for _ in range(max(1, parse_retries)):
+    for _ in range(max(1, config.filter_parse_retries)):
         try:
             reply = client.chat(request).strip()
         except LlmError as exc:
@@ -111,7 +111,7 @@ def classify_unit(
     if warnings is not None:
         warnings.append(
             f"filter reply unparseable for unit {unit.id} ({unit.env_name}) "
-            f"after {parse_retries} attempts; defaulting to preserve"
+            f"after {config.filter_parse_retries} attempts; defaulting to preserve"
         )
     return FilterDecision(unit.id, False, SOURCE_DEFAULT)
 
@@ -120,8 +120,7 @@ def classify_units(
     units: list[TranslationUnit],
     protected: ProtectedEnvList,
     client: LlmClient | None,
-    parse_retries: int = 3,
-    model: str = "",
+    config: RunConfig,
     warnings: list[str] | None = None,
 ) -> list[FilterDecision]:
     """Classify every environment unit and apply the decisions in place.
@@ -133,7 +132,7 @@ def classify_units(
 
     def classify(unit: TranslationUnit) -> tuple[FilterDecision, list[str]]:
         notes: list[str] = []
-        return classify_unit(unit, protected, client, parse_retries, model, notes), notes
+        return classify_unit(unit, protected, client, config, notes), notes
 
     outcomes = client.map(classify, envs) if client is not None else map(classify, envs)
     decisions = []

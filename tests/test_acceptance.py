@@ -17,12 +17,12 @@ from latexmt import cli
 from latexmt.agents import (
     DIM_COMMAND,
     DIM_PLACEHOLDER,
-    PipelineConfig,
     TermDictionary,
     extract_terms,
     run_pipeline,
     validate_translations,
 )
+from latexmt.config import RunConfig
 from latexmt.evaluator import FCScoreParams, LogStats, fc_score, parse_log
 from latexmt.generator import compile_document, reassemble, unmerge
 from latexmt.llm import (
@@ -219,7 +219,7 @@ def test_05_validator_mechanics(announce):
         unit = TranslationUnit(id=0, granularity=GRAN_SECTION, source_text=FAULT_SOURCE)
         unit.translated_text = FAULT_BROKEN
         unit.status = STATUS_TRANSLATED
-        report = validate_translations([unit], 1, None, PipelineConfig())
+        report = validate_translations([unit], 1, None, RunConfig())
         dims = [f.dimension for f in report.findings]
         texts = " | ".join(f.description for f in report.findings)
         assert DIM_PLACEHOLDER in dims
@@ -231,7 +231,7 @@ def test_05_validator_mechanics(announce):
         # (b) a repairing mock converges with empty findings by round 2
         unit = TranslationUnit(id=0, granularity=GRAN_SECTION, source_text=FAULT_SOURCE)
         result = run_pipeline(
-            [unit], quiet_client(repairing_backend(FAULT_FIXED)), PipelineConfig()
+            [unit], quiet_client(repairing_backend(FAULT_FIXED)), RunConfig()
         )
         assert result.rounds_used == 2
         assert unit.status == STATUS_VALIDATED
@@ -240,7 +240,7 @@ def test_05_validator_mechanics(announce):
 
         # (c) a never-repairing mock stops at exactly the round cap
         unit = TranslationUnit(id=0, granularity=GRAN_SECTION, source_text=FAULT_SOURCE)
-        cfg = PipelineConfig(max_validation_rounds=3)
+        cfg = RunConfig(max_validation_rounds=3)
         result = run_pipeline(
             [unit], quiet_client(repairing_backend(FAULT_BROKEN)), cfg
         )
@@ -278,18 +278,26 @@ def test_06_filter_contract(announce):
 
         for name in sorted(protected.names):
             backend = EchoBackend()
-            decision = classify_unit(env_unit(name), protected, quiet_client(backend))
+            decision = classify_unit(
+                env_unit(name), protected, quiet_client(backend), RunConfig()
+            )
             assert decision.source == SOURCE_PREDEFINED
             assert decision.translate is False
             assert backend.calls == 0, name
 
         decision = classify_unit(
-            env_unit("notebox"), protected, quiet_client(RuleBackend([(r".", "True")]))
+            env_unit("notebox"),
+            protected,
+            quiet_client(RuleBackend([(r".", "True")])),
+            RunConfig(),
         )
         assert (decision.translate, decision.source) == (True, SOURCE_LLM)
 
         decision = classify_unit(
-            env_unit("notebox"), protected, quiet_client(RuleBackend([(r".", "False")]))
+            env_unit("notebox"),
+            protected,
+            quiet_client(RuleBackend([(r".", "False")])),
+            RunConfig(),
         )
         assert (decision.translate, decision.source) == (False, SOURCE_LLM)
 
@@ -298,6 +306,7 @@ def test_06_filter_contract(announce):
             env_unit("notebox"),
             protected,
             quiet_client(RuleBackend([(r".", "perhaps")])),
+            RunConfig(),
             warnings=warnings,
         )
         assert (decision.translate, decision.source) == (False, SOURCE_DEFAULT)
@@ -316,7 +325,7 @@ def test_07_bookkeeping(tmp_path, announce):
     try:
         # first occurrence wins; N/A adds nothing; size is monotone
         d = TermDictionary()
-        cfg = PipelineConfig()
+        cfg = RunConfig()
         sizes = []
         replies = [
             '"graph" - "\u56fe"',
@@ -349,7 +358,7 @@ def test_07_bookkeeping(tmp_path, announce):
         result = run_pipeline(
             units,
             quiet_client(backend, transcript_path=transcript),
-            PipelineConfig(completeness_check=False),
+            RunConfig(completeness_check=False),
         )
         assert backend.remaining == 0
         assert result.summary.version == 2

@@ -11,7 +11,6 @@ from latexmt.agents import (
     DIM_PLACEHOLDER,
     ErrorReport,
     Finding,
-    PipelineConfig,
     PipelineFailed,
     Summary,
     TermDictionary,
@@ -26,6 +25,8 @@ from latexmt.agents import (
     update_summary,
     validate_translations,
 )
+from latexmt.config import RunConfig
+from latexmt.errors import ConfigError
 from latexmt.llm import (
     EchoBackend,
     LlmClient,
@@ -63,7 +64,7 @@ def caption_unit(uid, text):
     )
 
 
-CFG = PipelineConfig()
+CFG = RunConfig()
 
 
 # --------------------------------------------------------------------------
@@ -261,10 +262,6 @@ def test_command_counts_must_match_exactly():
 # completeness judge
 
 
-def completeness_config(**kw):
-    return PipelineConfig(**kw)
-
-
 def test_completeness_ok_reply():
     u = unit_with("src", "dst")
     report = ErrorReport(1)
@@ -319,7 +316,7 @@ def test_mechanical_failures_suppress_completeness_call():
 def test_completeness_disabled_by_config():
     u = unit_with("plain", "plain translated")
     backend = ScriptedBackend(["OK"])
-    cfg = PipelineConfig(completeness_check=False)
+    cfg = RunConfig(completeness_check=False)
     report = validate_translations([u], 1, make_client(backend), cfg)
     assert backend.calls == 0
     assert report.ok
@@ -446,13 +443,21 @@ def test_pipeline_repairs_flagged_unit_in_round_two():
 
 def test_pipeline_gives_up_after_max_rounds_and_falls_back():
     unit = section_unit(0, "Alpha <PLACEHOLDER_ENV_0> beta.")
-    cfg = PipelineConfig(max_validation_rounds=3)
+    cfg = RunConfig(max_validation_rounds=3)
     result = run_pipeline([unit], make_client(repair_rules(BROKEN)), cfg, [])
     assert result.rounds_used == 3
     assert unit.status == STATUS_FAILED
     assert unit.output_text() == unit.source_text
     assert any("falling back to source text" in w for w in result.warnings)
     assert result.failed_units() == [unit]
+
+
+@pytest.mark.parametrize("bad", [{"max_validation_rounds": 0}, {"term_dict_cap": 0}])
+def test_pipeline_rejects_an_invalid_config_before_any_call(bad):
+    backend = EchoBackend()
+    with pytest.raises(ConfigError):
+        run_pipeline([section_unit(0, "text")], make_client(backend), RunConfig(**bad))
+    assert backend.calls == 0
 
 
 def test_pipeline_raises_only_when_every_unit_fails():
@@ -493,7 +498,7 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
     c1 = caption_unit(2, "C1 caption text")
     script = ["t1", "N/A", "sum1", "t2", "N/A", "sum2", "t3", "N/A"]
     backend = ScriptedBackend(script)
-    cfg = PipelineConfig(completeness_check=False)
+    cfg = RunConfig(completeness_check=False)
     result = run_pipeline(
         [s1, s2, c1], make_client(backend, transcript_path=transcript), cfg
     )
@@ -521,7 +526,7 @@ def test_pipeline_dictionary_grows_monotonically():
         '"graph" - "\u5716"\n"edge" - "\u8fb9"',
         "sum2",
     ]
-    cfg = PipelineConfig(completeness_check=False)
+    cfg = RunConfig(completeness_check=False)
     result = run_pipeline([s1, s2], make_client(ScriptedBackend(script)), cfg)
     assert result.dictionary.pairs() == [
         ("graph", "\u56fe"),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from latexmt import cli
+from latexmt import cli, prompts
 from latexmt.config import load_config
 
 from conftest import write_files
@@ -44,7 +44,6 @@ def test_parse_reports_unit_counts(tmp_path, capsys):
     for name in (
         "cap_map.json",
         "env_map.json",
-        "file_map.json",
         "file_boundaries.json",
         "units.json",
         "merged_document.tex",
@@ -99,6 +98,61 @@ def test_translate_echo_identity_layout(tmp_path, capsys):
     assert (root / "logs" / "llm_transcript.jsonl").is_file()
     statuses = {u["status"] for u in report["units"]}
     assert statuses == {"VALIDATED"}
+
+
+def test_translate_uses_every_template_from_prompt_dir(tmp_path):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    prompt_dir = tmp_path / "prompts"
+    prompt_dir.mkdir()
+    for name in prompts.TEMPLATE_NAMES:
+        marker = f"MARKER {name}\n"
+        (prompt_dir / f"{name}.txt").write_text(marker + prompts.load_template(name))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"prompt_dir: {json.dumps(str(prompt_dir))}\n")
+    out = tmp_path / "out"
+    code = run(
+        [
+            "translate", "--project", str(proj), "--config", str(cfg),
+            "--mock", "echo", "--no-compile", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    transcript = (out / "doc" / "logs" / "llm_transcript.jsonl").read_text()
+    seen = set()
+    for line in transcript.splitlines():
+        first = json.loads(line)["system"].split("\n", 1)[0]
+        assert first.startswith("MARKER "), first
+        seen.add(first.removeprefix("MARKER "))
+    # The echo replies never need a revision, so the corrector stays idle.
+    assert seen == set(prompts.TEMPLATE_NAMES) - {"corrector"}
+
+
+def test_translate_missing_engine_skips_compilation(tmp_path, capsys):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    engine = "latexmt-no-such-engine"
+    code = run(
+        [
+            "translate",
+            "--project",
+            str(proj),
+            "--mock",
+            "echo",
+            "--engine",
+            engine,
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert "doc: ok" in capsys.readouterr().out
+    report = json.loads((out / "doc" / "report.json").read_text())
+    assert report["compile"] == {"skipped": True, "reason": f"engine not found: {engine}"}
+    assert report["fc_score"] is None
+    assert (
+        f"TeX engine not found on PATH: {engine}; compilation skipped"
+        in report["warnings"]
+    )
 
 
 def test_translate_missing_project_is_usage_error(tmp_path, capsys):

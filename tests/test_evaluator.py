@@ -132,17 +132,6 @@ def test_score_corpus_mean_and_order():
     assert corpus.mean_score == pytest.approx(87.0)
 
 
-def test_score_corpus_accepts_compile_report_like_objects():
-    class ReportLike:
-        error_count = 1
-        warning_count = 0
-        success = True
-
-    corpus = score_corpus([("doc", ReportLike())])
-    assert corpus.documents[0].compiled is True
-    assert corpus.documents[0].score == 100.0  # 100 - 10 + 20, clipped to s_max
-
-
 def test_score_corpus_empty_is_an_error():
     with pytest.raises(EmptyCorpus):
         score_corpus([])

@@ -1,5 +1,6 @@
 """Environment-content filtering: predefined list, model contract, defaults."""
 
+from latexmt.config import RunConfig
 from latexmt.llm import EchoBackend, LlmClient, RuleBackend, ScriptedBackend, UsageLedger
 from latexmt.parser import GRAN_CAPTION, GRAN_ENVIRONMENT, TranslationUnit
 from latexmt.unit_filter import (
@@ -27,6 +28,9 @@ def env_unit(uid=0, name="tcolorbox", text="Some prose inside."):
     )
 
 
+CFG = RunConfig()
+
+
 def client_of(backend):
     return LlmClient(backend, UsageLedger(), sleep=lambda _s: None)
 
@@ -41,7 +45,7 @@ def test_default_list_protects_math_and_verbatim():
 def test_protected_env_never_queries_the_model():
     backend = EchoBackend()
     decision = classify_unit(
-        env_unit(name="equation"), ProtectedEnvList.default(), client_of(backend)
+        env_unit(name="equation"), ProtectedEnvList.default(), client_of(backend), CFG
     )
     assert decision == FilterDecision(0, False, SOURCE_PREDEFINED)
     assert backend.calls == 0
@@ -51,28 +55,28 @@ def test_nameless_block_is_predefined_preserve():
     unit = env_unit()
     unit.env_name = None
     backend = EchoBackend()
-    decision = classify_unit(unit, ProtectedEnvList.default(), client_of(backend))
+    decision = classify_unit(unit, ProtectedEnvList.default(), client_of(backend), CFG)
     assert decision.source == SOURCE_PREDEFINED
     assert backend.calls == 0
 
 
 def test_model_true_means_translate():
     backend = RuleBackend([(r".", "True")])
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend))
+    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
     assert decision.translate is True
     assert decision.source == SOURCE_LLM
 
 
 def test_model_false_means_preserve():
     backend = RuleBackend([(r".", "False")])
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend))
+    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
     assert decision.translate is False
     assert decision.source == SOURCE_LLM
 
 
 def test_whitespace_around_verdict_tolerated():
     backend = ScriptedBackend(["  True \n"])
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend))
+    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
     assert decision.translate is True
 
 
@@ -83,7 +87,7 @@ def test_garbage_replies_retried_then_defaulted():
         env_unit(),
         ProtectedEnvList.default(),
         client_of(backend),
-        parse_retries=3,
+        RunConfig(filter_parse_retries=3),
         warnings=warnings,
     )
     assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
@@ -95,7 +99,7 @@ def test_transport_failure_defaults_to_preserve():
     backend = ScriptedBackend([])  # exhausted immediately
     warnings = []
     decision = classify_unit(
-        env_unit(), ProtectedEnvList.default(), client_of(backend), warnings=warnings
+        env_unit(), ProtectedEnvList.default(), client_of(backend), CFG, warnings=warnings
     )
     assert decision.source == SOURCE_DEFAULT
     assert decision.translate is False
@@ -103,7 +107,7 @@ def test_transport_failure_defaults_to_preserve():
 
 
 def test_no_client_defaults_to_preserve():
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), None)
+    decision = classify_unit(env_unit(), ProtectedEnvList.default(), None, CFG)
     assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
 
 
@@ -121,7 +125,7 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
         ),
     ]
     backend = RuleBackend([(r"Read this", "True")])
-    decisions = classify_units(units, ProtectedEnvList.default(), client_of(backend))
+    decisions = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
     assert [d.unit_id for d in decisions] == [0, 1]
     assert units[0].needs_translation is False
     assert units[1].needs_translation is True
