@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from . import prompts
@@ -116,11 +116,7 @@ class Finding:
     description: str
 
     def to_dict(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "dimension": self.dimension,
-            "description": self.description,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -118,6 +118,11 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
+def _write_tex(path: Path, text: str) -> None:
+    """Write LaTeX source back byte for byte: no newline translation."""
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+
+
 def _write_maps(parsed, units, maps_dir: Path) -> None:
     parsed.cap_map.save(maps_dir / "cap_map.json")
     parsed.env_map.save(maps_dir / "env_map.json")
@@ -233,10 +238,7 @@ def translate_project(
                 warnings,
             )
             if injected != original:
-                with open(
-                    main_path, "w", encoding="utf-8", errors="surrogateescape", newline=""
-                ) as fh:
-                    fh.write(injected)
+                _write_tex(main_path, injected)
         report["filter"] = [dataclasses.asdict(d) for d in decisions]
         report["rounds_used"] = result.rounds_used
         report["validation"] = [r.to_dict() for r in result.reports]
@@ -343,16 +345,8 @@ def cmd_parse(args) -> int:
     maps_dir = out_root / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
     _write_maps(parsed, units, maps_dir)
-    with open(
-        maps_dir / "merged_document.tex", "w", encoding="utf-8",
-        errors="surrogateescape", newline="",
-    ) as fh:
-        fh.write(parsed.merged.text)
-    with open(
-        maps_dir / "substituted_document.tex", "w", encoding="utf-8",
-        errors="surrogateescape", newline="",
-    ) as fh:
-        fh.write(parsed.text)
+    _write_tex(maps_dir / "merged_document.tex", parsed.merged.text)
+    _write_tex(maps_dir / "substituted_document.tex", parsed.text)
     by_kind = {GRAN_SECTION: 0, GRAN_ENVIRONMENT: 0, GRAN_CAPTION: 0}
     for unit in units:
         by_kind[unit.granularity] += 1
@@ -518,10 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MissingMainFile, EmptyCorpus) as exc:
+    except (ConfigError, MissingMainFile, EmptyCorpus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LatexmtError as exc:

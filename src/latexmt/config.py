@@ -92,22 +92,18 @@ class RunConfig:
             problems.append("source_language must be set")
         if not self.target_language:
             problems.append("target_language must be set")
-        if self.max_validation_rounds < 1:
-            problems.append("max_validation_rounds must be >= 1")
-        if self.retry_budget < 1:
-            problems.append("retry_budget must be >= 1")
-        if self.workers < 1:
-            problems.append("workers must be >= 1")
-        if self.compile_passes < 1:
-            problems.append("compile_passes must be >= 1")
-        if self.translator_temperature < 0:
-            problems.append("translator_temperature must be >= 0")
-        if self.judge_temperature < 0:
-            problems.append("judge_temperature must be >= 0")
-        if self.agent_max_new_tokens < 1:
-            problems.append("agent_max_new_tokens must be >= 1")
-        if self.term_dict_cap < 1:
-            problems.append("term_dict_cap must be >= 1")
+        minimums = (
+            ("max_validation_rounds", 1), ("retry_budget", 1), ("workers", 1),
+            ("compile_passes", 1), ("translator_temperature", 0), ("judge_temperature", 0),
+            ("agent_max_new_tokens", 1), ("term_dict_cap", 1), ("filter_parse_retries", 1),
+            ("backoff_base", 0),
+        )
+        for name, least in minimums:
+            if getattr(self, name) < least:
+                problems.append(f"{name} must be >= {least}")
+        for name in ("request_timeout", "compile_timeout"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be > 0")
         if self.mock not in ("", "echo", "scripted"):
             problems.append(f"mock must be empty, 'echo' or 'scripted', not {self.mock!r}")
         if self.mock == "scripted" and not self.mock_script:

@@ -68,12 +68,13 @@ def reassemble(
     _check_consumed(env_map, env_counts)
     _check_consumed(cap_map, cap_counts)
     if merged is not None:
+        file_counts = Counter(m.group(0) for m in FILE_TOKEN_RE.finditer(text))
         for boundary in merged.boundaries:
             for token in (
                 file_begin_token(boundary.token_id),
                 file_end_token(boundary.token_id),
             ):
-                n = text.count(token)
+                n = file_counts[token]
                 if n != 1:
                     raise UnbalancedFileBoundaries(
                         f"{token} appears {n} times after reassembly (expected 1)"
@@ -167,8 +168,7 @@ def unmerge(full_text: str, merged: MergedDocument, out_dir: Path | str) -> list
         )
         path = out_dir / rel_path
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            fh.write(content)
+        path.write_text(content, encoding="utf-8", errors="surrogateescape", newline="")
         written.append(path)
         for item in node.items:
             if isinstance(item, _FileNode):

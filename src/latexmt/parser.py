@@ -86,6 +86,18 @@ _END_DOC_RE = re.compile(r"\\end\s*\{document\}")
 _CAPTION_RE = re.compile(r"\\caption(of)?\*?(?![A-Za-z@])")
 _SECTION_RE = re.compile(r"\\(?:part|chapter|section|subsection|subsubsection)\*?(?![A-Za-z@])")
 _INCLUDE_RE = re.compile(r"\\(?:input|include)\b\s*\{\s*([^{}%]+?)\s*\}")
+# Where str.splitlines ends a line, and the \begin of a verbatim-like
+# environment on one line (\s less the line breaks).
+_LINE_BREAK_RE = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_VERBATIM_BEGIN_RE = re.compile(
+    r"\\begin[^\S\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\{("
+    + "|".join(map(re.escape, sorted(VERBATIM_ENVS)))
+    + r")\}"
+)
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
+# The characters brace matching stops at; a backslash takes the next one along.
+_GROUP_RE = re.compile(r"\\.|[{}]", re.S)
+_OPTIONAL_RE = re.compile(r"\\.|[{}\[\]]", re.S)
 
 
 # --------------------------------------------------------------------------
@@ -98,44 +110,49 @@ def comment_spans(text: str) -> list[tuple[int, int]]:
     A span runs from an unescaped ``%`` to the end of that line, excluding
     the newline itself (TeX eats it, but for our purposes the line boundary
     must survive).  Percent signs inside verbatim-like environments do not
-    open comments.
+    open comments.  Lines are those of ``str.splitlines``.
     """
     spans: list[tuple[int, int]] = []
-    in_verbatim: str | None = None
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        content_len = len(line.rstrip("\r\n"))
-        if in_verbatim is not None:
-            if f"\\end{{{in_verbatim}}}" in line:
-                in_verbatim = None
-            offset += len(line)
-            continue
-        cut = _comment_start(line, content_len)
-        scan_end = content_len if cut is None else cut
-        for m in _BEGIN_RE.finditer(line, 0, scan_end):
-            name = m.group(1)
-            if name in VERBATIM_ENVS:
-                if f"\\end{{{name}}}" in line[m.end():scan_end]:
-                    continue  # opened and closed on the same line
-                in_verbatim = name
+    pos = 0
+    while True:
+        pct = text.find("%", pos)
+        m = _VERBATIM_BEGIN_RE.search(text, pos, len(text) if pct == -1 else pct)
+        if m is not None:  # a verbatim-like environment opens before the '%'
+            content_end, next_line = _line_bounds(text, m.start())
+            cut = _comment_start(text, m.end(), content_end)
+            end = f"\\end{{{m.group(1)}}}"
+            if text.find(end, m.end(), content_end if cut is None else cut) != -1:
+                pos = m.end()  # opened and closed on the same line
+                continue
+            # Verbatim up to the first later line that holds its \end.
+            close = text.find(end, next_line)
+            if close == -1:
                 break
-        if cut is not None and in_verbatim is None:
-            spans.append((offset + cut, offset + content_len))
-        offset += len(line)
+            pos = _line_bounds(text, close)[1]
+        elif pct == -1:
+            break
+        elif _escaped(text, pct):
+            pos = pct + 1
+        else:
+            content_end, pos = _line_bounds(text, pct)
+            spans.append((pct, content_end))
     return spans
 
 
-def _comment_start(line: str, limit: int) -> int | None:
-    i = 0
-    while i < limit:
-        ch = line[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == "%":
-            return i
-        i += 1
-    return None
+def _line_bounds(text: str, pos: int) -> tuple[int, int]:
+    """End of *pos*'s line as ``rstrip("\\r\\n")`` leaves it, and the next line's start."""
+    m = _LINE_BREAK_RE.search(text, pos)
+    if m is None:
+        return len(text), len(text)
+    return (m.start() if text[m.start()] in "\r\n" else m.end()), m.end()
+
+
+def _comment_start(text: str, start: int, limit: int) -> int | None:
+    """Offset of the first unescaped ``%`` in ``text[start:limit]``, or None."""
+    i = text.find("%", start, limit)
+    while i != -1 and _escaped(text, i):
+        i = text.find("%", i + 1, limit)
+    return None if i == -1 else i
 
 
 def _span_index(spans: list[tuple[int, int]]):
@@ -152,36 +169,40 @@ def _span_index(spans: list[tuple[int, int]]):
 
 
 def _escaped(text: str, pos: int) -> bool:
-    """True when the backslash at *pos* is itself escaped (``\\\\begin``...)."""
-    n = 0
-    j = pos - 1
-    while j >= 0 and text[j] == "\\":
-        n += 1
+    """True when an odd run of backslashes ends just before *pos*, as in ``\\%``."""
+    j = pos
+    while j > 0 and text[j - 1] == "\\":
         j -= 1
-    return n % 2 == 1
+    return (pos - j) % 2 == 1
+
+
+def _structural(text: str, pos: int, span_at, pattern: re.Pattern):
+    """Yield (offset, char) for each *pattern* character from *pos* on.
+
+    Comments are jumped over, and a backslash takes the next character along
+    with it, so escaped characters are never yielded.
+    """
+    while (m := pattern.search(text, pos)) is not None:
+        i = m.start()
+        span = span_at(i)
+        if span is not None:
+            pos = span[1]
+        else:
+            pos = m.end()
+            if text[i] != "\\":
+                yield i, text[i]
 
 
 def _match_group(text: str, open_pos: int, span_at) -> int | None:
     """Index of the ``}`` closing the ``{`` at *open_pos*, or None."""
     depth = 0
-    i = open_pos
-    n = len(text)
-    while i < n:
-        span = span_at(i)
-        if span is not None:
-            i = span[1]
-            continue
-        ch = text[i]
-        if ch == "\\":
-            i += 2
-            continue
+    for i, ch in _structural(text, open_pos, span_at, _GROUP_RE):
         if ch == "{":
             depth += 1
-        elif ch == "}":
+        else:
             depth -= 1
             if depth == 0:
                 return i
-        i += 1
     return None
 
 
@@ -193,17 +214,7 @@ def _match_optional(text: str, open_pos: int, span_at) -> int | None:
     """
     bracket = 0
     brace = 0
-    i = open_pos
-    n = len(text)
-    while i < n:
-        span = span_at(i)
-        if span is not None:
-            i = span[1]
-            continue
-        ch = text[i]
-        if ch == "\\":
-            i += 2
-            continue
+    for i, ch in _structural(text, open_pos, span_at, _OPTIONAL_RE):
         if ch == "{":
             brace += 1
         elif ch == "}":
@@ -211,19 +222,15 @@ def _match_optional(text: str, open_pos: int, span_at) -> int | None:
         elif brace == 0:
             if ch == "[":
                 bracket += 1
-            elif ch == "]":
+            else:
                 bracket -= 1
                 if bracket == 0:
                     return i
-        i += 1
     return None
 
 
 def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i] in " \t\r\n":
-        i += 1
-    return i
+    return _SPACE_RE.match(text, i).end()
 
 
 def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None:
@@ -248,14 +255,11 @@ def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None
 
 def _search_skipping(pattern: re.Pattern, text: str, span_at, start: int = 0):
     """First match of *pattern* that is neither commented nor escaped."""
-    pos = start
-    while True:
-        m = pattern.search(text, pos)
-        if m is None:
-            return None
+    while (m := pattern.search(text, start)) is not None:
         if span_at(m.start()) is None and not _escaped(text, m.start()):
             return m
-        pos = m.start() + 1
+        start = m.start() + 1
+    return None
 
 
 # --------------------------------------------------------------------------

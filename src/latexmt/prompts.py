@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from stat import S_ISREG
 
 from .config import RunConfig, language_name
 
@@ -40,9 +41,19 @@ def load_template(name: str, prompt_dir: Path | str | None = None) -> str:
         raise KeyError(f"unknown prompt template: {name!r}")
     if prompt_dir:
         override = Path(prompt_dir) / f"{name}.txt"
-        if override.is_file():
-            return override.read_text(encoding="utf-8")
+        try:
+            st = override.stat()
+        except OSError:
+            return _packaged(name)
+        if S_ISREG(st.st_mode):
+            return _override(override, st.st_mtime_ns, st.st_size)
     return _packaged(name)
+
+
+@lru_cache(maxsize=64)
+def _override(path: Path, mtime_ns: int, size: int) -> str:
+    """A *prompt_dir* template, read again only once its stat changes."""
+    return path.read_text(encoding="utf-8")
 
 
 def render(name: str, tgt_language: str = "", prompt_dir: Path | str | None = None) -> str:

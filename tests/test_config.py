@@ -117,6 +117,23 @@ def test_validation_catches_bad_values():
     assert "workers" in message
 
 
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("filter_parse_retries", 0, 1),
+        ("request_timeout", 0, 0.5),
+        ("request_timeout", -1, 0.5),
+        ("compile_timeout", 0, 0.5),
+        ("backoff_base", -0.5, 0),
+    ],
+)
+def test_validation_rejects_out_of_range_value(field, bad, good):
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {field: bad})
+    assert str(err.value).startswith(f"{field} must be")
+    assert getattr(load_config(None, {field: good}), field) == good
+
+
 def test_scripted_mock_requires_script():
     with pytest.raises(ConfigError):
         load_config(None, {"mock": "scripted"})

@@ -153,6 +153,28 @@ def test_reassemble_verifies_file_boundaries_when_merged_given():
         reassemble([bad], PlaceholderMap(), PlaceholderMap(), merged)
 
 
+def test_reassemble_rejects_a_duplicated_file_boundary():
+    boundary = FileBoundary(0, "sub.tex", "\\input{sub}")
+    merged = MergedDocument(
+        "a " + file_begin_token(0) + "sub" + file_end_token(0) + " b",
+        "main.tex",
+        (boundary,),
+    )
+    unit = TranslationUnit(
+        id=0,
+        granularity=GRAN_SECTION,
+        source_text=merged.text,
+        status=STATUS_VALIDATED,
+        translated_text="a " + file_begin_token(0) + "sub" + file_end_token(0)
+        + " b " + file_begin_token(0),
+    )
+    with pytest.raises(UnbalancedFileBoundaries) as err:
+        reassemble([unit], PlaceholderMap(), PlaceholderMap(), merged)
+    assert str(err.value) == (
+        f"{file_begin_token(0)} appears 2 times after reassembly (expected 1)"
+    )
+
+
 def test_end_to_end_identity_over_parsed_project(corpus_root):
     parsed = parse_project(ProjectSource.from_dir(corpus_root / "floats"))
     units = enumerate_units(parsed)

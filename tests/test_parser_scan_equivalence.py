@@ -1,0 +1,212 @@
+"""The parser's scanning kernels against their character-by-character forms.
+
+``comment_spans``, ``_comment_start``, ``_match_group`` and
+``_match_optional`` jump between interesting characters with ``str.find``
+and regular expressions.  The walks below step through every character
+instead; they are the reference, and the two must agree on any text.
+"""
+
+from __future__ import annotations
+
+import re
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from latexmt import parser
+from latexmt.parser import VERBATIM_ENVS, _span_index
+
+# --------------------------------------------------------------------------
+# reference walks
+
+BEGIN_RE = re.compile(r"\\begin\s*\{([^{}]*)\}")
+
+
+def oracle_comment_spans(text: str) -> list[tuple[int, int]]:
+    spans: list[tuple[int, int]] = []
+    in_verbatim: str | None = None
+    offset = 0
+    for line in text.splitlines(keepends=True):
+        content_len = len(line.rstrip("\r\n"))
+        if in_verbatim is not None:
+            if f"\\end{{{in_verbatim}}}" in line:
+                in_verbatim = None
+            offset += len(line)
+            continue
+        cut = oracle_comment_start(line, content_len)
+        scan_end = content_len if cut is None else cut
+        for m in BEGIN_RE.finditer(line, 0, scan_end):
+            name = m.group(1)
+            if name in VERBATIM_ENVS:
+                if f"\\end{{{name}}}" in line[m.end():scan_end]:
+                    continue
+                in_verbatim = name
+                break
+        if cut is not None and in_verbatim is None:
+            spans.append((offset + cut, offset + content_len))
+        offset += len(line)
+    return spans
+
+
+def oracle_comment_start(line: str, limit: int) -> int | None:
+    i = 0
+    while i < limit:
+        ch = line[i]
+        if ch == "\\":
+            i += 2
+            continue
+        if ch == "%":
+            return i
+        i += 1
+    return None
+
+
+def oracle_match_group(text: str, open_pos: int, span_at) -> int | None:
+    depth = 0
+    i = open_pos
+    n = len(text)
+    while i < n:
+        span = span_at(i)
+        if span is not None:
+            i = span[1]
+            continue
+        ch = text[i]
+        if ch == "\\":
+            i += 2
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+        i += 1
+    return None
+
+
+def oracle_match_optional(text: str, open_pos: int, span_at) -> int | None:
+    bracket = 0
+    brace = 0
+    i = open_pos
+    n = len(text)
+    while i < n:
+        span = span_at(i)
+        if span is not None:
+            i = span[1]
+            continue
+        ch = text[i]
+        if ch == "\\":
+            i += 2
+            continue
+        if ch == "{":
+            brace += 1
+        elif ch == "}":
+            brace -= 1
+        elif brace == 0:
+            if ch == "[":
+                bracket += 1
+            elif ch == "]":
+                bracket -= 1
+                if bracket == 0:
+                    return i
+        i += 1
+    return None
+
+
+# --------------------------------------------------------------------------
+# generated text
+
+# Every character ``str.splitlines`` breaks a line on.
+LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "",
+]
+# What the scanners look for, escaped and not.
+PIECES = ["%", "\\", "\\%", "\\\\", "{", "}", "[", "]", "\\{", "\\}", "\\[", "\\]", "a", " "]
+# The markers that switch comment scanning off and on, alone or together.
+MARKERS = [
+    "\\begin{verbatim}", "\\end{verbatim}", "\\begin{lstlisting}", "\\end{lstlisting}",
+    "\\begin {verbatim}", "\\begin{verbatim}50%\\end{verbatim}", "\\begin{figure}",
+    "\\begin{lstlisting}x\\end{lstlisting}", "\\begin", "{verbatim}",
+]
+
+
+@st.composite
+def texts(draw):
+    """A few lines of pieces and markers, or of a marker alone.
+
+    Each text draws its pieces from a small subset of PIECES, which makes
+    the rarer combinations (an escaped bracket inside an optional argument,
+    a comment after a closed verbatim) common.
+    """
+    pieces = draw(st.lists(st.sampled_from(PIECES), min_size=1, max_size=5, unique=True))
+    fragment = st.sampled_from(pieces) | st.sampled_from(MARKERS)
+    line = st.sampled_from(MARKERS) | st.lists(fragment, max_size=6).map("".join)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(LINE_BREAKS)), max_size=6))
+    return "".join(body + brk for body, brk in lines)
+
+
+def _span_at(text: str):
+    return _span_index(oracle_comment_spans(text))
+
+
+def _starts(text: str) -> list[int]:
+    """Where a walk may begin: each opener, and each character that is skipped."""
+    return [0] + [i for i, ch in enumerate(text) if ch in "{[\\%"]
+
+
+# A verbatim opened on a line with no comment, closed, and then comments:
+# after it on the next line, and after one closed on its own line.
+VERBATIM_THEN_COMMENT = (
+    "\\begin{verbatim}\n%a\n\\end{verbatim}\n%b\n\\begin{verbatim}x\\end{verbatim} %c\n"
+)
+# A verbatim whose \end follows a '%' on its line stays open to the next \end.
+CUT_VERBATIM = "\\begin{verbatim}50%\\end{verbatim}\n%a\n\\end{verbatim}\n%b\n"
+# Percent signs after one, two and three backslashes.
+ESCAPED_PERCENT = "a\\%b\\\\%c\n\\\\\\%d %e\n"
+# A \begin whose name is on the next line opens nothing.
+SPLIT_BEGIN = "\\begin\x0b{verbatim}\n%a\n"
+# Escaped braces and brackets inside groups and optional arguments.
+ESCAPES = "[\\]]{\\}}[{\\{]}]\\\n{\\\n}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts())
+@example(VERBATIM_THEN_COMMENT)
+@example(SPLIT_BEGIN)
+@example(CUT_VERBATIM)
+@example(ESCAPED_PERCENT)
+def test_comment_spans_matches_the_walk(text):
+    assert parser.comment_spans(text) == oracle_comment_spans(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts(), st.data())
+def test_comment_start_matches_the_walk(text, data):
+    for line in text.splitlines(keepends=True) or [text]:
+        limit = data.draw(st.integers(0, len(line)))
+        assert parser._comment_start(line, 0, limit) == oracle_comment_start(line, limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts())
+@example(ESCAPES)
+@example(VERBATIM_THEN_COMMENT + "{%}\n}")
+def test_match_group_matches_the_walk(text):
+    span_at = _span_at(text)
+    for pos in _starts(text):
+        assert parser._match_group(text, pos, span_at) == oracle_match_group(
+            text, pos, span_at
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts())
+@example(ESCAPES)
+@example(VERBATIM_THEN_COMMENT + "[%]\n]")
+def test_match_optional_matches_the_walk(text):
+    span_at = _span_at(text)
+    for pos in _starts(text):
+        assert parser._match_optional(text, pos, span_at) == oracle_match_optional(
+            text, pos, span_at
+        )

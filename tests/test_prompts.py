@@ -1,0 +1,40 @@
+"""Prompt templates: packaged defaults and prompt_dir overrides."""
+
+from pathlib import Path
+
+from latexmt import prompts
+
+
+def _count_reads(monkeypatch) -> list[Path]:
+    reads: list[Path] = []
+    real = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        reads.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    return reads
+
+
+def test_override_is_read_once_for_many_calls(tmp_path, monkeypatch):
+    (tmp_path / "translator.txt").write_text("Translate into {tgt_language}.")
+    reads = _count_reads(monkeypatch)
+    for _ in range(5):
+        assert prompts.render("translator", "French", tmp_path) == "Translate into French."
+    assert reads == [tmp_path / "translator.txt"]
+
+
+def test_edited_override_is_picked_up(tmp_path):
+    path = tmp_path / "completeness.txt"
+    path.write_text("first")
+    assert prompts.load_template("completeness", tmp_path) == "first"
+    # A different length changes the stat even where mtime is coarse.
+    path.write_text("second, longer")
+    assert prompts.load_template("completeness", tmp_path) == "second, longer"
+
+
+def test_missing_override_falls_back_to_packaged_template(tmp_path):
+    (tmp_path / "filter.txt").mkdir()  # not a file: ignored, as a missing one is
+    assert prompts.load_template("filter", tmp_path) == prompts.load_template("filter")
+    assert prompts.load_template("summarizer", tmp_path) == prompts.load_template("summarizer")
