@@ -103,10 +103,10 @@ class TermDictionary:
     def pairs(self) -> list[tuple[str, str]]:
         return list(self._pairs)
 
-    def render(self, cap: int | None = None) -> str:
-        """The injection block: one quoted pair per line, most recent *cap*."""
-        chosen = self._pairs if cap is None else self._pairs[-cap:]
-        return "\n".join(f'"{src}" - "{tgt}"' for src, tgt in chosen)
+    def render(self, text: str, cap: int) -> str:
+        """Of the most recent *cap* pairs, one line each for those *text* holds (casefolded)."""
+        folded = text.casefold()
+        return "\n".join(f'"{s}" - "{t}"' for s, t in self._pairs[-cap:] if s.casefold() in folded)
 
 
 @dataclass(frozen=True)
@@ -239,17 +239,24 @@ def validate_translations(
     client: LlmClient | None,
     config: RunConfig,
     warnings: list[str] | None = None,
+    carried: dict[int, list[Finding]] | None = None,
 ) -> ErrorReport:
     """Batch-validate every candidate translation in *units*.
 
     Mechanical dimensions always run.  The completeness dimension runs only
     for units that passed both mechanical checks (no point judging content
-    that already has to be regenerated).
+    that already has to be regenerated).  A unit in *carried* keeps the
+    findings given there instead: its text is unchanged since they were made.
     """
     if warnings is None:
         warnings = []
+    carried = carried or {}
     checked = [
-        (unit, check_placeholder_integrity(unit) + check_command_integrity(unit))
+        (
+            unit,
+            carried.get(unit.id)
+            or check_placeholder_integrity(unit) + check_command_integrity(unit),
+        )
         for unit in units
         if unit.needs_translation and unit.translated_text is not None
     ]
@@ -281,10 +288,10 @@ def validate_translations(
 
 
 def render_translator_system(
-    summary: Summary, dictionary: TermDictionary, config: RunConfig
+    summary: Summary, dictionary: TermDictionary, source_text: str, config: RunConfig
 ) -> str:
     base = prompts.render_for("translator", config)
-    dict_block = dictionary.render(config.term_dict_cap)
+    dict_block = dictionary.render(source_text, config.term_dict_cap)
     return (
         f"{base}\n\n[Summary]\n{summary.text or '(none yet)'}"
         f"\n\n[Term Dictionary]\n{dict_block or '(empty)'}"
@@ -300,7 +307,7 @@ def translate_unit(
 ) -> str:
     """One translator call; the unit source is the entire user message."""
     request = ChatRequest(
-        system_prompt=render_translator_system(summary, dictionary, config),
+        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
         user_message=unit.source_text,
         temperature=config.translator_temperature,
         max_new_tokens=config.agent_max_new_tokens,
@@ -501,9 +508,10 @@ def run_pipeline(
     pending = [u for u in wanted if u.status == STATUS_TRANSLATED]
     reports: list[ErrorReport] = []
     rounds_used = 0
+    unchanged: dict[int, list[Finding]] = {}  # revision failed: same text, same findings
     while pending and rounds_used < config.max_validation_rounds:
         rounds_used += 1
-        report = validate_translations(pending, rounds_used, client, config, warnings)
+        report = validate_translations(pending, rounds_used, client, config, warnings, unchanged)
         reports.append(report)
         flagged = set(report.flagged_unit_ids())
         for unit in pending:
@@ -527,10 +535,12 @@ def run_pipeline(
             except LlmError as exc:
                 return None, f"revision failed for unit {unit.id}: {exc}"
 
+        unchanged = {}
         for unit, (text, failure) in zip(pending, client.map(revise, pending)):
             if failure is None:
                 unit.translated_text = text
             else:
                 warnings.append(failure)
+                unchanged[unit.id] = report.for_unit(unit.id)
 
     return PipelineResult(units, summary, dictionary, rounds_used, reports, warnings)

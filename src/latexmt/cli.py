@@ -5,9 +5,9 @@ Each translated document gets its own output tree::
 
     out/<doc-id>/tex/      translated sources (plus untouched project files)
     out/<doc-id>/pdf/      compiled artifact, when an engine ran
-    out/<doc-id>/logs/     compile log, LLM transcript, timing sidecar
-    out/<doc-id>/maps/     placeholder maps and the unit manifest
-    out/<doc-id>/report.json
+    out/<doc-id>/logs/     compile log, LLM transcript and its prompt sidecar
+    out/<doc-id>/maps/     placeholder maps and file boundaries
+    out/<doc-id>/report.json   outcome, with the unit manifest
 
 report.json deliberately excludes wall-clock data so that two runs with the
 same config and mock transcript are byte-identical.
@@ -45,7 +45,7 @@ from .generator import (
     reassemble,
     unmerge,
 )
-from .llm import EchoBackend, HttpBackend, LlmClient, ScriptedBackend, UsageLedger
+from .llm import TRANSCRIPT_NAME, EchoBackend, HttpBackend, LlmClient, ScriptedBackend, UsageLedger
 from .parser import (
     GRAN_CAPTION,
     GRAN_ENVIRONMENT,
@@ -91,7 +91,7 @@ def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
             config.endpoint, config.model, api_key, config.request_timeout
         )
     ledger = UsageLedger(config.prompt_token_price, config.completion_token_price)
-    transcript = logs_dir / "llm_transcript.jsonl" if logs_dir is not None else None
+    transcript = logs_dir / TRANSCRIPT_NAME if logs_dir is not None else None
     return LlmClient(
         backend,
         ledger,
@@ -123,7 +123,7 @@ def _write_tex(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _write_maps(parsed, units, maps_dir: Path) -> None:
+def _write_maps(parsed, maps_dir: Path) -> None:
     parsed.cap_map.save(maps_dir / "cap_map.json")
     parsed.env_map.save(maps_dir / "env_map.json")
     _write_json(
@@ -133,7 +133,6 @@ def _write_maps(parsed, units, maps_dir: Path) -> None:
             for b in parsed.merged.boundaries
         ],
     )
-    _write_json(maps_dir / "units.json", units_to_manifest(units))
 
 
 def _compile_step(
@@ -261,7 +260,7 @@ def translate_project(
         error = f"{type(exc).__name__}: {exc}"
         warnings.append(error)
 
-    _write_maps(parsed, units, maps_dir)
+    _write_maps(parsed, maps_dir)
     report["units"] = units_to_manifest(units)
     report["usage"] = client.ledger.summary()
     report["compile"] = compile_info
@@ -344,7 +343,9 @@ def cmd_parse(args) -> int:
     out_root = Path(config.out_dir) / doc_id
     maps_dir = out_root / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
-    _write_maps(parsed, units, maps_dir)
+    _write_maps(parsed, maps_dir)
+    # No report.json here, so the unit manifest gets a file of its own.
+    _write_json(maps_dir / "units.json", units_to_manifest(units))
     _write_tex(maps_dir / "merged_document.tex", parsed.merged.text)
     _write_tex(maps_dir / "substituted_document.tex", parsed.text)
     by_kind = {GRAN_SECTION: 0, GRAN_ENVIRONMENT: 0, GRAN_CAPTION: 0}

@@ -1,8 +1,9 @@
 """Chat-completion access: one real HTTP backend, three deterministic mocks.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
-accounting, the optional request transcript and the ordered fan-out of
-independent calls.  Backends implement a single
+accounting, the optional request transcript (each system-prompt block stored
+once, in a sidecar; :func:`read_transcript` joins them back) and the ordered
+fan-out of independent calls.  Backends implement a single
 ``complete(request) -> ChatResult`` method, so tests can swap in the mocks
 and the rest of the pipeline cannot tell the difference.  Backends may be
 called from several threads at once.
@@ -10,6 +11,7 @@ called from several threads at once.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -18,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import requests
 
@@ -30,6 +32,11 @@ from .errors import (
     ScriptExhausted,
     TransientLlmError,
 )
+
+TRANSCRIPT_NAME = "llm_transcript.jsonl"
+PROMPTS_NAME = "llm_prompts.jsonl"
+# Where a system prompt's blocks start: a template, summary or term list is one part.
+_BLOCK_START = "\n\n["
 
 
 @dataclass
@@ -321,6 +328,7 @@ class LlmClient:
     _local: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
+    _stored: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def chat(self, request: ChatRequest) -> str:
         last: Exception | None = None
@@ -354,7 +362,7 @@ class LlmClient:
         workers = min(self.max_in_flight, len(items))
         if workers <= 1:
             return [fn(item) for item in items]
-        held: list[list[str]] = [[] for _ in items]
+        held: list[list[tuple]] = [[] for _ in items]
         results: list[R] = []
         error: BaseException | None = None
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -380,7 +388,7 @@ class LlmClient:
     def calls(self) -> int:
         return self.ledger.calls
 
-    def _holding(self, lines: list[str], fn: Callable[[T], R], item: T) -> R:
+    def _holding(self, lines: list[tuple], fn: Callable[[T], R], item: T) -> R:
         """Run ``fn(item)`` with this thread's transcript lines kept in *lines*."""
         self._local.lines = lines
         try:
@@ -388,26 +396,57 @@ class LlmClient:
         finally:
             self._local.lines = None
 
-    def _write(self, lines: list[str]) -> None:
+    def _write(self, lines: list[tuple[str, list[tuple[str, str]]]]) -> None:
+        """Append ``(line, parts)`` entries; new parts go to the sidecar first.
+
+        Parts are stored at this point, in transcript order, not when their
+        call finishes, so held lines give the same sidecar as a serial run.
+        """
         held = getattr(self._local, "lines", None)
         if held is not None:
             held.extend(lines)
         elif lines:
-            with self._lock, open(self.transcript_path, "a", encoding="utf-8") as fh:
-                fh.writelines(lines)
+            sidecar = self.transcript_path.with_name(PROMPTS_NAME)
+            with self._lock:
+                new = {i: text for _, parts in lines for i, text in parts if i not in self._stored}
+                if new:
+                    with open(sidecar, "a", encoding="utf-8") as fh:
+                        fh.writelines(_json_line({"id": i, "text": t}) for i, t in new.items())
+                self._stored.update(new)
+                with open(self.transcript_path, "a", encoding="utf-8") as fh:
+                    fh.writelines(line for line, _ in lines)
 
     def _transcribe(self, request: ChatRequest, result: ChatResult) -> None:
         if self.transcript_path is None:
             return
-        line = json.dumps(
-            {
-                "system": request.system_prompt,
-                "user": request.user_message,
-                "temperature": request.temperature,
-                "max_new_tokens": request.max_new_tokens,
-                "reply": result.text,
-            },
-            ensure_ascii=True,
-            sort_keys=True,
-        )
-        self._write([line + "\n"])
+        head, *blocks = request.system_prompt.split(_BLOCK_START)
+        parts = [(_part_id(p), p) for p in [head] + [_BLOCK_START + b for b in blocks] if p]
+        record = {
+            "system_parts": [part_id for part_id, _ in parts],
+            "user": request.user_message,
+            "temperature": request.temperature,
+            "max_new_tokens": request.max_new_tokens,
+            "reply": result.text,
+        }
+        self._write([(_json_line(record), parts)])
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
+
+
+def _part_id(text: str) -> str:
+    """The first 16 bytes of the part's sha256, in hex."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:32]
+
+
+def read_transcript(logs_dir: Path | str) -> Iterator[dict]:
+    """Each transcribed call in order, its ``system`` prompt joined back."""
+    logs_dir = Path(logs_dir)
+    sidecar = logs_dir / PROMPTS_NAME  # absent when no call had a system prompt
+    lines = sidecar.read_text(encoding="utf-8").splitlines() if sidecar.exists() else []
+    texts = {part["id"]: part["text"] for part in map(json.loads, lines)}
+    for line in (logs_dir / TRANSCRIPT_NAME).read_text(encoding="utf-8").splitlines():
+        call = json.loads(line)
+        call["system"] = "".join(texts[i] for i in call.pop("system_parts"))
+        yield call

@@ -109,8 +109,8 @@ def comment_spans(text: str) -> list[tuple[int, int]]:
 
     A span runs from an unescaped ``%`` to the end of that line, excluding
     the newline itself (TeX eats it, but for our purposes the line boundary
-    must survive).  Percent signs inside verbatim-like environments do not
-    open comments.  Lines are those of ``str.splitlines``.
+    must survive).  Percent signs inside verbatim-like environments, one
+    line long or not, do not open comments.  Lines are those of ``str.splitlines``.
     """
     spans: list[tuple[int, int]] = []
     pos = 0
@@ -119,16 +119,14 @@ def comment_spans(text: str) -> list[tuple[int, int]]:
         m = _VERBATIM_BEGIN_RE.search(text, pos, len(text) if pct == -1 else pct)
         if m is not None:  # a verbatim-like environment opens before the '%'
             content_end, next_line = _line_bounds(text, m.start())
-            cut = _comment_start(text, m.end(), content_end)
             end = f"\\end{{{m.group(1)}}}"
-            if text.find(end, m.end(), content_end if cut is None else cut) != -1:
-                pos = m.end()  # opened and closed on the same line
-                continue
-            # Verbatim up to the first later line that holds its \end.
-            close = text.find(end, next_line)
-            if close == -1:
+            close = text.find(end, m.end(), content_end)
+            if close != -1:  # opened and closed on the same line
+                pos = close + len(end)
+            elif (close := text.find(end, next_line)) == -1:
                 break
-            pos = _line_bounds(text, close)[1]
+            else:  # verbatim up to the first later line that holds its \end
+                pos = _line_bounds(text, close)[1]
         elif pct == -1:
             break
         elif _escaped(text, pct):
@@ -145,14 +143,6 @@ def _line_bounds(text: str, pos: int) -> tuple[int, int]:
     if m is None:
         return len(text), len(text)
     return (m.start() if text[m.start()] in "\r\n" else m.end()), m.end()
-
-
-def _comment_start(text: str, start: int, limit: int) -> int | None:
-    """Offset of the first unescaped ``%`` in ``text[start:limit]``, or None."""
-    i = text.find("%", start, limit)
-    while i != -1 and _escaped(text, i):
-        i = text.find("%", i + 1, limit)
-    return None if i == -1 else i
 
 
 def _span_index(spans: list[tuple[int, int]]):

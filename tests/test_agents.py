@@ -1,6 +1,7 @@
 """The translate/validate/revise loop, rolling summary, term dictionary."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,7 @@ from latexmt.agents import (
     validate_translations,
 )
 from latexmt.config import RunConfig
-from latexmt.errors import ConfigError
+from latexmt.errors import ConfigError, LlmError
 from latexmt.llm import (
     EchoBackend,
     LlmClient,
@@ -90,9 +91,23 @@ def test_dictionary_render_caps_to_most_recent():
     d = TermDictionary()
     for i in range(4):
         d.add(f"term{i}", f"t{i}")
-    block = d.render(2)
-    assert block == '"term2" - "t2"\n"term3" - "t3"'
-    assert len(d.render(None).splitlines()) == 4
+    text = "term0 term1 term2 term3"
+    assert d.render(text, 2) == '"term2" - "t2"\n"term3" - "t3"'
+    assert len(d.render(text, 4).splitlines()) == 4
+
+
+def test_dictionary_render_keeps_only_terms_the_text_holds():
+    d = TermDictionary()
+    for src in ("Graph", "edge", "vertex", "Stra\u00dfe"):
+        d.add(src, src.upper())
+    # Casefolded substrings, kept in dictionary order rather than the text's.
+    text = "Vertex sets of GRAPHS."
+    assert d.render(text, 10) == '"Graph" - "GRAPH"\n"vertex" - "VERTEX"'
+    assert d.render("die STRASSE", 10) == '"Stra\u00dfe" - "STRASSE"'
+    # The cap takes the most recent pairs first; the text filters what is left.
+    assert d.render("a graph and an edge", 3) == '"edge" - "EDGE"'
+    assert d.render("a graph and an edge", 2) == ""
+    assert d.render("nothing relevant", 10) == ""
 
 
 def test_summary_defaults():
@@ -335,15 +350,41 @@ def test_validate_skips_units_without_candidates():
 def test_translator_system_prompt_carries_context():
     d = TermDictionary()
     d.add("graph", "\u56fe")
-    system = render_translator_system(Summary("the story so far", 1), d, CFG)
+    system = render_translator_system(Summary("the story so far", 1), d, "A graph.", CFG)
     assert "[Summary]\nthe story so far" in system
     assert '[Term Dictionary]\n"graph" - "\u56fe"' in system
 
 
 def test_translator_system_prompt_placeholders_for_empty_context():
-    system = render_translator_system(Summary(), TermDictionary(), CFG)
+    system = render_translator_system(Summary(), TermDictionary(), "text", CFG)
     assert "[Summary]\n(none yet)" in system
     assert "[Term Dictionary]\n(empty)" in system
+
+
+def test_pipeline_translator_sees_only_the_terms_its_unit_holds():
+    systems = {}
+
+    def translate(_match, request):
+        systems[request.user_message] = request.system_prompt
+        return request.user_message
+
+    backend = RuleBackend(
+        [
+            (r"^\[Original\]", "OK"),
+            (r"^\[Source\]\nFirst", '"graph" - "G"\n"tree" - "T"'),
+            (r"^\[Source\]", "N/A"),
+            (r"", translate),
+        ]
+    )
+    units = [
+        caption_unit(0, "First: a graph, a tree."),
+        caption_unit(1, "A Graph alone."),
+        caption_unit(2, "Neither."),
+    ]
+    result = run_pipeline(units, make_client(backend), CFG)
+    assert systems["A Graph alone."].endswith('[Term Dictionary]\n"graph" - "G"')
+    assert systems["Neither."].endswith("[Term Dictionary]\n(empty)")
+    assert result.dictionary.pairs() == [("graph", "G"), ("tree", "T")]
 
 
 def test_translate_unit_user_message_is_exactly_the_source():
@@ -450,6 +491,41 @@ def test_pipeline_gives_up_after_max_rounds_and_falls_back():
     assert unit.output_text() == unit.source_text
     assert any("falling back to source text" in w for w in result.warnings)
     assert result.failed_units() == [unit]
+
+
+def test_failed_revision_carries_findings_instead_of_rejudging():
+    judged = Counter()
+
+    def judge(_match, request):
+        judged[request.user_message] += 1
+        return "OK" if "Fixed." in request.user_message else "- a sentence is missing"
+
+    def correct(_match, request):
+        if "Repairable" in request.user_message:
+            return "Fixed."
+        raise LlmError("corrector down")
+
+    backend = RuleBackend(
+        [
+            (r"\[Error Reports\]", correct),
+            (r"^\[Original\]", judge),
+            (r"^\[Source\]", "N/A"),
+            (r"^prev_summary:", "digest"),
+        ],
+        default="Short.",
+    )
+    stuck = section_unit(0, "Long text. More text.")
+    repaired = section_unit(1, "Repairable text. More.")
+    cfg = RunConfig(max_validation_rounds=3)
+    result = run_pipeline([stuck, repaired], make_client(backend), cfg)
+    # Each distinct (original, translation) pair reaches the judge once.
+    assert len(judged) == 3
+    assert set(judged.values()) == {1}
+    assert stuck.status == STATUS_FAILED
+    assert repaired.status == STATUS_VALIDATED
+    assert result.rounds_used == 3
+    first = result.reports[0].for_unit(stuck.id)
+    assert first and all(r.findings == first for r in result.reports[1:])
 
 
 @pytest.mark.parametrize("bad", [{"max_validation_rounds": 0}, {"term_dict_cap": 0}])

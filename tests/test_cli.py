@@ -6,6 +6,7 @@ import pytest
 
 from latexmt import cli, prompts
 from latexmt.config import load_config
+from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, read_transcript
 
 from conftest import write_files
 
@@ -95,9 +96,45 @@ def test_translate_echo_identity_layout(tmp_path, capsys):
     assert report["fc_score"] is None
     assert report["compile"]["skipped"] is True
     assert report["usage"]["calls"] > 0
-    assert (root / "logs" / "llm_transcript.jsonl").is_file()
+    assert (root / "logs" / TRANSCRIPT_NAME).is_file()
+    assert (root / "logs" / PROMPTS_NAME).is_file()
+    # The unit manifest lives in report.json only.
+    assert sorted(p.name for p in (root / "maps").iterdir()) == [
+        "cap_map.json", "env_map.json", "file_boundaries.json",
+    ]
     statuses = {u["status"] for u in report["units"]}
     assert statuses == {"VALIDATED"}
+
+
+def test_translate_transcript_rebuilds_every_request(tmp_path, monkeypatch):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    sent = []
+    build = cli._build_client
+
+    class Recorder:
+        def __init__(self, backend):
+            self.backend = backend
+
+        def complete(self, request):
+            sent.append(request)
+            return self.backend.complete(request)
+
+    def recording(config, logs_dir):
+        client = build(config, logs_dir)
+        client.backend, client.max_in_flight = Recorder(client.backend), 1
+        return client
+
+    monkeypatch.setattr(cli, "_build_client", recording)
+    out = tmp_path / "out"
+    code = run(
+        ["translate", "--project", str(proj), "--mock", "echo", "--no-compile", "--out", str(out)]
+    )
+    assert code == 0
+    calls = list(read_transcript(out / "doc" / "logs"))
+    assert [c["system"] for c in calls] == [r.system_prompt for r in sent]
+    assert [c["user"] for c in calls] == [r.user_message for r in sent]
+    stored = (out / "doc" / "logs" / PROMPTS_NAME).read_text().splitlines()
+    assert sum(map(len, stored)) < sum(len(r.system_prompt) for r in sent) / 2
 
 
 def test_translate_uses_every_template_from_prompt_dir(tmp_path):
@@ -117,10 +154,9 @@ def test_translate_uses_every_template_from_prompt_dir(tmp_path):
         ]
     )
     assert code == 0
-    transcript = (out / "doc" / "logs" / "llm_transcript.jsonl").read_text()
     seen = set()
-    for line in transcript.splitlines():
-        first = json.loads(line)["system"].split("\n", 1)[0]
+    for call in read_transcript(out / "doc" / "logs"):
+        first = call["system"].split("\n", 1)[0]
         assert first.startswith("MARKER "), first
         seen.add(first.removeprefix("MARKER "))
     # The echo replies never need a revision, so the corrector stays idle.

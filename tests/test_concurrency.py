@@ -3,8 +3,8 @@
 A content-keyed rule backend sleeps a per-request jitter, so calls finish
 out of order; the interpreter switches threads far more often than usual,
 and the client keeps more calls in flight than the machine has cores.
-report.json and the transcript must still match a bound-1 run byte for
-byte, with the same ledger totals.
+report.json, the transcript and its prompt sidecar must still match a
+bound-1 run byte for byte, with the same ledger totals.
 """
 
 from __future__ import annotations
@@ -140,6 +140,7 @@ def _translate(project, out, bound: int, monkeypatch):
     return (
         (root / "report.json").read_bytes(),
         (root / "logs" / "llm_transcript.jsonl").read_bytes(),
+        (root / "logs" / "llm_prompts.jsonl").read_bytes(),
         built[0].ledger.summary(),
         replies.max_in_flight,
     )
@@ -158,11 +159,12 @@ def test_concurrent_document_matches_serial_run(tmp_path, monkeypatch):
         ]
     finally:
         sys.setswitchinterval(interval)
-    report, transcript, ledger, in_flight = serial
+    report, transcript, stored, ledger, in_flight = serial
     assert in_flight == 1
     assert b"revision failed" in report and b"unparseable" in report
     for run in runs:
         assert run[0] == report
         assert run[1] == transcript
-        assert run[2] == ledger
-        assert run[3] > 1
+        assert run[2] == stored
+        assert run[3] == ledger
+        assert run[4] > 1

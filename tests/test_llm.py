@@ -16,6 +16,8 @@ from latexmt.errors import (
     TransientLlmError,
 )
 from latexmt.llm import (
+    PROMPTS_NAME,
+    TRANSCRIPT_NAME,
     ChatRequest,
     ChatResult,
     EchoBackend,
@@ -24,6 +26,7 @@ from latexmt.llm import (
     RuleBackend,
     ScriptedBackend,
     UsageLedger,
+    read_transcript,
 )
 
 
@@ -205,6 +208,72 @@ def test_transcript_written_as_jsonl(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [entry["reply"] for entry in lines] == ["alpha", "beta"]
     assert lines[0]["user"] == "first"
+
+
+# Prompts that share blocks, in the layout the agents use, and edge cases:
+# no system prompt, a prompt that starts with a block, non-ASCII text and a
+# lone surrogate (from undecodable source bytes).
+SYSTEMS = [
+    "Translate.\n\n[Summary]\n(none yet)\n\n[Term Dictionary]\n(empty)",
+    "Translate.\n\n[Summary]\nso far\n\n[Term Dictionary]\n(empty)",
+    "Translate.\n\n[Summary]\nso far\n\n[Term Dictionary]\n\"graph\" - \"\u56fe\"",
+    "",
+    "\n\n[Term Dictionary]\n(empty)",
+    "Judge.",
+    "Judge \udcff.\n\n[",
+    "Translate.\n\n[Summary]\n(none yet)\n\n[Term Dictionary]\n(empty)",
+]
+
+
+def transcribe_all(path, max_in_flight=1):
+    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=max_in_flight)
+
+    def call(i):
+        time.sleep(0.002 * (len(SYSTEMS) - i))  # later calls finish first
+        return client.chat(req(f"user {i}", SYSTEMS[i]))
+
+    client.map(call, range(len(SYSTEMS)))
+
+
+def test_read_transcript_rebuilds_each_system_prompt(tmp_path):
+    transcribe_all(tmp_path / TRANSCRIPT_NAME)
+    calls = list(read_transcript(tmp_path))
+    assert [c["system"] for c in calls] == SYSTEMS
+    assert [c["user"] for c in calls] == [f"user {i}" for i in range(len(SYSTEMS))]
+    assert all("system_parts" not in c for c in calls)
+
+
+def test_read_transcript_without_any_system_prompt(tmp_path):
+    client = client_for(EchoBackend(), transcript_path=tmp_path / TRANSCRIPT_NAME)
+    client.chat(req("only a user message", ""))
+    assert not (tmp_path / PROMPTS_NAME).exists()
+    assert [c["system"] for c in read_transcript(tmp_path)] == [""]
+
+
+def test_each_prompt_block_is_stored_once_before_its_first_use(tmp_path):
+    transcribe_all(tmp_path / TRANSCRIPT_NAME)
+    stored = [json.loads(line) for line in (tmp_path / PROMPTS_NAME).read_text().splitlines()]
+    first_use = []
+    for line in (tmp_path / TRANSCRIPT_NAME).read_text().splitlines():
+        entry = json.loads(line)
+        assert "system" not in entry
+        first_use += [i for i in entry["system_parts"] if i not in first_use]
+    assert [part["id"] for part in stored] == first_use
+    texts = [part["text"] for part in stored]
+    assert len(set(texts)) == len(texts)
+    assert texts[:3] == [
+        "Translate.", "\n\n[Summary]\n(none yet)", "\n\n[Term Dictionary]\n(empty)",
+    ]
+
+
+def test_prompt_sidecar_is_the_same_under_concurrency(tmp_path):
+    for name, bound in (("serial", 1), ("concurrent", 4)):
+        (tmp_path / name).mkdir()
+        transcribe_all(tmp_path / name / TRANSCRIPT_NAME, bound)
+    for name in (TRANSCRIPT_NAME, PROMPTS_NAME):
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "concurrent" / name
+        ).read_bytes()
 
 
 # --------------------------------------------------------------------------

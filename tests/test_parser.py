@@ -251,6 +251,17 @@ def test_commented_section_is_not_a_cut():
     assert "% \\section{ghost}" in units[1].source_text
 
 
+def test_percent_in_a_one_line_verbatim_leaves_later_comments_alone():
+    text = (
+        "\\begin{document}\n\\begin{verbatim}50%\\end{verbatim}\n"
+        "% \\section{Hidden}\n\\section{A}\nx\n\\end{document}\n"
+    )
+    units = split_sections(text)
+    assert len(units) == 3
+    assert "% \\section{Hidden}" in units[1].source_text
+    assert units[2].source_text.startswith("\\section{A}")
+
+
 def test_fragment_without_document_env():
     text = "lead text\n\\section{A}\nmore\n"
     units = split_sections(text)
