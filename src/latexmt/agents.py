@@ -2,16 +2,21 @@
 
 One translator pass over all units (building a rolling document summary and
 a first-occurrence-wins term dictionary as it goes), then batched
-validation rounds.  Translations run one after another, because each one's
-prompt carries the summary and dictionary the previous ones built; the
-calls that do not feed each other (a section's terminology and summary
-updates, the judge calls of a round, the revisions of a round) go through
-:meth:`LlmClient.map`, which keeps results, findings, warnings and the
-transcript in unit order.  Two validation dimensions are purely mechanical
-(placeholder and control-sequence conservation); the third asks a judge
-model about content completeness and degrades to "skipped" when no usable
-judge reply is available.  Units still failing after the round cap fall
-back to their source text, so a bad unit can never corrupt the document.
+validation rounds.  Each translation's prompt carries the summary and
+dictionary the units before it built.  A section's summary update reads
+only source text, so it starts alongside the section's translation; unit
+k+1's translation is sent while unit k's terms are extracted, with the
+dictionary as it stood before.  That early reply is kept only if the prompt
+rendered from the final dictionary is the same, and a summary update only if
+its section translated; the rest are discarded unseen
+(:class:`~latexmt.llm.Pending`).  The judge calls and the revisions of a
+round go through :meth:`LlmClient.map`.  Results, findings, warnings and
+the transcript keep unit order, as in a serial run.  Two validation
+dimensions are purely mechanical (placeholder and control-sequence
+conservation); the third asks a judge model about content completeness and
+degrades to "skipped" when no usable judge reply is available.  Units still
+failing after the round cap fall back to their source text, so a bad unit
+can never corrupt the document.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 from . import prompts
 from .config import RunConfig
@@ -102,6 +106,12 @@ class TermDictionary:
 
     def pairs(self) -> list[tuple[str, str]]:
         return list(self._pairs)
+
+    def snapshot(self) -> "TermDictionary":
+        """A copy that pairs added here later do not reach."""
+        copy = TermDictionary()
+        copy._pairs, copy._by_source = list(self._pairs), dict(self._by_source)
+        return copy
 
     def render(self, text: str, cap: int) -> str:
         """Of the most recent *cap* pairs, one line each for those *text* holds (casefolded)."""
@@ -298,6 +308,19 @@ def render_translator_system(
     )
 
 
+def translator_request(
+    unit: TranslationUnit, summary: Summary, dictionary: TermDictionary, config: RunConfig
+) -> ChatRequest:
+    """The translator call for *unit*; its source is the entire user message."""
+    return ChatRequest(
+        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
+        user_message=unit.source_text,
+        temperature=config.translator_temperature,
+        max_new_tokens=config.agent_max_new_tokens,
+        model=config.model,
+    )
+
+
 def translate_unit(
     unit: TranslationUnit,
     summary: Summary,
@@ -305,15 +328,8 @@ def translate_unit(
     client: LlmClient,
     config: RunConfig,
 ) -> str:
-    """One translator call; the unit source is the entire user message."""
-    request = ChatRequest(
-        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
-        user_message=unit.source_text,
-        temperature=config.translator_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
-    )
-    return client.chat(request)
+    """One translator call."""
+    return client.chat(translator_request(unit, summary, dictionary, config))
 
 
 def retranslate_unit(
@@ -468,40 +484,54 @@ def run_pipeline(
         warnings = []
     summary = Summary()
     dictionary = TermDictionary()
-
+    wanted = [u for u in units if u.needs_translation]
     for unit in units:
         if not unit.needs_translation:
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
-            continue
+
+    def summarize(unit: TranslationUnit, summary: Summary):
+        """A section's summary update, started with its translation, and its warnings."""
+        if unit.granularity != GRAN_SECTION:
+            return None
+        notes: list[str] = []
+        job = client.submit(update_summary, summary, unit.source_text, client, config, notes)
+        return job, notes
+
+    ahead = None  # (this unit's translation, sent early; the dictionary it saw)
+    summing = None  # (this section's summary update; its warnings)
+    for unit, following in zip(wanted, wanted[1:] + [None]):
+        summing = summing or summarize(unit, summary)
         try:
-            unit.translated_text = translate_unit(
-                unit, summary, dictionary, client, config
-            )
+            if ahead is not None and translator_request(
+                unit, summary, ahead[1], config
+            ) == translator_request(unit, summary, dictionary, config):
+                client.speculation["hits"] += 1
+                unit.translated_text = ahead[0].result()
+            else:
+                if ahead is not None:
+                    client.speculation["misses"] += 1
+                    ahead[0].discard()
+                unit.translated_text = translate_unit(unit, summary, dictionary, client, config)
             unit.status = STATUS_TRANSLATED
         except LlmError as exc:
             warnings.append(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
+            if summing is not None:
+                summing[0].discard()
+            ahead = summing = None
             continue
-        if unit.granularity != GRAN_SECTION:
-            extract_terms(
-                unit.source_text, unit.translated_text, dictionary, client, config, warnings
-            )
-            continue
-        terms_notes: list[str] = []
-        summary_notes: list[str] = []
-        _, summary = client.map(
-            lambda job: job(),
-            [
-                partial(
-                    extract_terms, unit.source_text, unit.translated_text,
-                    dictionary, client, config, terms_notes,
-                ),
-                partial(update_summary, summary, unit.source_text, client, config, summary_notes),
-            ],
-        )
-        warnings += terms_notes + summary_notes
+        ahead = upcoming = None
+        if client.max_in_flight > 1 and following is not None:  # speculate
+            updated = summing[0].peek() if summing is not None else summary
+            seen = dictionary.snapshot()
+            ahead = client.submit(translate_unit, following, updated, seen, client, config), seen
+            upcoming = summarize(following, updated)
+        extract_terms(unit.source_text, unit.translated_text, dictionary, client, config, warnings)
+        if summing is not None:
+            summary = summing[0].result()
+            warnings += summing[1]
+        summing = upcoming
 
-    wanted = [u for u in units if u.needs_translation]
     if wanted and all(u.status == STATUS_FAILED for u in wanted):
         raise PipelineFailed(f"all {len(wanted)} translatable units failed")
 

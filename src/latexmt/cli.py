@@ -5,7 +5,8 @@ Each translated document gets its own output tree::
 
     out/<doc-id>/tex/      translated sources (plus untouched project files)
     out/<doc-id>/pdf/      compiled artifact, when an engine ran
-    out/<doc-id>/logs/     compile log, LLM transcript and its prompt sidecar
+    out/<doc-id>/logs/     compile log, LLM transcript, its prompt sidecar and
+                           what speculative calls cost (speculation.json)
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
 
@@ -206,7 +207,6 @@ def translate_project(
     parsed = parse_project(project)
     units = enumerate_units(parsed)
     warnings = list(parsed.warnings)
-    client = _build_client(config, logs_dir)
     protected = (
         ProtectedEnvList.from_file(config.protected_envs_path)
         if config.protected_envs_path
@@ -222,6 +222,7 @@ def translate_project(
     error: str | None = None
     fc = None
     compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
+    client = _build_client(config, logs_dir)
     try:
         decisions = classify_units(units, protected, client, config, warnings)
         result = run_pipeline(units, client, config, warnings)
@@ -259,7 +260,12 @@ def translate_project(
     except LatexmtError as exc:
         error = f"{type(exc).__name__}: {exc}"
         warnings.append(error)
+    finally:
+        client.close()
 
+    # Discarded calls are in neither the ledger nor the transcript, so what
+    # speculation cost is kept apart from report.json.
+    _write_json(logs_dir / "speculation.json", client.speculation)
     _write_maps(parsed, maps_dir)
     report["units"] = units_to_manifest(units)
     report["usage"] = client.ledger.summary()

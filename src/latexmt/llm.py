@@ -2,8 +2,9 @@
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
 accounting, the optional request transcript (each system-prompt block stored
-once, in a sidecar; :func:`read_transcript` joins them back) and the ordered
-fan-out of independent calls.  Backends implement a single
+once, in a sidecar; :func:`read_transcript` joins them back) and the jobs
+that run ahead of the program (:meth:`LlmClient.submit`), whose calls count
+only once they are kept.  Backends implement a single
 ``complete(request) -> ChatResult`` method, so tests can swap in the mocks
 and the rest of the pipeline cannot tell the difference.  Backends may be
 called from several threads at once.
@@ -17,10 +18,11 @@ import math
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 import requests
 
@@ -35,6 +37,11 @@ from .errors import (
 
 TRANSCRIPT_NAME = "llm_transcript.jsonl"
 PROMPTS_NAME = "llm_prompts.jsonl"
+# What LlmClient.speculation counts, each from 0.
+SPECULATED = dict.fromkeys(
+    ("hits", "misses", "discarded_calls", "discarded_prompt_tokens", "discarded_completion_tokens"),
+    0,
+)
 # Where a system prompt's blocks start: a template, summary or term list is one part.
 _BLOCK_START = "\n\n["
 
@@ -302,6 +309,51 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+class Pending(Generic[R]):
+    """A job from :meth:`LlmClient.submit`; its calls count only once it is kept.
+
+    The ledger records and transcript lines of its calls are held until
+    :meth:`result` commits them, when it is called, so the order of
+    ``result`` calls is the transcript's order; :meth:`discard` drops them,
+    and a job not yet started never runs.  At a bound of 1 the job runs
+    inside :meth:`result`, in program order.
+    """
+
+    def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple):
+        self._client, self._fn, self._args, self._held = client, fn, args, []
+        self._future: Future | None = None
+        if client.max_in_flight > 1:
+            client._pool = client._pool or ThreadPoolExecutor(client.max_in_flight)
+            self._future = client._pool.submit(self._holding)
+
+    def _holding(self) -> R:
+        self._client._local.held = self._held
+        try:
+            return self._fn(*self._args)
+        finally:
+            self._client._local.held = None
+
+    def peek(self) -> R:
+        """The job's value, or its error raised, with its calls still held (bound above 1)."""
+        return self._future.result()
+
+    def result(self) -> R:
+        """The job's value, or its error raised, with its calls committed now."""
+        if self._future is None:
+            return self._fn(*self._args)
+        try:
+            return self._future.result()
+        finally:
+            held, self._held = self._held, []
+            self._client._commit(held)
+
+    def discard(self) -> None:
+        """Drop the job's calls; a job not yet started never runs."""
+        if self._future is not None:
+            self._future.cancel()
+            self._client._discarded.append(self._held)
+
+
 @dataclass
 class LlmClient:
     """Retry loop + bookkeeping around a backend.
@@ -310,8 +362,12 @@ class LlmClient:
     attempts, or wait as long as the server's ``Retry-After`` asks if that
     is longer, never more than ``backoff_cap``; auth failures and
     malformed-payload errors propagate at once.  ``sleep`` is injectable so
-    tests never wait.  :meth:`map` runs up to ``max_in_flight`` independent
-    calls at once; the default of 1 keeps every call in program order.
+    tests never wait.  Jobs from :meth:`submit` and :meth:`map` share one
+    pool of ``max_in_flight`` threads; the default of 1 starts no thread
+    and keeps every call in program order.  :meth:`close`, or leaving a
+    ``with`` block, waits for the pool, adds the calls that
+    :meth:`Pending.discard` dropped to ``speculation``, next to the hits
+    and misses its callers count, and closes the transcript files.
     """
 
     backend: object
@@ -322,6 +378,7 @@ class LlmClient:
     transcript_path: Path | None = None
     sleep: Callable[[float], None] = time.sleep
     max_in_flight: int = 1
+    speculation: Counter = field(default_factory=lambda: Counter(SPECULATED), init=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
@@ -329,6 +386,9 @@ class LlmClient:
         default_factory=threading.local, init=False, repr=False, compare=False
     )
     _stored: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _discarded: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False, compare=False)
 
     def chat(self, request: ChatRequest) -> str:
         last: Exception | None = None
@@ -343,82 +403,92 @@ class LlmClient:
                 continue
             if not result.text.strip():
                 raise EmptyCompletion("backend returned an empty reply")
-            self.ledger.record(result.prompt_tokens, result.completion_tokens)
-            self._transcribe(request, result)
+            line = self._line(request, result)
+            self._commit([(result.prompt_tokens, result.completion_tokens, line)])
             return result.text
         raise RetryBudgetExhausted(self.retry_budget, last or LlmError("no attempt ran"))
+
+    def submit(self, fn: Callable[..., R], *args) -> Pending[R]:
+        """Start ``fn(*args)``, which must not depend on jobs still running."""
+        return Pending(self, fn, args)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``[fn(item) for item in items]``, up to ``max_in_flight`` at a time.
 
-        *fn* must not depend on another item's effects.  Results come back
-        in item order, and each item's transcript lines are held until the
-        items before it are done, so the transcript reads exactly as a
-        serial run's.  If an item raises, items not yet started are
-        dropped, the rest finish, their lines are written, and the first
-        exception in item order is raised.
+        Every item is submitted, then each result taken in item order, so
+        results and the transcript read exactly as a serial run's.  If an
+        item raises, the items after it are discarded and it is raised.
         """
         items = list(items)
-        workers = min(self.max_in_flight, len(items))
-        if workers <= 1:
+        if len(items) < 2:
             return [fn(item) for item in items]
-        held: list[list[tuple]] = [[] for _ in items]
-        results: list[R] = []
-        error: BaseException | None = None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._holding, lines, fn, item)
-                for lines, item in zip(held, items)
-            ]
-            for lines, future in zip(held, futures):
-                if future.cancelled():
-                    continue
-                exc = future.exception()
-                self._write(lines)
-                if exc is None:
-                    results.append(future.result())
-                elif error is None:
-                    error = exc
-                    pool.shutdown(wait=False, cancel_futures=True)
-        if error is not None:
-            raise error
-        return results
+        jobs = [self.submit(fn, item) for item in items]
+        try:
+            return [job.result() for job in jobs]
+        except BaseException:
+            for job in jobs:
+                job.discard()
+            raise
 
     @property
     def calls(self) -> int:
         return self.ledger.calls
 
-    def _holding(self, lines: list[tuple], fn: Callable[[T], R], item: T) -> R:
-        """Run ``fn(item)`` with this thread's transcript lines kept in *lines*."""
-        self._local.lines = lines
-        try:
-            return fn(item)
-        finally:
-            self._local.lines = None
+    def close(self) -> None:
+        """Wait for every submitted job, count what was discarded, close the files."""
+        if self._pool is not None:
+            self._pool, pool = None, self._pool
+            pool.shutdown()
+        for held in self._discarded:
+            self.speculation.update(
+                discarded_calls=len(held),
+                discarded_prompt_tokens=sum(p for p, _, _ in held),
+                discarded_completion_tokens=sum(c for _, c, _ in held),
+            )
+        self._discarded.clear()
+        for fh in self._files.values():
+            fh.close()
+        self._files.clear()
 
-    def _write(self, lines: list[tuple[str, list[tuple[str, str]]]]) -> None:
-        """Append ``(line, parts)`` entries; new parts go to the sidecar first.
+    def __enter__(self) -> "LlmClient":
+        return self
 
-        Parts are stored at this point, in transcript order, not when their
-        call finishes, so held lines give the same sidecar as a serial run.
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _commit(self, held: list[tuple]) -> None:
+        """Count ``(prompt_tokens, completion_tokens, line)`` calls; write their lines.
+
+        A line is ``(json, parts)``, or None without a transcript.  New parts
+        go to the sidecar first, at this point and in transcript order, so
+        held calls give the same sidecar as a serial run.
         """
-        held = getattr(self._local, "lines", None)
-        if held is not None:
-            held.extend(lines)
-        elif lines:
-            sidecar = self.transcript_path.with_name(PROMPTS_NAME)
-            with self._lock:
-                new = {i: text for _, parts in lines for i, text in parts if i not in self._stored}
-                if new:
-                    with open(sidecar, "a", encoding="utf-8") as fh:
-                        fh.writelines(_json_line({"id": i, "text": t}) for i, t in new.items())
-                self._stored.update(new)
-                with open(self.transcript_path, "a", encoding="utf-8") as fh:
-                    fh.writelines(line for line, _ in lines)
-
-    def _transcribe(self, request: ChatRequest, result: ChatResult) -> None:
-        if self.transcript_path is None:
+        if getattr(self._local, "held", None) is not None:
+            self._local.held.extend(held)
             return
+        for prompt_tokens, completion_tokens, _ in held:
+            self.ledger.record(prompt_tokens, completion_tokens)
+        lines = [line for *_, line in held if line is not None]
+        if not lines:
+            return
+        with self._lock:
+            new = {i: text for _, parts in lines for i, text in parts if i not in self._stored}
+            if new:
+                sidecar = self.transcript_path.with_name(PROMPTS_NAME)
+                self._append(sidecar, [_json_line({"id": i, "text": t}) for i, t in new.items()])
+            self._stored.update(new)
+            self._append(self.transcript_path, [line for line, _ in lines])
+
+    def _append(self, path: Path, lines: list[str]) -> None:
+        """Write *lines* to *path*, opened once per client."""
+        if path not in self._files:
+            self._files[path] = open(path, "a", encoding="utf-8")
+        self._files[path].writelines(lines)
+        self._files[path].flush()
+
+    def _line(self, request: ChatRequest, result: ChatResult) -> tuple | None:
+        if self.transcript_path is None:
+            return None
         head, *blocks = request.system_prompt.split(_BLOCK_START)
         parts = [(_part_id(p), p) for p in [head] + [_BLOCK_START + b for b in blocks] if p]
         record = {
@@ -428,7 +498,7 @@ class LlmClient:
             "max_new_tokens": request.max_new_tokens,
             "reply": result.text,
         }
-        self._write([(_json_line(record), parts)])
+        return _json_line(record), parts
 
 
 def _json_line(record: dict) -> str:

@@ -104,13 +104,15 @@ _OPTIONAL_RE = re.compile(r"\\.|[{}\[\]]", re.S)
 # low-level scanning
 
 
-def comment_spans(text: str) -> list[tuple[int, int]]:
+def comment_spans(text: str, verbatim: bool = False) -> list[tuple[int, int]]:
     """Return sorted (start, end) spans of commented-out text.
 
     A span runs from an unescaped ``%`` to the end of that line, excluding
     the newline itself (TeX eats it, but for our purposes the line boundary
     must survive).  Percent signs inside verbatim-like environments, one
     line long or not, do not open comments.  Lines are those of ``str.splitlines``.
+    With *verbatim*, each such environment, from its ``\\begin`` to its
+    ``\\end`` (or the end of the text), is a span as well.
     """
     spans: list[tuple[int, int]] = []
     pos = 0
@@ -123,10 +125,14 @@ def comment_spans(text: str) -> list[tuple[int, int]]:
             close = text.find(end, m.end(), content_end)
             if close != -1:  # opened and closed on the same line
                 pos = close + len(end)
-            elif (close := text.find(end, next_line)) == -1:
+            elif (close := text.find(end, next_line)) == -1:  # verbatim to the end
+                if verbatim:
+                    spans.append((m.start(), len(text)))
                 break
             else:  # verbatim up to the first later line that holds its \end
                 pos = _line_bounds(text, close)[1]
+            if verbatim:
+                spans.append((m.start(), close + len(end)))
         elif pct == -1:
             break
         elif _escaped(text, pct):
@@ -331,8 +337,10 @@ def merge_project(project: ProjectSource) -> MergedDocument:
 
     Each inlined file is wrapped in ``<PLACEHOLDER_FILE_k_begin>`` /
     ``<PLACEHOLDER_FILE_k_end>`` so it can be split back out verbatim.
-    Include paths resolve relative to the project root.  Unresolvable
-    directives are left in place and recorded as warnings; cycles are fatal.
+    Include paths resolve relative to the project root.  Directives in
+    comments and verbatim-like environments are text, not includes.
+    Unresolvable directives are left in place and recorded as warnings;
+    cycles are fatal.
     """
     warnings: list[str] = []
     boundaries: list[FileBoundary] = []
@@ -343,7 +351,7 @@ def merge_project(project: ProjectSource) -> MergedDocument:
         nonlocal counter
         text = project.files[rel_path]
         visiting.append(rel_path)
-        span_at = _span_index(comment_spans(text))
+        span_at = _span_index(comment_spans(text, verbatim=True))
         out: list[str] = []
         pos = 0
         for m in _INCLUDE_RE.finditer(text):

@@ -1,6 +1,7 @@
 """The translate/validate/revise loop, rolling summary, term dictionary."""
 
 import json
+import threading
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ from latexmt.agents import (
     validate_translations,
 )
 from latexmt.config import RunConfig
-from latexmt.errors import ConfigError, LlmError
+from latexmt.errors import ConfigError, LlmError, TransientLlmError
 from latexmt.llm import (
     EchoBackend,
     LlmClient,
@@ -45,9 +46,16 @@ from latexmt.parser import (
 )
 
 
-def make_client(backend, transcript_path=None):
+JOIN_TIMEOUT_S = 30.0
+
+
+def make_client(backend, transcript_path=None, max_in_flight=1):
     return LlmClient(
-        backend, UsageLedger(), sleep=lambda _s: None, transcript_path=transcript_path
+        backend,
+        UsageLedger(),
+        sleep=lambda _s: None,
+        transcript_path=transcript_path,
+        max_in_flight=max_in_flight,
     )
 
 
@@ -575,9 +583,8 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
     script = ["t1", "N/A", "sum1", "t2", "N/A", "sum2", "t3", "N/A"]
     backend = ScriptedBackend(script)
     cfg = RunConfig(completeness_check=False)
-    result = run_pipeline(
-        [s1, s2, c1], make_client(backend, transcript_path=transcript), cfg
-    )
+    with make_client(backend, transcript_path=transcript) as client:
+        result = run_pipeline([s1, s2, c1], client, cfg)
     assert backend.remaining == 0
     assert result.summary.text == "sum2"
     assert result.summary.version == 2
@@ -621,3 +628,87 @@ def test_error_report_helpers():
     payload = report.to_dict()
     assert payload["round"] == 2
     assert len(payload["findings"]) == 3
+
+
+# --------------------------------------------------------------------------
+# speculation: the next unit's translation sent before the terms are in
+
+
+def pinning_backend(sent, early_sent=None):
+    """Echo translations, except of the unlucky section, which fail every attempt.
+
+    Terminology pins "calibration" whenever the source holds it, so the unit
+    after the first one that does is translated early without the pair, and
+    that early reply must be discarded.  Given *early_sent*, the first
+    terminology reply waits until that early request has arrived, so that
+    it is sent, not cancelled before it starts.
+    """
+
+    def reply(match, request):
+        sent.append(request)
+        message = request.user_message
+        if message == "A second calibration run." and early_sent is not None:
+            early_sent.set()
+        if message.startswith("[Source]\n"):
+            if early_sent is not None:
+                assert early_sent.wait(JOIN_TIMEOUT_S)
+            return '"calibration" - "KALIB"' if "calibration" in message else "N/A"
+        if message.startswith("prev_summary:\n"):
+            return "digest of " + message.rsplit("new_section:\n", 1)[1][:12]
+        if "unlucky" in message:
+            raise TransientLlmError("translator down")
+        return message
+
+    return RuleBackend([(r"", reply)])
+
+
+def speculation_units():
+    return [
+        section_unit(0, "The calibration of the sensor."),
+        caption_unit(1, "A second calibration run."),
+        section_unit(2, "An unlucky section."),
+        section_unit(3, "Closing words."),
+        caption_unit(4, "Plain caption."),
+    ]
+
+
+def run_speculating(tmp_path, bound):
+    sent, transcript = [], tmp_path / f"bound{bound}.jsonl"
+    warnings = []
+    backend = pinning_backend(sent, threading.Event() if bound > 1 else None)
+    with make_client(backend, transcript, bound) as client:
+        result = run_pipeline(
+            speculation_units(), client, RunConfig(completeness_check=False), warnings
+        )
+    return result, sent, transcript.read_bytes(), client
+
+
+def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
+    serial, serial_sent, serial_lines, serial_client = run_speculating(tmp_path, 1)
+    result, sent, lines, client = run_speculating(tmp_path, 4)
+    assert lines == serial_lines
+    assert client.ledger.summary() == serial_client.ledger.summary()
+    assert [u.translated_text for u in result.units] == [u.translated_text for u in serial.units]
+    assert result.warnings == serial.warnings
+    assert dict(serial_client.speculation) == dict.fromkeys(serial_client.speculation, 0)
+    # Unit 1 was sent without the pair, then again with it; only the resend counts.
+    unit1 = [r for r in sent if r.user_message == "A second calibration run."]
+    assert [r.system_prompt.endswith('"calibration" - "KALIB"') for r in unit1] == [False, True]
+    transcribed = [json.loads(line) for line in lines.splitlines()]
+    assert sum(e["user"] == "A second calibration run." for e in transcribed) == 1
+    assert client.speculation["misses"] == 1
+    assert client.speculation["hits"] >= 1
+    # The miss and the summary of the section that failed were dropped.
+    assert client.speculation["discarded_calls"] == 2
+    assert len(sent) == len(serial_sent) + 2
+    assert client.ledger.calls == len(transcribed)
+
+
+def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path):
+    serial, *_ = run_speculating(tmp_path, 1)
+    result, sent, _, _ = run_speculating(tmp_path, 4)
+    assert [u.status for u in result.units] == [u.status for u in serial.units]
+    assert result.units[2].status == STATUS_FAILED
+    assert result.summary == serial.summary == Summary("digest of Closing word", 2)
+    # Its summary update ran alongside the failed translation, then was dropped.
+    assert any("new_section:\nAn unlucky" in r.user_message for r in sent)

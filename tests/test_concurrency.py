@@ -10,6 +10,7 @@ bound-1 run byte for byte, with the same ledger totals.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import sys
@@ -19,7 +20,7 @@ import time
 from latexmt import cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
-from latexmt.llm import RuleBackend
+from latexmt.llm import RuleBackend, read_transcript
 from latexmt.placeholders import TOKEN_RE
 
 from conftest import write_files
@@ -168,3 +169,106 @@ def test_concurrent_document_matches_serial_run(tmp_path, monkeypatch):
         assert run[2] == stored
         assert run[3] == ledger
         assert run[4] > 1
+
+
+# --------------------------------------------------------------------------
+# speculation: discarded calls leave no trace outside logs/speculation.json
+
+SPECULATION_PROJECT = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe calibration of the sensor.\n"
+        "\\section{Two}\nA second calibration run.\n"
+        "\\section{Three}\nAn unlucky section.\n"
+        "\\section{Four}\nClosing words.\n"
+        "\\begin{figure}\n\\caption{A plain caption.}\n\\end{figure}\n"
+        "\\end{document}\n"
+    )
+}
+
+
+def _pinning(match, request) -> str:
+    """Terms pin "calibration", which sections One and Two hold, so Two's
+    early translation misses; section Three never translates."""
+    message = request.user_message
+    if request.system_prompt == FILTER_PROMPT:
+        return "True"
+    if message.startswith("[Source]\n"):
+        return '"calibration" - "KALIB"' if "calibration" in message else "N/A"
+    if message.startswith("prev_summary:\n"):
+        return "digest of " + message.rsplit("new_section:\n", 1)[1][:12]
+    if message.startswith("[Original]\n"):
+        return "OK"
+    if "unlucky" in message:
+        raise TransientLlmError("translator down")
+    return message
+
+
+def _translate_with(project, out, bound, monkeypatch, reply):
+    sent = []
+
+    def recording(match, request):
+        sent.append(request)
+        return reply(match, request)
+
+    def build(config, logs_dir):
+        client = BUILD_CLIENT(config, logs_dir)
+        client.backend = RuleBackend([(r"", recording)])
+        client.max_in_flight = bound
+        return client
+
+    monkeypatch.setattr(cli, "_build_client", build)
+    config = load_config(
+        None,
+        {"out_dir": str(out), "compile_enabled": False, "mock": "echo", "backoff_base": 0.0},
+    )
+    return cli.translate_project(project, config), sent
+
+
+def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatch):
+    project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
+    runs = {}
+    for bound in (1, 4):
+        out = tmp_path / f"b{bound}"
+        outcome, sent = _translate_with(project, out, bound, monkeypatch, _pinning)
+        assert outcome.ok, outcome.error
+        logs = outcome.out_dir / "logs"
+        runs[bound] = (
+            (outcome.out_dir / "report.json").read_bytes(),
+            (logs / "llm_transcript.jsonl").read_bytes(),
+            (logs / "llm_prompts.jsonl").read_bytes(),
+            json.loads((logs / "speculation.json").read_text()),
+            sent,
+        )
+    serial, speculated = runs[1], runs[4]
+    assert speculated[:3] == serial[:3]
+    assert set(serial[3].values()) == {0}
+    assert speculated[3]["misses"] == 1
+    report = json.loads(serial[0])
+    assert report["summary"]["version"] == 3  # the failed section's update is not kept
+    assert report["usage"]["calls"] == len(serial[1].splitlines())
+    # Section Two's request transcribed is the one sent again with the pair.
+    two = "\\section{Two}\nA second calibration run.\n"
+    calls = [c for c in read_transcript(tmp_path / "b4" / "paper" / "logs") if c["user"] == two]
+    assert len(calls) == 1 and calls[0]["system"].endswith('"calibration" - "KALIB"')
+    resent = [r.system_prompt for r in speculated[4] if r.user_message == two][-1]
+    assert calls[0]["system"] == resent
+    # Every call sent beyond the serial run's was discarded (a job discarded
+    # before it starts is never sent).
+    assert len(speculated[4]) - len(serial[4]) == speculated[3]["discarded_calls"]
+
+
+def test_no_thread_outlives_translate_project(tmp_path, monkeypatch):
+    project = write_files(tmp_path / "paper", _project(4))
+
+    def failing(match, request):
+        reply = _pinning(match, request)
+        if reply == request.user_message:  # a translation
+            raise TransientLlmError("translator down")
+        return reply
+
+    for reply, ok in ((_pinning, True), (failing, False)):
+        threads = threading.active_count()
+        outcome, _ = _translate_with(project, tmp_path / f"out{ok}", 4, monkeypatch, reply)
+        assert outcome.ok is ok, outcome.error
+        assert threading.active_count() == threads

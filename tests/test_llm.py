@@ -205,6 +205,7 @@ def test_transcript_written_as_jsonl(tmp_path):
     client = client_for(ScriptedBackend(["alpha", "beta"]), transcript_path=path)
     client.chat(req("first"))
     client.chat(req("second"))
+    client.close()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [entry["reply"] for entry in lines] == ["alpha", "beta"]
     assert lines[0]["user"] == "first"
@@ -232,7 +233,8 @@ def transcribe_all(path, max_in_flight=1):
         time.sleep(0.002 * (len(SYSTEMS) - i))  # later calls finish first
         return client.chat(req(f"user {i}", SYSTEMS[i]))
 
-    client.map(call, range(len(SYSTEMS)))
+    with client:
+        client.map(call, range(len(SYSTEMS)))
 
 
 def test_read_transcript_rebuilds_each_system_prompt(tmp_path):
@@ -245,7 +247,8 @@ def test_read_transcript_rebuilds_each_system_prompt(tmp_path):
 
 def test_read_transcript_without_any_system_prompt(tmp_path):
     client = client_for(EchoBackend(), transcript_path=tmp_path / TRANSCRIPT_NAME)
-    client.chat(req("only a user message", ""))
+    with client:
+        client.chat(req("only a user message", ""))
     assert not (tmp_path / PROMPTS_NAME).exists()
     assert [c["system"] for c in read_transcript(tmp_path)] == [""]
 
@@ -436,7 +439,8 @@ def test_map_returns_results_and_transcript_in_item_order(tmp_path):
     assert client.map(call, items) == items
     assert transcript_users(path) == items
     assert client.calls == 12
-    assert threading.active_count() == threads  # no pool outlives the call
+    client.close()
+    assert threading.active_count() == threads  # no thread outlives close()
 
 
 def test_map_runs_up_to_the_bound_at_once():
@@ -447,7 +451,8 @@ def test_map_runs_up_to_the_bound_at_once():
         barrier.wait()  # breaks, and raises, unless four items run together
         return item
 
-    assert client.map(meet, range(8)) == list(range(8))
+    with client:
+        assert client.map(meet, range(8)) == list(range(8))
 
 
 def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
@@ -460,7 +465,7 @@ def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
         time.sleep(0.02)  # items 0 and 1 are still running when item 2 raises
         return client.chat(req(str(item)))
 
-    with pytest.raises(ValueError, match="item 2 broke"):
+    with client, pytest.raises(ValueError, match="item 2 broke"):
         client.map(call, range(30))
     assert transcript_users(path)[:2] == ["0", "1"]
     assert client.calls < 30  # items not yet started were dropped
@@ -478,5 +483,57 @@ def test_map_with_bound_one_runs_inline_in_order(tmp_path):
         assert transcript_users(path)[-1] == item  # written at once, not held
         return reply
 
-    assert client.map(call, ["x", "y", "z"]) == ["a", "b", "c"]
+    with client:
+        assert client.map(call, ["x", "y", "z"]) == ["a", "b", "c"]
     assert seen == [threading.get_ident()] * 3
+
+
+# --------------------------------------------------------------------------
+# jobs run ahead: submit, result, discard
+
+
+def test_results_commit_in_the_order_they_are_taken(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=3) as client:
+        jobs = {u: client.submit(client.chat, req(u)) for u in ("a", "bb", "ccc")}
+        assert [jobs[u].peek() for u in jobs] == ["a", "bb", "ccc"]
+        assert not path.exists() and client.calls == 0  # done, but held
+        assert jobs["ccc"].result() == "ccc"
+        assert jobs["a"].result() == "a"
+        jobs["bb"].discard()
+    assert transcript_users(path) == ["ccc", "a"]
+    assert client.calls == 2
+    assert client.speculation["discarded_calls"] == 1
+    assert client.speculation["discarded_prompt_tokens"] == len(req("bb").system_prompt + "bb") // 4
+
+
+def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    started, release = threading.Event(), threading.Event()
+
+    def slow(item):
+        started.set()
+        assert release.wait(10)
+        return client.chat(req(item))
+
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=2) as client:
+        job = client.submit(slow, "late")
+        assert started.wait(10)
+        job.discard()
+        release.set()
+    assert not path.exists()
+    assert client.calls == 0 and client.backend.calls == 1
+    assert client.speculation["discarded_calls"] == 1
+
+
+def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
+    backend = ScriptedBackend(["first", "second"])
+    with client_for(backend, transcript_path=tmp_path / "t.jsonl") as client:
+        dropped = client.submit(client.chat, req("dropped"))
+        kept = client.submit(client.chat, req("kept"))
+        assert backend.calls == 0
+        dropped.discard()
+        assert kept.result() == "first"
+    assert backend.remaining == 1
+    assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
+    assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)

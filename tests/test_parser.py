@@ -401,6 +401,22 @@ def test_commented_include_not_expanded(corpus_root):
     assert "% \\input{ghost}" in merged.text
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "\\begin{verbatim}\n\\input{sub}\n\\end{verbatim}\n",
+        "\\begin{lstlisting}\\input{sub}\\end{lstlisting}\n",
+        "\\begin{comment}\nsee \\input{sub}\n",  # never closed: verbatim to the end
+    ],
+)
+def test_include_inside_verbatim_not_expanded(project_factory, body):
+    main = "\\documentclass{a}\n\\begin{document}\n" + body + "\\input{sub}\n\\end{document}\n"
+    root = project_factory({"main.tex": main, "sub.tex": "SUB BODY\n"})
+    merged = merge_project(ProjectSource.from_dir(root))
+    assert merged.text.startswith(main[: main.index(body) + len(body)])
+    assert merged.text.count("SUB BODY") == (0 if "comment" in body else 1)
+
+
 def test_include_with_explicit_extension(project_factory):
     root = project_factory(
         {

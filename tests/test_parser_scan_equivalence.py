@@ -192,6 +192,20 @@ def test_comment_spans_matches_the_walk(text):
 
 @settings(max_examples=200, deadline=None)
 @given(texts())
+@example(VERBATIM_THEN_COMMENT)
+@example(CUT_VERBATIM)
+def test_verbatim_spans_only_add_verbatim_bodies(text):
+    comments = parser.comment_spans(text)
+    spans = parser.comment_spans(text, verbatim=True)
+    assert spans == sorted(spans)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    added = [span for span in spans if span not in comments]
+    assert [span for span in spans if span in comments] == comments
+    assert all(text.startswith("\\begin", start) for start, _ in added)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts())
 @example(ESCAPES)
 @example(VERBATIM_THEN_COMMENT + "{%}\n}")
 def test_match_group_matches_the_walk(text):
