@@ -6,8 +6,8 @@ validation rounds.  Each translation's prompt carries the summary and
 dictionary the units before it built.  A section's summary update reads
 only source text, so it starts alongside the section's translation; unit
 k+1's translation is sent while unit k's terms are extracted, with the
-dictionary as it stood before.  That early reply is kept only if the prompt
-rendered from the final dictionary is the same, and a summary update only if
+dictionary as it stood before.  That early reply is kept only if the final
+dictionary gives the unit the same term block, and a summary update only if
 its section translated; the rest are discarded unseen
 (:class:`~latexmt.llm.Pending`).  The judge calls and the revisions of a
 round go through :meth:`LlmClient.map`.  Results, findings, warnings and
@@ -308,19 +308,6 @@ def render_translator_system(
     )
 
 
-def translator_request(
-    unit: TranslationUnit, summary: Summary, dictionary: TermDictionary, config: RunConfig
-) -> ChatRequest:
-    """The translator call for *unit*; its source is the entire user message."""
-    return ChatRequest(
-        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
-        user_message=unit.source_text,
-        temperature=config.translator_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
-    )
-
-
 def translate_unit(
     unit: TranslationUnit,
     summary: Summary,
@@ -328,8 +315,15 @@ def translate_unit(
     client: LlmClient,
     config: RunConfig,
 ) -> str:
-    """One translator call."""
-    return client.chat(translator_request(unit, summary, dictionary, config))
+    """One translator call; the unit's source is the entire user message."""
+    request = ChatRequest(
+        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
+        user_message=unit.source_text,
+        temperature=config.translator_temperature,
+        max_new_tokens=config.agent_max_new_tokens,
+        model=config.model,
+    )
+    return client.chat(request)
 
 
 def retranslate_unit(
@@ -502,9 +496,14 @@ def run_pipeline(
     for unit, following in zip(wanted, wanted[1:] + [None]):
         summing = summing or summarize(unit, summary)
         try:
-            if ahead is not None and translator_request(
-                unit, summary, ahead[1], config
-            ) == translator_request(unit, summary, dictionary, config):
+            # The early request had this very summary and the dictionary
+            # before the previous unit's pairs, which are only appended: it
+            # is unchanged if none was added or the term block is the same.
+            if ahead is not None and (
+                len(ahead[1]) == len(dictionary)
+                or ahead[1].render(unit.source_text, config.term_dict_cap)
+                == dictionary.render(unit.source_text, config.term_dict_cap)
+            ):
                 client.speculation["hits"] += 1
                 unit.translated_text = ahead[0].result()
             else:

@@ -46,7 +46,7 @@ from .generator import (
     reassemble,
     unmerge,
 )
-from .llm import TRANSCRIPT_NAME, EchoBackend, HttpBackend, LlmClient, ScriptedBackend, UsageLedger
+from .llm import TRANSCRIPT_NAME, EchoBackend, HttpBackend, LlmClient, ReplayBackend, UsageLedger
 from .parser import (
     GRAN_CAPTION,
     GRAN_ENVIRONMENT,
@@ -82,10 +82,14 @@ class RunOutcome:
 
 
 def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
+    """The client of the document whose logs go to *logs_dir*, ``<out>/<doc-id>/logs``.
+
+    A replay answers from the recording in ``<replay_from>/<doc-id>/logs``.
+    """
     if config.mock == "echo":
         backend = EchoBackend()
-    elif config.mock == "scripted":
-        backend = ScriptedBackend.from_file(config.mock_script)
+    elif config.mock == "replay":
+        backend = ReplayBackend(Path(config.replay_from) / logs_dir.parent.name / "logs")
     else:
         api_key = os.environ.get(config.api_key_env) or None
         backend = HttpBackend(
@@ -99,9 +103,7 @@ def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
         retry_budget=config.retry_budget,
         backoff_base=config.backoff_base,
         transcript_path=transcript,
-        # A scripted mock hands out replies in call order, so its calls
-        # must keep the order of a serial run.
-        max_in_flight=1 if config.mock == "scripted" else MAX_IN_FLIGHT,
+        max_in_flight=MAX_IN_FLIGHT,
     )
 
 
@@ -192,12 +194,16 @@ def translate_project(
     project = ProjectSource.from_dir(project_dir, main_file)
     doc_id = project_dir.name
     out_root = Path(config.out_dir) / doc_id
-    if out_root.exists():
-        shutil.rmtree(out_root)
     tex_dir = out_root / "tex"
     pdf_dir = out_root / "pdf"
     logs_dir = out_root / "logs"
     maps_dir = out_root / "maps"
+    # A client opens no file and starts no thread before its first call, so
+    # it is built here: a replay with no recording stops before the
+    # previous run's tree is deleted.
+    client = _build_client(config, logs_dir)
+    if out_root.exists():
+        shutil.rmtree(out_root)
     for d in (tex_dir, pdf_dir, logs_dir, maps_dir):
         d.mkdir(parents=True, exist_ok=True)
     # Non-.tex project files (figures, .bib, .cls) ride along untouched;
@@ -222,7 +228,6 @@ def translate_project(
     error: str | None = None
     fc = None
     compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
-    client = _build_client(config, logs_dir)
     try:
         decisions = classify_units(units, protected, client, config, warnings)
         result = run_pipeline(units, client, config, warnings)
@@ -284,7 +289,7 @@ def cmd_translate(args) -> int:
     def run_one(path: Path) -> RunOutcome:
         try:
             return translate_project(path, config, args.main)
-        except MissingMainFile as exc:
+        except (MissingMainFile, ConfigError) as exc:
             return RunOutcome(path.name, Path(config.out_dir) / path.name, False, str(exc), True)
         except LatexmtError as exc:
             return RunOutcome(
@@ -325,7 +330,7 @@ def _translate_overrides(args) -> dict:
         "model": args.model,
         "max_validation_rounds": args.max_rounds,
         "mock": args.mock,
-        "mock_script": args.mock_script,
+        "replay_from": args.replay_from,
         "out_dir": args.out,
         "workers": args.workers,
     }
@@ -476,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--endpoint", default=None, help="OpenAI-compatible API base URL")
     t.add_argument("--model", default=None)
     t.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
-    t.add_argument("--mock", choices=["echo", "scripted"], default=None)
-    t.add_argument("--mock-script", dest="mock_script", default=None,
-                   help="replies file for --mock scripted")
+    t.add_argument("--mock", choices=["echo", "replay"], default=None)
+    t.add_argument("--replay-from", dest="replay_from", default=None, metavar="DIR",
+                   help="for --mock replay: the --out of the run to replay")
     t.add_argument("--config", default=None, help="YAML config file")
     t.add_argument("--out", default=None, help="output root directory")
     t.add_argument("--workers", type=int, default=None)

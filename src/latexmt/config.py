@@ -83,13 +83,17 @@ class RunConfig:
 
     # execution
     workers: int = 1
-    mock: str = ""  # "", "echo" or "scripted"
-    mock_script: str = ""
+    mock: str = ""  # "" (the endpoint), "echo", or "replay" (a recorded run)
+    replay_from: str = ""  # the recorded run's out_dir, for mock=replay
 
     def validate(self) -> None:
         problems = []
-        if not self.source_language:
-            problems.append("source_language must be set")
+        if base_language(self.source_language) != "en":
+            # Every prompt template is written for an English source.
+            problems.append(
+                f"source_language must be English ('en'), not {self.source_language!r}: "
+                "the prompts support no other source language"
+            )
         if not self.target_language:
             problems.append("target_language must be set")
         minimums = (
@@ -104,10 +108,14 @@ class RunConfig:
         for name in ("request_timeout", "compile_timeout"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be > 0")
-        if self.mock not in ("", "echo", "scripted"):
-            problems.append(f"mock must be empty, 'echo' or 'scripted', not {self.mock!r}")
-        if self.mock == "scripted" and not self.mock_script:
-            problems.append("mock=scripted requires mock_script")
+        if self.mock not in ("", "echo", "replay"):
+            problems.append(f"mock must be empty, 'echo' or 'replay', not {self.mock!r}")
+        replaying = self.mock == "replay"
+        if replaying and not self.replay_from:
+            problems.append("mock=replay requires replay_from")
+        elif replaying and Path(self.replay_from).resolve() == Path(self.out_dir).resolve():
+            # Each project's output tree is deleted before it is written.
+            problems.append("replay_from must differ from out_dir: the run would delete it")
         if problems:
             raise ConfigError("; ".join(problems))
 

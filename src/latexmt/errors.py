@@ -63,10 +63,6 @@ class EmptyCompletion(LlmError):
     """The backend returned an empty or whitespace-only reply."""
 
 
-class ScriptExhausted(LlmError):
-    """A scripted mock ran out of canned replies."""
-
-
 # --------------------------------------------------------------------------
 # reconstruction
 

@@ -1,5 +1,11 @@
 """Chat-completion access: one real HTTP backend, three deterministic mocks.
 
+The mocks answer from the request alone: :class:`EchoBackend` returns the
+user message, :class:`RuleBackend` the reply of the first regex rule that
+matches it, and :class:`ReplayBackend` the reply a recorded run's
+transcript holds for the same request.  None has a tokenizer; their token
+counts are estimated as characters / 4.
+
 Every agent goes through :class:`LlmClient`, which owns retries, usage
 accounting, the optional request transcript (each system-prompt block stored
 once, in a sidecar; :func:`read_transcript` joins them back) and the jobs
@@ -28,10 +34,10 @@ import requests
 
 from .errors import (
     AuthError,
+    ConfigError,
     EmptyCompletion,
     LlmError,
     RetryBudgetExhausted,
-    ScriptExhausted,
     TransientLlmError,
 )
 
@@ -100,21 +106,6 @@ class UsageLedger:
         with self._lock:
             return len(self._records)
 
-    @property
-    def total_prompt_tokens(self) -> int:
-        with self._lock:
-            return sum(r.prompt_tokens for r in self._records)
-
-    @property
-    def total_completion_tokens(self) -> int:
-        with self._lock:
-            return sum(r.completion_tokens for r in self._records)
-
-    @property
-    def total_cost(self) -> float:
-        with self._lock:
-            return math.fsum(r.cost for r in self._records)
-
     def summary(self) -> dict:
         with self._lock:
             return {
@@ -127,9 +118,13 @@ class UsageLedger:
             }
 
 
-def _estimate_tokens(text: str) -> int:
-    # Mocks have no tokenizer; a flat chars/4 estimate keeps ledgers moving.
-    return max(1, len(text) // 4)
+def _estimated(request: ChatRequest, reply: str) -> ChatResult:
+    """*reply* with the mocks' token counts: no tokenizer, so chars/4, at least 1."""
+    return ChatResult(
+        reply,
+        max(1, len(request.system_prompt + request.user_message) // 4),
+        max(1, len(reply) // 4),
+    )
 
 
 class _CallCounter:
@@ -149,54 +144,41 @@ class EchoBackend(_CallCounter):
 
     def complete(self, request: ChatRequest) -> ChatResult:
         self._count()
-        return ChatResult(
-            request.user_message,
-            _estimate_tokens(request.system_prompt + request.user_message),
-            _estimate_tokens(request.user_message),
-        )
+        return _estimated(request, request.user_message)
 
 
-class ScriptedBackend(_CallCounter):
-    """Replays a fixed list of replies in call order; runs dry loudly."""
+class ReplayBackend(_CallCounter):
+    """Answers each request with its reply in a recorded run's transcript.
 
-    def __init__(self, replies: Sequence[str]):
+    A request is keyed on what the transcript records of it: system prompt,
+    user message, temperature and max_new_tokens, so calls may come in any
+    order.  A request recorded twice replays its first reply.  Only
+    successful calls are recorded, so a call that failed in the recording
+    fails here as an unrecorded request.  A missing recording is a
+    :class:`ConfigError`.
+    """
+
+    def __init__(self, logs_dir: Path | str):
         super().__init__()
-        self._replies = list(replies)
-        self._next = 0
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "ScriptedBackend":
-        """Load replies from a JSON array or a JSONL of {"reply": ...}."""
-        raw = Path(path).read_text(encoding="utf-8")
-        stripped = raw.lstrip()
-        if stripped.startswith("["):
-            replies = json.loads(raw)
-        else:
-            replies = [
-                json.loads(line)["reply"]
-                for line in raw.splitlines()
-                if line.strip()
-            ]
-        return cls(replies)
+        transcript = Path(logs_dir) / TRANSCRIPT_NAME
+        if not transcript.is_file():
+            raise ConfigError(f"no recording to replay: {transcript} not found")
+        self._replies: dict[tuple, str] = {}
+        for call in read_transcript(logs_dir):
+            key = (call["system"], call["user"], call["temperature"], call["max_new_tokens"])
+            self._replies.setdefault(key, call["reply"])
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        with self._lock:
-            self.calls += 1
-            if self._next >= len(self._replies):
-                raise ScriptExhausted(
-                    f"scripted backend exhausted after {len(self._replies)} replies"
-                )
-            reply = self._replies[self._next]
-            self._next += 1
-        return ChatResult(
-            reply,
-            _estimate_tokens(request.system_prompt + request.user_message),
-            _estimate_tokens(reply),
+        self._count()
+        key = (
+            request.system_prompt,
+            request.user_message,
+            request.temperature,
+            request.max_new_tokens,
         )
-
-    @property
-    def remaining(self) -> int:
-        return len(self._replies) - self._next
+        if key not in self._replies:
+            raise LlmError(f"request not in the recording: {request.user_message[:80]!r}")
+        return _estimated(request, self._replies[key])
 
 
 class RuleBackend(_CallCounter):
@@ -224,11 +206,7 @@ class RuleBackend(_CallCounter):
                     f"no rule matched user message: {request.user_message[:80]!r}"
                 )
             text = self._default
-        return ChatResult(
-            text,
-            _estimate_tokens(request.system_prompt + request.user_message),
-            _estimate_tokens(text),
-        )
+        return _estimated(request, text)
 
 
 def _retry_after(value: str | None) -> float | None:

@@ -29,7 +29,6 @@ from latexmt.llm import (
     EchoBackend,
     LlmClient,
     RuleBackend,
-    ScriptedBackend,
     UsageLedger,
 )
 from latexmt.parser import (
@@ -334,7 +333,7 @@ def test_07_bookkeeping(tmp_path, announce):
             "not a term line at all",
         ]
         for reply in replies:
-            extract_terms("s", "t", d, quiet_client(ScriptedBackend([reply])), cfg, [])
+            extract_terms("s", "t", d, quiet_client(RuleBackend([], default=reply)), cfg, [])
             sizes.append(len(d))
         assert sizes == sorted(sizes)
         assert d.pairs() == [("graph", "\u56fe"), ("edge", "\u8fb9")]
@@ -353,14 +352,19 @@ def test_07_bookkeeping(tmp_path, announce):
                 role="caption",
             ),
         ]
-        script = ["t1", "N/A", "sum1", "t2", "N/A", "sum2", "t3", "N/A"]
-        backend = ScriptedBackend(script)
-        result = run_pipeline(
-            units,
-            quiet_client(backend, transcript_path=transcript),
-            RunConfig(completeness_check=False),
+        backend = RuleBackend(
+            [
+                (r"^\[Source\]", "N/A"),
+                (r"new_section:\nS1", "sum1"),
+                (r"new_section:\nS2", "sum2"),
+                (r"^S1", "t1"),
+                (r"^S2", "t2"),
+                (r"^C1", "t3"),
+            ]
         )
-        assert backend.remaining == 0
+        with quiet_client(backend, transcript_path=transcript) as client:
+            result = run_pipeline(units, client, RunConfig(completeness_check=False))
+        assert backend.calls == 8
         assert result.summary.version == 2
         assert result.summary.text == "sum2"
         entries = [json.loads(line) for line in transcript.read_text().splitlines()]
@@ -429,31 +433,33 @@ DET_PROJECT = {
     )
 }
 
-DET_SCRIPT = [
-    "\\section{\u5165\u95e8}\n\u8bd1\u6587\u3002\n\\end{document}\n",
-    '"body" - "\u6b63\u6587"',
-    "rolling digest",
-    "OK",
+DET_RULES = [
+    (r"^\[Source\]", '"body" - "\u6b63\u6587"'),
+    (r"^prev_summary:", "rolling digest"),
+    (r"^\[Original\]", "OK"),
+    (r"^\\section\{Intro\}", "\\section{\u5165\u95e8}\n\u8bd1\u6587\u3002\n\\end{document}\n"),
 ]
 
 
-def test_09_determinism(tmp_path, announce):
+def test_09_determinism(tmp_path, announce, monkeypatch):
     status = "FAIL"
     try:
         proj = write_files(tmp_path / "doc", DET_PROJECT)
-        script = tmp_path / "script.json"
-        script.write_text(json.dumps(DET_SCRIPT), encoding="utf-8")
+        recording = tmp_path / "recorded"
+        build = cli._build_client
 
-        def run_into(out_dir):
+        def rule_client(config, logs_dir):
+            client = build(config, logs_dir)
+            client.backend = RuleBackend(DET_RULES)
+            return client
+
+        def run_into(out_dir, *mock):
             code = cli.main(
                 [
                     "translate",
                     "--project",
                     str(proj),
-                    "--mock",
-                    "scripted",
-                    "--mock-script",
-                    str(script),
+                    *mock,
                     "--from",
                     "en",
                     "--to",
@@ -466,16 +472,26 @@ def test_09_determinism(tmp_path, announce):
             assert code == 0
             return tree_snapshot(out_dir)
 
-        first = run_into(tmp_path / "out1")
-        second = run_into(tmp_path / "out2")
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_build_client", rule_client)
+            recorded = run_into(recording, "--mock", "echo")
+        replay = ("--mock", "replay", "--replay-from", str(recording))
+        first = run_into(tmp_path / "out1", *replay)
+        second = run_into(tmp_path / "out2", *replay)
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"
+        # Replies are looked up by request, so a replay is the recorded run
+        # again; only what discarded early calls cost may differ.
+        speculation = "doc/logs/speculation.json"
+        for replayed in (first, second):
+            assert replayed.keys() == recorded.keys()
+            assert {**replayed, speculation: b""} == {**recorded, speculation: b""}
         assert "doc/report.json" in first
         report = json.loads(first["doc/report.json"].decode("utf-8"))
         assert report["error"] is None
         assert report["units"][2]["status"] == "VALIDATED"
-        # the scripted translation actually landed, with the preamble line added
+        # the recorded translation actually landed, with the preamble line added
         main_out = first["doc/tex/main.tex"].decode("utf-8")
         assert "\\usepackage{xeCJK}" in main_out
         assert "\u8bd1\u6587\u3002" in main_out

@@ -33,7 +33,6 @@ from latexmt.llm import (
     EchoBackend,
     LlmClient,
     RuleBackend,
-    ScriptedBackend,
     UsageLedger,
 )
 from latexmt.parser import (
@@ -130,7 +129,7 @@ def test_summary_defaults():
 
 def test_extract_terms_parses_quoted_pairs():
     d = TermDictionary()
-    backend = ScriptedBackend(['"graph" - "\u56fe"\n"node" - "\u8282\u70b9"'])
+    backend = RuleBackend([], default='"graph" - "\u56fe"\n"node" - "\u8282\u70b9"')
     added = extract_terms("src", "dst", d, make_client(backend), CFG)
     assert added == [("graph", "\u56fe"), ("node", "\u8282\u70b9")]
     assert len(d) == 2
@@ -139,7 +138,7 @@ def test_extract_terms_parses_quoted_pairs():
 def test_extract_terms_na_is_a_noop():
     d = TermDictionary()
     for reply in ("N/A", "'N/A'", '  "N/A" '):
-        added = extract_terms("s", "t", d, make_client(ScriptedBackend([reply])), CFG)
+        added = extract_terms("s", "t", d, make_client(RuleBackend([], default=reply)), CFG)
         assert added == []
     assert len(d) == 0
 
@@ -148,7 +147,7 @@ def test_extract_terms_skips_malformed_lines_with_one_warning():
     d = TermDictionary()
     warnings = []
     reply = '"good" - "\u597d"\nthis line is junk\nanother junk line'
-    extract_terms("s", "t", d, make_client(ScriptedBackend([reply])), CFG, warnings)
+    extract_terms("s", "t", d, make_client(RuleBackend([], default=reply)), CFG, warnings)
     assert d.pairs() == [("good", "\u597d")]
     assert len(warnings) == 1
     assert "2 unparseable line(s)" in warnings[0]
@@ -157,10 +156,10 @@ def test_extract_terms_skips_malformed_lines_with_one_warning():
 def test_extract_terms_duplicate_source_not_overwritten():
     d = TermDictionary()
     client = make_client(
-        ScriptedBackend(['"graph" - "A"', '"graph" - "B"\n"edge" - "C"'])
+        RuleBackend([("first", '"graph" - "A"'), ("second", '"graph" - "B"\n"edge" - "C"')])
     )
-    extract_terms("s", "t", d, client, CFG)
-    added = extract_terms("s", "t", d, client, CFG)
+    extract_terms("first", "t", d, client, CFG)
+    added = extract_terms("second", "t", d, client, CFG)
     assert added == [("edge", "C")]
     assert d.lookup("graph") == "A"
 
@@ -168,7 +167,7 @@ def test_extract_terms_duplicate_source_not_overwritten():
 def test_extract_terms_survives_llm_failure():
     warnings = []
     added = extract_terms(
-        "s", "t", TermDictionary(), make_client(ScriptedBackend([])), CFG, warnings
+        "s", "t", TermDictionary(), make_client(RuleBackend([])), CFG, warnings
     )
     assert added == []
     assert any("terminology extraction failed" in w for w in warnings)
@@ -179,7 +178,7 @@ def test_extract_terms_survives_llm_failure():
 
 
 def test_update_summary_advances_version():
-    backend = ScriptedBackend(["first digest"])
+    backend = RuleBackend([], default="first digest")
     updated = update_summary(Summary(), "section text", make_client(backend), CFG)
     assert updated.text == "first digest"
     assert updated.version == 1
@@ -202,7 +201,7 @@ def test_update_summary_overflow_is_a_warning_not_truncation():
     long_reply = " ".join(["word"] * 400)
     warnings = []
     updated = update_summary(
-        Summary(), "sec", make_client(ScriptedBackend([long_reply])), CFG, warnings
+        Summary(), "sec", make_client(RuleBackend([], default=long_reply)), CFG, warnings
     )
     assert updated.word_count == 400
     assert any("400 words" in w for w in warnings)
@@ -212,7 +211,7 @@ def test_update_summary_failure_keeps_previous():
     warnings = []
     prev = Summary("kept", 2)
     updated = update_summary(
-        prev, "sec", make_client(ScriptedBackend([])), CFG, warnings
+        prev, "sec", make_client(RuleBackend([])), CFG, warnings
     )
     assert updated is prev
     assert any("keeping version 2" in w for w in warnings)
@@ -289,7 +288,7 @@ def test_completeness_ok_reply():
     u = unit_with("src", "dst")
     report = ErrorReport(1)
     findings = check_content_completeness(
-        u, make_client(ScriptedBackend(["OK"])), CFG, report, []
+        u, make_client(RuleBackend([], default="OK")), CFG, report, []
     )
     assert findings == []
     assert report.skipped == []
@@ -299,7 +298,7 @@ def test_completeness_findings_parsed_line_by_line():
     u = unit_with("src", "dst")
     reply = "- the second paragraph is missing\n- the footnote vanished"
     findings = check_content_completeness(
-        u, make_client(ScriptedBackend([reply])), CFG, ErrorReport(1), []
+        u, make_client(RuleBackend([], default=reply)), CFG, ErrorReport(1), []
     )
     assert [f.dimension for f in findings] == [DIM_COMPLETENESS, DIM_COMPLETENESS]
     assert findings[0].description == "the second paragraph is missing"
@@ -310,7 +309,7 @@ def test_completeness_garbage_reply_skips_dimension():
     report = ErrorReport(1)
     warnings = []
     findings = check_content_completeness(
-        u, make_client(ScriptedBackend(["I think it looks fine!"])), CFG, report, warnings
+        u, make_client(RuleBackend([], default="I think it looks fine!")), CFG, report, warnings
     )
     assert findings == []
     assert report.skipped == [f"unit 0: {DIM_COMPLETENESS}"]
@@ -322,7 +321,7 @@ def test_completeness_transport_failure_skips_dimension():
     report = ErrorReport(1)
     warnings = []
     findings = check_content_completeness(
-        u, make_client(ScriptedBackend([])), CFG, report, warnings
+        u, make_client(RuleBackend([])), CFG, report, warnings
     )
     assert findings == []
     assert len(report.skipped) == 1
@@ -330,7 +329,7 @@ def test_completeness_transport_failure_skips_dimension():
 
 def test_mechanical_failures_suppress_completeness_call():
     u = unit_with("a <PLACEHOLDER_ENV_0>", "a")  # placeholder lost
-    backend = ScriptedBackend(["OK"])
+    backend = RuleBackend([], default="OK")
     report = validate_translations([u], 1, make_client(backend), CFG)
     assert backend.calls == 0  # judge never consulted
     assert report.flagged_unit_ids() == [0]
@@ -338,7 +337,7 @@ def test_mechanical_failures_suppress_completeness_call():
 
 def test_completeness_disabled_by_config():
     u = unit_with("plain", "plain translated")
-    backend = ScriptedBackend(["OK"])
+    backend = RuleBackend([], default="OK")
     cfg = RunConfig(completeness_check=False)
     report = validate_translations([u], 1, make_client(backend), cfg)
     assert backend.calls == 0
@@ -580,12 +579,20 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
     s1 = section_unit(0, "S1 source text")
     s2 = section_unit(1, "S2 source text")
     c1 = caption_unit(2, "C1 caption text")
-    script = ["t1", "N/A", "sum1", "t2", "N/A", "sum2", "t3", "N/A"]
-    backend = ScriptedBackend(script)
+    backend = RuleBackend(
+        [
+            (r"^\[Source\]", "N/A"),
+            (r"new_section:\nS1", "sum1"),
+            (r"new_section:\nS2", "sum2"),
+            (r"^S1", "t1"),
+            (r"^S2", "t2"),
+            (r"^C1", "t3"),
+        ]
+    )
     cfg = RunConfig(completeness_check=False)
     with make_client(backend, transcript_path=transcript) as client:
         result = run_pipeline([s1, s2, c1], client, cfg)
-    assert backend.remaining == 0
+    assert backend.calls == 8  # a translation and a terminology call each, two summaries
     assert result.summary.text == "sum2"
     assert result.summary.version == 2
     entries = [json.loads(line) for line in transcript.read_text().splitlines()]
@@ -601,16 +608,16 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
 def test_pipeline_dictionary_grows_monotonically():
     s1 = section_unit(0, "S1")
     s2 = section_unit(1, "S2")
-    script = [
-        "t1",
-        '"graph" - "\u56fe"',
-        "sum1",
-        "t2",
-        '"graph" - "\u5716"\n"edge" - "\u8fb9"',
-        "sum2",
-    ]
+    backend = RuleBackend(
+        [
+            (r"^\[Source\]\nS1", '"graph" - "\u56fe"'),
+            (r"^\[Source\]\nS2", '"graph" - "\u5716"\n"edge" - "\u8fb9"'),
+            (r"^prev_summary:", "digest"),
+        ],
+        default="translated",
+    )
     cfg = RunConfig(completeness_check=False)
-    result = run_pipeline([s1, s2], make_client(ScriptedBackend(script)), cfg)
+    result = run_pipeline([s1, s2], make_client(backend), cfg)
     assert result.dictionary.pairs() == [
         ("graph", "\u56fe"),
         ("edge", "\u8fb9"),

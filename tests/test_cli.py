@@ -6,9 +6,9 @@ import pytest
 
 from latexmt import cli, prompts
 from latexmt.config import load_config
-from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, read_transcript
+from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
 
-from conftest import write_files
+from conftest import tree_snapshot, write_files
 
 
 PARSE_FIXTURE = {
@@ -305,18 +305,144 @@ def test_translate_max_rounds_override(tmp_path):
     "overrides, bound",
     [
         ({"mock": "echo"}, cli.MAX_IN_FLIGHT),
-        ({"mock": "scripted", "mock_script": "replies.json"}, 1),
+        ({"mock": "replay", "replay_from": "recorded"}, cli.MAX_IN_FLIGHT),
         ({}, cli.MAX_IN_FLIGHT),
     ],
 )
 def test_build_client_in_flight_bound(tmp_path, overrides, bound):
-    (tmp_path / "replies.json").write_text("[]")
+    recording = tmp_path / "recorded" / "doc" / "logs"
+    recording.mkdir(parents=True)
+    (recording / TRANSCRIPT_NAME).write_text("")
     overrides = {
-        k: str(tmp_path / v) if k == "mock_script" else v for k, v in overrides.items()
+        k: str(tmp_path / v) if k == "replay_from" else v for k, v in overrides.items()
     }
-    client = cli._build_client(load_config(None, overrides), None)
+    client = cli._build_client(load_config(None, overrides), tmp_path / "out" / "doc" / "logs")
     assert client.max_in_flight == bound
     assert cli.MAX_IN_FLIGHT == 8
+
+
+# --------------------------------------------------------------------------
+# replay
+
+
+REPLAY_PROJECT = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe calibration of the sensor.\n"
+        "\\begin{remark}\nA remark on the calibration.\n\\end{remark}\n"
+        "\\section{Two}\nA second calibration run.\n"
+        "\\section{Three}\nClosing words.\n"
+        "\\begin{figure}\n\\caption{A plain caption.}\n\\end{figure}\n"
+        "\\end{document}\n"
+    )
+}
+FILTER_PROMPT = prompts.render_for("filter", load_config(None, {}))
+
+
+def _content_reply(match, request) -> str:
+    """Replies from the request alone.  Terms pin "calibration", so the unit
+    after the first one that holds it is translated early without the pair."""
+    message = request.user_message
+    if request.system_prompt == FILTER_PROMPT:
+        return "True"
+    if message.startswith("[Source]\n"):
+        return '"calibration" - "KALIB"' if "calibration" in message else "N/A"
+    if message.startswith("prev_summary:\n"):
+        return "digest of " + message.rsplit("new_section:\n", 1)[1][:12]
+    if message.startswith("[Original]\n"):
+        return "OK"
+    return message.replace("calibration", "Kalibrierung")
+
+
+def _translate(project, out, monkeypatch, *mock, bound=cli.MAX_IN_FLIGHT, backend=None):
+    """``latexmt translate`` of *project* into *out*; the exit code and the tree."""
+    build = cli._build_client
+
+    def client(config, logs_dir):
+        built = build(config, logs_dir)
+        built.max_in_flight = bound
+        built.backend = backend or built.backend
+        return built
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_build_client", client)
+        argv = ["translate", "--project", str(project), *mock, "--no-compile", "--out", str(out)]
+        return run(argv), tree_snapshot(out)
+
+
+def _but_speculation(tree: dict) -> dict:
+    return {rel: data for rel, data in tree.items() if not rel.endswith("/speculation.json")}
+
+
+def test_a_recording_replays_byte_identically_at_any_bound(tmp_path, monkeypatch):
+    proj = write_files(tmp_path / "doc", REPLAY_PROJECT)
+    recorded_dir = tmp_path / "recorded"
+    backend = RuleBackend([(r"", _content_reply)])
+    code, recorded = _translate(proj, recorded_dir, monkeypatch, "--mock", "echo", backend=backend)
+    assert code == 0
+    speculated = json.loads(recorded["doc/logs/speculation.json"])
+    assert speculated["misses"] >= 1 and speculated["discarded_calls"] >= 1
+    report = json.loads(recorded["doc/report.json"])
+    assert "Kalibrierung" in recorded["doc/tex/main.tex"].decode()
+    assert report["warnings"] == []
+    replay = ("--mock", "replay", "--replay-from", str(recorded_dir))
+    for bound in (1, cli.MAX_IN_FLIGHT):
+        code, replayed = _translate(proj, tmp_path / f"b{bound}", monkeypatch, *replay, bound=bound)
+        assert code == 0
+        assert replayed.keys() == recorded.keys()
+        assert _but_speculation(replayed) == _but_speculation(recorded), bound
+
+
+def test_an_unrecorded_request_falls_back_with_a_named_warning(tmp_path, monkeypatch):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    recorded_dir = tmp_path / "recorded"
+    assert _translate(proj, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
+    main = proj / "main.tex"
+    main.write_text(main.read_text().replace("beta text", "beta text, revised"))
+    replay = ("--mock", "replay", "--replay-from", str(recorded_dir))
+    code, tree = _translate(proj, tmp_path / "out", monkeypatch, *replay)
+    assert code == 0
+    report = json.loads(tree["doc/report.json"])
+    named = "translation failed for unit 3: request not in the recording: '\\\\section{B}\\nbeta"
+    assert any(w.startswith(named) for w in report["warnings"]), report["warnings"]
+    # The caption after section B misses too: the summary in its prompt
+    # lacks B's update, which was dropped with B's translation.
+    statuses = {u["id"]: u["status"] for u in report["units"]}
+    assert (statuses[3], statuses[5]) == ("FAILED", "FAILED")
+    assert "beta text, revised" in tree["doc/tex/main.tex"].decode()  # the source text
+
+
+def test_replay_into_its_own_recording_is_refused(tmp_path, monkeypatch, capsys):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    code, recorded = _translate(proj, out, monkeypatch, "--mock", "echo")
+    assert code == 0
+    code, after = _translate(proj, out, monkeypatch, "--mock", "replay", "--replay-from", str(out))
+    assert code == 2
+    assert "replay_from must differ from out_dir" in capsys.readouterr().err
+    assert after == recorded
+
+
+def test_a_project_without_a_recording_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    one = write_files(tmp_path / "one", PARSE_FIXTURE)
+    two = write_files(tmp_path / "two", PARSE_FIXTURE)
+    recorded_dir, out = tmp_path / "recorded", tmp_path / "out"
+    assert _translate(one, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
+    _translate(two, out, monkeypatch, "--mock", "echo")
+    before = tree_snapshot(out / "two")
+    code = run(
+        [
+            "translate", "--project", str(one), "--project", str(two), "--workers", "2",
+            "--mock", "replay", "--replay-from", str(recorded_dir), "--no-compile",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "one: ok" in captured.out
+    missing = recorded_dir / "two" / "logs" / TRANSCRIPT_NAME
+    assert f"two: FAILED: no recording to replay: {missing} not found" in captured.err
+    assert tree_snapshot(out / "two") == before  # the last run's output is untouched
 
 
 def test_translate_rejects_bad_config(tmp_path):

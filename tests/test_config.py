@@ -134,11 +134,22 @@ def test_validation_rejects_out_of_range_value(field, bad, good):
     assert getattr(load_config(None, {field: good}), field) == good
 
 
-def test_scripted_mock_requires_script():
-    with pytest.raises(ConfigError):
-        load_config(None, {"mock": "scripted"})
-    config = load_config(None, {"mock": "scripted", "mock_script": "replies.json"})
-    assert config.mock_script == "replies.json"
+def test_replay_mock_requires_a_recording_apart_from_out_dir(tmp_path):
+    with pytest.raises(ConfigError, match="mock=replay requires replay_from"):
+        load_config(None, {"mock": "replay"})
+    out = str(tmp_path / "out")
+    same = {"mock": "replay", "replay_from": out + "/.", "out_dir": out}
+    with pytest.raises(ConfigError, match="replay_from must differ from out_dir"):
+        load_config(None, same)
+    config = load_config(None, {"mock": "replay", "replay_from": "recorded"})
+    assert config.replay_from == "recorded"
+
+
+def test_validation_rejects_a_source_language_the_prompts_do_not_support():
+    for tag in ("de", "zh-CN", "", "english"):
+        with pytest.raises(ConfigError, match="source_language must be English"):
+            load_config(None, {"source_language": tag})
+    assert load_config(None, {"source_language": "en-GB"}).source_language == "en-GB"
 
 
 def test_invalid_yaml_is_a_config_error(tmp_path):

@@ -1,7 +1,7 @@
 """Environment-content filtering: predefined list, model contract, defaults."""
 
 from latexmt.config import RunConfig
-from latexmt.llm import EchoBackend, LlmClient, RuleBackend, ScriptedBackend, UsageLedger
+from latexmt.llm import EchoBackend, LlmClient, RuleBackend, UsageLedger
 from latexmt.parser import GRAN_CAPTION, GRAN_ENVIRONMENT, TranslationUnit
 from latexmt.unit_filter import (
     SOURCE_DEFAULT,
@@ -75,13 +75,14 @@ def test_model_false_means_preserve():
 
 
 def test_whitespace_around_verdict_tolerated():
-    backend = ScriptedBackend(["  True \n"])
+    backend = RuleBackend([], default="  True \n")
     decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
     assert decision.translate is True
 
 
 def test_garbage_replies_retried_then_defaulted():
-    backend = ScriptedBackend(["maybe", "TRUE", "yes"])
+    replies = iter(["maybe", "TRUE", "yes"])  # one request, asked three times
+    backend = RuleBackend([(r"", lambda _m, _r: next(replies))])
     warnings = []
     decision = classify_unit(
         env_unit(),
@@ -96,7 +97,7 @@ def test_garbage_replies_retried_then_defaulted():
 
 
 def test_transport_failure_defaults_to_preserve():
-    backend = ScriptedBackend([])  # exhausted immediately
+    backend = RuleBackend([])  # no rule, no default: every call errors
     warnings = []
     decision = classify_unit(
         env_unit(), ProtectedEnvList.default(), client_of(backend), CFG, warnings=warnings

@@ -9,10 +9,10 @@ import requests
 
 from latexmt.errors import (
     AuthError,
+    ConfigError,
     EmptyCompletion,
     LlmError,
     RetryBudgetExhausted,
-    ScriptExhausted,
     TransientLlmError,
 )
 from latexmt.llm import (
@@ -23,8 +23,8 @@ from latexmt.llm import (
     EchoBackend,
     HttpBackend,
     LlmClient,
+    ReplayBackend,
     RuleBackend,
-    ScriptedBackend,
     UsageLedger,
     read_transcript,
 )
@@ -48,35 +48,61 @@ def test_echo_backend_returns_user_message():
     assert client.chat(req("round and round")) == "round and round"
 
 
-def test_scripted_backend_replays_in_order():
-    backend = ScriptedBackend(["one", "two"])
-    client = client_for(backend)
-    assert client.chat(req()) == "one"
-    assert client.chat(req()) == "two"
-    assert backend.remaining == 0
+def record(logs, calls):
+    """Transcribe *calls*, ``(request, reply)`` pairs, into *logs*."""
+    logs.mkdir(parents=True, exist_ok=True)
+    replies = iter([reply for _, reply in calls])
+    backend = RuleBackend([(r"", lambda _m, _r: next(replies))])
+    with client_for(backend, transcript_path=logs / TRANSCRIPT_NAME) as client:
+        for request, _ in calls:
+            client.chat(request)
 
 
-def test_scripted_backend_runs_dry_loudly():
-    client = client_for(ScriptedBackend(["only"]))
-    client.chat(req())
-    with pytest.raises(ScriptExhausted):
-        client.chat(req())
+def test_replay_backend_answers_by_request_in_any_order(tmp_path):
+    block = "template\n\n[Summary]\nshared block"
+    record(
+        tmp_path,
+        [(req("a", block), "reply a"), (req("b", block), "reply b"), (req("a", block), "later a")],
+    )
+    client = client_for(ReplayBackend(tmp_path))
+    assert client.chat(req("b", block)) == "reply b"
+    assert client.chat(req("a", block)) == "reply a"  # the first recorded reply wins
+    assert client.chat(req("a", block)) == "reply a"
+    assert client.ledger.summary()["completion_tokens"] == 3 * (len("reply a") // 4)
 
 
-def test_scripted_backend_from_json_array(tmp_path):
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps(["a", "b"]), encoding="utf-8")
-    backend = ScriptedBackend.from_file(path)
-    assert backend.remaining == 2
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"system_prompt": "other"},
+        {"user_message": "other"},
+        {"temperature": 0.0},
+        {"max_new_tokens": 7},
+    ],
+)
+def test_replay_backend_keys_on_every_recorded_field(tmp_path, change):
+    recorded = req("hello", "sys")
+    record(tmp_path, [(recorded, "hi")])
+    backend = ReplayBackend(tmp_path)
+    assert backend.complete(recorded).text == "hi"
+    asked = ChatRequest(**{**recorded.__dict__, **change})
+    with pytest.raises(LlmError, match="request not in the recording: '"):
+        backend.complete(asked)
 
 
-def test_scripted_backend_from_jsonl(tmp_path):
-    path = tmp_path / "script.jsonl"
-    path.write_text('{"reply": "a"}\n\n{"reply": "b"}\n', encoding="utf-8")
-    backend = ScriptedBackend.from_file(path)
-    client = client_for(backend)
-    assert client.chat(req()) == "a"
-    assert client.chat(req()) == "b"
+def test_replay_backend_ignores_the_model(tmp_path):
+    record(tmp_path, [(req(), "hi")])
+    asked = req()
+    asked.model = "another-model"
+    assert ReplayBackend(tmp_path).complete(asked).text == "hi"
+
+
+def test_replay_backend_without_a_recording_is_a_config_error(tmp_path):
+    for logs in (tmp_path / "missing", tmp_path):  # no directory; no transcript in it
+        with pytest.raises(ConfigError, match="no recording to replay: .* not found"):
+            ReplayBackend(logs)
+
+
 
 
 def test_rule_backend_first_match_wins():
@@ -171,7 +197,7 @@ def test_auth_errors_never_retried():
 
 
 def test_empty_reply_raises():
-    client = client_for(ScriptedBackend(["   \n"]))
+    client = client_for(RuleBackend([], default="   \n"))
     with pytest.raises(EmptyCompletion):
         client.chat(req())
 
@@ -185,24 +211,24 @@ def test_ledger_totals_and_cost():
     ledger.record(100, 50)
     ledger.record(10, 5)
     assert ledger.calls == 2
-    assert ledger.total_prompt_tokens == 110
-    assert ledger.total_completion_tokens == 55
-    assert ledger.total_cost == pytest.approx(0.001 * 110 + 0.002 * 55)
     summary = ledger.summary()
     assert summary["calls"] == 2
     assert summary["prompt_tokens"] == 110
+    assert summary["completion_tokens"] == 55
+    assert summary["cost"] == pytest.approx(0.001 * 110 + 0.002 * 55)
 
 
 def test_client_records_usage_per_successful_call():
     client = client_for(EchoBackend())
     client.chat(req("x" * 40))
     assert client.calls == 1
-    assert client.ledger.total_completion_tokens == 10  # 40 chars // 4
+    assert client.ledger.summary()["completion_tokens"] == 10  # 40 chars // 4
 
 
 def test_transcript_written_as_jsonl(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    client = client_for(ScriptedBackend(["alpha", "beta"]), transcript_path=path)
+    backend = RuleBackend([("^first$", "alpha"), ("^second$", "beta")])
+    client = client_for(backend, transcript_path=path)
     client.chat(req("first"))
     client.chat(req("second"))
     client.close()
@@ -473,7 +499,8 @@ def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
 
 def test_map_with_bound_one_runs_inline_in_order(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    client = client_for(ScriptedBackend(["a", "b", "c"]), transcript_path=path)
+    backend = RuleBackend([("x", "a"), ("y", "b"), ("z", "c")])
+    client = client_for(backend, transcript_path=path)
     assert client.max_in_flight == 1
     seen = []
 
@@ -527,13 +554,13 @@ def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
 
 
 def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
-    backend = ScriptedBackend(["first", "second"])
+    backend = RuleBackend([], default="first")
     with client_for(backend, transcript_path=tmp_path / "t.jsonl") as client:
         dropped = client.submit(client.chat, req("dropped"))
         kept = client.submit(client.chat, req("kept"))
         assert backend.calls == 0
         dropped.discard()
         assert kept.result() == "first"
-    assert backend.remaining == 1
+    assert backend.calls == 1
     assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
     assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)
