@@ -10,13 +10,15 @@ dictionary as it stood before.  That early reply is kept only if the final
 dictionary gives the unit the same term block, and a summary update only if
 its section translated; the rest are discarded unseen
 (:class:`~latexmt.llm.Pending`).  The judge calls and the revisions of a
-round go through :meth:`LlmClient.map`.  Results, findings, warnings and
-the transcript keep unit order, as in a serial run.  Two validation
-dimensions are purely mechanical (placeholder and control-sequence
-conservation); the third asks a judge model about content completeness and
-degrades to "skipped" when no usable judge reply is available.  Units still
-failing after the round cap fall back to their source text, so a bad unit
-can never corrupt the document.
+round go through :meth:`LlmClient.map`.  Every agent builds its request
+with :func:`~latexmt.prompts.request` and records warnings with
+:meth:`LlmClient.warn`, which keeps a job's warnings with its calls, so
+results, findings, warnings and the transcript keep unit order, as in a
+serial run.  Two validation dimensions are purely mechanical (placeholder
+and control-sequence conservation); the third asks a judge model about
+content completeness and degrades to "skipped" when no usable judge reply
+is available.  Units still failing after the round cap fall back to their
+source text, so a bad unit can never corrupt the document.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 from . import prompts
 from .config import RunConfig
 from .errors import LlmError, PipelineFailed
-from .llm import ChatRequest, LlmClient
+from .llm import LlmClient
 from .parser import (
     GRAN_SECTION,
     STATUS_FAILED,
@@ -202,33 +204,25 @@ def check_command_integrity(
 
 
 def check_content_completeness(
-    unit: TranslationUnit,
-    client: LlmClient,
-    config: RunConfig,
-    report: ErrorReport,
-    warnings: list[str],
-) -> list[Finding]:
-    """Ask the judge model whether content survived; degrade on bad replies.
+    unit: TranslationUnit, client: LlmClient, config: RunConfig
+) -> list[Finding] | None:
+    """Ask the judge model whether content survived; None when the dimension is skipped.
 
     Reply contract: exactly ``OK`` means clean; otherwise every non-blank
     line must start with ``- `` and becomes one finding.  Anything else
-    (including transport failure) skips the dimension for this unit.
+    (including transport failure) skips the dimension for this unit, with
+    a warning.
     """
-    request = ChatRequest(
-        system_prompt=prompts.render_for("completeness", config),
-        user_message=(
-            f"[Original]\n{unit.source_text}\n\n[Translation]\n{unit.translated_text}"
-        ),
-        temperature=config.judge_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
+    request = prompts.request(
+        "completeness",
+        f"[Original]\n{unit.source_text}\n\n[Translation]\n{unit.translated_text}",
+        config,
     )
     try:
         reply = client.chat(request).strip()
     except LlmError as exc:
-        warnings.append(f"completeness check skipped for unit {unit.id}: {exc}")
-        report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
-        return []
+        client.warn(f"completeness check skipped for unit {unit.id}: {exc}")
+        return None
     if reply == "OK":
         return []
     lines = [line.strip() for line in reply.splitlines() if line.strip()]
@@ -236,30 +230,25 @@ def check_content_completeness(
         return [
             Finding(unit.id, DIM_COMPLETENESS, line[2:].strip()) for line in lines
         ]
-    warnings.append(
-        f"completeness reply unparseable for unit {unit.id}; dimension skipped"
-    )
-    report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
-    return []
+    client.warn(f"completeness reply unparseable for unit {unit.id}; dimension skipped")
+    return None
 
 
 def validate_translations(
     units: list[TranslationUnit],
     round_index: int,
-    client: LlmClient | None,
+    client: LlmClient,
     config: RunConfig,
-    warnings: list[str] | None = None,
     carried: dict[int, list[Finding]] | None = None,
 ) -> ErrorReport:
     """Batch-validate every candidate translation in *units*.
 
     Mechanical dimensions always run.  The completeness dimension runs only
     for units that passed both mechanical checks (no point judging content
-    that already has to be regenerated).  A unit in *carried* keeps the
-    findings given there instead: its text is unchanged since they were made.
+    that already has to be regenerated), and only if
+    ``config.completeness_check``.  A unit in *carried* keeps the findings
+    given there instead: its text is unchanged since they were made.
     """
-    if warnings is None:
-        warnings = []
     carried = carried or {}
     checked = [
         (
@@ -270,26 +259,15 @@ def validate_translations(
         for unit in units
         if unit.needs_translation and unit.translated_text is not None
     ]
-    judging = config.completeness_check and client is not None
-
-    def judge(unit: TranslationUnit):
-        scratch, notes = ErrorReport(round_index), []
-        found = check_content_completeness(unit, client, config, scratch, notes)
-        return found, scratch.skipped, notes
-
-    verdicts = iter(
-        client.map(judge, [u for u, mechanical in checked if not mechanical])
-        if judging
-        else ()
-    )
+    judged = [u for u, mechanical in checked if config.completeness_check and not mechanical]
+    verdicts = client.map(lambda u: check_content_completeness(u, client, config), judged)
+    by_id = {u.id: found for u, found in zip(judged, verdicts)}
     report = ErrorReport(round_index)
     for unit, mechanical in checked:
-        report.findings.extend(mechanical)
-        if judging and not mechanical:
-            found, skipped, notes = next(verdicts)
-            report.findings.extend(found)
-            report.skipped.extend(skipped)
-            warnings.extend(notes)
+        found = by_id.get(unit.id, [])
+        report.findings.extend(mechanical + (found or []))
+        if found is None:
+            report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
     return report
 
 
@@ -316,14 +294,8 @@ def translate_unit(
     config: RunConfig,
 ) -> str:
     """One translator call; the unit's source is the entire user message."""
-    request = ChatRequest(
-        system_prompt=render_translator_system(summary, dictionary, unit.source_text, config),
-        user_message=unit.source_text,
-        temperature=config.translator_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
-    )
-    return client.chat(request)
+    system = render_translator_system(summary, dictionary, unit.source_text, config)
+    return client.chat(prompts.request("translator", unit.source_text, config, system))
 
 
 def retranslate_unit(
@@ -336,55 +308,37 @@ def retranslate_unit(
     if not findings:
         raise ValueError("retranslate_unit needs at least one finding")
     errors_block = "\n".join(f"- [{f.dimension}] {f.description}" for f in findings)
-    request = ChatRequest(
-        system_prompt=prompts.render_for("corrector", config),
-        user_message=(
-            f"[Original]\n{unit.source_text}\n\n"
-            f"[Translation]\n{unit.translated_text}\n\n"
-            f"[Error Reports]\n{errors_block}"
-        ),
-        temperature=config.translator_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
+    request = prompts.request(
+        "corrector",
+        f"[Original]\n{unit.source_text}\n\n"
+        f"[Translation]\n{unit.translated_text}\n\n"
+        f"[Error Reports]\n{errors_block}",
+        config,
     )
     return client.chat(request)
 
 
 def update_summary(
-    summary: Summary,
-    new_section: str,
-    client: LlmClient,
-    config: RunConfig,
-    warnings: list[str] | None = None,
+    summary: Summary, new_section: str, client: LlmClient, config: RunConfig
 ) -> Summary:
     """Fold a just-translated section into the rolling summary.
 
     Failures keep the previous summary; an over-long reply is kept but
     recorded as a warning (the word limit is a target, not a knife).
     """
-    if warnings is None:
-        warnings = []
-    request = ChatRequest(
-        system_prompt=prompts.render_for("summarizer", config),
-        user_message=(
-            f"prev_summary:\n{summary.text or '(empty)'}\n\nnew_section:\n{new_section}"
-        ),
-        temperature=config.judge_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
+    request = prompts.request(
+        "summarizer",
+        f"prev_summary:\n{summary.text or '(empty)'}\n\nnew_section:\n{new_section}",
+        config,
     )
     try:
         text = client.chat(request)
     except LlmError as exc:
-        warnings.append(
-            f"summary update failed, keeping version {summary.version}: {exc}"
-        )
+        client.warn(f"summary update failed, keeping version {summary.version}: {exc}")
         return summary
     words = len(text.split())
     if words > SUMMARY_WORD_LIMIT:
-        warnings.append(
-            f"summary reached {words} words (target {SUMMARY_WORD_LIMIT}); not truncated"
-        )
+        client.warn(f"summary reached {words} words (target {SUMMARY_WORD_LIMIT}); not truncated")
     return Summary(text, summary.version + 1)
 
 
@@ -394,7 +348,6 @@ def extract_terms(
     dictionary: TermDictionary,
     client: LlmClient,
     config: RunConfig,
-    warnings: list[str] | None = None,
 ) -> list[tuple[str, str]]:
     """Mine new term pairs from one source/translation pair.
 
@@ -402,19 +355,13 @@ def extract_terms(
     lines are skipped (one aggregated warning per reply); existing source
     terms are never overwritten.  Returns the pairs actually added.
     """
-    if warnings is None:
-        warnings = []
-    request = ChatRequest(
-        system_prompt=prompts.render_for("terminology", config),
-        user_message=f"[Source]\n{source_text}\n\n[Translation]\n{translated_text}",
-        temperature=config.judge_temperature,
-        max_new_tokens=config.agent_max_new_tokens,
-        model=config.model,
+    request = prompts.request(
+        "terminology", f"[Source]\n{source_text}\n\n[Translation]\n{translated_text}", config
     )
     try:
         reply = client.chat(request)
     except LlmError as exc:
-        warnings.append(f"terminology extraction failed: {exc}")
+        client.warn(f"terminology extraction failed: {exc}")
         return []
     cleaned = reply.strip()
     if cleaned.strip("'\"").strip() == "N/A":
@@ -431,9 +378,7 @@ def extract_terms(
         if dictionary.add(m.group(1), m.group(2)):
             added.append((m.group(1), m.group(2)))
     if malformed:
-        warnings.append(
-            f"terminology reply contained {malformed} unparseable line(s); skipped"
-        )
+        client.warn(f"terminology reply contained {malformed} unparseable line(s); skipped")
     return added
 
 
@@ -448,21 +393,10 @@ class PipelineResult:
     dictionary: TermDictionary
     rounds_used: int
     reports: list[ErrorReport]
-    warnings: list[str]
-
-    @property
-    def final_report(self) -> ErrorReport:
-        return self.reports[-1] if self.reports else ErrorReport(0)
-
-    def failed_units(self) -> list[TranslationUnit]:
-        return [u for u in self.units if u.status == STATUS_FAILED]
 
 
 def run_pipeline(
-    units: list[TranslationUnit],
-    client: LlmClient,
-    config: RunConfig,
-    warnings: list[str] | None = None,
+    units: list[TranslationUnit], client: LlmClient, config: RunConfig
 ) -> PipelineResult:
     """Translate every unit, then validate/revise until clean or capped.
 
@@ -471,11 +405,10 @@ def run_pipeline(
     after ``max_validation_rounds`` is marked FAILED and will fall back to
     its source text at reassembly.  The run as a whole fails only when no
     unit at all produced a candidate translation.  An invalid *config*
-    raises :class:`ConfigError` before any call.
+    raises :class:`ConfigError` before any call.  Warnings go to
+    ``client.warnings``.
     """
     config.validate()
-    if warnings is None:
-        warnings = []
     summary = Summary()
     dictionary = TermDictionary()
     wanted = [u for u in units if u.needs_translation]
@@ -484,15 +417,13 @@ def run_pipeline(
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
 
     def summarize(unit: TranslationUnit, summary: Summary):
-        """A section's summary update, started with its translation, and its warnings."""
+        """A section's summary update, started with its translation."""
         if unit.granularity != GRAN_SECTION:
             return None
-        notes: list[str] = []
-        job = client.submit(update_summary, summary, unit.source_text, client, config, notes)
-        return job, notes
+        return client.submit(update_summary, summary, unit.source_text, client, config)
 
     ahead = None  # (this unit's translation, sent early; the dictionary it saw)
-    summing = None  # (this section's summary update; its warnings)
+    summing = None  # this section's summary update
     for unit, following in zip(wanted, wanted[1:] + [None]):
         summing = summing or summarize(unit, summary)
         try:
@@ -513,22 +444,21 @@ def run_pipeline(
                 unit.translated_text = translate_unit(unit, summary, dictionary, client, config)
             unit.status = STATUS_TRANSLATED
         except LlmError as exc:
-            warnings.append(f"translation failed for unit {unit.id}: {exc}")
+            client.warn(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
             if summing is not None:
-                summing[0].discard()
+                summing.discard()
             ahead = summing = None
             continue
         ahead = upcoming = None
         if client.max_in_flight > 1 and following is not None:  # speculate
-            updated = summing[0].peek() if summing is not None else summary
+            updated = summing.peek() if summing is not None else summary
             seen = dictionary.snapshot()
             ahead = client.submit(translate_unit, following, updated, seen, client, config), seen
             upcoming = summarize(following, updated)
-        extract_terms(unit.source_text, unit.translated_text, dictionary, client, config, warnings)
+        extract_terms(unit.source_text, unit.translated_text, dictionary, client, config)
         if summing is not None:
-            summary = summing[0].result()
-            warnings += summing[1]
+            summary = summing.result()
         summing = upcoming
 
     if wanted and all(u.status == STATUS_FAILED for u in wanted):
@@ -540,7 +470,7 @@ def run_pipeline(
     unchanged: dict[int, list[Finding]] = {}  # revision failed: same text, same findings
     while pending and rounds_used < config.max_validation_rounds:
         rounds_used += 1
-        report = validate_translations(pending, rounds_used, client, config, warnings, unchanged)
+        report = validate_translations(pending, rounds_used, client, config, unchanged)
         reports.append(report)
         flagged = set(report.flagged_unit_ids())
         for unit in pending:
@@ -552,24 +482,24 @@ def run_pipeline(
         if rounds_used >= config.max_validation_rounds:
             for unit in pending:
                 unit.status = STATUS_FAILED
-                warnings.append(
+                client.warn(
                     f"unit {unit.id} still failing after {rounds_used} validation "
                     f"rounds; falling back to source text"
                 )
             break
 
-        def revise(unit: TranslationUnit) -> tuple[str | None, str | None]:
+        def revise(unit: TranslationUnit) -> str | None:
             try:
-                return retranslate_unit(unit, report.for_unit(unit.id), client, config), None
+                return retranslate_unit(unit, report.for_unit(unit.id), client, config)
             except LlmError as exc:
-                return None, f"revision failed for unit {unit.id}: {exc}"
+                client.warn(f"revision failed for unit {unit.id}: {exc}")
+                return None
 
         unchanged = {}
-        for unit, (text, failure) in zip(pending, client.map(revise, pending)):
-            if failure is None:
-                unit.translated_text = text
-            else:
-                warnings.append(failure)
+        for unit, text in zip(pending, client.map(revise, pending)):
+            if text is None:
                 unchanged[unit.id] = report.for_unit(unit.id)
+            else:
+                unit.translated_text = text
 
-    return PipelineResult(units, summary, dictionary, rounds_used, reports, warnings)
+    return PipelineResult(units, summary, dictionary, rounds_used, reports)

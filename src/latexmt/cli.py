@@ -199,9 +199,14 @@ def translate_project(
     logs_dir = out_root / "logs"
     maps_dir = out_root / "maps"
     # A client opens no file and starts no thread before its first call, so
-    # it is built here: a replay with no recording stops before the
-    # previous run's tree is deleted.
+    # it is built here, with the protected list: a replay with no recording
+    # or an unreadable list stops before the previous run's tree is deleted.
     client = _build_client(config, logs_dir)
+    protected = (
+        ProtectedEnvList.from_file(config.protected_envs_path)
+        if config.protected_envs_path
+        else ProtectedEnvList.default()
+    )
     if out_root.exists():
         shutil.rmtree(out_root)
     for d in (tex_dir, pdf_dir, logs_dir, maps_dir):
@@ -212,12 +217,8 @@ def translate_project(
 
     parsed = parse_project(project)
     units = enumerate_units(parsed)
-    warnings = list(parsed.warnings)
-    protected = (
-        ProtectedEnvList.from_file(config.protected_envs_path)
-        if config.protected_envs_path
-        else ProtectedEnvList.default()
-    )
+    warnings = client.warnings  # the agents add theirs after the parser's
+    warnings.extend(parsed.warnings)
 
     report: dict = {
         "doc_id": doc_id,
@@ -229,8 +230,8 @@ def translate_project(
     fc = None
     compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
     try:
-        decisions = classify_units(units, protected, client, config, warnings)
-        result = run_pipeline(units, client, config, warnings)
+        decisions = classify_units(units, protected, client, config)
+        result = run_pipeline(units, client, config)
         body = reassemble(units, parsed.cap_map, parsed.env_map, parsed.merged)
         written = unmerge(body, parsed.merged, tex_dir)
         if config.inject_preamble:

@@ -108,6 +108,11 @@ class RunConfig:
         for name in ("request_timeout", "compile_timeout"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be > 0")
+        for lang, lines in self.language_preambles.items():
+            if not isinstance(lines, list) or not all(isinstance(x, str) for x in lines):
+                problems.append(f"language_preambles[{lang!r}] must be a list of strings")
+        if self.prompt_dir and not Path(self.prompt_dir).is_dir():
+            problems.append(f"prompt_dir is not a directory: {self.prompt_dir!r}")
         if self.mock not in ("", "echo", "replay"):
             problems.append(f"mock must be empty, 'echo' or 'replay', not {self.mock!r}")
         replaying = self.mock == "replay"

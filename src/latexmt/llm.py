@@ -8,9 +8,10 @@ counts are estimated as characters / 4.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
 accounting, the optional request transcript (each system-prompt block stored
-once, in a sidecar; :func:`read_transcript` joins them back) and the jobs
-that run ahead of the program (:meth:`LlmClient.submit`), whose calls count
-only once they are kept.  Backends implement a single
+once, in a sidecar; :func:`read_transcript` joins them back), the run's
+warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
+(:meth:`LlmClient.submit`), whose calls and warnings count only once they
+are kept.  Backends implement a single
 ``complete(request) -> ChatResult`` method, so tests can swap in the mocks
 and the rest of the pipeline cannot tell the difference.  Backends may be
 called from several threads at once.
@@ -58,7 +59,6 @@ class ChatRequest:
     user_message: str
     temperature: float = 0.7
     max_new_tokens: int = 8192
-    model: str = ""
 
     def messages(self) -> list[dict]:
         msgs = []
@@ -243,7 +243,7 @@ class HttpBackend(_CallCounter):
     def complete(self, request: ChatRequest) -> ChatResult:
         self._count()
         payload = {
-            "model": request.model or self.model,
+            "model": self.model,
             "messages": request.messages(),
             "temperature": request.temperature,
             "max_tokens": request.max_new_tokens,
@@ -288,28 +288,30 @@ R = TypeVar("R")
 
 
 class Pending(Generic[R]):
-    """A job from :meth:`LlmClient.submit`; its calls count only once it is kept.
+    """A job from :meth:`LlmClient.submit`; its calls and warnings count only once it is kept.
 
-    The ledger records and transcript lines of its calls are held until
-    :meth:`result` commits them, when it is called, so the order of
-    ``result`` calls is the transcript's order; :meth:`discard` drops them,
-    and a job not yet started never runs.  At a bound of 1 the job runs
-    inside :meth:`result`, in program order.
+    The ledger records and transcript lines of its calls, and its warnings,
+    are held until :meth:`result` commits them, when it is called, so the
+    order of ``result`` calls is the order of the transcript and of
+    ``LlmClient.warnings``; :meth:`discard` drops them, and a job not yet
+    started never runs.  At a bound of 1 the job runs inside :meth:`result`,
+    in program order.
     """
 
     def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple):
-        self._client, self._fn, self._args, self._held = client, fn, args, []
+        self._client, self._fn, self._args = client, fn, args
+        self._held, self._warnings = [], []  # the calls and warnings result() commits
         self._future: Future | None = None
         if client.max_in_flight > 1:
             client._pool = client._pool or ThreadPoolExecutor(client.max_in_flight)
             self._future = client._pool.submit(self._holding)
 
     def _holding(self) -> R:
-        self._client._local.held = self._held
+        self._client._local.job = self
         try:
             return self._fn(*self._args)
         finally:
-            self._client._local.held = None
+            self._client._local.job = None
 
     def peek(self) -> R:
         """The job's value, or its error raised, with its calls still held (bound above 1)."""
@@ -322,11 +324,11 @@ class Pending(Generic[R]):
         try:
             return self._future.result()
         finally:
-            held, self._held = self._held, []
-            self._client._commit(held)
+            held, warnings, self._held, self._warnings = self._held, self._warnings, [], []
+            self._client._commit(held, warnings)
 
     def discard(self) -> None:
-        """Drop the job's calls; a job not yet started never runs."""
+        """Drop the job's calls and warnings; a job not yet started never runs."""
         if self._future is not None:
             self._future.cancel()
             self._client._discarded.append(self._held)
@@ -340,7 +342,8 @@ class LlmClient:
     attempts, or wait as long as the server's ``Retry-After`` asks if that
     is longer, never more than ``backoff_cap``; auth failures and
     malformed-payload errors propagate at once.  ``sleep`` is injectable so
-    tests never wait.  Jobs from :meth:`submit` and :meth:`map` share one
+    tests never wait.  :meth:`warn` adds to ``warnings``, in the order a
+    serial run would.  Jobs from :meth:`submit` and :meth:`map` share one
     pool of ``max_in_flight`` threads; the default of 1 starts no thread
     and keeps every call in program order.  :meth:`close`, or leaving a
     ``with`` block, waits for the pool, adds the calls that
@@ -357,6 +360,7 @@ class LlmClient:
     sleep: Callable[[float], None] = time.sleep
     max_in_flight: int = 1
     speculation: Counter = field(default_factory=lambda: Counter(SPECULATED), init=False)
+    warnings: list[str] = field(default_factory=list, init=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
@@ -385,6 +389,10 @@ class LlmClient:
             self._commit([(result.prompt_tokens, result.completion_tokens, line)])
             return result.text
         raise RetryBudgetExhausted(self.retry_budget, last or LlmError("no attempt ran"))
+
+    def warn(self, text: str) -> None:
+        """Add *text* to ``warnings``; inside a job, once the job is kept."""
+        self._commit([], [text])
 
     def submit(self, fn: Callable[..., R], *args) -> Pending[R]:
         """Start ``fn(*args)``, which must not depend on jobs still running."""
@@ -434,16 +442,20 @@ class LlmClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _commit(self, held: list[tuple]) -> None:
+    def _commit(self, held: list[tuple], warnings: Sequence[str] = ()) -> None:
         """Count ``(prompt_tokens, completion_tokens, line)`` calls; write their lines.
 
+        Inside a job they are held by the job, with *warnings*, instead.
         A line is ``(json, parts)``, or None without a transcript.  New parts
         go to the sidecar first, at this point and in transcript order, so
         held calls give the same sidecar as a serial run.
         """
-        if getattr(self._local, "held", None) is not None:
-            self._local.held.extend(held)
+        job = getattr(self._local, "job", None)
+        if job is not None:
+            job._held.extend(held)
+            job._warnings.extend(warnings)
             return
+        self.warnings.extend(warnings)
         for prompt_tokens, completion_tokens, _ in held:
             self.ledger.record(prompt_tokens, completion_tokens)
         lines = [line for *_, line in held if line is not None]

@@ -579,9 +579,7 @@ class TranslationUnit:
         return self.source_text
 
 
-def split_sections(
-    text: str, warnings: list[str] | None = None
-) -> list[TranslationUnit]:
+def split_sections(text: str) -> list[TranslationUnit]:
     """Cut the document into preamble + section-sized units.
 
     The preamble (up to and including ``\\begin{document}``) becomes a
@@ -589,8 +587,6 @@ def split_sections(
     command; front matter before the first section is its own unit.  The
     concatenation of all ``source_text`` fields equals *text* exactly.
     """
-    if warnings is None:
-        warnings = []
     span_at = _span_index(comment_spans(text))
     units: list[TranslationUnit] = []
     m = _search_skipping(_BEGIN_DOC_RE, text, span_at)
@@ -650,7 +646,7 @@ def parse_project(project: ProjectSource) -> ParsedDocument:
     warnings = list(merged.warnings)
     decapped, cap_map = extract_captions(merged.text, warnings)
     stripped, env_map = extract_environments(decapped, warnings)
-    sections = split_sections(stripped, warnings)
+    sections = split_sections(stripped)
     return ParsedDocument(merged, stripped, cap_map, env_map, sections, warnings)
 
 

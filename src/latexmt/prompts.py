@@ -4,7 +4,9 @@ Templates live as plain text under ``latexmt/data/prompts`` and use a
 single literal slot, ``{tgt_language}``, replaced by the human-readable
 target language name.  Plain ``str.replace`` is used instead of
 ``str.format`` because the templates are full of LaTeX braces.
-:func:`render_for` is the one place a run's config becomes a prompt.
+:func:`render_for` and :func:`request` are the one place a run's config
+becomes a prompt, and :func:`request` the one place an agent's temperature
+and token cap are chosen.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 from stat import S_ISREG
 
 from .config import RunConfig, language_name
+from .llm import ChatRequest
 
 TEMPLATE_NAMES = (
     "translator",
@@ -67,3 +70,23 @@ def render(name: str, tgt_language: str = "", prompt_dir: Path | str | None = No
 def render_for(name: str, config: RunConfig) -> str:
     """Template *name* for a run: *config*'s target language and prompt_dir."""
     return render(name, language_name(config.target_language), config.prompt_dir)
+
+
+def request(
+    name: str, user_message: str, config: RunConfig, system_prompt: str = ""
+) -> ChatRequest:
+    """What agent *name* sends: *system_prompt*, or else its template, and its sampling.
+
+    The filter answers one word, the same every time.  The other agents use
+    *config*'s token cap and its temperature for judges (terminology,
+    summarizer, completeness) or for writers (translator, corrector).
+    """
+    if name == "filter":
+        temperature, max_new_tokens = 0.0, 50
+    else:
+        judge = name in ("terminology", "summarizer", "completeness")
+        temperature = config.judge_temperature if judge else config.translator_temperature
+        max_new_tokens = config.agent_max_new_tokens
+    return ChatRequest(
+        system_prompt or render_for(name, config), user_message, temperature, max_new_tokens
+    )

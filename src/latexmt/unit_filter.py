@@ -4,7 +4,7 @@ Well-known math/code/table environments are decided from a static list
 without spending a single model call.  Anything unrecognized is judged by
 the model from its content alone, with a strict True/False reply contract:
 after the parse-retry budget the decision falls back to "preserve" and the
-incident is recorded as a warning.
+incident is recorded as a warning (:meth:`LlmClient.warn`).
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ from pathlib import Path
 
 from . import prompts
 from .config import RunConfig
-from .errors import LlmError
-from .llm import ChatRequest, LlmClient
+from .errors import ConfigError, LlmError
+from .llm import LlmClient
 from .parser import GRAN_ENVIRONMENT, TranslationUnit
 
 SOURCE_PREDEFINED = "PREDEFINED"
 SOURCE_LLM = "LLM"
 SOURCE_DEFAULT = "DEFAULT"
-
-FILTER_TEMPERATURE = 0.0
-FILTER_MAX_NEW_TOKENS = 50
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,10 @@ class ProtectedEnvList:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ProtectedEnvList":
-        return cls(_parse_lines(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls(_parse_lines(Path(path).read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read protected_envs_path: {exc}") from exc
 
     @classmethod
     def default(cls) -> "ProtectedEnvList":
@@ -70,11 +70,7 @@ def _parse_lines(text: str) -> set[str]:
 
 
 def classify_unit(
-    unit: TranslationUnit,
-    protected: ProtectedEnvList,
-    client: LlmClient | None,
-    config: RunConfig,
-    warnings: list[str] | None = None,
+    unit: TranslationUnit, protected: ProtectedEnvList, client: LlmClient, config: RunConfig
 ) -> FilterDecision:
     """Decide whether one environment unit's content should be translated.
 
@@ -85,60 +81,37 @@ def classify_unit(
     """
     if unit.env_name is None or unit.env_name in protected:
         return FilterDecision(unit.id, False, SOURCE_PREDEFINED)
-    if client is None:
-        return FilterDecision(unit.id, False, SOURCE_DEFAULT)
-    request = ChatRequest(
-        system_prompt=prompts.render_for("filter", config),
-        user_message=unit.source_text,
-        temperature=FILTER_TEMPERATURE,
-        max_new_tokens=FILTER_MAX_NEW_TOKENS,
-        model=config.model,
-    )
+    request = prompts.request("filter", unit.source_text, config)
     for _ in range(max(1, config.filter_parse_retries)):
         try:
             reply = client.chat(request).strip()
         except LlmError as exc:
-            if warnings is not None:
-                warnings.append(
-                    f"filter call failed for unit {unit.id} ({unit.env_name}): "
-                    f"{exc}; defaulting to preserve"
-                )
+            client.warn(
+                f"filter call failed for unit {unit.id} ({unit.env_name}): "
+                f"{exc}; defaulting to preserve"
+            )
             return FilterDecision(unit.id, False, SOURCE_DEFAULT)
         if reply == "True":
             return FilterDecision(unit.id, True, SOURCE_LLM)
         if reply == "False":
             return FilterDecision(unit.id, False, SOURCE_LLM)
-    if warnings is not None:
-        warnings.append(
-            f"filter reply unparseable for unit {unit.id} ({unit.env_name}) "
-            f"after {config.filter_parse_retries} attempts; defaulting to preserve"
-        )
+    client.warn(
+        f"filter reply unparseable for unit {unit.id} ({unit.env_name}) "
+        f"after {config.filter_parse_retries} attempts; defaulting to preserve"
+    )
     return FilterDecision(unit.id, False, SOURCE_DEFAULT)
 
 
 def classify_units(
-    units: list[TranslationUnit],
-    protected: ProtectedEnvList,
-    client: LlmClient | None,
-    config: RunConfig,
-    warnings: list[str] | None = None,
+    units: list[TranslationUnit], protected: ProtectedEnvList, client: LlmClient, config: RunConfig
 ) -> list[FilterDecision]:
     """Classify every environment unit and apply the decisions in place.
 
-    The units are independent, so with a client they are classified through
+    The units are independent, so they are classified through
     :meth:`LlmClient.map`; decisions and warnings keep unit order.
     """
     envs = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
-
-    def classify(unit: TranslationUnit) -> tuple[FilterDecision, list[str]]:
-        notes: list[str] = []
-        return classify_unit(unit, protected, client, config, notes), notes
-
-    outcomes = client.map(classify, envs) if client is not None else map(classify, envs)
-    decisions = []
-    for unit, (decision, notes) in zip(envs, outcomes):
+    decisions = client.map(lambda u: classify_unit(u, protected, client, config), envs)
+    for unit, decision in zip(envs, decisions):
         unit.needs_translation = decision.translate
-        decisions.append(decision)
-        if warnings is not None:
-            warnings.extend(notes)
     return decisions

@@ -218,7 +218,10 @@ def test_05_validator_mechanics(announce):
         unit = TranslationUnit(id=0, granularity=GRAN_SECTION, source_text=FAULT_SOURCE)
         unit.translated_text = FAULT_BROKEN
         unit.status = STATUS_TRANSLATED
-        report = validate_translations([unit], 1, None, RunConfig())
+        judge = EchoBackend()
+        cfg = RunConfig(completeness_check=False)
+        report = validate_translations([unit], 1, quiet_client(judge), cfg)
+        assert judge.calls == 0
         dims = [f.dimension for f in report.findings]
         texts = " | ".join(f.description for f in report.findings)
         assert DIM_PLACEHOLDER in dims
@@ -300,16 +303,10 @@ def test_06_filter_contract(announce):
         )
         assert (decision.translate, decision.source) == (False, SOURCE_LLM)
 
-        warnings = []
-        decision = classify_unit(
-            env_unit("notebox"),
-            protected,
-            quiet_client(RuleBackend([(r".", "perhaps")])),
-            RunConfig(),
-            warnings=warnings,
-        )
+        client = quiet_client(RuleBackend([(r".", "perhaps")]))
+        decision = classify_unit(env_unit("notebox"), protected, client, RunConfig())
         assert (decision.translate, decision.source) == (False, SOURCE_DEFAULT)
-        assert warnings, "garbage replies must leave a warning behind"
+        assert client.warnings, "garbage replies must leave a warning behind"
         status = "PASS"
     finally:
         announce("6 filter contract", status)
@@ -333,7 +330,7 @@ def test_07_bookkeeping(tmp_path, announce):
             "not a term line at all",
         ]
         for reply in replies:
-            extract_terms("s", "t", d, quiet_client(RuleBackend([], default=reply)), cfg, [])
+            extract_terms("s", "t", d, quiet_client(RuleBackend([], default=reply)), cfg)
             sizes.append(len(d))
         assert sizes == sorted(sizes)
         assert d.pairs() == [("graph", "\u56fe"), ("edge", "\u8fb9")]

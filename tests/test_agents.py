@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from latexmt import prompts
 from latexmt.agents import (
     DEFAULT_COMMAND_ALLOWLIST,
     DIM_COMMAND,
@@ -37,12 +38,14 @@ from latexmt.llm import (
 )
 from latexmt.parser import (
     GRAN_CAPTION,
+    GRAN_ENVIRONMENT,
     GRAN_SECTION,
     STATUS_FAILED,
     STATUS_TRANSLATED,
     STATUS_VALIDATED,
     TranslationUnit,
 )
+from latexmt.unit_filter import ProtectedEnvList, classify_unit
 
 
 JOIN_TIMEOUT_S = 30.0
@@ -145,12 +148,12 @@ def test_extract_terms_na_is_a_noop():
 
 def test_extract_terms_skips_malformed_lines_with_one_warning():
     d = TermDictionary()
-    warnings = []
     reply = '"good" - "\u597d"\nthis line is junk\nanother junk line'
-    extract_terms("s", "t", d, make_client(RuleBackend([], default=reply)), CFG, warnings)
+    client = make_client(RuleBackend([], default=reply))
+    extract_terms("s", "t", d, client, CFG)
     assert d.pairs() == [("good", "\u597d")]
-    assert len(warnings) == 1
-    assert "2 unparseable line(s)" in warnings[0]
+    assert len(client.warnings) == 1
+    assert "2 unparseable line(s)" in client.warnings[0]
 
 
 def test_extract_terms_duplicate_source_not_overwritten():
@@ -165,12 +168,10 @@ def test_extract_terms_duplicate_source_not_overwritten():
 
 
 def test_extract_terms_survives_llm_failure():
-    warnings = []
-    added = extract_terms(
-        "s", "t", TermDictionary(), make_client(RuleBackend([])), CFG, warnings
-    )
+    client = make_client(RuleBackend([]))
+    added = extract_terms("s", "t", TermDictionary(), client, CFG)
     assert added == []
-    assert any("terminology extraction failed" in w for w in warnings)
+    assert any("terminology extraction failed" in w for w in client.warnings)
 
 
 # --------------------------------------------------------------------------
@@ -199,22 +200,18 @@ def test_update_summary_prompt_carries_previous_text():
 
 def test_update_summary_overflow_is_a_warning_not_truncation():
     long_reply = " ".join(["word"] * 400)
-    warnings = []
-    updated = update_summary(
-        Summary(), "sec", make_client(RuleBackend([], default=long_reply)), CFG, warnings
-    )
+    client = make_client(RuleBackend([], default=long_reply))
+    updated = update_summary(Summary(), "sec", client, CFG)
     assert updated.word_count == 400
-    assert any("400 words" in w for w in warnings)
+    assert any("400 words" in w for w in client.warnings)
 
 
 def test_update_summary_failure_keeps_previous():
-    warnings = []
     prev = Summary("kept", 2)
-    updated = update_summary(
-        prev, "sec", make_client(RuleBackend([])), CFG, warnings
-    )
+    client = make_client(RuleBackend([]))
+    updated = update_summary(prev, "sec", client, CFG)
     assert updated is prev
-    assert any("keeping version 2" in w for w in warnings)
+    assert any("keeping version 2" in w for w in client.warnings)
 
 
 # --------------------------------------------------------------------------
@@ -286,45 +283,38 @@ def test_command_counts_must_match_exactly():
 
 def test_completeness_ok_reply():
     u = unit_with("src", "dst")
-    report = ErrorReport(1)
-    findings = check_content_completeness(
-        u, make_client(RuleBackend([], default="OK")), CFG, report, []
-    )
+    client = make_client(RuleBackend([], default="OK"))
+    findings = check_content_completeness(u, client, CFG)
     assert findings == []
-    assert report.skipped == []
+    assert client.warnings == []
 
 
 def test_completeness_findings_parsed_line_by_line():
     u = unit_with("src", "dst")
     reply = "- the second paragraph is missing\n- the footnote vanished"
-    findings = check_content_completeness(
-        u, make_client(RuleBackend([], default=reply)), CFG, ErrorReport(1), []
-    )
+    findings = check_content_completeness(u, make_client(RuleBackend([], default=reply)), CFG)
     assert [f.dimension for f in findings] == [DIM_COMPLETENESS, DIM_COMPLETENESS]
     assert findings[0].description == "the second paragraph is missing"
 
 
 def test_completeness_garbage_reply_skips_dimension():
     u = unit_with("src", "dst")
-    report = ErrorReport(1)
-    warnings = []
-    findings = check_content_completeness(
-        u, make_client(RuleBackend([], default="I think it looks fine!")), CFG, report, warnings
-    )
-    assert findings == []
+    client = make_client(RuleBackend([], default="I think it looks fine!"))
+    findings = check_content_completeness(u, client, CFG)
+    assert findings is None
+    assert any("unparseable" in w for w in client.warnings)
+    # validate_translations records the skip in the round's report.
+    report = validate_translations([u], 1, client, CFG)
+    assert report.ok
     assert report.skipped == [f"unit 0: {DIM_COMPLETENESS}"]
-    assert any("unparseable" in w for w in warnings)
 
 
 def test_completeness_transport_failure_skips_dimension():
     u = unit_with("src", "dst")
-    report = ErrorReport(1)
-    warnings = []
-    findings = check_content_completeness(
-        u, make_client(RuleBackend([])), CFG, report, warnings
-    )
-    assert findings == []
-    assert len(report.skipped) == 1
+    client = make_client(RuleBackend([]))
+    findings = check_content_completeness(u, client, CFG)
+    assert findings is None
+    assert any("completeness check skipped for unit 0" in w for w in client.warnings)
 
 
 def test_mechanical_failures_suppress_completeness_call():
@@ -346,8 +336,10 @@ def test_completeness_disabled_by_config():
 
 def test_validate_skips_units_without_candidates():
     pending = section_unit(0, "never translated")
-    report = validate_translations([pending], 1, None, CFG)
+    backend = EchoBackend()
+    report = validate_translations([pending], 1, make_client(backend), CFG)
     assert report.ok
+    assert backend.calls == 0
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +433,7 @@ def test_pipeline_echo_identity_validates_first_round():
     assert result.rounds_used == 1
     assert all(u.status == STATUS_VALIDATED for u in units)
     assert units[0].translated_text == units[0].source_text
-    assert result.final_report.ok
+    assert result.reports[-1].ok
 
 
 def test_pipeline_skips_non_translatable_units_without_calls():
@@ -492,12 +484,12 @@ def test_pipeline_repairs_flagged_unit_in_round_two():
 def test_pipeline_gives_up_after_max_rounds_and_falls_back():
     unit = section_unit(0, "Alpha <PLACEHOLDER_ENV_0> beta.")
     cfg = RunConfig(max_validation_rounds=3)
-    result = run_pipeline([unit], make_client(repair_rules(BROKEN)), cfg, [])
+    client = make_client(repair_rules(BROKEN))
+    result = run_pipeline([unit], client, cfg)
     assert result.rounds_used == 3
     assert unit.status == STATUS_FAILED
     assert unit.output_text() == unit.source_text
-    assert any("falling back to source text" in w for w in result.warnings)
-    assert result.failed_units() == [unit]
+    assert any("falling back to source text" in w for w in client.warnings)
 
 
 def test_failed_revision_carries_findings_instead_of_rejudging():
@@ -564,13 +556,11 @@ def test_pipeline_partial_translation_failure_is_tolerated():
         ],
         default="translated!",
     )
-    warnings = []
-    result = run_pipeline(
-        [good, bad], make_client(rules_backend), CFG, warnings
-    )
+    client = make_client(rules_backend)
+    result = run_pipeline([good, bad], client, CFG)
     assert good.status == STATUS_VALIDATED
     assert bad.status == STATUS_FAILED
-    assert any("translation failed for unit 1" in w for w in warnings)
+    assert any("translation failed for unit 1" in w for w in client.warnings)
     assert result.rounds_used == 1
 
 
@@ -681,12 +671,9 @@ def speculation_units():
 
 def run_speculating(tmp_path, bound):
     sent, transcript = [], tmp_path / f"bound{bound}.jsonl"
-    warnings = []
     backend = pinning_backend(sent, threading.Event() if bound > 1 else None)
     with make_client(backend, transcript, bound) as client:
-        result = run_pipeline(
-            speculation_units(), client, RunConfig(completeness_check=False), warnings
-        )
+        result = run_pipeline(speculation_units(), client, RunConfig(completeness_check=False))
     return result, sent, transcript.read_bytes(), client
 
 
@@ -696,7 +683,7 @@ def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
     assert lines == serial_lines
     assert client.ledger.summary() == serial_client.ledger.summary()
     assert [u.translated_text for u in result.units] == [u.translated_text for u in serial.units]
-    assert result.warnings == serial.warnings
+    assert client.warnings == serial_client.warnings
     assert dict(serial_client.speculation) == dict.fromkeys(serial_client.speculation, 0)
     # Unit 1 was sent without the pair, then again with it; only the resend counts.
     unit1 = [r for r in sent if r.user_message == "A second calibration run."]
@@ -719,3 +706,42 @@ def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path):
     assert result.summary == serial.summary == Summary("digest of Closing word", 2)
     # Its summary update ran alongside the failed translation, then was dropped.
     assert any("new_section:\nAn unlucky" in r.user_message for r in sent)
+
+
+# --------------------------------------------------------------------------
+# what each agent sends
+
+
+def test_each_agent_sends_its_template_and_sampling():
+    cfg = RunConfig(
+        target_language="fr", translator_temperature=0.9, judge_temperature=0.3,
+        agent_max_new_tokens=123,
+    )
+    sent = []
+
+    def capture(_match, request):
+        sent.append((request.system_prompt, request.temperature, request.max_new_tokens))
+        return "True"
+
+    client = make_client(RuleBackend([(r"", capture)]))
+    unit = unit_with("src", "dst")
+    summary, terms = Summary("so far", 1), TermDictionary()
+    translate_unit(unit, summary, terms, client, cfg)
+    retranslate_unit(unit, [Finding(0, DIM_COMPLETENESS, "gone")], client, cfg)
+    extract_terms("src", "dst", terms, client, cfg)
+    update_summary(summary, "section", client, cfg)
+    check_content_completeness(unit, client, cfg)
+    box = TranslationUnit(id=1, granularity=GRAN_ENVIRONMENT, source_text="x", env_name="box")
+    classify_unit(box, ProtectedEnvList([]), client, cfg)
+
+    def template(name):
+        return prompts.render(name, "French")
+
+    assert sent == [
+        (render_translator_system(summary, terms, "src", cfg), 0.9, 123),
+        (template("corrector"), 0.9, 123),
+        (template("terminology"), 0.3, 123),
+        (template("summarizer"), 0.3, 123),
+        (template("completeness"), 0.3, 123),
+        (template("filter"), 0.0, 50),
+    ]

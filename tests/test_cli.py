@@ -445,6 +445,22 @@ def test_a_project_without_a_recording_is_a_usage_error(tmp_path, monkeypatch, c
     assert tree_snapshot(out / "two") == before  # the last run's output is untouched
 
 
+def test_an_unreadable_protected_list_is_a_usage_error_that_keeps_the_last_output(
+    tmp_path, monkeypatch, capsys
+):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    missing = tmp_path / "nonexistent" / "list.txt"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"protected_envs_path: {json.dumps(str(missing))}\n")
+    code, after = _translate(proj, out, monkeypatch, "--mock", "echo", "--config", str(cfg))
+    assert code == 2
+    assert "doc: FAILED: cannot read protected_envs_path:" in capsys.readouterr().err
+    assert after == before
+
+
 def test_translate_rejects_bad_config(tmp_path):
     proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
     cfg = tmp_path / "bad.yaml"

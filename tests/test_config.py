@@ -152,6 +152,26 @@ def test_validation_rejects_a_source_language_the_prompts_do_not_support():
     assert load_config(None, {"source_language": "en-GB"}).source_language == "en-GB"
 
 
+def test_language_preambles_must_be_lists_of_strings(tmp_path):
+    path = tmp_path / "run.yaml"
+    wanted = r"language_preambles\['zh'\] must be a list of strings"
+    for bad in ('zh: "\\\\usepackage{xeCJK}"', "zh: [1, 2]", "zh: {a: b}"):
+        path.write_text(f"language_preambles:\n  {bad}\n")
+        with pytest.raises(ConfigError, match=wanted):
+            load_config(path)
+    path.write_text('language_preambles:\n  zh: ["\\\\usepackage{xeCJK}"]\n  fr: []\n')
+    assert load_config(path).language_preambles == {"zh": ["\\usepackage{xeCJK}"], "fr": []}
+
+
+def test_prompt_dir_must_be_a_directory(tmp_path):
+    (tmp_path / "a_file.txt").write_text("")
+    for bad in (tmp_path / "nonexistent", tmp_path / "a_file.txt"):
+        with pytest.raises(ConfigError, match="prompt_dir is not a directory"):
+            load_config(None, {"prompt_dir": str(bad)})
+    assert load_config(None, {"prompt_dir": str(tmp_path)}).prompt_dir == str(tmp_path)
+    assert load_config(None, {"prompt_dir": ""}).prompt_dir == ""  # unset
+
+
 def test_invalid_yaml_is_a_config_error(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("target_language: [unclosed\n")

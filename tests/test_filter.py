@@ -83,33 +83,22 @@ def test_whitespace_around_verdict_tolerated():
 def test_garbage_replies_retried_then_defaulted():
     replies = iter(["maybe", "TRUE", "yes"])  # one request, asked three times
     backend = RuleBackend([(r"", lambda _m, _r: next(replies))])
-    warnings = []
+    client = client_of(backend)
     decision = classify_unit(
-        env_unit(),
-        ProtectedEnvList.default(),
-        client_of(backend),
-        RunConfig(filter_parse_retries=3),
-        warnings=warnings,
+        env_unit(), ProtectedEnvList.default(), client, RunConfig(filter_parse_retries=3)
     )
     assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
     assert backend.calls == 3
-    assert any("unparseable" in w for w in warnings)
+    assert any("unparseable" in w for w in client.warnings)
 
 
 def test_transport_failure_defaults_to_preserve():
     backend = RuleBackend([])  # no rule, no default: every call errors
-    warnings = []
-    decision = classify_unit(
-        env_unit(), ProtectedEnvList.default(), client_of(backend), CFG, warnings=warnings
-    )
+    client = client_of(backend)
+    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client, CFG)
     assert decision.source == SOURCE_DEFAULT
     assert decision.translate is False
-    assert any("defaulting to preserve" in w for w in warnings)
-
-
-def test_no_client_defaults_to_preserve():
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), None, CFG)
-    assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
+    assert any("defaulting to preserve" in w for w in client.warnings)
 
 
 def test_classify_units_applies_decisions_and_skips_other_kinds():

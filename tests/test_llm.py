@@ -90,13 +90,6 @@ def test_replay_backend_keys_on_every_recorded_field(tmp_path, change):
         backend.complete(asked)
 
 
-def test_replay_backend_ignores_the_model(tmp_path):
-    record(tmp_path, [(req(), "hi")])
-    asked = req()
-    asked.model = "another-model"
-    assert ReplayBackend(tmp_path).complete(asked).text == "hi"
-
-
 def test_replay_backend_without_a_recording_is_a_config_error(tmp_path):
     for logs in (tmp_path / "missing", tmp_path):  # no directory; no transcript in it
         with pytest.raises(ConfigError, match="no recording to replay: .* not found"):
@@ -564,3 +557,56 @@ def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
     assert backend.calls == 1
     assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
     assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)
+
+
+# --------------------------------------------------------------------------
+# warnings: held, kept and dropped with a job's calls
+
+
+def warning_job(client, item):
+    client.chat(req(item))
+    client.warn(f"warned {item}")
+    return item
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_kept_jobs_warnings_arrive_in_the_order_results_are_taken(bound):
+    with client_for(EchoBackend(), max_in_flight=bound) as client:
+        client.warn("before")
+        jobs = {item: client.submit(warning_job, client, item) for item in ("a", "b", "c")}
+        if bound > 1:
+            assert [job.peek() for job in jobs.values()] == ["a", "b", "c"]
+        assert client.warnings == ["before"]  # done at bound 3, but held
+        jobs["c"].result()
+        jobs["a"].result()
+        client.warn("outside")  # not in a job: kept at once
+        jobs["b"].result()
+    assert client.warnings == ["before", "warned c", "warned a", "outside", "warned b"]
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_a_discarded_jobs_warnings_never_arrive(bound):
+    with client_for(EchoBackend(), max_in_flight=bound) as client:
+        dropped = client.submit(warning_job, client, "dropped")
+        kept = client.submit(warning_job, client, "kept")
+        if bound > 1:
+            assert dropped.peek() == "dropped"  # it ran and warned
+        dropped.discard()
+        assert kept.result() == "kept"
+    assert client.warnings == ["warned kept"]
+    assert client.calls == 1
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_a_map_item_that_raises_still_commits_its_warnings(bound):
+    def call(item):
+        warning_job(client, item)
+        if item == "b":
+            raise ValueError("b broke")
+        return item
+
+    client = client_for(EchoBackend(), max_in_flight=bound)
+    with client, pytest.raises(ValueError, match="b broke"):
+        client.map(call, ["a", "b", "c"])
+    assert client.warnings == ["warned a", "warned b"]  # c's, if it ran, were dropped
+    assert client.calls == 2

@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
+import pytest
+
 from latexmt import prompts
+from latexmt.config import RunConfig
+from latexmt.llm import ChatRequest
 
 
 def _count_reads(monkeypatch) -> list[Path]:
@@ -38,3 +42,30 @@ def test_missing_override_falls_back_to_packaged_template(tmp_path):
     (tmp_path / "filter.txt").mkdir()  # not a file: ignored, as a missing one is
     assert prompts.load_template("filter", tmp_path) == prompts.load_template("filter")
     assert prompts.load_template("summarizer", tmp_path) == prompts.load_template("summarizer")
+
+
+# The (system prompt, temperature, max_new_tokens) each agent sends under
+# CONFIG: writers at translator_temperature, judges at judge_temperature,
+# the filter at 0.0 with room for one word.
+CONFIG = RunConfig(
+    target_language="fr", translator_temperature=0.9, judge_temperature=0.3,
+    agent_max_new_tokens=123,
+)
+SAMPLING = {
+    "translator": (0.9, 123),
+    "corrector": (0.9, 123),
+    "terminology": (0.3, 123),
+    "summarizer": (0.3, 123),
+    "completeness": (0.3, 123),
+    "filter": (0.0, 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING))
+def test_request_picks_each_agents_template_and_sampling(name):
+    built = prompts.request(name, "the user message", CONFIG)
+    assert built == ChatRequest(
+        prompts.render(name, "French"), "the user message", *SAMPLING[name]
+    )
+    given = prompts.request(name, "the user message", CONFIG, "a system prompt")
+    assert given == ChatRequest("a system prompt", "the user message", *SAMPLING[name])
