@@ -3,7 +3,8 @@
 Reassembly enforces placeholder conservation strictly: every map entry
 must be consumed exactly once and no unknown token may remain.  Environment
 tokens are resolved before caption tokens because captions live inside
-environment bodies.
+environment bodies.  Unmerging checks every file-boundary token before
+it writes a file, so bad boundaries leave the output directory untouched.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     UnbalancedFileBoundaries,
     UnresolvedPlaceholder,
 )
+from .config import CJK_LANGUAGES
 from .evaluator import parse_log
 from .parser import GRAN_SECTION, MergedDocument, TranslationUnit, find_begin_document
 from .placeholders import (
@@ -35,9 +37,7 @@ from .placeholders import (
 )
 
 DEFAULT_LANGUAGE_PREAMBLES: dict[str, tuple[str, ...]] = {
-    "zh": ("\\usepackage{xeCJK}",),
-    "ja": ("\\usepackage{xeCJK}",),
-    "ko": ("\\usepackage{xeCJK}",),
+    lang: ("\\usepackage{xeCJK}",) for lang in sorted(CJK_LANGUAGES)
 }
 
 
@@ -115,30 +115,23 @@ def _check_consumed(pmap: PlaceholderMap, counts: Counter) -> None:
 # un-merging
 
 
-class _FileNode:
-    __slots__ = ("boundary", "items")
-
-    def __init__(self, boundary):
-        self.boundary = boundary
-        self.items: list = []  # str pieces and child _FileNodes, in order
-
-
 def unmerge(full_text: str, merged: MergedDocument, out_dir: Path | str) -> list[Path]:
     """Split a merged document back into its original file tree.
 
     Every begin/end boundary pair becomes one file under *out_dir*; the
     containing file gets the original ``\\input``/``\\include`` directive
-    back.  Mispaired or unknown boundary tokens are fatal.  Returns the
-    written paths, main file first.
+    back.  Mispaired, unknown or unclosed boundary tokens are fatal, and
+    then nothing is written.  Returns the written paths, main file first.
     """
-    out_dir = Path(out_dir)
     by_id = {b.token_id: b for b in merged.boundaries}
-    root = _FileNode(None)
-    stack = [root]
+    # Begin tokens arrive in pre-order, so each opens the next file to write.
+    files: list[tuple[str, list[str]]] = [(merged.main_file, [])]
+    stack = [(None, files[0][1])]  # open (boundary, pieces), innermost last
     cursor = 0
     for m in FILE_TOKEN_RE.finditer(full_text):
         token_id, which = int(m.group(1)), m.group(2)
-        stack[-1].items.append(full_text[cursor : m.start()])
+        pieces = stack[-1][1]
+        pieces.append(full_text[cursor : m.start()])
         cursor = m.end()
         if which == "begin":
             boundary = by_id.get(token_id)
@@ -146,35 +139,23 @@ def unmerge(full_text: str, merged: MergedDocument, out_dir: Path | str) -> list
                 raise UnbalancedFileBoundaries(
                     f"unknown file boundary token {m.group(0)}"
                 )
-            node = _FileNode(boundary)
-            stack[-1].items.append(node)
-            stack.append(node)
+            pieces.append(boundary.directive)
+            files.append((boundary.path, []))
+            stack.append((boundary, files[-1][1]))
         else:
-            if len(stack) == 1 or stack[-1].boundary.token_id != token_id:
+            if len(stack) == 1 or stack[-1][0].token_id != token_id:
                 raise UnbalancedFileBoundaries(f"unexpected {m.group(0)}")
             stack.pop()
     if len(stack) != 1:
         raise UnbalancedFileBoundaries(
-            f"missing end marker for file {stack[-1].boundary.path}"
+            f"missing end marker for file {stack[-1][0].path}"
         )
-    root.items.append(full_text[cursor:])
+    files[0][1].append(full_text[cursor:])
 
-    written: list[Path] = []
-
-    def emit(node: _FileNode, rel_path: str) -> None:
-        content = "".join(
-            item if isinstance(item, str) else item.boundary.directive
-            for item in node.items
-        )
-        path = out_dir / rel_path
+    written = [Path(out_dir) / rel_path for rel_path, _ in files]
+    for path, (_, pieces) in zip(written, files):
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8", errors="surrogateescape", newline="")
-        written.append(path)
-        for item in node.items:
-            if isinstance(item, _FileNode):
-                emit(item, item.boundary.path)
-
-    emit(root, merged.main_file)
+        path.write_text("".join(pieces), encoding="utf-8", errors="surrogateescape", newline="")
     return written
 
 

@@ -9,10 +9,12 @@ earlier ones:
 4. ``split_sections``      - cut the remaining text at sectioning commands
 5. ``enumerate_units``     - one flat, ordered list of translation units
 
-All scanning is comment-aware (an unescaped ``%`` hides the rest of the
-line) and verbatim-aware (``%`` inside ``verbatim``-like environments is
-literal).  Structural problems such as unbalanced braces or a stray
-``\\end`` are recorded as warning strings, never raised.
+Every pass finds structure with ``_next_live``: a match counts only outside
+comments (an unescaped ``%`` hides the rest of the line; inside
+``verbatim``-like environments it is literal) and when it is not escaped.
+Includes and captions also skip verbatim-like bodies.  Structural problems
+such as unbalanced braces, a stray ``\\end`` or a brace-less ``\\input`` are
+recorded as warning strings, never raised.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ _BEGIN_DOC_RE = re.compile(r"\\begin\s*\{document\}")
 _END_DOC_RE = re.compile(r"\\end\s*\{document\}")
 _CAPTION_RE = re.compile(r"\\caption(of)?\*?(?![A-Za-z@])")
 _SECTION_RE = re.compile(r"\\(?:part|chapter|section|subsection|subsubsection)\*?(?![A-Za-z@])")
-_INCLUDE_RE = re.compile(r"\\(?:input|include)\b\s*\{\s*([^{}%]+?)\s*\}")
+# Group 1 is None for the brace-less TeX form, \input chap.
+_INCLUDE_RE = re.compile(r"\\(?:input|include)(?![A-Za-z@])(?:\s*\{\s*([^{}%]+?)\s*\}|(?!\s*\{))")
 # Where str.splitlines ends a line, and the \begin of a verbatim-like
 # environment on one line (\s less the line breaks).
 _LINE_BREAK_RE = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -237,24 +240,25 @@ def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None
     """
     pattern = re.compile(r"\\(begin|end)\s*\{" + re.escape(name) + r"\}")
     depth = 1
-    for m in pattern.finditer(text, search_from):
-        if span_at(m.start()) is not None or _escaped(text, m.start()):
-            continue
-        if m.group(1) == "begin":
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                return m.end()
+    while (m := _next_live(pattern, text, span_at, search_from)) is not None:
+        search_from = m.end()
+        depth += 1 if m.group(1) == "begin" else -1
+        if depth == 0:
+            return m.end()
     return None
 
 
-def _search_skipping(pattern: re.Pattern, text: str, span_at, start: int = 0):
-    """First match of *pattern* that is neither commented nor escaped."""
-    while (m := pattern.search(text, start)) is not None:
+def _next_live(pattern: re.Pattern, text: str, span_at, pos: int = 0, endpos: int | None = None):
+    """First match of *pattern* in ``text[pos:endpos]`` that is live structure.
+
+    A match is dead when it starts inside one of *span_at*'s spans or is
+    escaped; the search then resumes at its end, as ``finditer`` would.
+    """
+    endpos = len(text) if endpos is None else endpos
+    while (m := pattern.search(text, pos, endpos)) is not None:
         if span_at(m.start()) is None and not _escaped(text, m.start()):
             return m
-        start = m.start() + 1
+        pos = m.end()
     return None
 
 
@@ -292,8 +296,6 @@ class ProjectSource:
             raise MissingMainFile(f"no .tex files under {root}")
         if main_file is None:
             main_file = _detect_main(files)
-        elif main_file not in files:
-            raise MissingMainFile(f"{main_file} not found under {root}")
         return cls(root, main_file, files)
 
 
@@ -339,8 +341,8 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     ``<PLACEHOLDER_FILE_k_end>`` so it can be split back out verbatim.
     Include paths resolve relative to the project root.  Directives in
     comments and verbatim-like environments are text, not includes.
-    Unresolvable directives are left in place and recorded as warnings;
-    cycles are fatal.
+    Unresolvable and brace-less (``\\input chap``) directives are left in
+    place and recorded as warnings; cycles are fatal.
     """
     warnings: list[str] = []
     boundaries: list[FileBoundary] = []
@@ -353,11 +355,14 @@ def merge_project(project: ProjectSource) -> MergedDocument:
         visiting.append(rel_path)
         span_at = _span_index(comment_spans(text, verbatim=True))
         out: list[str] = []
-        pos = 0
-        for m in _INCLUDE_RE.finditer(text):
-            if m.start() < pos:
-                continue
-            if span_at(m.start()) is not None or _escaped(text, m.start()):
+        pos = scan = 0
+        while (m := _next_live(_INCLUDE_RE, text, span_at, scan)) is not None:
+            scan = m.end()
+            if m.group(1) is None:
+                warnings.append(
+                    f"brace-less {m.group(0)} at offset {m.start()} in {rel_path}; "
+                    f"not merged, left in place"
+                )
                 continue
             target = _resolve_include(project.files, m.group(1))
             if target is None:
@@ -398,21 +403,19 @@ def extract_captions(
 
     Handles ``\\caption``, ``\\caption*`` and ``\\captionof``, an optional
     short-caption argument, and nested braces in the body.  Tokens are
-    numbered from zero in document order.
+    numbered from zero in document order.  Captions in comments and in
+    verbatim-like environments are text, not captions.
     """
     if warnings is None:
         warnings = []
-    span_at = _span_index(comment_spans(text))
+    span_at = _span_index(comment_spans(text, verbatim=True))
     in_float = _span_index(_float_spans(text, span_at))
     pmap = PlaceholderMap()
     out: list[str] = []
-    pos = 0
+    pos = scan = 0
     counter = 0
-    for m in _CAPTION_RE.finditer(text):
-        if m.start() < pos:
-            continue
-        if span_at(m.start()) is not None or _escaped(text, m.start()):
-            continue
+    while (m := _next_live(_CAPTION_RE, text, span_at, scan)) is not None:
+        scan = m.end()
         if in_float(m.start()) is None:
             continue
         i = m.end()
@@ -448,7 +451,7 @@ def extract_captions(
         pmap.add(token, KIND_CAP, text[i + 1 : close])
         out.append(text[pos : i + 1])
         out.append(token)
-        pos = close
+        pos = scan = close
     out.append(text[pos:])
     return "".join(out), pmap
 
@@ -456,12 +459,9 @@ def extract_captions(
 def _float_spans(text: str, span_at) -> list[tuple[int, int]]:
     """Spans of outermost float environments (where captions may live)."""
     spans: list[tuple[int, int]] = []
-    last_end = 0
-    for m in _BEGIN_RE.finditer(text):
-        if m.start() < last_end:
-            continue
-        if span_at(m.start()) is not None or _escaped(text, m.start()):
-            continue
+    scan = 0
+    while (m := _next_live(_BEGIN_RE, text, span_at, scan)) is not None:
+        scan = m.end()
         name = m.group(1)
         if name not in FLOAT_ENVS:
             continue
@@ -469,7 +469,7 @@ def _float_spans(text: str, span_at) -> list[tuple[int, int]]:
         if end is None:
             continue
         spans.append((m.start(), end))
-        last_end = end
+        scan = end
     return spans
 
 
@@ -488,24 +488,16 @@ def extract_environments(
     span_at = _span_index(comment_spans(text))
     body_start, body_end = _document_body(text, span_at)
     pmap = PlaceholderMap()
-    out: list[str] = [text[:body_start]]
+    out: list[str] = []
     counter = 0
-    i = body_start
-    while True:
-        m = _BEGIN_OR_END_RE.search(text, i, body_end)
-        if m is None:
-            break
-        if span_at(m.start()) is not None or _escaped(text, m.start()):
-            out.append(text[i : m.end()])
-            i = m.end()
-            continue
+    pos, scan = 0, body_start
+    while (m := _next_live(_BEGIN_OR_END_RE, text, span_at, scan, body_end)) is not None:
+        scan = m.end()
         which, name = m.group(1), m.group(2)
         if which == "end":
             warnings.append(
                 f"UnmatchedEnvironment: stray \\end{{{name}}} at offset {m.start()}"
             )
-            out.append(text[i : m.end()])
-            i = m.end()
             continue
         end = _find_env_end(text, m.end(), name, span_at)
         if end is None or end > body_end:
@@ -513,31 +505,29 @@ def extract_environments(
                 f"UnmatchedEnvironment: \\begin{{{name}}} at offset {m.start()} "
                 f"has no matching \\end"
             )
-            out.append(text[i : m.end()])
-            i = m.end()
             continue
         token = env_token(counter)
         counter += 1
         pmap.add(token, KIND_ENV, text[m.start() : end])
-        out.append(text[i : m.start()])
+        out.append(text[pos : m.start()])
         out.append(token)
-        i = end
-    out.append(text[i:])
+        pos = scan = end
+    out.append(text[pos:])
     return "".join(out), pmap
 
 
 def _document_body(text: str, span_at) -> tuple[int, int]:
-    m = _search_skipping(_BEGIN_DOC_RE, text, span_at)
+    m = _next_live(_BEGIN_DOC_RE, text, span_at)
     if m is None:
         return 0, len(text)
-    e = _search_skipping(_END_DOC_RE, text, span_at, m.end())
+    e = _next_live(_END_DOC_RE, text, span_at, m.end())
     return m.end(), e.start() if e is not None else len(text)
 
 
 def find_begin_document(text: str) -> int | None:
     """Offset of the first effective ``\\begin{document}``, or None."""
     span_at = _span_index(comment_spans(text))
-    m = _search_skipping(_BEGIN_DOC_RE, text, span_at)
+    m = _next_live(_BEGIN_DOC_RE, text, span_at)
     return m.start() if m is not None else None
 
 
@@ -589,7 +579,8 @@ def split_sections(text: str) -> list[TranslationUnit]:
     """
     span_at = _span_index(comment_spans(text))
     units: list[TranslationUnit] = []
-    m = _search_skipping(_BEGIN_DOC_RE, text, span_at)
+    m = _next_live(_BEGIN_DOC_RE, text, span_at)
+    prev = scan = 0 if m is None else m.end()
     if m is not None:
         units.append(
             TranslationUnit(
@@ -600,19 +591,10 @@ def split_sections(text: str) -> list[TranslationUnit]:
                 role="preamble",
             )
         )
-        body_off = m.end()
-    else:
-        body_off = 0
-    cuts = [
-        c.start()
-        for c in _SECTION_RE.finditer(text, body_off)
-        if span_at(c.start()) is None and not _escaped(text, c.start())
-    ]
-    prev = body_off
     segments: list[str] = []
-    for cut in cuts:
-        segments.append(text[prev:cut])
-        prev = cut
+    while (c := _next_live(_SECTION_RE, text, span_at, scan)) is not None:
+        segments.append(text[prev : c.start()])
+        prev, scan = c.start(), c.end()
     segments.append(text[prev:])
     for seg in segments:
         residue = TOKEN_RE.sub("", seg).strip()

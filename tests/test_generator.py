@@ -218,6 +218,15 @@ def test_unmerge_unknown_token_id():
         unmerge(merged.text, merged, "/tmp/never-used")
 
 
+def test_unmerge_writes_nothing_when_a_later_boundary_is_bad(tmp_path):
+    boundary = FileBoundary(0, "sub.tex", "\\input{sub}")
+    text = "x" + file_begin_token(0) + "body" + file_end_token(0) + file_end_token(0)
+    merged = MergedDocument(text, "main.tex", (boundary,))
+    with pytest.raises(UnbalancedFileBoundaries):
+        unmerge(merged.text, merged, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unmerge_single_file_writes_main_only(tmp_path):
     merged = MergedDocument("whole document", "main.tex", ())
     written = unmerge(merged.text, merged, tmp_path)

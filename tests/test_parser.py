@@ -118,6 +118,27 @@ def test_unbalanced_caption_is_a_warning_not_an_error():
     assert any("UnbalancedBraces" in w for w in warnings)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "\\begin{verbatim}\n"
+        "\\begin{figure}\\caption{do not touch}\\end{figure}\n"
+        "\\end{verbatim}\n",
+        "\\begin{lstlisting}\n"
+        "% \\begin{table}\\caption{code}\\end{table}\n"
+        "\\end{lstlisting}\n",
+    ],
+)
+def test_caption_inside_verbatim_body_is_text(project_factory, block):
+    main = "\\documentclass{article}\n\\begin{document}\n" + block + "\\end{document}\n"
+    parsed = parse_project(ProjectSource.from_dir(project_factory({"main.tex": main})))
+    units = enumerate_units(parsed)
+    assert [u for u in units if u.granularity == GRAN_CAPTION] == []
+    [verbatim] = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
+    assert verbatim.source_text == block[:-1]
+    assert "PLACEHOLDER_CAP" not in verbatim.source_text
+
+
 def test_captionsetup_is_not_a_caption():
     text = "\\begin{figure}\\captionsetup{font=small}\\caption{real}\\end{figure}"
     out, pmap = extract_captions(text)
@@ -441,6 +462,45 @@ def test_escaped_input_not_expanded(project_factory):
     merged = merge_project(ProjectSource.from_dir(root))
     assert merged.boundaries == ()
     assert "\\\\input{sub}" in merged.text
+
+
+def _brace_less_warnings(project_factory, body: str) -> list[str]:
+    main = "\\documentclass{a}\n\\begin{document}\n" + body + "\n\\end{document}\n"
+    root = project_factory({"main.tex": main, "chap.tex": "CHAPTER\n"})
+    return [w for w in merge_project(ProjectSource.from_dir(root)).warnings if "brace-less" in w]
+
+
+def test_brace_less_input_is_left_in_place_with_a_warning(project_factory):
+    main = "\\documentclass{a}\n\\begin{document}\n\\input chap\n\\end{document}\n"
+    merged = merge_project(ProjectSource.from_dir(project_factory({"main.tex": main})))
+    assert merged.text == main
+    assert merged.boundaries == ()
+    offset = main.index("\\input")
+    assert merged.warnings == (
+        f"brace-less \\input at offset {offset} in main.tex; not merged, left in place",
+    )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "\\input{chap}",
+        "\\input {chap}",
+        "\\include{chap}",
+        "\\makeatletter\\input@path\\makeatother",
+        "\\includegraphics{chap}",
+        "% \\input chap",
+        "\\begin{verbatim}\n\\input chap\n\\end{verbatim}",
+    ],
+)
+def test_brace_less_warning_only_for_live_brace_less_include(project_factory, body):
+    assert _brace_less_warnings(project_factory, body) == []
+
+
+def test_brace_less_include_warns_once_each(project_factory):
+    warnings = _brace_less_warnings(project_factory, "\\input chap \\include\tchap")
+    assert len(warnings) == 2
+    assert "\\include at offset" in warnings[1]
 
 
 # --------------------------------------------------------------------------
