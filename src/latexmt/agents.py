@@ -1,24 +1,24 @@
 """The multi-agent translation loop.
 
 One translator pass over all units (building a rolling document summary and
-a first-occurrence-wins term dictionary as it goes), then batched
-validation rounds.  Each translation's prompt carries the summary and
-dictionary the units before it built.  A section's summary update reads
-only source text, so it starts alongside the section's translation; unit
-k+1's translation is sent while unit k's terms are extracted, with the
-dictionary as it stood before.  That early reply is kept only if the final
-dictionary gives the unit the same term block, and a summary update only if
-its section translated; the rest are discarded unseen
-(:class:`~latexmt.llm.Pending`).  The judge calls and the revisions of a
-round go through :meth:`LlmClient.map`.  Every agent builds its request
-with :func:`~latexmt.prompts.request` and records warnings with
-:meth:`LlmClient.warn`, which keeps a job's warnings with its calls, so
-results, findings, warnings and the transcript keep unit order, as in a
-serial run.  Two validation dimensions are purely mechanical (placeholder
-and control-sequence conservation); the third asks a judge model about
-content completeness and degrades to "skipped" when no usable judge reply
-is available.  Units still failing after the round cap fall back to their
-source text, so a bad unit can never corrupt the document.
+a first-occurrence-wins term dictionary as it goes), then validation
+rounds.  Each translation's prompt carries the summary and dictionary the
+units before it built.  A section's summary update reads only source text,
+so it starts alongside the section's translation; unit k+1's translation is
+sent while unit k's terms are extracted, with the dictionary as it stood
+before.  That early reply is kept only if the final dictionary gives the
+unit the same term block, and a summary update only if its section
+translated; the rest are discarded unseen (:class:`~latexmt.llm.Pending`).
+The environment units' filter calls run while the sections translate, and
+each unit's judge call starts once its translation or revision is final.
+Every agent builds its request with :func:`~latexmt.prompts.request` and
+records warnings with :meth:`LlmClient.warn`, which keeps a job's warnings
+with its calls; jobs are taken in program order, so results, findings,
+warnings and the transcript read as in a serial run.  Two validation
+dimensions are purely mechanical (placeholder and control-sequence
+conservation); the third asks a judge model about content completeness and
+degrades to "skipped" when no usable judge reply is available.  Units still
+failing after the round cap fall back to their source text.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import takewhile
+from typing import Sequence
 
 from . import prompts
 from .config import RunConfig
 from .errors import LlmError, PipelineFailed
-from .llm import LlmClient
+from .llm import LlmClient, Pending
 from .parser import (
     GRAN_SECTION,
     STATUS_FAILED,
@@ -234,37 +236,39 @@ def check_content_completeness(
     return None
 
 
+def start_validation(
+    unit: TranslationUnit, client: LlmClient, config: RunConfig
+) -> tuple[list[Finding], Pending | None]:
+    """*unit*'s mechanical findings, and the judge's job if those are clean and
+    ``config.completeness_check`` is on: text to regenerate is not judged."""
+    mechanical = check_placeholder_integrity(unit) + check_command_integrity(unit)
+    if mechanical or not config.completeness_check:
+        return mechanical, None
+    return mechanical, client.submit(check_content_completeness, unit, client, config)
+
+
 def validate_translations(
     units: list[TranslationUnit],
     round_index: int,
     client: LlmClient,
     config: RunConfig,
-    carried: dict[int, list[Finding]] | None = None,
+    started: dict[int, tuple[list[Finding], Pending | None]] | None = None,
 ) -> ErrorReport:
     """Batch-validate every candidate translation in *units*.
 
-    Mechanical dimensions always run.  The completeness dimension runs only
-    for units that passed both mechanical checks (no point judging content
-    that already has to be regenerated), and only if
-    ``config.completeness_check``.  A unit in *carried* keeps the findings
-    given there instead: its text is unchanged since they were made.
+    A unit in *started* has its validation under way
+    (:func:`start_validation`), or its text and findings unchanged with no
+    judge; the rest start now.  Judge jobs are taken in unit order.
     """
-    carried = carried or {}
+    started = started or {}
     checked = [
-        (
-            unit,
-            carried.get(unit.id)
-            or check_placeholder_integrity(unit) + check_command_integrity(unit),
-        )
+        (unit, started.get(unit.id) or start_validation(unit, client, config))
         for unit in units
         if unit.needs_translation and unit.translated_text is not None
     ]
-    judged = [u for u, mechanical in checked if config.completeness_check and not mechanical]
-    verdicts = client.map(lambda u: check_content_completeness(u, client, config), judged)
-    by_id = {u.id: found for u, found in zip(judged, verdicts)}
     report = ErrorReport(round_index)
-    for unit, mechanical in checked:
-        found = by_id.get(unit.id, [])
+    for unit, (mechanical, judging) in checked:
+        found = judging.result() if judging is not None else []
         report.findings.extend(mechanical + (found or []))
         if found is None:
             report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
@@ -393,28 +397,42 @@ class PipelineResult:
     dictionary: TermDictionary
     rounds_used: int
     reports: list[ErrorReport]
+    decisions: list = field(default_factory=list)  # what each classify item returned
 
 
 def run_pipeline(
-    units: list[TranslationUnit], client: LlmClient, config: RunConfig
+    units: list[TranslationUnit], client: LlmClient, config: RunConfig, classify: Sequence = ()
 ) -> PipelineResult:
     """Translate every unit, then validate/revise until clean or capped.
 
-    Re-validation in later rounds covers only previously flagged units, so
-    the workload shrinks monotonically.  A unit that still has findings
-    after ``max_validation_rounds`` is marked FAILED and will fall back to
-    its source text at reassembly.  The run as a whole fails only when no
-    unit at all produced a candidate translation.  An invalid *config*
-    raises :class:`ConfigError` before any call.  Warnings go to
+    *classify* is the environment units' filter work
+    (:func:`~latexmt.unit_filter.classify_units`), run over the leading
+    sections' steps and taken, in order, at the last one's (with no section
+    to translate, first).  Validation starts once a unit's text is final.
+    Later rounds re-validate only flagged units.  A unit that still has
+    findings after ``max_validation_rounds`` is marked FAILED and will fall
+    back to its source text at reassembly.  The run as a whole fails only
+    when no unit at all produced a candidate translation.  An invalid
+    *config* raises :class:`ConfigError` before any call.  Warnings go to
     ``client.warnings``.
     """
     config.validate()
     summary = Summary()
     dictionary = TermDictionary()
     wanted = [u for u in units if u.needs_translation]
-    for unit in units:
-        if not unit.needs_translation:
-            unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
+    if classify:  # the units after the leading sections wait for the decisions
+        wanted = list(takewhile(lambda u: u.granularity == GRAN_SECTION, wanted))
+    filtering, decisions = [], []  # started filter jobs, and their results
+    per_step, last = -(-len(classify) // max(1, len(wanted))), len(wanted) - 1
+
+    def start_filters(count: int) -> None:
+        filtering.extend(client.submit(work) for work in classify[len(filtering) :][:count])
+
+    def decide() -> None:
+        """Take every decision in unit order; the units let in join ``wanted``."""
+        start_filters(len(classify))
+        decisions.extend(job.result() for job in filtering)
+        wanted.extend([u for u in units if u.needs_translation][len(wanted) :])
 
     def summarize(unit: TranslationUnit, summary: Summary):
         """A section's summary update, started with its translation."""
@@ -422,9 +440,15 @@ def run_pipeline(
             return None
         return client.submit(update_summary, summary, unit.source_text, client, config)
 
+    if not wanted:
+        decide()
     ahead = None  # (this unit's translation, sent early; the dictionary it saw)
     summing = None  # this section's summary update
-    for unit, following in zip(wanted, wanted[1:] + [None]):
+    validating: dict[int, tuple[list[Finding], Pending | None]] = {}
+    for i, unit in enumerate(wanted):  # ``wanted`` grows in decide()
+        start_filters(per_step)
+        if i == last:
+            decide()
         summing = summing or summarize(unit, summary)
         try:
             # The early request had this very summary and the dictionary
@@ -450,7 +474,9 @@ def run_pipeline(
                 summing.discard()
             ahead = summing = None
             continue
+        validating[unit.id] = start_validation(unit, client, config)
         ahead = upcoming = None
+        following = wanted[i + 1] if i + 1 < len(wanted) else None
         if client.max_in_flight > 1 and following is not None:  # speculate
             updated = summing.peek() if summing is not None else summary
             seen = dictionary.snapshot()
@@ -461,16 +487,18 @@ def run_pipeline(
             summary = summing.result()
         summing = upcoming
 
+    for unit in units:
+        if not unit.needs_translation:
+            unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
     if wanted and all(u.status == STATUS_FAILED for u in wanted):
         raise PipelineFailed(f"all {len(wanted)} translatable units failed")
 
     pending = [u for u in wanted if u.status == STATUS_TRANSLATED]
     reports: list[ErrorReport] = []
     rounds_used = 0
-    unchanged: dict[int, list[Finding]] = {}  # revision failed: same text, same findings
     while pending and rounds_used < config.max_validation_rounds:
         rounds_used += 1
-        report = validate_translations(pending, rounds_used, client, config, unchanged)
+        report = validate_translations(pending, rounds_used, client, config, validating)
         reports.append(report)
         flagged = set(report.flagged_unit_ids())
         for unit in pending:
@@ -488,18 +516,16 @@ def run_pipeline(
                 )
             break
 
-        def revise(unit: TranslationUnit) -> str | None:
+        def revise(unit: TranslationUnit) -> tuple[list[Finding], Pending | None]:
             try:
-                return retranslate_unit(unit, report.for_unit(unit.id), client, config)
+                unit.translated_text = retranslate_unit(
+                    unit, report.for_unit(unit.id), client, config
+                )
             except LlmError as exc:
                 client.warn(f"revision failed for unit {unit.id}: {exc}")
-                return None
+                return report.for_unit(unit.id), None  # same text: same findings, no judge
+            return start_validation(unit, client, config)
 
-        unchanged = {}
-        for unit, text in zip(pending, client.map(revise, pending)):
-            if text is None:
-                unchanged[unit.id] = report.for_unit(unit.id)
-            else:
-                unit.translated_text = text
+        validating = {u.id: v for u, v in zip(pending, client.map(revise, pending))}
 
-    return PipelineResult(units, summary, dictionary, rounds_used, reports)
+    return PipelineResult(units, summary, dictionary, rounds_used, reports, decisions)

@@ -187,6 +187,8 @@ def translate_project(
 ) -> RunOutcome:
     """Run the whole pipeline for one project directory.
 
+    The environment units' filter work runs inside the translation loop
+    (:func:`~latexmt.agents.run_pipeline`), while the sections translate.
     Every run that gets past parsing writes a report.json, including failed
     ones; partial outputs stay on disk for inspection.
     """
@@ -230,8 +232,8 @@ def translate_project(
     fc = None
     compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
     try:
-        decisions = classify_units(units, protected, client, config)
-        result = run_pipeline(units, client, config)
+        filtering = classify_units(units, protected, client, config)
+        result = run_pipeline(units, client, config, filtering)
         body = reassemble(units, parsed.cap_map, parsed.env_map, parsed.merged)
         written = unmerge(body, parsed.merged, tex_dir)
         if config.inject_preamble:
@@ -245,7 +247,7 @@ def translate_project(
             )
             if injected != original:
                 _write_tex(main_path, injected)
-        report["filter"] = [dataclasses.asdict(d) for d in decisions]
+        report["filter"] = [dataclasses.asdict(d) for d in result.decisions]
         report["rounds_used"] = result.rounds_used
         report["validation"] = [r.to_dict() for r in result.reports]
         report["summary"] = {

@@ -152,8 +152,9 @@ def unmerge(full_text: str, merged: MergedDocument, out_dir: Path | str) -> list
         )
     files[0][1].append(full_text[cursor:])
 
-    written = [Path(out_dir) / rel_path for rel_path, _ in files]
-    for path, (_, pieces) in zip(written, files):
+    texts = dict(files)  # a file included twice: its later copy, listed once
+    written = [Path(out_dir) / rel_path for rel_path in texts]
+    for path, pieces in zip(written, texts.values()):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("".join(pieces), encoding="utf-8", errors="surrogateescape", newline="")
     return written

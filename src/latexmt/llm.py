@@ -348,7 +348,8 @@ class LlmClient:
     and keeps every call in program order.  :meth:`close`, or leaving a
     ``with`` block, waits for the pool, adds the calls that
     :meth:`Pending.discard` dropped to ``speculation``, next to the hits
-    and misses its callers count, and closes the transcript files.
+    and misses its callers count, and closes the transcript files, which
+    are buffered until then: a killed process loses their tail.
     """
 
     backend: object
@@ -470,11 +471,10 @@ class LlmClient:
             self._append(self.transcript_path, [line for line, _ in lines])
 
     def _append(self, path: Path, lines: list[str]) -> None:
-        """Write *lines* to *path*, opened once per client."""
+        """Write *lines* to *path*, opened once per client and flushed by :meth:`close`."""
         if path not in self._files:
             self._files[path] = open(path, "a", encoding="utf-8")
         self._files[path].writelines(lines)
-        self._files[path].flush()
 
     def _line(self, request: ChatRequest, result: ChatResult) -> tuple | None:
         if self.transcript_path is None:

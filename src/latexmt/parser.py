@@ -342,11 +342,13 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     Include paths resolve relative to the project root.  Directives in
     comments and verbatim-like environments are text, not includes.
     Unresolvable and brace-less (``\\input chap``) directives are left in
-    place and recorded as warnings; cycles are fatal.
+    place, a repeat include is inlined again, each with a warning; cycles
+    are fatal.
     """
     warnings: list[str] = []
     boundaries: list[FileBoundary] = []
     visiting: list[str] = []
+    included: dict[str, str] = {}  # path -> where it was first included
     counter = 0
 
     def expand(rel_path: str) -> str:
@@ -372,6 +374,12 @@ def merge_project(project: ProjectSource) -> MergedDocument:
                 continue
             if target in visiting:
                 raise InclusionCycle(visiting + [target])
+            where = f"offset {m.start()} in {rel_path}"
+            if included.setdefault(target, where) != where:
+                warnings.append(
+                    f"{target} included more than once, at {included[target]} and at "
+                    f"{where}; only the later copy's translation is written"
+                )
             token_id = counter
             counter += 1
             body = expand(target)

@@ -10,8 +10,10 @@ incident is recorded as a warning (:meth:`LlmClient.warn`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from . import prompts
 from .config import RunConfig
@@ -104,14 +106,15 @@ def classify_unit(
 
 def classify_units(
     units: list[TranslationUnit], protected: ProtectedEnvList, client: LlmClient, config: RunConfig
-) -> list[FilterDecision]:
-    """Classify every environment unit and apply the decisions in place.
+) -> list[Callable[[], FilterDecision]]:
+    """The filter work of every environment unit, in unit order.
 
-    The units are independent, so they are classified through
-    :meth:`LlmClient.map`; decisions and warnings keep unit order.
+    Each item classifies its unit, applies the decision in place and returns
+    it; :func:`~latexmt.agents.run_pipeline` runs them as the sections translate.
     """
-    envs = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
-    decisions = client.map(lambda u: classify_unit(u, protected, client, config), envs)
-    for unit, decision in zip(envs, decisions):
+    def classify(unit: TranslationUnit) -> FilterDecision:
+        decision = classify_unit(unit, protected, client, config)
         unit.needs_translation = decision.translate
-    return decisions
+        return decision
+
+    return [partial(classify, u) for u in units if u.granularity == GRAN_ENVIRONMENT]

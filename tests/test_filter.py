@@ -115,7 +115,9 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
         ),
     ]
     backend = RuleBackend([(r"Read this", "True")])
-    decisions = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
+    work = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
+    assert backend.calls == 0 and units[1].needs_translation is False  # work not run yet
+    decisions = [classify() for classify in work]
     assert [d.unit_id for d in decisions] == [0, 1]
     assert units[0].needs_translation is False
     assert units[1].needs_translation is True

@@ -196,6 +196,21 @@ def test_unmerge_round_trips_multifile_project(corpus_root, tmp_path):
         assert restored == original, rel
 
 
+def test_unmerge_writes_a_repeat_include_once_with_its_later_copy(project_factory, tmp_path):
+    main = (
+        "\\documentclass{a}\n\\begin{document}\n"
+        "\\input{a}\n\\section{Mid}\n\\input{a}\n\\end{document}\n"
+    )
+    root = project_factory({"main.tex": main, "a.tex": "A BODY\n"})
+    merged = merge_project(ProjectSource.from_dir(root))
+    later = merged.text.rindex("A BODY\n")
+    text = merged.text[:later] + "SECOND COPY.\n" + merged.text[later + len("A BODY\n") :]
+    written = unmerge(text, merged, tmp_path / "out")
+    assert [p.name for p in written] == ["main.tex", "a.tex"]
+    assert (tmp_path / "out" / "main.tex").read_text() == main
+    assert (tmp_path / "out" / "a.tex").read_text() == "SECOND COPY.\n"
+
+
 def test_unmerge_missing_end_marker():
     boundary = FileBoundary(0, "sub.tex", "\\input{sub}")
     merged = MergedDocument("x" + file_begin_token(0) + "body", "main.tex", (boundary,))

@@ -414,6 +414,21 @@ def test_inclusion_cycle_is_fatal(project_factory):
     assert "a.tex" in str(err.value)
 
 
+def test_a_repeat_include_is_warned_about_with_both_offsets(project_factory):
+    main = (
+        "\\documentclass{a}\n\\begin{document}\n"
+        "\\input{a}\n\\section{Mid}\n\\input{a}\n\\end{document}\n"
+    )
+    root = project_factory({"main.tex": main, "a.tex": "A BODY\n"})
+    merged = merge_project(ProjectSource.from_dir(root))
+    assert merged.text.count("A BODY") == 2
+    first, second = main.index("\\input"), main.rindex("\\input")
+    assert merged.warnings == (
+        f"a.tex included more than once, at offset {first} in main.tex and at "
+        f"offset {second} in main.tex; only the later copy's translation is written",
+    )
+
+
 def test_commented_include_not_expanded(corpus_root):
     project = ProjectSource.from_dir(corpus_root / "comments")
     merged = merge_project(project)

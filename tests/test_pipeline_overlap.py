@@ -1,0 +1,214 @@
+"""Stage overlap: filter and judge calls run inside the translation loop.
+
+A content-keyed rule backend records the order in which requests arrive.
+No assertion reads a clock: the filter calls of the second section step
+start only after the first section's translation has returned, and the one
+wait below holds the last translation until a judge call, which the loop
+started earlier, has arrived (or fails after a generous timeout).
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+
+import pytest
+
+from latexmt import cli, prompts
+from latexmt.config import load_config
+from latexmt.errors import TransientLlmError
+from latexmt.llm import RuleBackend
+
+from conftest import write_files
+
+JOIN_TIMEOUT_S = 30.0
+FILTER_PROMPT = prompts.render("filter")
+BUILD_CLIENT = cli._build_client
+LAST_TRANSLATION = "A figure caption."
+
+SECTIONS_AND_ENVIRONMENTS = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe first section has prose.\n"
+        "\\begin{notebox}\nA note with plain prose.\n\\end{notebox}\n"
+        "\\section{Two}\nThe second section has prose.\n"
+        "\\begin{equation}\nx = y\n\\end{equation}\n"
+        "\\begin{figure}\n\\caption{" + LAST_TRANSLATION + "}\n\\end{figure}\n"
+        "\\section{Three}\nThe third section has prose.\n"
+        "\\begin{remark}\nx_1 = x_2\n\\end{remark}\n"
+        "\\end{document}\n"
+    )
+}
+
+
+class Recorder:
+    """Replies from the request alone; records ``(role, user message)`` on arrival.
+
+    Filter: ``True`` for prose.  Translator: echo, except a message with
+    "unlucky", which fails every attempt.  Given *judge_first*, the last
+    translation waits until a judge request has arrived.
+    """
+
+    def __init__(self, judge_first: bool = False):
+        self.arrivals: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+        self._judged = threading.Event()
+        self._judge_first = judge_first
+
+    def __call__(self, match, request) -> str:
+        message = request.user_message
+        role = _role(request)
+        if role == "completeness":
+            self._judged.set()
+        if self._judge_first and role == "translator" and message == LAST_TRANSLATION:
+            self._judged.wait(JOIN_TIMEOUT_S)
+        with self._lock:
+            self.arrivals.append((role, message))
+        if role == "filter":
+            return "True" if "prose" in message else "False"
+        if role == "terminology":
+            return "N/A"
+        if role == "summarizer":
+            return "digest"
+        if role == "completeness":
+            return "OK"
+        if "unlucky" in message:
+            raise TransientLlmError("translator down")
+        return message
+
+
+def _role(request) -> str:
+    message = request.user_message
+    if request.system_prompt == FILTER_PROMPT:
+        return "filter"
+    if message.startswith("[Source]\n"):
+        return "terminology"
+    if message.startswith("prev_summary:\n"):
+        return "summarizer"
+    if message.startswith("[Original]\n"):
+        return "corrector" if "\n\n[Error Reports]\n" in message else "completeness"
+    return "translator"
+
+
+def _translate(project, out, bound, monkeypatch, recorder):
+    def build(config, logs_dir):
+        client = BUILD_CLIENT(config, logs_dir)
+        client.backend = RuleBackend([(r"", recorder)])
+        client.max_in_flight = bound
+        return client
+
+    monkeypatch.setattr(cli, "_build_client", build)
+    config = load_config(
+        None,
+        {"out_dir": str(out), "compile_enabled": False, "mock": "echo", "backoff_base": 0.0},
+    )
+    outcomes = []
+    worker = threading.Thread(
+        target=lambda: outcomes.append(cli.translate_project(project, config))
+    )
+    worker.start()
+    worker.join(2 * JOIN_TIMEOUT_S)
+    assert not worker.is_alive(), "translate_project did not finish in time"
+    root = outcomes[0].out_dir
+    logs = root / "logs"
+    return outcomes[0], [
+        (root / "report.json").read_bytes(),
+        (logs / "llm_transcript.jsonl").read_bytes(),
+        (logs / "llm_prompts.jsonl").read_bytes(),
+    ]
+
+
+def _bound_1_and_8(tmp_path, monkeypatch, files, judge_first=False):
+    """Both runs' arrivals; asserts their outputs are byte-identical."""
+    project = write_files(tmp_path / "paper", files)
+    runs = {}
+    for bound in (1, 8):
+        recorder = Recorder(judge_first and bound > 1)
+        out = tmp_path / f"b{bound}"
+        outcome, outputs = _translate(project, out, bound, monkeypatch, recorder)
+        runs[bound] = recorder.arrivals, outputs, outcome
+    assert runs[8][1] == runs[1][1]
+    return runs[1][0], runs[8][0], runs[8][2]
+
+
+def _first(arrivals, role):
+    return next(i for i, (r, _) in enumerate(arrivals) if r == role)
+
+
+def _last(arrivals, role):
+    return max(i for i, (r, _) in enumerate(arrivals) if r == role)
+
+
+def test_filter_and_judge_calls_overlap_the_translations(tmp_path, monkeypatch):
+    serial, overlapped, outcome = _bound_1_and_8(
+        tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS, judge_first=True
+    )
+    assert outcome.ok, outcome.error
+    assert _last(overlapped, "filter") > _first(overlapped, "translator")
+    assert _first(overlapped, "completeness") < _last(overlapped, "translator")
+    assert sorted(overlapped) == sorted(serial)
+
+
+def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
+    serial, _, outcome = _bound_1_and_8(tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS)
+    section = ["translator", "terminology", "summarizer"]
+    # Sections One and Two, the filter calls at the last section's step
+    # (notebox, figure and remark; equation is protected), section Three,
+    # the notebox and the caption, then the judges in unit order.
+    assert [role for role, _ in serial] == (
+        section * 2
+        + ["filter"] * 3
+        + section
+        + ["translator", "terminology"] * 2
+        + ["completeness"] * 5
+    )
+    filtered = [message for role, message in serial if role == "filter"]
+    assert [m.split("}", 1)[0] for m in filtered] == [
+        "\\begin{notebox", "\\begin{figure", "\\begin{remark"
+    ]
+    report = json.loads((outcome.out_dir / "report.json").read_text())
+    assert [d["translate"] for d in report["filter"]] == [True, False, False, False]
+
+
+def test_without_sections_every_filter_call_comes_first(tmp_path, monkeypatch):
+    files = {
+        "main.tex": (
+            "\\documentclass{article}\n\\begin{document}\n"
+            "\\begin{notebox}\nA note with plain prose.\n\\end{notebox}\n"
+            "\\begin{figure}\n\\caption{A caption.}\n\\end{figure}\n"
+            "\\end{document}\n"
+        )
+    }
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files)
+    assert outcome.ok, outcome.error
+    for arrivals in (serial, overlapped):
+        assert _last(arrivals, "filter") < _first(arrivals, "translator")
+
+
+def test_without_environments_no_filter_call_is_made(tmp_path, monkeypatch):
+    files = {
+        "main.tex": (
+            "\\documentclass{article}\n\\begin{document}\n"
+            "\\section{One}\nThe first section has prose.\n"
+            "\\section{Two}\nThe second section has prose.\n"
+            "\\end{document}\n"
+        )
+    }
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files)
+    assert outcome.ok, outcome.error
+    assert outcome.report["filter"] == []
+    assert all(role != "filter" for role, _ in serial + overlapped)
+
+
+@pytest.mark.parametrize("unlucky", ["One", "Three"])
+def test_a_unit_whose_translation_fails_is_not_judged(tmp_path, monkeypatch, unlucky):
+    heading = f"\\section{{{unlucky}}}\n"
+    text = SECTIONS_AND_ENVIRONMENTS["main.tex"].replace(heading, heading + "An unlucky line.\n")
+    files = {"main.tex": text}
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files)
+    assert outcome.ok, outcome.error
+    for arrivals in (serial, overlapped):
+        judged = [m for role, m in arrivals if role == "completeness"]
+        assert len(judged) == 4 and not any("unlucky" in m for m in judged)
+    statuses = [u["status"] for u in outcome.report["units"] if u["needs_translation"]]
+    assert statuses.count("FAILED") == 1
