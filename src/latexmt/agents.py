@@ -1,24 +1,26 @@
 """The multi-agent translation loop.
 
 One translator pass over all units (building a rolling document summary and
-a first-occurrence-wins term dictionary as it goes), then validation
-rounds.  Each translation's prompt carries the summary and dictionary the
-units before it built.  A section's summary update reads only source text,
-so it starts alongside the section's translation; unit k+1's translation is
-sent while unit k's terms are extracted, with the dictionary as it stood
-before.  That early reply is kept only if the final dictionary gives the
-unit the same term block, and a summary update only if its section
-translated; the rest are discarded unseen (:class:`~latexmt.llm.Pending`).
-The environment units' filter calls run while the sections translate, and
-each unit's judge call starts once its translation or revision is final.
-Every agent builds its request with :func:`~latexmt.prompts.request` and
-records warnings with :meth:`LlmClient.warn`, which keeps a job's warnings
-with its calls; jobs are taken in program order, so results, findings,
-warnings and the transcript read as in a serial run.  Two validation
-dimensions are purely mechanical (placeholder and control-sequence
-conservation); the third asks a judge model about content completeness and
-degrades to "skipped" when no usable judge reply is available.  Units still
-failing after the round cap fall back to their source text.
+a first-occurrence-wins term dictionary as it goes); each unit's validation
+chain, judge then (revise, judge)* up to the round cap, starts once its
+translation is final and waits for no other unit.  Each translation's
+prompt carries the summary and dictionary the units before it built.  A
+section's summary update reads only source text, so it starts alongside
+the section's translation; unit k+1's translation is sent while unit k's
+terms are extracted, with the dictionary as it stood before.  That early
+reply is kept only if the final dictionary gives the unit the same term
+block, and a summary update only if its section translated; the rest are
+discarded unseen (:class:`~latexmt.llm.Pending`).  The environment units'
+filter calls run while the sections translate.  Every agent builds its
+request with :func:`~latexmt.prompts.request` and records warnings with
+:meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
+are taken in program order, the chains round by round, so results,
+findings, warnings and the transcript read as in a serial run.  Two
+validation dimensions are purely mechanical (placeholder and
+control-sequence conservation); the third asks a judge model about content
+completeness and degrades to "skipped" when no usable judge reply is
+available.  Units still failing after the round cap fall back to their
+source text.
 """
 
 from __future__ import annotations
@@ -145,12 +147,6 @@ class ErrorReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def for_unit(self, unit_id: int) -> list[Finding]:
-        return [f for f in self.findings if f.unit_id == unit_id]
-
-    def flagged_unit_ids(self) -> list[int]:
-        return sorted({f.unit_id for f in self.findings})
-
     def to_dict(self) -> dict:
         return {
             "round": self.round_index,
@@ -163,19 +159,19 @@ class ErrorReport:
 # mechanical validation
 
 
+def _miscounted(unit: TranslationUnit, pattern: re.Pattern) -> list[tuple[str, int, int]]:
+    """``(match, have, want)`` for each *pattern* match the translation has a different count of."""
+    want = Counter(pattern.findall(unit.source_text))
+    have = Counter(pattern.findall(unit.translated_text or ""))
+    return [(k, have[k], want[k]) for k in sorted(want.keys() | have.keys()) if have[k] != want[k]]
+
+
 def check_placeholder_integrity(unit: TranslationUnit) -> list[Finding]:
     """Compare placeholder-token multisets between source and translation."""
-    src = Counter(TOKEN_RE.findall(unit.source_text))
-    dst = Counter(TOKEN_RE.findall(unit.translated_text or ""))
     findings = []
-    for token in sorted(src.keys() | dst.keys()):
-        have, want = dst[token], src[token]
-        if have == want:
-            continue
-        if have < want:
-            desc = f"placeholder {token} lost (source has {want}, translation has {have})"
-        else:
-            desc = f"placeholder {token} duplicated (source has {want}, translation has {have})"
+    for token, have, want in _miscounted(unit, TOKEN_RE):
+        change = "lost" if have < want else "duplicated"
+        desc = f"placeholder {token} {change} (source has {want}, translation has {have})"
         findings.append(Finding(unit.id, DIM_PLACEHOLDER, desc))
     return findings
 
@@ -184,16 +180,9 @@ def check_command_integrity(
     unit: TranslationUnit, allowlist: frozenset = DEFAULT_COMMAND_ALLOWLIST
 ) -> list[Finding]:
     """Compare control-sequence multisets between source and translation."""
-    src = Counter(m.group(0) for m in _CONTROL_WORD_RE.finditer(unit.source_text))
-    dst = Counter(
-        m.group(0) for m in _CONTROL_WORD_RE.finditer(unit.translated_text or "")
-    )
     findings = []
-    for cmd in sorted(src.keys() | dst.keys()):
+    for cmd, have, want in _miscounted(unit, _CONTROL_WORD_RE):
         if cmd[1:] in allowlist:
-            continue
-        have, want = dst[cmd], src[cmd]
-        if have == want:
             continue
         if want == 0:
             desc = f"control sequence {cmd} introduced by translation ({have} occurrences, none in source)"
@@ -236,43 +225,94 @@ def check_content_completeness(
     return None
 
 
+@dataclass
+class Check:
+    """One validation round of one unit: its findings, and the revision they started."""
+
+    findings: list[Finding]
+    skipped: bool = False  # the judge gave no usable reply
+    revision: Pending | None = None  # the next round: a Check, or the job of one
+
+
 def start_validation(
     unit: TranslationUnit, client: LlmClient, config: RunConfig
-) -> tuple[list[Finding], Pending | None]:
-    """*unit*'s mechanical findings, and the judge's job if those are clean and
-    ``config.completeness_check`` is on: text to regenerate is not judged."""
-    mechanical = check_placeholder_integrity(unit) + check_command_integrity(unit)
-    if mechanical or not config.completeness_check:
-        return mechanical, None
-    return mechanical, client.submit(check_content_completeness, unit, client, config)
+) -> Check | Pending[Check]:
+    """Start *unit*'s validation chain: judge, then (revise, judge)* up to the round cap.
+
+    A round is the mechanical findings, or the judge's job if those are clean
+    and ``config.completeness_check`` is on: text to regenerate is not judged.
+    Findings with rounds left start the revision at once; the revision starts the next round.
+    """
+
+    def validated(round_index: int) -> Check | Pending[Check]:
+        mechanical = check_placeholder_integrity(unit) + check_command_integrity(unit)
+        if mechanical or not config.completeness_check:
+            return checked(mechanical, round_index)
+        return client.submit(judged, round_index)
+
+    def judged(round_index: int) -> Check:
+        found = check_content_completeness(unit, client, config)
+        return checked(found or [], round_index, found is None)
+
+    def checked(findings: list[Finding], round_index: int, skipped: bool = False) -> Check:
+        if findings and round_index < config.max_validation_rounds:
+            return Check(findings, skipped, client.submit(revised, findings, round_index + 1))
+        return Check(findings, skipped)
+
+    def revised(findings: list[Finding], round_index: int) -> Check | Pending[Check]:
+        try:
+            unit.translated_text = retranslate_unit(unit, findings, client, config)
+        except LlmError as exc:
+            client.warn(f"revision failed for unit {unit.id}: {exc}")
+            return checked(findings, round_index)  # same text: same findings, no judge
+        return validated(round_index)
+
+    return validated(1)
 
 
 def validate_translations(
     units: list[TranslationUnit],
-    round_index: int,
     client: LlmClient,
     config: RunConfig,
-    started: dict[int, tuple[list[Finding], Pending | None]] | None = None,
-) -> ErrorReport:
-    """Batch-validate every candidate translation in *units*.
+    started: dict[int, Check | Pending[Check]] | None = None,
+) -> list[ErrorReport]:
+    """Validate every candidate translation in *units*, revising until clean or capped.
 
-    A unit in *started* has its validation under way
-    (:func:`start_validation`), or its text and findings unchanged with no
-    judge; the rest start now.  Judge jobs are taken in unit order.
+    A unit in *started* has its chain (:func:`start_validation`) under way;
+    the rest start now.  The chains are taken round by round, in unit order:
+    the round's checks, then its revisions, so reports, warnings and the
+    transcript read as in a serial run.  A unit with findings after
+    ``max_validation_rounds`` is FAILED, with a warning.  One report per round.
     """
-    started = started or {}
-    checked = [
-        (unit, started.get(unit.id) or start_validation(unit, client, config))
+    live = [
+        (unit, (started or {}).get(unit.id) or start_validation(unit, client, config))
         for unit in units
         if unit.needs_translation and unit.translated_text is not None
     ]
-    report = ErrorReport(round_index)
-    for unit, (mechanical, judging) in checked:
-        found = judging.result() if judging is not None else []
-        report.findings.extend(mechanical + (found or []))
-        if found is None:
-            report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
-    return report
+    reports: list[ErrorReport] = []
+    while live:
+        report = ErrorReport(len(reports) + 1)
+        reports.append(report)
+        flagged = []
+        for unit, step in live:
+            check = step.result() if isinstance(step, Pending) else step
+            report.findings.extend(check.findings)
+            if check.skipped:
+                report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
+            if check.findings:
+                flagged.append((unit, check.revision))
+            else:
+                unit.status = STATUS_VALIDATED
+        if report.round_index == config.max_validation_rounds:
+            for unit, _ in flagged:
+                unit.status = STATUS_FAILED
+                client.warn(
+                    f"unit {unit.id} still failing after {report.round_index} validation "
+                    f"rounds; falling back to source text"
+                )
+            break
+        live = [(unit, revision.result()) for unit, revision in flagged]
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -403,18 +443,15 @@ class PipelineResult:
 def run_pipeline(
     units: list[TranslationUnit], client: LlmClient, config: RunConfig, classify: Sequence = ()
 ) -> PipelineResult:
-    """Translate every unit, then validate/revise until clean or capped.
+    """Translate every unit; each unit's validation chain starts once its text is final.
 
-    *classify* is the environment units' filter work
-    (:func:`~latexmt.unit_filter.classify_units`), run over the leading
-    sections' steps and taken, in order, at the last one's (with no section
-    to translate, first).  Validation starts once a unit's text is final.
-    Later rounds re-validate only flagged units.  A unit that still has
-    findings after ``max_validation_rounds`` is marked FAILED and will fall
-    back to its source text at reassembly.  The run as a whole fails only
-    when no unit at all produced a candidate translation.  An invalid
-    *config* raises :class:`ConfigError` before any call.  Warnings go to
-    ``client.warnings``.
+    *classify* is the environment units' filter decisions
+    (:func:`~latexmt.unit_filter.classify_units`): the model work runs over
+    the leading sections' steps, and every decision is taken, in order, at
+    the last one's (with no section to translate, first).  The chains are
+    taken by :func:`validate_translations`.  The run fails only when no unit
+    produced a candidate translation; an invalid *config* raises
+    :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
     """
     config.validate()
     summary = Summary()
@@ -422,16 +459,18 @@ def run_pipeline(
     wanted = [u for u in units if u.needs_translation]
     if classify:  # the units after the leading sections wait for the decisions
         wanted = list(takewhile(lambda u: u.granularity == GRAN_SECTION, wanted))
-    filtering, decisions = [], []  # started filter jobs, and their results
-    per_step, last = -(-len(classify) // max(1, len(wanted))), len(wanted) - 1
+    asks = [work for work in classify if callable(work)]  # the filter work that calls the model
+    filtering, decisions = [], []  # started filter jobs, and every decision
+    per_step, last = -(-len(asks) // max(1, len(wanted))), len(wanted) - 1
 
     def start_filters(count: int) -> None:
-        filtering.extend(client.submit(work) for work in classify[len(filtering) :][:count])
+        filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
 
     def decide() -> None:
         """Take every decision in unit order; the units let in join ``wanted``."""
-        start_filters(len(classify))
-        decisions.extend(job.result() for job in filtering)
+        start_filters(len(asks))
+        jobs = iter(filtering)
+        decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
         wanted.extend([u for u in units if u.needs_translation][len(wanted) :])
 
     def summarize(unit: TranslationUnit, summary: Summary):
@@ -444,7 +483,7 @@ def run_pipeline(
         decide()
     ahead = None  # (this unit's translation, sent early; the dictionary it saw)
     summing = None  # this section's summary update
-    validating: dict[int, tuple[list[Finding], Pending | None]] = {}
+    chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
     for i, unit in enumerate(wanted):  # ``wanted`` grows in decide()
         start_filters(per_step)
         if i == last:
@@ -460,13 +499,12 @@ def run_pipeline(
                 == dictionary.render(unit.source_text, config.term_dict_cap)
             ):
                 client.speculation["hits"] += 1
-                unit.translated_text = ahead[0].result()
+                text = ahead[0].result()
             else:
                 if ahead is not None:
                     client.speculation["misses"] += 1
                     ahead[0].discard()
-                unit.translated_text = translate_unit(unit, summary, dictionary, client, config)
-            unit.status = STATUS_TRANSLATED
+                text = translate_unit(unit, summary, dictionary, client, config)
         except LlmError as exc:
             client.warn(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
@@ -474,7 +512,7 @@ def run_pipeline(
                 summing.discard()
             ahead = summing = None
             continue
-        validating[unit.id] = start_validation(unit, client, config)
+        unit.translated_text, unit.status = text, STATUS_TRANSLATED
         ahead = upcoming = None
         following = wanted[i + 1] if i + 1 < len(wanted) else None
         if client.max_in_flight > 1 and following is not None:  # speculate
@@ -482,7 +520,8 @@ def run_pipeline(
             seen = dictionary.snapshot()
             ahead = client.submit(translate_unit, following, updated, seen, client, config), seen
             upcoming = summarize(following, updated)
-        extract_terms(unit.source_text, unit.translated_text, dictionary, client, config)
+        chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
+        extract_terms(unit.source_text, text, dictionary, client, config)
         if summing is not None:
             summary = summing.result()
         summing = upcoming
@@ -490,42 +529,7 @@ def run_pipeline(
     for unit in units:
         if not unit.needs_translation:
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
-    if wanted and all(u.status == STATUS_FAILED for u in wanted):
+    if wanted and not chains:
         raise PipelineFailed(f"all {len(wanted)} translatable units failed")
-
-    pending = [u for u in wanted if u.status == STATUS_TRANSLATED]
-    reports: list[ErrorReport] = []
-    rounds_used = 0
-    while pending and rounds_used < config.max_validation_rounds:
-        rounds_used += 1
-        report = validate_translations(pending, rounds_used, client, config, validating)
-        reports.append(report)
-        flagged = set(report.flagged_unit_ids())
-        for unit in pending:
-            if unit.id not in flagged:
-                unit.status = STATUS_VALIDATED
-        pending = [u for u in pending if u.id in flagged]
-        if not pending:
-            break
-        if rounds_used >= config.max_validation_rounds:
-            for unit in pending:
-                unit.status = STATUS_FAILED
-                client.warn(
-                    f"unit {unit.id} still failing after {rounds_used} validation "
-                    f"rounds; falling back to source text"
-                )
-            break
-
-        def revise(unit: TranslationUnit) -> tuple[list[Finding], Pending | None]:
-            try:
-                unit.translated_text = retranslate_unit(
-                    unit, report.for_unit(unit.id), client, config
-                )
-            except LlmError as exc:
-                client.warn(f"revision failed for unit {unit.id}: {exc}")
-                return report.for_unit(unit.id), None  # same text: same findings, no judge
-            return start_validation(unit, client, config)
-
-        validating = {u.id: v for u, v in zip(pending, client.map(revise, pending))}
-
-    return PipelineResult(units, summary, dictionary, rounds_used, reports, decisions)
+    reports = validate_translations([u for u in wanted if u.id in chains], client, config, chains)
+    return PipelineResult(units, summary, dictionary, len(reports), reports, decisions)

@@ -11,7 +11,8 @@ accounting, the optional request transcript (each system-prompt block stored
 once, in a sidecar; :func:`read_transcript` joins them back), the run's
 warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
 (:meth:`LlmClient.submit`), whose calls and warnings count only once they
-are kept.  Backends implement a single
+are kept; a job may submit the next job of a chain, and each is kept on
+its own.  Backends implement a single
 ``complete(request) -> ChatResult`` method, so tests can swap in the mocks
 and the rest of the pipeline cannot tell the difference.  Backends may be
 called from several threads at once.
@@ -29,7 +30,7 @@ from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 import requests
 
@@ -283,7 +284,6 @@ class HttpBackend(_CallCounter):
         )
 
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -294,8 +294,8 @@ class Pending(Generic[R]):
     are held until :meth:`result` commits them, when it is called, so the
     order of ``result`` calls is the order of the transcript and of
     ``LlmClient.warnings``; :meth:`discard` drops them, and a job not yet
-    started never runs.  At a bound of 1 the job runs inside :meth:`result`,
-    in program order.
+    started never runs.  At a bound of 1 the job runs in the calling thread,
+    when its value is first asked for.
     """
 
     def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple):
@@ -307,22 +307,27 @@ class Pending(Generic[R]):
             self._future = client._pool.submit(self._holding)
 
     def _holding(self) -> R:
-        self._client._local.job = self
+        local = self._client._local
+        outer, local.job = getattr(local, "job", None), self
         try:
             return self._fn(*self._args)
         finally:
-            self._client._local.job = None
+            local.job = outer
 
     def peek(self) -> R:
-        """The job's value, or its error raised, with its calls still held (bound above 1)."""
+        """The job's value, or its error raised, with its calls still held."""
+        if self._future is None:
+            self._future = Future()
+            try:
+                self._future.set_result(self._holding())
+            except BaseException as exc:
+                self._future.set_exception(exc)
         return self._future.result()
 
     def result(self) -> R:
         """The job's value, or its error raised, with its calls committed now."""
-        if self._future is None:
-            return self._fn(*self._args)
         try:
-            return self._future.result()
+            return self.peek()
         finally:
             held, warnings, self._held, self._warnings = self._held, self._warnings, [], []
             self._client._commit(held, warnings)
@@ -343,13 +348,14 @@ class LlmClient:
     is longer, never more than ``backoff_cap``; auth failures and
     malformed-payload errors propagate at once.  ``sleep`` is injectable so
     tests never wait.  :meth:`warn` adds to ``warnings``, in the order a
-    serial run would.  Jobs from :meth:`submit` and :meth:`map` share one
-    pool of ``max_in_flight`` threads; the default of 1 starts no thread
-    and keeps every call in program order.  :meth:`close`, or leaving a
-    ``with`` block, waits for the pool, adds the calls that
-    :meth:`Pending.discard` dropped to ``speculation``, next to the hits
-    and misses its callers count, and closes the transcript files, which
-    are buffered until then: a killed process loses their tail.
+    serial run would.  Jobs from :meth:`submit` share one pool of
+    ``max_in_flight`` threads, and a job may submit the next one of a
+    chain; the default of 1 starts no thread and keeps every call in
+    program order.  :meth:`close`, or leaving a ``with`` block, waits for
+    the pool, adds the calls that :meth:`Pending.discard` dropped to
+    ``speculation``, next to the hits and misses its callers count, and
+    closes the transcript files, which are buffered until then: a killed
+    process loses their tail.
     """
 
     backend: object
@@ -396,26 +402,8 @@ class LlmClient:
         self._commit([], [text])
 
     def submit(self, fn: Callable[..., R], *args) -> Pending[R]:
-        """Start ``fn(*args)``, which must not depend on jobs still running."""
+        """Start ``fn(*args)``, which must not wait for other jobs."""
         return Pending(self, fn, args)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """``[fn(item) for item in items]``, up to ``max_in_flight`` at a time.
-
-        Every item is submitted, then each result taken in item order, so
-        results and the transcript read exactly as a serial run's.  If an
-        item raises, the items after it are discarded and it is raised.
-        """
-        items = list(items)
-        if len(items) < 2:
-            return [fn(item) for item in items]
-        jobs = [self.submit(fn, item) for item in items]
-        try:
-            return [job.result() for job in jobs]
-        except BaseException:
-            for job in jobs:
-                job.discard()
-            raise
 
     @property
     def calls(self) -> int:
@@ -424,8 +412,8 @@ class LlmClient:
     def close(self) -> None:
         """Wait for every submitted job, count what was discarded, close the files."""
         if self._pool is not None:
-            self._pool, pool = None, self._pool
-            pool.shutdown()
+            self._pool.shutdown()  # a job that submits from now on raises
+            self._pool = None
         for held in self._discarded:
             self.speculation.update(
                 discarded_calls=len(held),

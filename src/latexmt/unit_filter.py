@@ -71,6 +71,10 @@ def _parse_lines(text: str) -> set[str]:
     return names
 
 
+def _protected(unit: TranslationUnit, protected: ProtectedEnvList) -> bool:
+    return unit.env_name is None or unit.env_name in protected
+
+
 def classify_unit(
     unit: TranslationUnit, protected: ProtectedEnvList, client: LlmClient, config: RunConfig
 ) -> FilterDecision:
@@ -81,7 +85,7 @@ def classify_unit(
     ``True`` or ``False``; anything else is retried, then defaulted to
     ``False`` with a warning.
     """
-    if unit.env_name is None or unit.env_name in protected:
+    if _protected(unit, protected):
         return FilterDecision(unit.id, False, SOURCE_PREDEFINED)
     request = prompts.request("filter", unit.source_text, config)
     for _ in range(max(1, config.filter_parse_retries)):
@@ -106,15 +110,18 @@ def classify_unit(
 
 def classify_units(
     units: list[TranslationUnit], protected: ProtectedEnvList, client: LlmClient, config: RunConfig
-) -> list[Callable[[], FilterDecision]]:
-    """The filter work of every environment unit, in unit order.
+) -> list[FilterDecision | Callable[[], FilterDecision]]:
+    """The filter decision of every environment unit, in unit order.
 
-    Each item classifies its unit, applies the decision in place and returns
-    it; :func:`~latexmt.agents.run_pipeline` runs them as the sections translate.
+    Protected and nameless environments are decided here, with no call.
+    For the rest the item is the work: it classifies its unit, applies the
+    decision in place and returns it; :func:`~latexmt.agents.run_pipeline`
+    runs them as the sections translate.
     """
     def classify(unit: TranslationUnit) -> FilterDecision:
         decision = classify_unit(unit, protected, client, config)
         unit.needs_translation = decision.translate
         return decision
 
-    return [partial(classify, u) for u in units if u.granularity == GRAN_ENVIRONMENT]
+    environments = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
+    return [classify(u) if _protected(u, protected) else partial(classify, u) for u in environments]

@@ -219,8 +219,8 @@ def test_05_validator_mechanics(announce):
         unit.translated_text = FAULT_BROKEN
         unit.status = STATUS_TRANSLATED
         judge = EchoBackend()
-        cfg = RunConfig(completeness_check=False)
-        report = validate_translations([unit], 1, quiet_client(judge), cfg)
+        cfg = RunConfig(completeness_check=False, max_validation_rounds=1)
+        [report] = validate_translations([unit], quiet_client(judge), cfg)
         assert judge.calls == 0
         dims = [f.dimension for f in report.findings]
         texts = " | ".join(f.description for f in report.findings)

@@ -304,7 +304,7 @@ def test_completeness_garbage_reply_skips_dimension():
     assert findings is None
     assert any("unparseable" in w for w in client.warnings)
     # validate_translations records the skip in the round's report.
-    report = validate_translations([u], 1, client, CFG)
+    [report] = validate_translations([u], client, CFG)
     assert report.ok
     assert report.skipped == [f"unit 0: {DIM_COMPLETENESS}"]
 
@@ -320,16 +320,17 @@ def test_completeness_transport_failure_skips_dimension():
 def test_mechanical_failures_suppress_completeness_call():
     u = unit_with("a <PLACEHOLDER_ENV_0>", "a")  # placeholder lost
     backend = RuleBackend([], default="OK")
-    report = validate_translations([u], 1, make_client(backend), CFG)
+    one_round = RunConfig(max_validation_rounds=1)  # no revision either
+    [report] = validate_translations([u], make_client(backend), one_round)
     assert backend.calls == 0  # judge never consulted
-    assert report.flagged_unit_ids() == [0]
+    assert {f.unit_id for f in report.findings} == {0}
 
 
 def test_completeness_disabled_by_config():
     u = unit_with("plain", "plain translated")
     backend = RuleBackend([], default="OK")
     cfg = RunConfig(completeness_check=False)
-    report = validate_translations([u], 1, make_client(backend), cfg)
+    [report] = validate_translations([u], make_client(backend), cfg)
     assert backend.calls == 0
     assert report.ok
 
@@ -337,8 +338,7 @@ def test_completeness_disabled_by_config():
 def test_validate_skips_units_without_candidates():
     pending = section_unit(0, "never translated")
     backend = EchoBackend()
-    report = validate_translations([pending], 1, make_client(backend), CFG)
-    assert report.ok
+    assert validate_translations([pending], make_client(backend), CFG) == []  # no round
     assert backend.calls == 0
 
 
@@ -523,7 +523,7 @@ def test_failed_revision_carries_findings_instead_of_rejudging():
     assert stuck.status == STATUS_FAILED
     assert repaired.status == STATUS_VALIDATED
     assert result.rounds_used == 3
-    first = result.reports[0].for_unit(stuck.id)
+    first = [f for f in result.reports[0].findings if f.unit_id == stuck.id]
     assert first and all(r.findings == first for r in result.reports[1:])
 
 
@@ -619,8 +619,6 @@ def test_error_report_helpers():
     report.findings.append(Finding(3, DIM_PLACEHOLDER, "x"))
     report.findings.append(Finding(1, DIM_COMMAND, "y"))
     report.findings.append(Finding(3, DIM_COMMAND, "z"))
-    assert report.flagged_unit_ids() == [1, 3]
-    assert [f.description for f in report.for_unit(3)] == ["x", "z"]
     assert not report.ok
     payload = report.to_dict()
     assert payload["round"] == 2

@@ -115,9 +115,10 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
         ),
     ]
     backend = RuleBackend([(r"Read this", "True")])
-    work = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
+    items = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
     assert backend.calls == 0 and units[1].needs_translation is False  # work not run yet
-    decisions = [classify() for classify in work]
+    assert items[0] == FilterDecision(0, False, SOURCE_PREDEFINED)  # decided with no job
+    decisions = [item() if callable(item) else item for item in items]
     assert [d.unit_id for d in decisions] == [0, 1]
     assert units[0].needs_translation is False
     assert units[1].needs_translation is True

@@ -253,7 +253,8 @@ def transcribe_all(path, max_in_flight=1):
         return client.chat(req(f"user {i}", SYSTEMS[i]))
 
     with client:
-        client.map(call, range(len(SYSTEMS)))
+        for job in [client.submit(call, i) for i in range(len(SYSTEMS))]:
+            job.result()
 
 
 def test_read_transcript_rebuilds_each_system_prompt(tmp_path):
@@ -438,14 +439,14 @@ def test_client_waits_as_long_as_retry_after_asks_within_the_cap():
 
 
 # --------------------------------------------------------------------------
-# ordered fan-out
+# jobs taken in order
 
 
 def transcript_users(path):
     return [json.loads(line)["user"] for line in path.read_text().splitlines()]
 
 
-def test_map_returns_results_and_transcript_in_item_order(tmp_path):
+def test_jobs_taken_in_order_give_results_and_transcript_in_that_order(tmp_path):
     path = tmp_path / "transcript.jsonl"
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=4)
     items = [str(i) for i in range(12)]
@@ -455,26 +456,28 @@ def test_map_returns_results_and_transcript_in_item_order(tmp_path):
         time.sleep(0.001 * (12 - int(item)))  # later items finish first
         return client.chat(req(item))
 
-    assert client.map(call, items) == items
+    jobs = [client.submit(call, item) for item in items]
+    assert [job.result() for job in jobs] == items
     assert client.calls == 12
     client.close()
     assert transcript_users(path) == items
     assert threading.active_count() == threads  # no thread outlives close()
 
 
-def test_map_runs_up_to_the_bound_at_once():
+def test_jobs_run_up_to_the_bound_at_once():
     client = client_for(EchoBackend(), max_in_flight=4)
     barrier = threading.Barrier(4, timeout=10)
 
     def meet(item):
-        barrier.wait()  # breaks, and raises, unless four items run together
+        barrier.wait()  # breaks, and raises, unless four jobs run together
         return item
 
     with client:
-        assert client.map(meet, range(8)) == list(range(8))
+        jobs = [client.submit(meet, item) for item in range(8)]
+        assert [job.result() for job in jobs] == list(range(8))
 
 
-def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
+def test_jobs_discarded_after_an_error_never_start(tmp_path):
     path = tmp_path / "transcript.jsonl"
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=3)
 
@@ -484,13 +487,19 @@ def test_map_error_raised_after_earlier_items_are_transcribed(tmp_path):
         time.sleep(0.02)  # items 0 and 1 are still running when item 2 raises
         return client.chat(req(str(item)))
 
-    with client, pytest.raises(ValueError, match="item 2 broke"):
-        client.map(call, range(30))
-    assert transcript_users(path)[:2] == ["0", "1"]
-    assert client.calls < 30  # items not yet started were dropped
+    with client:
+        jobs = [client.submit(call, item) for item in range(30)]
+        assert [job.result() for job in jobs[:2]] == ["0", "1"]
+        with pytest.raises(ValueError, match="item 2 broke"):
+            jobs[2].result()
+        for job in jobs[3:]:
+            job.discard()
+    assert transcript_users(path) == ["0", "1"]
+    assert client.calls == 2
+    assert client.backend.calls < 30  # jobs not yet started never ran
 
 
-def test_map_with_bound_one_runs_inline_in_order(tmp_path):
+def test_with_bound_one_jobs_run_inline_in_the_order_taken(tmp_path):
     path = tmp_path / "transcript.jsonl"
     backend = RuleBackend([("x", "a"), ("y", "b"), ("z", "c")])
     client = client_for(backend, transcript_path=path)
@@ -498,15 +507,17 @@ def test_map_with_bound_one_runs_inline_in_order(tmp_path):
     seen = []
 
     def call(item):
-        seen.append(threading.get_ident())
+        seen.append((item, threading.get_ident()))
         reply = client.chat(req(item))
-        assert client.calls == len(seen)  # committed at once, not held
+        assert client.calls == len(seen) - 1  # held until the job ends
         return reply
 
     with client:
-        assert client.map(call, ["x", "y", "z"]) == ["a", "b", "c"]
-    assert seen == [threading.get_ident()] * 3
-    assert transcript_users(path) == ["x", "y", "z"]
+        jobs = {item: client.submit(call, item) for item in "xyz"}
+        assert seen == []  # a job runs when its value is asked for
+        assert [jobs[item].result() for item in "zxy"] == ["c", "a", "b"]
+    assert seen == [(item, threading.get_ident()) for item in "zxy"]
+    assert transcript_users(path) == ["z", "x", "y"]
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +610,7 @@ def test_a_discarded_jobs_warnings_never_arrive(bound):
 
 
 @pytest.mark.parametrize("bound", [1, 3])
-def test_a_map_item_that_raises_still_commits_its_warnings(bound):
+def test_a_job_that_raises_still_commits_its_warnings(bound):
     def call(item):
         warning_job(client, item)
         if item == "b":
@@ -607,7 +618,43 @@ def test_a_map_item_that_raises_still_commits_its_warnings(bound):
         return item
 
     client = client_for(EchoBackend(), max_in_flight=bound)
-    with client, pytest.raises(ValueError, match="b broke"):
-        client.map(call, ["a", "b", "c"])
+    with client:
+        jobs = [client.submit(call, item) for item in "abc"]
+        assert jobs[0].result() == "a"
+        with pytest.raises(ValueError, match="b broke"):
+            jobs[1].result()
+        jobs[2].discard()
     assert client.warnings == ["warned a", "warned b"]  # c's, if it ran, were dropped
     assert client.calls == 2
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_peek_runs_the_job_and_keeps_its_calls_held(tmp_path, bound):
+    path = tmp_path / "transcript.jsonl"
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+        kept, dropped = (client.submit(warning_job, client, item) for item in ("kept", "dropped"))
+        assert kept.peek() == "kept" and dropped.peek() == "dropped"
+        assert client.backend.calls == 2  # both ran, at bound 1 too
+        assert client.calls == 0 and client.warnings == [] and not path.exists()
+        dropped.discard()
+        assert kept.result() == "kept"
+        assert kept.result() == "kept"  # taken again: committed once
+    assert transcript_users(path) == ["kept"]
+    assert client.calls == 1 and client.warnings == ["warned kept"]
+    assert client.speculation["discarded_calls"] == 1
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_chained_jobs_commit_in_the_order_they_are_taken(tmp_path, bound):
+    path = tmp_path / "transcript.jsonl"
+
+    def step(item, left):
+        time.sleep(0.002 * left if item == "a" else 0.0)  # b's chain runs ahead
+        client.chat(req(f"{item}{left}"))
+        return client.submit(step, item, left - 1) if left else None
+
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+        chains = [client.submit(step, item, 2) for item in "ab"]
+        while chains:  # round by round, in chain order
+            chains = [job for job in [job.result() for job in chains] if job is not None]
+    assert transcript_users(path) == ["a2", "b2", "a1", "b1", "a0", "b0"]

@@ -1,10 +1,11 @@
-"""Stage overlap: filter and judge calls run inside the translation loop.
+"""Stage overlap: filter calls and validation chains run inside the translation loop.
 
 A content-keyed rule backend records the order in which requests arrive.
 No assertion reads a clock: the filter calls of the second section step
 start only after the first section's translation has returned, and the one
-wait below holds the last translation until a judge call, which the loop
-started earlier, has arrived (or fails after a generous timeout).
+wait below holds the last translation until a judge or corrector call,
+which the loop started earlier, has arrived (or fails after a generous
+timeout).
 """
 
 from __future__ import annotations
@@ -45,23 +46,26 @@ class Recorder:
     """Replies from the request alone; records ``(role, user message)`` on arrival.
 
     Filter: ``True`` for prose.  Translator: echo, except a message with
-    "unlucky", which fails every attempt.  Given *judge_first*, the last
-    translation waits until a judge request has arrived.
+    "unlucky", which fails every attempt, and one with "damaged", whose
+    ``\\emph`` is dropped.  Judge: a finding for "flagged" text, else OK.
+    Corrector: the original, except that it keeps a "stuck" translation
+    and fails every attempt on "flagged" text.  Given *wait_for*, a role,
+    the last translation waits until a request of that role has arrived.
     """
 
-    def __init__(self, judge_first: bool = False):
+    def __init__(self, wait_for: str | None = None):
         self.arrivals: list[tuple[str, str]] = []
         self._lock = threading.Lock()
-        self._judged = threading.Event()
-        self._judge_first = judge_first
+        self._arrived = threading.Event()
+        self._wait_for = wait_for
 
     def __call__(self, match, request) -> str:
         message = request.user_message
         role = _role(request)
-        if role == "completeness":
-            self._judged.set()
-        if self._judge_first and role == "translator" and message == LAST_TRANSLATION:
-            self._judged.wait(JOIN_TIMEOUT_S)
+        if role == self._wait_for:
+            self._arrived.set()
+        if self._wait_for and role == "translator" and message == LAST_TRANSLATION:
+            self._arrived.wait(JOIN_TIMEOUT_S)
         with self._lock:
             self.arrivals.append((role, message))
         if role == "filter":
@@ -71,10 +75,17 @@ class Recorder:
         if role == "summarizer":
             return "digest"
         if role == "completeness":
-            return "OK"
+            return "- a clause is missing" if "flagged" in message else "OK"
+        if role == "corrector":
+            if "flagged" in message:
+                raise TransientLlmError("corrector down")
+            original, _, rest = message.partition("\n\n[Translation]\n")
+            if "stuck" in message:
+                return rest.partition("\n\n[Error Reports]\n")[0]
+            return original.removeprefix("[Original]\n")
         if "unlucky" in message:
             raise TransientLlmError("translator down")
-        return message
+        return message.replace("\\emph", "") if "damaged" in message else message
 
 
 def _role(request) -> str:
@@ -118,12 +129,12 @@ def _translate(project, out, bound, monkeypatch, recorder):
     ]
 
 
-def _bound_1_and_8(tmp_path, monkeypatch, files, judge_first=False):
+def _bound_1_and_8(tmp_path, monkeypatch, files, wait_for=None):
     """Both runs' arrivals; asserts their outputs are byte-identical."""
     project = write_files(tmp_path / "paper", files)
     runs = {}
     for bound in (1, 8):
-        recorder = Recorder(judge_first and bound > 1)
+        recorder = Recorder(wait_for if bound > 1 else None)
         out = tmp_path / f"b{bound}"
         outcome, outputs = _translate(project, out, bound, monkeypatch, recorder)
         runs[bound] = recorder.arrivals, outputs, outcome
@@ -141,7 +152,7 @@ def _last(arrivals, role):
 
 def test_filter_and_judge_calls_overlap_the_translations(tmp_path, monkeypatch):
     serial, overlapped, outcome = _bound_1_and_8(
-        tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS, judge_first=True
+        tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS, wait_for="completeness"
     )
     assert outcome.ok, outcome.error
     assert _last(overlapped, "filter") > _first(overlapped, "translator")
@@ -212,3 +223,76 @@ def test_a_unit_whose_translation_fails_is_not_judged(tmp_path, monkeypatch, unl
         assert len(judged) == 4 and not any("unlucky" in m for m in judged)
     statuses = [u["status"] for u in outcome.report["units"] if u["needs_translation"]]
     assert statuses.count("FAILED") == 1
+
+
+# --------------------------------------------------------------------------
+# validation chains: each unit's revisions start when its own judge returns
+
+REVISED = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe \\emph{damaged} first section.\n"
+        "\\section{Two}\nThe \\emph{damaged} and stuck second section.\n"
+        "\\section{Three}\nThe flagged third section.\n"
+        "\\section{Four}\nThe plain fourth section.\n"
+        "\\begin{figure}\n\\caption{" + LAST_TRANSLATION + "}\n\\end{figure}\n"
+        "\\end{document}\n"
+    )
+}
+
+
+def _unit_id(report, word):
+    """The id of the section headed *word*: sections are the first units translated."""
+    sections = [u for u in report["units"] if u["needs_translation"]]
+    return sections[["One", "Two", "Three", "Four"].index(word)]["id"]
+
+
+def test_an_early_revision_starts_before_the_last_translation(tmp_path, monkeypatch):
+    serial, overlapped, outcome = _bound_1_and_8(
+        tmp_path, monkeypatch, REVISED, wait_for="corrector"
+    )
+    assert outcome.ok, outcome.error
+    corrected = [m for role, m in overlapped if role == "corrector"]
+    assert "damaged} first" in corrected[0].split("[Translation]")[0]
+    assert _first(overlapped, "corrector") < _last(overlapped, "translator")
+    assert _first(serial, "corrector") > _last(serial, "translator")
+    assert sorted(overlapped) == sorted(serial)
+
+
+def test_a_unit_at_the_round_cap_reports_as_in_a_serial_run(tmp_path, monkeypatch):
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, REVISED)
+    assert outcome.ok, outcome.error
+    report = outcome.report
+    one, two, three = (_unit_id(report, word) for word in ("One", "Two", "Three"))
+    assert report["rounds_used"] == 3
+    flagged = [sorted({f["unit_id"] for f in r["findings"]}) for r in report["validation"]]
+    assert flagged == [[one, two, three], [two, three], [two, three]]
+    statuses = {u["id"]: u["status"] for u in report["units"]}
+    assert (statuses[one], statuses[two], statuses[three]) == ("VALIDATED", "FAILED", "FAILED")
+    # Round by round: the revision warnings, then the cap's, in unit order.
+    assert [w.split(":")[0] for w in report["warnings"]] == [
+        f"revision failed for unit {three}",
+        f"revision failed for unit {three}",
+        f"unit {two} still failing after 3 validation rounds; falling back to source text",
+        f"unit {three} still failing after 3 validation rounds; falling back to source text",
+    ]
+    # The serial program: all round-r judge calls, then all round-r revisions.
+    # Round 1 judges Three, Four and the caption; One is judged in round 2.
+    roles = [role for role, _ in serial if role in ("completeness", "corrector")]
+    assert roles == ["completeness"] * 3 + ["corrector"] * 5 + ["completeness"] + ["corrector"] * 4
+
+
+def test_a_failed_revision_carries_its_findings_and_is_not_judged(tmp_path, monkeypatch):
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, REVISED)
+    assert outcome.ok, outcome.error
+    three = _unit_id(outcome.report, "Three")
+    for arrivals in (serial, overlapped):
+        judged = [m for role, m in arrivals if role == "completeness" and "flagged" in m]
+        assert len(judged) == 1  # round 1 only
+        revised = [m for role, m in arrivals if role == "corrector" and "flagged" in m]
+        assert len(revised) == 2 * 3  # two revisions, every attempt refused
+    findings = [
+        [f["description"] for f in r["findings"] if f["unit_id"] == three]
+        for r in outcome.report["validation"]
+    ]
+    assert findings == [["a clause is missing"]] * 3
