@@ -98,20 +98,11 @@ class TermDictionary:
         self._pairs.append((key, target_term))
         return True
 
-    def lookup(self, source_term: str) -> str | None:
-        return self._by_source.get(source_term)
-
-    def __contains__(self, source_term: object) -> bool:
-        return source_term in self._by_source
-
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __iter__(self):
         return iter(self._pairs)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(self._pairs)
 
     def snapshot(self) -> "TermDictionary":
         """A copy that pairs added here later do not reach."""

@@ -10,6 +10,9 @@ Each translated document gets its own output tree::
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
 
+``<doc-id>`` is the name of the project directory made absolute; a batch
+whose projects share a name is refused before any tree is touched.
+
 report.json deliberately excludes wall-clock data so that two runs with the
 same config and mock transcript are byte-identical.
 """
@@ -56,7 +59,7 @@ from .parser import (
     parse_project,
     units_to_manifest,
 )
-from .unit_filter import ProtectedEnvList, classify_units
+from .unit_filter import classify_units, protected_environments
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,7 +84,7 @@ class RunOutcome:
     report: dict = dataclasses.field(default_factory=dict)
 
 
-def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
+def _build_client(config: RunConfig, logs_dir: Path) -> LlmClient:
     """The client of the document whose logs go to *logs_dir*, ``<out>/<doc-id>/logs``.
 
     A replay answers from the recording in ``<replay_from>/<doc-id>/logs``.
@@ -95,14 +98,12 @@ def _build_client(config: RunConfig, logs_dir: Path | None) -> LlmClient:
         backend = HttpBackend(
             config.endpoint, config.model, api_key, config.request_timeout
         )
-    ledger = UsageLedger(config.prompt_token_price, config.completion_token_price)
-    transcript = logs_dir / TRANSCRIPT_NAME if logs_dir is not None else None
     return LlmClient(
         backend,
-        ledger,
+        UsageLedger(config.prompt_token_price, config.completion_token_price),
         retry_budget=config.retry_budget,
         backoff_base=config.backoff_base,
-        transcript_path=transcript,
+        transcript_path=logs_dir / TRANSCRIPT_NAME,
         max_in_flight=MAX_IN_FLIGHT,
     )
 
@@ -148,7 +149,7 @@ def _compile_step(
 ) -> tuple[dict, float | None]:
     engine = config.chosen_engine
     try:
-        report = compile_document(
+        record, elapsed = compile_document(
             tex_dir,
             main_file,
             engine,
@@ -166,20 +167,19 @@ def _compile_step(
     pdf_src = tex_dir / f"{stem}.pdf"
     if pdf_src.exists():
         shutil.move(str(pdf_src), str(pdf_dir / pdf_src.name))
-    if report.log_path is not None and report.log_path.exists():
-        shutil.copy2(report.log_path, logs_dir / "compile.log")
-    _write_json(logs_dir / "compile_meta.json", {"elapsed_seconds": round(report.elapsed, 3)})
-    score = fc_score(report.error_count, report.warning_count, report.success)
-    info = {
-        "skipped": False,
-        "engine": engine,
-        "success": report.success,
-        "error_count": report.error_count,
-        "warning_count": report.warning_count,
-        "returncode": report.returncode,
-        "passes": report.passes,
-    }
-    return info, score
+    log_path = tex_dir / f"{stem}.log"
+    if log_path.exists():
+        shutil.copy2(log_path, logs_dir / "compile.log")
+    _write_json(logs_dir / "compile_meta.json", {"elapsed_seconds": round(elapsed, 3)})
+    return record, fc_score(record["error_count"], record["warning_count"], record["success"])
+
+
+def _doc_id(project_dir: Path | str) -> str:
+    """The name of the project's output tree: its directory's own name, also for ``.``."""
+    name = Path(os.path.abspath(project_dir)).name
+    if not name:
+        raise ConfigError(f"project directory {str(project_dir)!r} has no name to give its output")
+    return name
 
 
 def translate_project(
@@ -192,9 +192,8 @@ def translate_project(
     Every run that gets past parsing writes a report.json, including failed
     ones; partial outputs stay on disk for inspection.
     """
-    project_dir = Path(project_dir)
-    project = ProjectSource.from_dir(project_dir, main_file)
-    doc_id = project_dir.name
+    doc_id = _doc_id(project_dir)
+    project = ProjectSource.from_dir(Path(project_dir), main_file)
     out_root = Path(config.out_dir) / doc_id
     tex_dir = out_root / "tex"
     pdf_dir = out_root / "pdf"
@@ -204,11 +203,7 @@ def translate_project(
     # it is built here, with the protected list: a replay with no recording
     # or an unreadable list stops before the previous run's tree is deleted.
     client = _build_client(config, logs_dir)
-    protected = (
-        ProtectedEnvList.from_file(config.protected_envs_path)
-        if config.protected_envs_path
-        else ProtectedEnvList.default()
-    )
+    protected = protected_environments(config.protected_envs_path)
     if out_root.exists():
         shutil.rmtree(out_root)
     for d in (tex_dir, pdf_dir, logs_dir, maps_dir):
@@ -286,27 +281,35 @@ def translate_project(
 
 
 def cmd_translate(args) -> int:
-    config = load_config(args.config, _translate_overrides(args))
-    project_dirs = [Path(p) for p in args.projects]
+    config = load_config(args.config, _flag_overrides(args))
+    projects: dict[str, str] = {}
+    for path in args.projects:
+        doc_id = _doc_id(path)
+        if doc_id in projects:
+            raise ConfigError(
+                f"projects {projects[doc_id]!r} and {path!r} would share the output tree "
+                f"{Path(config.out_dir) / doc_id}"
+            )
+        projects[doc_id] = path
 
-    def run_one(path: Path) -> RunOutcome:
+    def run_one(doc_id: str, path: str) -> RunOutcome:
         try:
             return translate_project(path, config, args.main)
         except (MissingMainFile, ConfigError) as exc:
-            return RunOutcome(path.name, Path(config.out_dir) / path.name, False, str(exc), True)
+            return RunOutcome(doc_id, Path(config.out_dir) / doc_id, False, str(exc), True)
         except LatexmtError as exc:
             return RunOutcome(
-                path.name,
-                Path(config.out_dir) / path.name,
+                doc_id,
+                Path(config.out_dir) / doc_id,
                 False,
                 f"{type(exc).__name__}: {exc}",
             )
 
-    if config.workers > 1 and len(project_dirs) > 1:
+    if config.workers > 1 and len(projects) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(run_one, project_dirs))
+            outcomes = list(pool.map(run_one, projects, projects.values()))
     else:
-        outcomes = [run_one(p) for p in project_dirs]
+        outcomes = [run_one(doc_id, path) for doc_id, path in projects.items()]
 
     usage_error = False
     failures = 0
@@ -324,24 +327,10 @@ def cmd_translate(args) -> int:
     return EXIT_FAILURE if failures else EXIT_OK
 
 
-def _translate_overrides(args) -> dict:
-    overrides = {
-        "source_language": args.source_lang,
-        "target_language": args.target_lang,
-        "engine": args.engine,
-        "endpoint": args.endpoint,
-        "model": args.model,
-        "max_validation_rounds": args.max_rounds,
-        "mock": args.mock,
-        "replay_from": args.replay_from,
-        "out_dir": args.out,
-        "workers": args.workers,
-    }
-    if args.no_compile:
-        overrides["compile_enabled"] = False
-    if args.no_preamble:
-        overrides["inject_preamble"] = False
-    return overrides
+def _flag_overrides(args) -> dict:
+    """The RunConfig fields set on the command line: such a flag's dest is its field."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return {name: value for name, value in vars(args).items() if name in fields}
 
 
 # --------------------------------------------------------------------------
@@ -349,11 +338,11 @@ def _translate_overrides(args) -> dict:
 
 
 def cmd_parse(args) -> int:
-    config = load_config(args.config, {"out_dir": args.out})
+    config = load_config(args.config, _flag_overrides(args))
+    doc_id = _doc_id(args.project)
     project = ProjectSource.from_dir(Path(args.project), args.main)
     parsed = parse_project(project)
     units = enumerate_units(parsed)
-    doc_id = Path(args.project).name
     out_root = Path(config.out_dir) / doc_id
     maps_dir = out_root / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
@@ -478,20 +467,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="project directory (repeat for a batch)",
     )
     t.add_argument("--main", default=None, help="main .tex file relative to the project")
-    t.add_argument("--from", dest="source_lang", default=None, metavar="LANG")
-    t.add_argument("--to", dest="target_lang", default=None, metavar="LANG")
+    t.add_argument("--from", dest="source_language", default=None, metavar="LANG")
+    t.add_argument("--to", dest="target_language", default=None, metavar="LANG")
     t.add_argument("--engine", default=None, help="TeX engine (default: by target language)")
     t.add_argument("--endpoint", default=None, help="OpenAI-compatible API base URL")
     t.add_argument("--model", default=None)
-    t.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
+    t.add_argument("--max-rounds", dest="max_validation_rounds", type=int, default=None,
+                   metavar="MAX_ROUNDS")
     t.add_argument("--mock", choices=["echo", "replay"], default=None)
     t.add_argument("--replay-from", dest="replay_from", default=None, metavar="DIR",
                    help="for --mock replay: the --out of the run to replay")
     t.add_argument("--config", default=None, help="YAML config file")
-    t.add_argument("--out", default=None, help="output root directory")
+    t.add_argument("--out", dest="out_dir", default=None, metavar="OUT",
+                   help="output root directory")
     t.add_argument("--workers", type=int, default=None)
-    t.add_argument("--no-compile", dest="no_compile", action="store_true")
-    t.add_argument("--no-preamble", dest="no_preamble", action="store_true",
+    t.add_argument("--no-compile", dest="compile_enabled", action="store_false", default=None)
+    t.add_argument("--no-preamble", dest="inject_preamble", action="store_false", default=None,
                    help="skip target-language preamble injection")
     t.set_defaults(func=cmd_translate)
 
@@ -499,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", required=True, metavar="DIR")
     p.add_argument("--main", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="out_dir", default=None, metavar="OUT")
     p.set_defaults(func=cmd_parse)
 
     s = sub.add_parser("score", help="compute format-consistency scores from logs")

@@ -1,7 +1,8 @@
 """Exception types shared across the toolchain.
 
-Fatal conditions raise; recoverable ones are recorded as warning strings on
-whatever object is being built (parse results, pipeline results, reports).
+Fatal conditions raise; recoverable ones are recorded as warning strings:
+the parser's on the parse result, the agents' on the client
+(:meth:`~latexmt.llm.LlmClient.warn`), and a run's all in its report.json.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import shutil
 import subprocess
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -198,18 +197,6 @@ def inject_language_preamble(
 # compilation
 
 
-@dataclass(frozen=True)
-class CompileReport:
-    engine: str
-    success: bool
-    error_count: int
-    warning_count: int
-    log_path: Path | None
-    elapsed: float
-    passes: int = 2
-    returncode: int | None = None
-
-
 def compile_document(
     tex_dir: Path | str,
     main_file: str,
@@ -217,12 +204,13 @@ def compile_document(
     timeout: float = 300.0,
     passes: int = 2,
     count_box_warnings: bool = False,
-) -> CompileReport:
+) -> tuple[dict, float]:
     """Run the engine over the main file (twice, for references).
 
-    A failed compilation is data, not an exception: the report carries the
-    parsed error/warning counts either way.  Only a missing engine or a
-    pass blowing the time limit raises.
+    Returns report.json's ``compile`` record and the seconds the passes
+    took.  A failed compilation is data, not an exception: the record
+    carries the parsed error/warning counts either way.  Only a missing
+    engine or a pass blowing the time limit raises.
     """
     if shutil.which(engine) is None:
         raise EngineNotFound(f"TeX engine not on PATH: {engine}")
@@ -252,15 +240,14 @@ def compile_document(
         else ""
     )
     stats = parse_log(log_text, count_box_warnings=count_box_warnings)
-    pdf_path = tex_dir / f"{stem}.pdf"
-    success = stats.compiled and returncode == 0 and pdf_path.exists()
-    return CompileReport(
-        engine=engine,
-        success=success,
-        error_count=stats.error_count,
-        warning_count=stats.warning_count,
-        log_path=log_path if log_path.exists() else None,
-        elapsed=elapsed,
-        passes=max(1, passes),
-        returncode=returncode,
-    )
+    success = stats.compiled and returncode == 0 and (tex_dir / f"{stem}.pdf").exists()
+    record = {
+        "skipped": False,
+        "engine": engine,
+        "success": success,
+        "error_count": stats.error_count,
+        "warning_count": stats.warning_count,
+        "returncode": returncode,
+        "passes": max(1, passes),
+    }
+    return record, elapsed

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 import threading
 import time
@@ -76,46 +75,34 @@ class ChatResult:
     completion_tokens: int = 0
 
 
-@dataclass(frozen=True)
-class UsageRecord:
-    prompt_tokens: int
-    completion_tokens: int
-    cost: float
-
-
 class UsageLedger:
-    """Thread-safe accumulator of token usage and spend."""
+    """Thread-safe running totals of calls and tokens; spend is tokens times prices."""
 
     def __init__(self, prompt_token_price: float = 0.0, completion_token_price: float = 0.0):
         self._lock = threading.Lock()
-        self._records: list[UsageRecord] = []
         self.prompt_token_price = prompt_token_price
         self.completion_token_price = completion_token_price
+        self.calls = 0
+        self.prompt_tokens = 0
+        self.completion_tokens = 0
 
-    def record(self, prompt_tokens: int, completion_tokens: int) -> UsageRecord:
-        cost = (
-            prompt_tokens * self.prompt_token_price
-            + completion_tokens * self.completion_token_price
-        )
-        rec = UsageRecord(prompt_tokens, completion_tokens, cost)
+    def record(self, prompt_tokens: int, completion_tokens: int) -> None:
         with self._lock:
-            self._records.append(rec)
-        return rec
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            return len(self._records)
+            self.calls += 1
+            self.prompt_tokens += prompt_tokens
+            self.completion_tokens += completion_tokens
 
     def summary(self) -> dict:
         with self._lock:
+            cost = (
+                self.prompt_tokens * self.prompt_token_price
+                + self.completion_tokens * self.completion_token_price
+            )
             return {
-                "calls": len(self._records),
-                "prompt_tokens": sum(r.prompt_tokens for r in self._records),
-                "completion_tokens": sum(r.completion_tokens for r in self._records),
-                # fsum is exact, so the total does not depend on the order
-                # in which concurrent calls were recorded.
-                "cost": round(math.fsum(r.cost for r in self._records), 6),
+                "calls": self.calls,
+                "prompt_tokens": self.prompt_tokens,
+                "completion_tokens": self.completion_tokens,
+                "cost": round(cost, 6),
             }
 
 

@@ -2,14 +2,14 @@
 
 Protected regions (environments, captions, file boundaries) are swapped out
 for opaque tokens before translation and swapped back afterwards.  The map
-is append-only and serializable so a run can be audited or resumed.
+is append-only and saved with each run, so the run can be audited.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -53,11 +53,9 @@ class PlaceholderEntry:
 class PlaceholderMap:
     """Ordered, write-once table from token to the exact source text it hides."""
 
-    def __init__(self, entries: list[PlaceholderEntry] | None = None):
+    def __init__(self):
         self._entries: list[PlaceholderEntry] = []
         self._by_token: dict[str, PlaceholderEntry] = {}
-        for e in entries or []:
-            self.add(e.token, e.kind, e.original_text)
 
     def add(self, token: str, kind: str, original_text: str) -> PlaceholderEntry:
         if kind not in _KINDS:
@@ -72,18 +70,11 @@ class PlaceholderMap:
     def get(self, token: str) -> PlaceholderEntry | None:
         return self._by_token.get(token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._by_token
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[PlaceholderEntry]:
         return iter(self._entries)
-
-    @property
-    def tokens(self) -> list[str]:
-        return [e.token for e in self._entries]
 
     def restore(self, text: str) -> str:
         """Replace every known token in *text* with its original source.
@@ -98,28 +89,8 @@ class PlaceholderMap:
 
         return TOKEN_RE.sub(repl, text)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "entries": [
-                {"token": e.token, "kind": e.kind, "original_text": e.original_text}
-                for e in self._entries
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlaceholderMap":
-        payload = json.loads(text)
-        pmap = cls()
-        for item in payload["entries"]:
-            pmap.add(item["token"], item["kind"], item["original_text"])
-        return pmap
-
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: Path | str) -> "PlaceholderMap":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Write the entries, in order, as ``{"entries": [...]}`` JSON."""
+        payload = {"entries": [asdict(e) for e in self._entries]}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        Path(path).write_text(text, encoding="utf-8")

@@ -37,46 +37,30 @@ class FilterDecision:
             raise ValueError("predefined decisions are always translate=False")
 
 
-class ProtectedEnvList:
-    """Set of environment names that are never translated."""
+def protected_environments(path: Path | str = "") -> frozenset[str]:
+    """The environment names never translated, read from *path* or the packaged list.
 
-    def __init__(self, names):
-        self.names = frozenset(names)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.names
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "ProtectedEnvList":
+    One name a line; ``#`` starts a comment.  An unreadable *path* is a
+    :class:`ConfigError`.
+    """
+    if path:
         try:
-            return cls(_parse_lines(Path(path).read_text(encoding="utf-8")))
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read protected_envs_path: {exc}") from exc
-
-    @classmethod
-    def default(cls) -> "ProtectedEnvList":
+    else:
         ref = resources.files("latexmt").joinpath("data", "protected_environments.txt")
-        return cls(_parse_lines(ref.read_text(encoding="utf-8")))
+        text = ref.read_text(encoding="utf-8")
+    names = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return frozenset(name for name in names if name)
 
 
-def _parse_lines(text: str) -> set[str]:
-    names = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            names.add(line)
-    return names
-
-
-def _protected(unit: TranslationUnit, protected: ProtectedEnvList) -> bool:
+def _protected(unit: TranslationUnit, protected: frozenset[str]) -> bool:
     return unit.env_name is None or unit.env_name in protected
 
 
 def classify_unit(
-    unit: TranslationUnit, protected: ProtectedEnvList, client: LlmClient, config: RunConfig
+    unit: TranslationUnit, protected: frozenset[str], client: LlmClient, config: RunConfig
 ) -> FilterDecision:
     """Decide whether one environment unit's content should be translated.
 
@@ -109,7 +93,7 @@ def classify_unit(
 
 
 def classify_units(
-    units: list[TranslationUnit], protected: ProtectedEnvList, client: LlmClient, config: RunConfig
+    units: list[TranslationUnit], protected: frozenset[str], client: LlmClient, config: RunConfig
 ) -> list[FilterDecision | Callable[[], FilterDecision]]:
     """The filter decision of every environment unit, in unit order.
 

@@ -56,8 +56,8 @@ from latexmt.unit_filter import (
     SOURCE_DEFAULT,
     SOURCE_LLM,
     SOURCE_PREDEFINED,
-    ProtectedEnvList,
     classify_unit,
+    protected_environments,
 )
 
 from conftest import CORPUS, tree_snapshot, write_files
@@ -265,7 +265,7 @@ def test_05_validator_mechanics(announce):
 def test_06_filter_contract(announce):
     status = "FAIL"
     try:
-        protected = ProtectedEnvList.default()
+        protected = protected_environments()
 
         def env_unit(name):
             return TranslationUnit(
@@ -278,7 +278,7 @@ def test_06_filter_contract(announce):
                 role="env",
             )
 
-        for name in sorted(protected.names):
+        for name in sorted(protected):
             backend = EchoBackend()
             decision = classify_unit(
                 env_unit(name), protected, quiet_client(backend), RunConfig()
@@ -333,8 +333,8 @@ def test_07_bookkeeping(tmp_path, announce):
             extract_terms("s", "t", d, quiet_client(RuleBackend([], default=reply)), cfg)
             sizes.append(len(d))
         assert sizes == sorted(sizes)
-        assert d.pairs() == [("graph", "\u56fe"), ("edge", "\u8fb9")]
-        assert d.lookup("graph") == "\u56fe"
+        assert list(d) == [("graph", "\u56fe"), ("edge", "\u8fb9")]
+        assert dict(d)["graph"] == "\u56fe"
 
         # summary updated exactly once per section unit, in document order
         transcript = tmp_path / "calls.jsonl"
@@ -397,19 +397,19 @@ def test_08_compile_smoke(tmp_path, announce):
         good = tmp_path / "good"
         good.mkdir()
         (good / "main.tex").write_text(GOOD_DOC)
-        report = compile_document(good, "main.tex", engine, timeout=60)
-        assert report.success is True
-        score = fc_score(report.error_count, report.warning_count, report.success)
+        record, elapsed = compile_document(good, "main.tex", engine, timeout=60)
+        assert record["success"] is True
+        score = fc_score(record["error_count"], record["warning_count"], record["success"])
         assert score == 100.0
-        assert report.elapsed < 120.0
+        assert elapsed < 120.0
 
         broken = tmp_path / "broken"
         broken.mkdir()
         (broken / "main.tex").write_text(BROKEN_DOC)
-        report = compile_document(broken, "main.tex", engine, timeout=60)
-        assert report.success is False
-        assert report.error_count >= 1
-        score = fc_score(report.error_count, report.warning_count, report.success)
+        record, _ = compile_document(broken, "main.tex", engine, timeout=60)
+        assert record["success"] is False
+        assert record["error_count"] >= 1
+        score = fc_score(record["error_count"], record["warning_count"], record["success"])
         assert score < 100.0
         status = "PASS"
     finally:

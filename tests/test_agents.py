@@ -45,7 +45,7 @@ from latexmt.parser import (
     STATUS_VALIDATED,
     TranslationUnit,
 )
-from latexmt.unit_filter import ProtectedEnvList, classify_unit
+from latexmt.unit_filter import classify_unit
 
 
 JOIN_TIMEOUT_S = 30.0
@@ -86,7 +86,7 @@ def test_dictionary_first_occurrence_wins():
     d = TermDictionary()
     assert d.add("graph", "\u56fe") is True
     assert d.add("graph", "\u5716") is False
-    assert d.lookup("graph") == "\u56fe"
+    assert dict(d)["graph"] == "\u56fe"
     assert len(d) == 1
 
 
@@ -94,7 +94,7 @@ def test_dictionary_rejects_blank_keys_and_strips():
     d = TermDictionary()
     assert d.add("  ", "x") is False
     assert d.add(" spanning tree ", "y") is True
-    assert "spanning tree" in d
+    assert "spanning tree" in dict(d)
 
 
 def test_dictionary_render_caps_to_most_recent():
@@ -151,7 +151,7 @@ def test_extract_terms_skips_malformed_lines_with_one_warning():
     reply = '"good" - "\u597d"\nthis line is junk\nanother junk line'
     client = make_client(RuleBackend([], default=reply))
     extract_terms("s", "t", d, client, CFG)
-    assert d.pairs() == [("good", "\u597d")]
+    assert list(d) == [("good", "\u597d")]
     assert len(client.warnings) == 1
     assert "2 unparseable line(s)" in client.warnings[0]
 
@@ -164,7 +164,7 @@ def test_extract_terms_duplicate_source_not_overwritten():
     extract_terms("first", "t", d, client, CFG)
     added = extract_terms("second", "t", d, client, CFG)
     assert added == [("edge", "C")]
-    assert d.lookup("graph") == "A"
+    assert dict(d)["graph"] == "A"
 
 
 def test_extract_terms_survives_llm_failure():
@@ -383,7 +383,7 @@ def test_pipeline_translator_sees_only_the_terms_its_unit_holds():
     result = run_pipeline(units, make_client(backend), CFG)
     assert systems["A Graph alone."].endswith('[Term Dictionary]\n"graph" - "G"')
     assert systems["Neither."].endswith("[Term Dictionary]\n(empty)")
-    assert result.dictionary.pairs() == [("graph", "G"), ("tree", "T")]
+    assert list(result.dictionary) == [("graph", "G"), ("tree", "T")]
 
 
 def test_translate_unit_user_message_is_exactly_the_source():
@@ -608,7 +608,7 @@ def test_pipeline_dictionary_grows_monotonically():
     )
     cfg = RunConfig(completeness_check=False)
     result = run_pipeline([s1, s2], make_client(backend), cfg)
-    assert result.dictionary.pairs() == [
+    assert list(result.dictionary) == [
         ("graph", "\u56fe"),
         ("edge", "\u8fb9"),
     ]
@@ -730,7 +730,7 @@ def test_each_agent_sends_its_template_and_sampling():
     update_summary(summary, "section", client, cfg)
     check_content_completeness(unit, client, cfg)
     box = TranslationUnit(id=1, granularity=GRAN_ENVIRONMENT, source_text="x", env_name="box")
-    classify_unit(box, ProtectedEnvList([]), client, cfg)
+    classify_unit(box, frozenset(), client, cfg)
 
     def template(name):
         return prompts.render(name, "French")

@@ -1,14 +1,17 @@
 """Command-line behaviour: exit codes, output layout, subcommands."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from latexmt import cli, prompts
-from latexmt.config import load_config
+from latexmt.config import RunConfig, load_config
 from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
 
 from conftest import tree_snapshot, write_files
+from test_generator import fake_engine
 
 
 PARSE_FIXTURE = {
@@ -299,6 +302,224 @@ def test_translate_max_rounds_override(tmp_path):
     assert code == 0
     report = json.loads((out / "doc" / "report.json").read_text())
     assert report["rounds_used"] == 1
+
+
+# Each flag with the RunConfig fields it sets.
+TRANSLATE_FLAGS = [
+    (["--from", "en-GB"], {"source_language": "en-GB"}),
+    (["--to", "fr"], {"target_language": "fr"}),
+    (["--engine", "lualatex"], {"engine": "lualatex"}),
+    (["--endpoint", "http://localhost:9/v1"], {"endpoint": "http://localhost:9/v1"}),
+    (["--model", "m1"], {"model": "m1"}),
+    (["--max-rounds", "2"], {"max_validation_rounds": 2}),
+    (["--mock", "echo"], {"mock": "echo"}),
+    (["--mock", "replay", "--replay-from", "rec"], {"mock": "replay", "replay_from": "rec"}),
+    (["--out", "elsewhere"], {"out_dir": "elsewhere"}),
+    (["--workers", "3"], {"workers": 3}),
+    (["--no-compile"], {"compile_enabled": False}),
+    (["--no-preamble"], {"inject_preamble": False}),
+]
+
+
+@pytest.fixture
+def configs(monkeypatch):
+    """The RunConfig each command builds; ``translate`` then stops short of a run."""
+    built = []
+
+    def loading(path, overrides):
+        built.append(load_config(path, overrides))
+        return built[-1]
+
+    def translating(project_dir, config, main_file=None):
+        return cli.RunOutcome("doc", Path(config.out_dir) / "doc", True)
+
+    monkeypatch.setattr(cli, "load_config", loading)
+    monkeypatch.setattr(cli, "translate_project", translating)
+    return built
+
+
+def _assert_fields(config: RunConfig, expected: dict) -> None:
+    """Assert *config* holds *expected*, and every other field its default."""
+    defaults = RunConfig()
+    for field in dataclasses.fields(RunConfig):
+        want = expected.get(field.name, getattr(defaults, field.name))
+        assert getattr(config, field.name) == want, field.name
+
+
+@pytest.mark.parametrize("flags, expected", TRANSLATE_FLAGS + [([], {})])
+def test_each_translate_flag_sets_its_config_field(tmp_path, configs, flags, expected):
+    assert run(["translate", "--project", str(tmp_path / "doc"), *flags]) == 0
+    [config] = configs
+    _assert_fields(config, expected)
+
+
+PARSE_FLAGS = [(["--out", "elsewhere"], {"out_dir": "elsewhere"})]
+
+
+@pytest.mark.parametrize("flags, expected", PARSE_FLAGS + [([], {})])
+def test_each_parse_flag_sets_its_config_field(tmp_path, monkeypatch, configs, flags, expected):
+    write_files(tmp_path / "doc", PARSE_FIXTURE)
+    monkeypatch.chdir(tmp_path)
+    assert run(["parse", "--project", "doc", *flags]) == 0
+    [config] = configs
+    _assert_fields(config, expected)
+    assert (tmp_path / config.out_dir / "doc" / "maps" / "units.json").is_file()
+
+
+def test_omitted_flags_keep_the_config_file_values(tmp_path, configs):
+    values = {
+        "target_language": "ja",
+        "compile_enabled": False,
+        "inject_preamble": False,
+        "max_validation_rounds": 5,
+        "workers": 2,
+        "out_dir": str(tmp_path / "o"),
+    }
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(json.dumps(values))  # JSON is YAML
+    assert run(["translate", "--project", str(tmp_path / "doc"), "--config", str(cfg)]) == 0
+    [config] = configs
+    _assert_fields(config, values)
+
+
+@pytest.mark.parametrize("prices", [(0.0, 0.0), (0.001, 0.002)])
+def test_report_usage_is_the_transcript_totals_times_the_prices(tmp_path, prices):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"prompt_token_price: {prices[0]}\ncompletion_token_price: {prices[1]}\n")
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--config", str(cfg), "--mock", "echo"]
+    assert run([*argv, "--no-compile", "--out", str(out)]) == 0
+    calls = list(read_transcript(out / "doc" / "logs"))
+    # The echo mock estimates tokens as characters / 4, at least 1.
+    prompt = sum(max(1, len(c["system"] + c["user"]) // 4) for c in calls)
+    completion = sum(max(1, len(c["reply"]) // 4) for c in calls)
+    report = json.loads((out / "doc" / "report.json").read_text())
+    assert report["usage"] == {
+        "calls": len(calls),
+        "prompt_tokens": prompt,
+        "completion_tokens": completion,
+        "cost": round(prompt * prices[0] + completion * prices[1], 6),
+    }
+    assert len(calls) > 0 and (report["usage"]["cost"] > 0) == (prices[1] > 0)
+
+
+# --------------------------------------------------------------------------
+# output directory names
+
+
+def test_project_dot_is_named_after_its_directory_and_keeps_its_siblings(
+    tmp_path, monkeypatch, capsys
+):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    write_files(out, {"keep.txt": "a sibling of the output trees\n"})
+    monkeypatch.chdir(proj)
+    argv = ["translate", "--project", ".", "--mock", "echo", "--to", "fr", "--no-compile"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert f"doc: ok ({out / 'doc'})" in capsys.readouterr().out
+    assert (out / "keep.txt").read_text() == "a sibling of the output trees\n"
+    assert (out / "doc" / "tex" / "main.tex").read_bytes() == (proj / "main.tex").read_bytes()
+    assert json.loads((out / "doc" / "report.json").read_text())["doc_id"] == "doc"
+
+    assert run(["parse", "--project", ".", "--out", str(out)]) == 0
+    assert (out / "doc" / "maps" / "units.json").is_file()
+    assert sorted(p.name for p in out.iterdir()) == ["doc", "keep.txt"]
+
+
+@pytest.mark.parametrize("command", ["translate", "parse"])
+def test_a_project_without_a_name_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "ProjectSource", None)  # the root is never read
+    out = tmp_path / "out"
+    assert run([command, "--project", "/", "--out", str(out)]) == 2
+    assert "project directory '/' has no name to give its output" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_two_projects_with_one_name_are_a_usage_error_before_any_tree_is_touched(
+    tmp_path, capsys, workers
+):
+    one = write_files(tmp_path / "a" / "doc", PARSE_FIXTURE)
+    two = write_files(tmp_path / "b" / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    write_files(out, {"doc/report.json": "an earlier run's\n"})
+    before = tree_snapshot(out)
+    code = run(
+        [
+            "translate", "--project", str(one), "--project", str(two), "--workers", workers,
+            "--mock", "echo", "--no-compile", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"would share the output tree {out / 'doc'}" in captured.err
+    assert tree_snapshot(out) == before
+
+
+# --------------------------------------------------------------------------
+# compile stage
+
+
+COMPILE_LOG = (
+    "! Undefined control sequence.\n"
+    "! Missing $ inserted.\n"
+    "LaTeX Warning: Reference `a' on page 1 undefined.\n"
+    "LaTeX Warning: Citation `b' on page 1 undefined.\n"
+    "Package hyperref Warning: Token not allowed.\n"
+    "Output written on main.pdf (1 page, 1234 bytes).\n"
+)
+
+
+def test_translate_compiles_with_the_engine_and_scores_its_log(tmp_path, capsys):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    log = write_files(tmp_path / "fixture", {"main.log": COMPILE_LOG}) / "main.log"
+    engine = fake_engine(tmp_path, f"cp '{log}' main.log\nprintf 'PDF' > main.pdf\nexit 0\n")
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--mock", "echo", "--engine", engine]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert f"doc: ok ({out / 'doc'}) fc=94.0" in capsys.readouterr().out
+    root = out / "doc"
+    assert (root / "pdf" / "main.pdf").read_text() == "PDF"
+    assert not (root / "tex" / "main.pdf").exists()  # moved, not copied
+    assert (root / "logs" / "compile.log").read_text() == COMPILE_LOG
+    meta = json.loads((root / "logs" / "compile_meta.json").read_text())
+    assert list(meta) == ["elapsed_seconds"] and meta["elapsed_seconds"] >= 0
+    report = json.loads((root / "report.json").read_text())
+    assert report["compile"] == {
+        "skipped": False,
+        "engine": engine,
+        "success": True,
+        "error_count": 2,
+        "warning_count": 3,
+        "returncode": 0,
+        "passes": 2,
+    }
+    assert report["fc_score"] == 94.0  # 100 - 10 * 2 - 2 * 3 + 20
+    assert not any(engine in w for w in report["warnings"])
+
+
+def test_a_compile_timeout_is_recorded_with_a_warning(tmp_path, capsys):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    engine = fake_engine(tmp_path, "exec sleep 5\n")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("compile_timeout: 0.2\ncompile_passes: 1\n")
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--config", str(cfg), "--mock", "echo"]
+    assert run([*argv, "--engine", engine, "--out", str(out)]) == 0
+    assert f"doc: ok ({out / 'doc'})\n" in capsys.readouterr().out
+    report = json.loads((out / "doc" / "report.json").read_text())
+    reason = f"{engine} exceeded 0s on main.tex"
+    assert report["compile"] == {
+        "skipped": False, "engine": engine, "success": False, "reason": reason,
+    }
+    assert report["fc_score"] is None
+    assert report["warnings"][-1] == reason
+    assert sorted(p.name for p in (out / "doc" / "logs").iterdir()) == [
+        PROMPTS_NAME, TRANSCRIPT_NAME, "speculation.json", "summary.txt",
+    ]
+    assert list((out / "doc" / "pdf").iterdir()) == []
 
 
 @pytest.mark.parametrize(

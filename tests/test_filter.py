@@ -8,9 +8,9 @@ from latexmt.unit_filter import (
     SOURCE_LLM,
     SOURCE_PREDEFINED,
     FilterDecision,
-    ProtectedEnvList,
     classify_unit,
     classify_units,
+    protected_environments,
 )
 
 import pytest
@@ -36,7 +36,7 @@ def client_of(backend):
 
 
 def test_default_list_protects_math_and_verbatim():
-    protected = ProtectedEnvList.default()
+    protected = protected_environments()
     for name in ("equation", "align", "tabular", "verbatim", "tikzpicture"):
         assert name in protected
     assert "figure" not in protected  # captions aside, figures may hold prose
@@ -45,7 +45,7 @@ def test_default_list_protects_math_and_verbatim():
 def test_protected_env_never_queries_the_model():
     backend = EchoBackend()
     decision = classify_unit(
-        env_unit(name="equation"), ProtectedEnvList.default(), client_of(backend), CFG
+        env_unit(name="equation"), protected_environments(), client_of(backend), CFG
     )
     assert decision == FilterDecision(0, False, SOURCE_PREDEFINED)
     assert backend.calls == 0
@@ -55,28 +55,28 @@ def test_nameless_block_is_predefined_preserve():
     unit = env_unit()
     unit.env_name = None
     backend = EchoBackend()
-    decision = classify_unit(unit, ProtectedEnvList.default(), client_of(backend), CFG)
+    decision = classify_unit(unit, protected_environments(), client_of(backend), CFG)
     assert decision.source == SOURCE_PREDEFINED
     assert backend.calls == 0
 
 
 def test_model_true_means_translate():
     backend = RuleBackend([(r".", "True")])
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
+    decision = classify_unit(env_unit(), protected_environments(), client_of(backend), CFG)
     assert decision.translate is True
     assert decision.source == SOURCE_LLM
 
 
 def test_model_false_means_preserve():
     backend = RuleBackend([(r".", "False")])
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
+    decision = classify_unit(env_unit(), protected_environments(), client_of(backend), CFG)
     assert decision.translate is False
     assert decision.source == SOURCE_LLM
 
 
 def test_whitespace_around_verdict_tolerated():
     backend = RuleBackend([], default="  True \n")
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client_of(backend), CFG)
+    decision = classify_unit(env_unit(), protected_environments(), client_of(backend), CFG)
     assert decision.translate is True
 
 
@@ -85,7 +85,7 @@ def test_garbage_replies_retried_then_defaulted():
     backend = RuleBackend([(r"", lambda _m, _r: next(replies))])
     client = client_of(backend)
     decision = classify_unit(
-        env_unit(), ProtectedEnvList.default(), client, RunConfig(filter_parse_retries=3)
+        env_unit(), protected_environments(), client, RunConfig(filter_parse_retries=3)
     )
     assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
     assert backend.calls == 3
@@ -95,7 +95,7 @@ def test_garbage_replies_retried_then_defaulted():
 def test_transport_failure_defaults_to_preserve():
     backend = RuleBackend([])  # no rule, no default: every call errors
     client = client_of(backend)
-    decision = classify_unit(env_unit(), ProtectedEnvList.default(), client, CFG)
+    decision = classify_unit(env_unit(), protected_environments(), client, CFG)
     assert decision.source == SOURCE_DEFAULT
     assert decision.translate is False
     assert any("defaulting to preserve" in w for w in client.warnings)
@@ -115,7 +115,7 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
         ),
     ]
     backend = RuleBackend([(r"Read this", "True")])
-    items = classify_units(units, ProtectedEnvList.default(), client_of(backend), CFG)
+    items = classify_units(units, protected_environments(), client_of(backend), CFG)
     assert backend.calls == 0 and units[1].needs_translation is False  # work not run yet
     assert items[0] == FilterDecision(0, False, SOURCE_PREDEFINED)  # decided with no job
     decisions = [item() if callable(item) else item for item in items]
@@ -129,7 +129,7 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
 def test_custom_protected_list_from_file(tmp_path):
     path = tmp_path / "protected.txt"
     path.write_text("# comment line\nmybox\n\nequation  # inline note\n")
-    protected = ProtectedEnvList.from_file(path)
+    protected = protected_environments(path)
     assert "mybox" in protected
     assert "equation" in protected
     assert "figure" not in protected

@@ -313,13 +313,18 @@ def test_compile_success_with_fake_engine(tmp_path):
         tmp_path,
         f"printf '%s' '{GOOD_LOG}' > main.log\n: > main.pdf\nexit 0\n",
     )
-    report = compile_document(tex_dir, "main.tex", engine, passes=2)
-    assert report.success is True
-    assert report.error_count == 0
-    assert report.warning_count == 0
-    assert report.returncode == 0
-    assert report.passes == 2
-    assert report.log_path == tex_dir / "main.log"
+    record, elapsed = compile_document(tex_dir, "main.tex", engine, passes=2)
+    assert record == {
+        "skipped": False,
+        "engine": engine,
+        "success": True,
+        "error_count": 0,
+        "warning_count": 0,
+        "returncode": 0,
+        "passes": 2,
+    }
+    assert elapsed >= 0
+    assert (tex_dir / "main.log").read_text() == GOOD_LOG
 
 
 def test_compile_failure_is_data_not_exception(tmp_path):
@@ -330,10 +335,10 @@ def test_compile_failure_is_data_not_exception(tmp_path):
         tmp_path,
         'printf \'! Undefined control sequence.\\nl.3 oops\\n\' > main.log\nexit 1\n',
     )
-    report = compile_document(tex_dir, "main.tex", engine)
-    assert report.success is False
-    assert report.error_count == 1
-    assert report.returncode == 1
+    record, _ = compile_document(tex_dir, "main.tex", engine)
+    assert record["success"] is False
+    assert record["error_count"] == 1
+    assert record["returncode"] == 1
 
 
 def test_compile_no_pdf_means_failure_even_with_zero_errors(tmp_path):
@@ -341,9 +346,9 @@ def test_compile_no_pdf_means_failure_even_with_zero_errors(tmp_path):
     tex_dir.mkdir()
     (tex_dir / "main.tex").write_text("irrelevant")
     engine = fake_engine(tmp_path, "printf '%s' 'nothing useful' > main.log\nexit 0\n")
-    report = compile_document(tex_dir, "main.tex", engine)
-    assert report.success is False
-    assert report.error_count == 0
+    record, _ = compile_document(tex_dir, "main.tex", engine)
+    assert record["success"] is False
+    assert record["error_count"] == 0
 
 
 def test_compile_timeout(tmp_path):

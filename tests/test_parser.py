@@ -105,7 +105,7 @@ def test_caption_numbering_is_zero_based_document_order():
         "\\begin{table}\\caption{second}\\end{table}"
     )
     out, pmap = extract_captions(text)
-    assert pmap.tokens == [cap_token(0), cap_token(1)]
+    assert [e.token for e in pmap] == [cap_token(0), cap_token(1)]
     assert out.index(cap_token(0)) < out.index(cap_token(1))
 
 
@@ -163,7 +163,7 @@ def test_top_level_environments_extracted_nested_ride_along():
         "mid\n\\begin{equation}e = m\\end{equation}\npost\n"
     )
     out, pmap = extract_environments(text)
-    assert pmap.tokens == [env_token(0), env_token(1)]
+    assert [e.token for e in pmap] == [env_token(0), env_token(1)]
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{center}")
     assert "\\begin{figure}x\\end{figure}" in pmap.get(env_token(0)).original_text
     assert pmap.get(env_token(1)).original_text == "\\begin{equation}e = m\\end{equation}"

