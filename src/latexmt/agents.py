@@ -6,12 +6,13 @@ chain, judge then (revise, judge)* up to the round cap, starts once its
 translation is final and waits for no other unit.  Each translation's
 prompt carries the summary and dictionary the units before it built.  A
 section's summary update reads only source text, so it starts alongside
-the section's translation; unit k+1's translation is sent while unit k's
-terms are extracted, with the dictionary as it stood before.  That early
-reply is kept only if the final dictionary gives the unit the same term
-block, and a summary update only if its section translated; the rest are
-discarded unseen (:class:`~latexmt.llm.Pending`).  The environment units'
-filter calls run while the sections translate.  Every agent builds its
+the section's translation; unit k+1's translation request is sent early
+(:meth:`LlmClient.send_early`) while unit k's terms are extracted, with the
+dictionary as it stood before.  The client answers that unit with the early
+reply only if its request is byte-equal to the one sent, and a summary
+update is kept only if its section translated; the rest still run, and
+are discarded unseen (:class:`~latexmt.llm.Pending`).  The environment
+units' filter calls run while the sections translate.  Every agent builds its
 request with :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
 are taken in program order, the chains round by round, so results,
@@ -34,7 +35,7 @@ from typing import Sequence
 from . import prompts
 from .config import RunConfig
 from .errors import LlmError, PipelineFailed
-from .llm import LlmClient, Pending
+from .llm import ChatRequest, LlmClient, Pending
 from .parser import (
     GRAN_SECTION,
     STATUS_FAILED,
@@ -103,12 +104,6 @@ class TermDictionary:
 
     def __iter__(self):
         return iter(self._pairs)
-
-    def snapshot(self) -> "TermDictionary":
-        """A copy that pairs added here later do not reach."""
-        copy = TermDictionary()
-        copy._pairs, copy._by_source = list(self._pairs), dict(self._by_source)
-        return copy
 
     def render(self, text: str, cap: int) -> str:
         """Of the most recent *cap* pairs, one line each for those *text* holds (casefolded)."""
@@ -310,15 +305,17 @@ def validate_translations(
 # generation agents
 
 
-def render_translator_system(
-    summary: Summary, dictionary: TermDictionary, source_text: str, config: RunConfig
-) -> str:
+def translator_request(
+    unit: TranslationUnit, summary: Summary, dictionary: TermDictionary, config: RunConfig
+) -> ChatRequest:
+    """What the translator is sent for *unit*: its source, under the summary and its terms."""
     base = prompts.render_for("translator", config)
-    dict_block = dictionary.render(source_text, config.term_dict_cap)
-    return (
+    dict_block = dictionary.render(unit.source_text, config.term_dict_cap)
+    system = (
         f"{base}\n\n[Summary]\n{summary.text or '(none yet)'}"
         f"\n\n[Term Dictionary]\n{dict_block or '(empty)'}"
     )
+    return prompts.request("translator", unit.source_text, config, system)
 
 
 def translate_unit(
@@ -328,9 +325,8 @@ def translate_unit(
     client: LlmClient,
     config: RunConfig,
 ) -> str:
-    """One translator call; the unit's source is the entire user message."""
-    system = render_translator_system(summary, dictionary, unit.source_text, config)
-    return client.chat(prompts.request("translator", unit.source_text, config, system))
+    """One translator call, or the reply to the same request sent early."""
+    return client.reply(translator_request(unit, summary, dictionary, config))
 
 
 def retranslate_unit(
@@ -472,7 +468,6 @@ def run_pipeline(
 
     if not wanted:
         decide()
-    ahead = None  # (this unit's translation, sent early; the dictionary it saw)
     summing = None  # this section's summary update
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
     for i, unit in enumerate(wanted):  # ``wanted`` grows in decide()
@@ -481,35 +476,20 @@ def run_pipeline(
             decide()
         summing = summing or summarize(unit, summary)
         try:
-            # The early request had this very summary and the dictionary
-            # before the previous unit's pairs, which are only appended: it
-            # is unchanged if none was added or the term block is the same.
-            if ahead is not None and (
-                len(ahead[1]) == len(dictionary)
-                or ahead[1].render(unit.source_text, config.term_dict_cap)
-                == dictionary.render(unit.source_text, config.term_dict_cap)
-            ):
-                client.speculation["hits"] += 1
-                text = ahead[0].result()
-            else:
-                if ahead is not None:
-                    client.speculation["misses"] += 1
-                    ahead[0].discard()
-                text = translate_unit(unit, summary, dictionary, client, config)
+            text = translate_unit(unit, summary, dictionary, client, config)
         except LlmError as exc:
             client.warn(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
             if summing is not None:
                 summing.discard()
-            ahead = summing = None
+            summing = None
             continue
         unit.translated_text, unit.status = text, STATUS_TRANSLATED
-        ahead = upcoming = None
+        upcoming = None
         following = wanted[i + 1] if i + 1 < len(wanted) else None
         if client.max_in_flight > 1 and following is not None:  # speculate
             updated = summing.peek() if summing is not None else summary
-            seen = dictionary.snapshot()
-            ahead = client.submit(translate_unit, following, updated, seen, client, config), seen
+            client.send_early(translator_request(following, updated, dictionary, config))
             upcoming = summarize(following, updated)
         chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
         extract_terms(unit.source_text, text, dictionary, client, config)

@@ -10,8 +10,9 @@ Each translated document gets its own output tree::
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
 
-``<doc-id>`` is the name of the project directory made absolute; a batch
-whose projects share a name is refused before any tree is touched.
+``<doc-id>`` is the name of the project directory made absolute.  A batch
+whose projects share a name, and an output tree that is, holds or lies in
+its project, are refused before any tree is touched.
 
 report.json deliberately excludes wall-clock data so that two runs with the
 same config and mock transcript are byte-identical.
@@ -195,6 +196,9 @@ def translate_project(
     doc_id = _doc_id(project_dir)
     project = ProjectSource.from_dir(Path(project_dir), main_file)
     out_root = Path(config.out_dir) / doc_id
+    mine, theirs = out_root.resolve(), project.root_dir.resolve()
+    if mine.is_relative_to(theirs) or theirs.is_relative_to(mine):
+        raise ConfigError(f"output tree {out_root} overlaps the project directory {project_dir}")
     tex_dir = out_root / "tex"
     pdf_dir = out_root / "pdf"
     logs_dir = out_root / "logs"

@@ -12,7 +12,10 @@ once, in a sidecar; :func:`read_transcript` joins them back), the run's
 warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
 (:meth:`LlmClient.submit`), whose calls and warnings count only once they
 are kept; a job may submit the next job of a chain, and each is kept on
-its own.  Backends implement a single
+its own.  Every submitted job runs, kept or not, so the backend sees the
+same calls whatever the timing.  A request sent early
+(:meth:`LlmClient.send_early`) is answered only to a byte-equal request
+(:meth:`LlmClient.reply`).  Backends implement a single
 ``complete(request) -> ChatResult`` method, so tests can swap in the mocks
 and the rest of the pipeline cannot tell the difference.  Backends may be
 called from several threads at once.
@@ -53,7 +56,7 @@ SPECULATED = dict.fromkeys(
 _BLOCK_START = "\n\n["
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChatRequest:
     system_prompt: str
     user_message: str
@@ -138,12 +141,11 @@ class EchoBackend(_CallCounter):
 class ReplayBackend(_CallCounter):
     """Answers each request with its reply in a recorded run's transcript.
 
-    A request is keyed on what the transcript records of it: system prompt,
-    user message, temperature and max_new_tokens, so calls may come in any
-    order.  A request recorded twice replays its first reply.  Only
-    successful calls are recorded, so a call that failed in the recording
-    fails here as an unrecorded request.  A missing recording is a
-    :class:`ConfigError`.
+    A request is keyed on every field, all of which the transcript records,
+    so calls may come in any order.  A request recorded twice replays its
+    first reply.  Only successful calls are recorded, so a call that failed
+    in the recording fails here as an unrecorded request.  A missing
+    recording is a :class:`ConfigError`.
     """
 
     def __init__(self, logs_dir: Path | str):
@@ -151,22 +153,16 @@ class ReplayBackend(_CallCounter):
         transcript = Path(logs_dir) / TRANSCRIPT_NAME
         if not transcript.is_file():
             raise ConfigError(f"no recording to replay: {transcript} not found")
-        self._replies: dict[tuple, str] = {}
+        self._replies: dict[ChatRequest, str] = {}
         for call in read_transcript(logs_dir):
-            key = (call["system"], call["user"], call["temperature"], call["max_new_tokens"])
-            self._replies.setdefault(key, call["reply"])
+            fields = call["system"], call["user"], call["temperature"], call["max_new_tokens"]
+            self._replies.setdefault(ChatRequest(*fields), call["reply"])
 
     def complete(self, request: ChatRequest) -> ChatResult:
         self._count()
-        key = (
-            request.system_prompt,
-            request.user_message,
-            request.temperature,
-            request.max_new_tokens,
-        )
-        if key not in self._replies:
+        if request not in self._replies:
             raise LlmError(f"request not in the recording: {request.user_message[:80]!r}")
-        return _estimated(request, self._replies[key])
+        return _estimated(request, self._replies[request])
 
 
 class RuleBackend(_CallCounter):
@@ -280,9 +276,9 @@ class Pending(Generic[R]):
     The ledger records and transcript lines of its calls, and its warnings,
     are held until :meth:`result` commits them, when it is called, so the
     order of ``result`` calls is the order of the transcript and of
-    ``LlmClient.warnings``; :meth:`discard` drops them, and a job not yet
-    started never runs.  At a bound of 1 the job runs in the calling thread,
-    when its value is first asked for.
+    ``LlmClient.warnings``; :meth:`discard` drops them.  At a bound above 1
+    every job runs, discarded or not.  At a bound of 1 the job runs in the
+    calling thread, when its value is first asked for, or never.
     """
 
     def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple):
@@ -320,9 +316,8 @@ class Pending(Generic[R]):
             self._client._commit(held, warnings)
 
     def discard(self) -> None:
-        """Drop the job's calls and warnings; a job not yet started never runs."""
+        """Drop the job's calls and warnings; a job not yet started still runs."""
         if self._future is not None:
-            self._future.cancel()
             self._client._discarded.append(self._held)
 
 
@@ -338,11 +333,13 @@ class LlmClient:
     serial run would.  Jobs from :meth:`submit` share one pool of
     ``max_in_flight`` threads, and a job may submit the next one of a
     chain; the default of 1 starts no thread and keeps every call in
-    program order.  :meth:`close`, or leaving a ``with`` block, waits for
-    the pool, adds the calls that :meth:`Pending.discard` dropped to
-    ``speculation``, next to the hits and misses its callers count, and
-    closes the transcript files, which are buffered until then: a killed
-    process loses their tail.
+    program order.  Only the program's thread calls :meth:`send_early`,
+    :meth:`reply` and :meth:`close`.  ``speculation`` counts the requests
+    sent early that :meth:`reply` took (hits) and never took (misses), and
+    the calls that :meth:`Pending.discard` dropped.  :meth:`close`, or
+    leaving a ``with`` block, discards the misses, waits for the pool,
+    counts what was discarded and closes the transcript files, which are
+    buffered until then: a killed process loses their tail.
     """
 
     backend: object
@@ -364,6 +361,7 @@ class LlmClient:
     _stored: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _discarded: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _early: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False, compare=False)
 
     def chat(self, request: ChatRequest) -> str:
@@ -392,12 +390,29 @@ class LlmClient:
         """Start ``fn(*args)``, which must not wait for other jobs."""
         return Pending(self, fn, args)
 
+    def send_early(self, request: ChatRequest) -> None:
+        """Submit :meth:`chat` of *request*, for :meth:`reply` to an equal request to take."""
+        if request not in self._early:
+            self._early[request] = self.submit(self.chat, request)
+
+    def reply(self, request: ChatRequest) -> str:
+        """The reply to an equal request sent early, committed now (a hit), or :meth:`chat`."""
+        early = self._early.pop(request, None)
+        if early is None:
+            return self.chat(request)
+        self.speculation["hits"] += 1
+        return early.result()
+
     @property
     def calls(self) -> int:
         return self.ledger.calls
 
     def close(self) -> None:
-        """Wait for every submitted job, count what was discarded, close the files."""
+        """Discard the misses, wait for every job, count what was discarded, close the files."""
+        self.speculation["misses"] += len(self._early)
+        for early in self._early.values():
+            early.discard()
+        self._early.clear()
         if self._pool is not None:
             self._pool.shutdown()  # a job that submits from now on raises
             self._pool = None

@@ -21,10 +21,10 @@ from latexmt.agents import (
     check_content_completeness,
     check_placeholder_integrity,
     extract_terms,
-    render_translator_system,
     retranslate_unit,
     run_pipeline,
     translate_unit,
+    translator_request,
     update_summary,
     validate_translations,
 )
@@ -349,13 +349,15 @@ def test_validate_skips_units_without_candidates():
 def test_translator_system_prompt_carries_context():
     d = TermDictionary()
     d.add("graph", "\u56fe")
-    system = render_translator_system(Summary("the story so far", 1), d, "A graph.", CFG)
+    unit = section_unit(0, "A graph.")
+    system = translator_request(unit, Summary("the story so far", 1), d, CFG).system_prompt
     assert "[Summary]\nthe story so far" in system
     assert '[Term Dictionary]\n"graph" - "\u56fe"' in system
 
 
 def test_translator_system_prompt_placeholders_for_empty_context():
-    system = render_translator_system(Summary(), TermDictionary(), "text", CFG)
+    request = translator_request(section_unit(0, "text"), Summary(), TermDictionary(), CFG)
+    system = request.system_prompt
     assert "[Summary]\n(none yet)" in system
     assert "[Term Dictionary]\n(empty)" in system
 
@@ -636,7 +638,7 @@ def pinning_backend(sent, early_sent=None):
     after the first one that does is translated early without the pair, and
     that early reply must be discarded.  Given *early_sent*, the first
     terminology reply waits until that early request has arrived, so that
-    it is sent, not cancelled before it starts.
+    it reaches the backend before the request sent again with the pair.
     """
 
     def reply(match, request):
@@ -736,7 +738,7 @@ def test_each_agent_sends_its_template_and_sampling():
         return prompts.render(name, "French")
 
     assert sent == [
-        (render_translator_system(summary, terms, "src", cfg), 0.9, 123),
+        (template("translator") + "\n\n[Summary]\nso far\n\n[Term Dictionary]\n(empty)", 0.9, 123),
         (template("corrector"), 0.9, 123),
         (template("terminology"), 0.3, 123),
         (template("summarizer"), 0.3, 123),

@@ -436,6 +436,28 @@ def test_a_project_without_a_name_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cwd, project, out",
+    [
+        ("papers", "paper", "."),  # the output tree is the project
+        ("papers/paper", ".", "out"),  # the output tree lies inside the project
+        ("papers", "paper/paper", "."),  # the output tree holds the project
+    ],
+)
+def test_an_output_tree_overlapping_its_project_is_a_usage_error_before_it_is_touched(
+    tmp_path, monkeypatch, capsys, cwd, project, out
+):
+    papers = tmp_path / "papers"
+    write_files(papers / "paper", PARSE_FIXTURE)
+    write_files(papers / "paper" / "paper", PARSE_FIXTURE)
+    before = tree_snapshot(papers)
+    monkeypatch.chdir(tmp_path / cwd)
+    argv = ["translate", "--project", project, "--mock", "echo", "--no-compile", "--out", out]
+    assert run(argv) == 2
+    assert "overlaps the project directory" in capsys.readouterr().err
+    assert tree_snapshot(papers) == before
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_two_projects_with_one_name_are_a_usage_error_before_any_tree_is_touched(
     tmp_path, capsys, workers

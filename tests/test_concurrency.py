@@ -253,9 +253,47 @@ def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatc
     assert len(calls) == 1 and calls[0]["system"].endswith('"calibration" - "KALIB"')
     resent = [r.system_prompt for r in speculated[4] if r.user_message == two][-1]
     assert calls[0]["system"] == resent
-    # Every call sent beyond the serial run's was discarded (a job discarded
-    # before it starts is never sent).
+    # Every call sent beyond the serial run's was discarded (a discarded job
+    # still runs, so its calls are counted whenever it was discarded).
     assert len(speculated[4]) - len(serial[4]) == speculated[3]["discarded_calls"]
+
+
+def _delaying(judge_delay):
+    """:func:`_pinning` after 2 ms, or after *judge_delay* seconds for a judge call."""
+
+    def reply(match, request):
+        judge = request.user_message.startswith("[Original]\n")
+        time.sleep(judge_delay if judge else 0.002)
+        return _pinning(match, request)
+
+    return reply
+
+
+def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
+    # With slow judges, the two pool threads still judge sections Zero and One
+    # when section Three's early translation is sent, so it waits in the
+    # queue until after it is found to miss; with fast ones it starts at once.
+    # It must run either way.
+    project = write_files(
+        tmp_path / "paper",
+        {
+            "main.tex": "\\documentclass{article}\n\\begin{document}\n"
+            "\\section{Zero}\nA plain opening.\n\\section{One}\nA plain middle.\n"
+            "\\section{Two}\nThe calibration of the sensor.\n"
+            "\\section{Three}\nA second calibration run.\n\\end{document}\n"
+        },
+    )
+    runs = []
+    for bound, delay in ((1, 0.002), (2, 0.002), (2, 0.1), (2, 0.2)):
+        out = tmp_path / f"run{len(runs)}"
+        outcome, sent = _translate_with(project, out, bound, monkeypatch, _delaying(delay))
+        assert outcome.ok, outcome.error
+        runs.append((len(sent), (outcome.out_dir / "logs" / "speculation.json").read_bytes()))
+    serial, *speculated = runs
+    assert speculated == [speculated[0]] * 3
+    counted = json.loads(speculated[0][1])
+    assert counted["discarded_calls"] == counted["misses"] == 1  # the miss made its call
+    assert speculated[0][0] == serial[0] + counted["discarded_calls"]
 
 
 def test_no_thread_outlives_translate_project(tmp_path, monkeypatch):

@@ -477,7 +477,7 @@ def test_jobs_run_up_to_the_bound_at_once():
         assert [job.result() for job in jobs] == list(range(8))
 
 
-def test_jobs_discarded_after_an_error_never_start(tmp_path):
+def test_jobs_discarded_after_an_error_still_run(tmp_path):
     path = tmp_path / "transcript.jsonl"
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=3)
 
@@ -496,7 +496,8 @@ def test_jobs_discarded_after_an_error_never_start(tmp_path):
             job.discard()
     assert transcript_users(path) == ["0", "1"]
     assert client.calls == 2
-    assert client.backend.calls < 30  # jobs not yet started never ran
+    assert client.backend.calls == 29  # every job ran but item 2's, which raised first
+    assert client.speculation["discarded_calls"] == 27
 
 
 def test_with_bound_one_jobs_run_inline_in_the_order_taken(tmp_path):
@@ -558,6 +559,30 @@ def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
     assert client.speculation["discarded_calls"] == 1
 
 
+def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    started, release = threading.Barrier(3, timeout=10), threading.Event()
+
+    def gated(item):
+        started.wait()
+        assert release.wait(10)
+        return client.chat(req(item))
+
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=2) as client:
+        gates = [client.submit(gated, item) for item in ("a", "b")]
+        queued = client.submit(client.chat, req("queued"))
+        started.wait()  # both threads hold a gated job: the third waits in the queue
+        queued.discard()
+        release.set()
+        assert [gate.result() for gate in gates] == ["a", "b"]
+    assert client.backend.calls == 3
+    assert transcript_users(path) == ["a", "b"]
+    assert client.calls == 2
+    assert client.speculation["discarded_calls"] == 1
+    tokens = len(req("queued").system_prompt + "queued") // 4
+    assert client.speculation["discarded_prompt_tokens"] == tokens
+
+
 def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
     backend = RuleBackend([], default="first")
     with client_for(backend, transcript_path=tmp_path / "t.jsonl") as client:
@@ -569,6 +594,62 @@ def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
     assert backend.calls == 1
     assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
     assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)
+
+
+# --------------------------------------------------------------------------
+# requests sent early: a reply is kept only for an equal request
+
+
+def test_an_early_reply_is_kept_only_for_an_equal_request(tmp_path):
+    terms = "sys\n\n[Term Dictionary]\n"
+    hit = req("unit 1", terms + '"a" - "x"')
+    miss = req("unit 2", terms + '"a" - "x"')
+    resent = req("unit 2", terms + '"a" - "y"')  # one byte of the term block differs
+    answered = threading.Event()
+
+    def reply(_match, request):
+        if request == hit:
+            answered.set()
+        return request.user_message + request.system_prompt[-2]
+
+    lines = {}
+    for bound in (1, 3):  # at bound 1, a serial run: nothing is sent early
+        path = tmp_path / f"b{bound}.jsonl"
+        backend = RuleBackend([(r"", reply)])
+        with client_for(backend, transcript_path=path, max_in_flight=bound) as client:
+            if bound > 1:
+                client.send_early(hit)
+                client.send_early(miss)
+                assert answered.wait(10)  # its reply is in, and held
+            client.chat(req("before"))
+            assert client.reply(hit) == "unit 1x"
+            assert client.reply(resent) == "unit 2y"
+            client.chat(req("after"))
+        lines[bound] = path.read_bytes()
+    assert lines[3] == lines[1]
+    assert transcript_users(path) == ["before", "unit 1", "unit 2", "after"]
+    assert backend.calls == 5 and client.calls == 4
+    spent = len(miss.system_prompt + miss.user_message) // 4, len("unit 2x") // 4
+    assert dict(client.speculation) == {
+        "hits": 1,
+        "misses": 1,
+        "discarded_calls": 1,
+        "discarded_prompt_tokens": spent[0],
+        "discarded_completion_tokens": spent[1],
+    }
+
+
+def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    with client_for(EchoBackend(), transcript_path=path) as client:
+        client.send_early(req("taken"))
+        client.send_early(req("never taken"))
+        assert client.backend.calls == 0
+        assert client.reply(req("taken")) == "taken"
+    assert client.backend.calls == 1
+    assert transcript_users(path) == ["taken"]
+    assert client.speculation["hits"] == client.speculation["misses"] == 1
+    assert client.speculation["discarded_calls"] == 0
 
 
 # --------------------------------------------------------------------------
