@@ -4,16 +4,18 @@ One translator pass over all units (building a rolling document summary and
 a first-occurrence-wins term dictionary as it goes); each unit's validation
 chain, judge then (revise, judge)* up to the round cap, starts once its
 translation is final and waits for no other unit.  Each translation's
-prompt carries the summary and dictionary the units before it built.  A
-section's summary update reads only source text, so it starts alongside
-the section's translation; unit k+1's translation request is sent early
-(:meth:`LlmClient.send_early`) while unit k's terms are extracted, with the
-dictionary as it stood before.  The client answers that unit with the early
-reply only if its request is byte-equal to the one sent, and a summary
-update is kept only if its section translated; the rest still run, and
-are discarded unseen (:class:`~latexmt.llm.Pending`).  The environment
-units' filter calls run while the sections translate.  Every agent builds its
-request with :func:`~latexmt.prompts.request` and records warnings with
+prompt carries the summary and dictionary the units before it built.
+Translation and summary requests are sent early
+(:meth:`LlmClient.send_early`): a section's summary update reads only
+source text, so it is sent as the section's translation starts and taken
+once that translation returns; unit k+1's requests are sent while unit k's
+terms are extracted, with the dictionary as it stood before.  The client
+answers a request with an early reply only if the two are byte-equal.  An
+early request never taken runs only above a bound of 1, and is then
+discarded unseen (:class:`~latexmt.llm.Pending`), so every bound runs one
+program.  The environment units' filter calls run while the sections
+translate.  Every agent builds its request with
+:func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
 are taken in program order, the chains round by round, so results,
 findings, warnings and the transcript read as in a serial run.  Two
@@ -349,21 +351,26 @@ def retranslate_unit(
     return client.chat(request)
 
 
+def summary_request(summary: Summary, new_section: str, config: RunConfig) -> ChatRequest:
+    """What the summarizer is sent to fold *new_section* into *summary*."""
+    return prompts.request(
+        "summarizer",
+        f"prev_summary:\n{summary.text or '(empty)'}\n\nnew_section:\n{new_section}",
+        config,
+    )
+
+
 def update_summary(
     summary: Summary, new_section: str, client: LlmClient, config: RunConfig
 ) -> Summary:
     """Fold a just-translated section into the rolling summary.
 
+    One summarizer call, or the reply to the same request sent early.
     Failures keep the previous summary; an over-long reply is kept but
     recorded as a warning (the word limit is a target, not a knife).
     """
-    request = prompts.request(
-        "summarizer",
-        f"prev_summary:\n{summary.text or '(empty)'}\n\nnew_section:\n{new_section}",
-        config,
-    )
     try:
-        text = client.chat(request)
+        text = client.reply(summary_request(summary, new_section, config))
     except LlmError as exc:
         client.warn(f"summary update failed, keeping version {summary.version}: {exc}")
         return summary
@@ -460,42 +467,31 @@ def run_pipeline(
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
         wanted.extend([u for u in units if u.needs_translation][len(wanted) :])
 
-    def summarize(unit: TranslationUnit, summary: Summary):
-        """A section's summary update, started with its translation."""
-        if unit.granularity != GRAN_SECTION:
-            return None
-        return client.submit(update_summary, summary, unit.source_text, client, config)
-
     if not wanted:
         decide()
-    summing = None  # this section's summary update
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
     for i, unit in enumerate(wanted):  # ``wanted`` grows in decide()
         start_filters(per_step)
         if i == last:
             decide()
-        summing = summing or summarize(unit, summary)
+        if unit.granularity == GRAN_SECTION:  # sent already, unless first or after a failure
+            client.send_early(summary_request(summary, unit.source_text, config))
         try:
             text = translate_unit(unit, summary, dictionary, client, config)
         except LlmError as exc:
             client.warn(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
-            if summing is not None:
-                summing.discard()
-            summing = None
             continue
         unit.translated_text, unit.status = text, STATUS_TRANSLATED
-        upcoming = None
+        if unit.granularity == GRAN_SECTION:
+            summary = update_summary(summary, unit.source_text, client, config)
         following = wanted[i + 1] if i + 1 < len(wanted) else None
-        if client.max_in_flight > 1 and following is not None:  # speculate
-            updated = summing.peek() if summing is not None else summary
-            client.send_early(translator_request(following, updated, dictionary, config))
-            upcoming = summarize(following, updated)
+        if following is not None:  # its requests, sent with what is known so far
+            client.send_early(translator_request(following, summary, dictionary, config))
+            if following.granularity == GRAN_SECTION:
+                client.send_early(summary_request(summary, following.source_text, config))
         chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
         extract_terms(unit.source_text, text, dictionary, client, config)
-        if summing is not None:
-            summary = summing.result()
-        summing = upcoming
 
     for unit in units:
         if not unit.needs_translation:

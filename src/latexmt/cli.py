@@ -183,6 +183,15 @@ def _doc_id(project_dir: Path | str) -> str:
     return name
 
 
+def _out_root(project_dir: Path | str, config: RunConfig) -> Path:
+    """``<out>/<doc-id>``, refused if it is, holds or lies in the project directory."""
+    out_root = Path(config.out_dir) / _doc_id(project_dir)
+    mine, theirs = out_root.resolve(), Path(project_dir).resolve()
+    if mine.is_relative_to(theirs) or theirs.is_relative_to(mine):
+        raise ConfigError(f"output tree {out_root} overlaps the project directory {theirs}")
+    return out_root
+
+
 def translate_project(
     project_dir: Path | str, config: RunConfig, main_file: str | None = None
 ) -> RunOutcome:
@@ -193,12 +202,9 @@ def translate_project(
     Every run that gets past parsing writes a report.json, including failed
     ones; partial outputs stay on disk for inspection.
     """
-    doc_id = _doc_id(project_dir)
+    out_root = _out_root(project_dir, config)
+    doc_id = out_root.name
     project = ProjectSource.from_dir(Path(project_dir), main_file)
-    out_root = Path(config.out_dir) / doc_id
-    mine, theirs = out_root.resolve(), project.root_dir.resolve()
-    if mine.is_relative_to(theirs) or theirs.is_relative_to(mine):
-        raise ConfigError(f"output tree {out_root} overlaps the project directory {project_dir}")
     tex_dir = out_root / "tex"
     pdf_dir = out_root / "pdf"
     logs_dir = out_root / "logs"
@@ -302,12 +308,8 @@ def cmd_translate(args) -> int:
         except (MissingMainFile, ConfigError) as exc:
             return RunOutcome(doc_id, Path(config.out_dir) / doc_id, False, str(exc), True)
         except LatexmtError as exc:
-            return RunOutcome(
-                doc_id,
-                Path(config.out_dir) / doc_id,
-                False,
-                f"{type(exc).__name__}: {exc}",
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            return RunOutcome(doc_id, Path(config.out_dir) / doc_id, False, error)
 
     if config.workers > 1 and len(projects) > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -343,11 +345,10 @@ def _flag_overrides(args) -> dict:
 
 def cmd_parse(args) -> int:
     config = load_config(args.config, _flag_overrides(args))
-    doc_id = _doc_id(args.project)
+    out_root = _out_root(args.project, config)
     project = ProjectSource.from_dir(Path(args.project), args.main)
     parsed = parse_project(project)
     units = enumerate_units(parsed)
-    out_root = Path(config.out_dir) / doc_id
     maps_dir = out_root / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
     _write_maps(parsed, maps_dir)
@@ -359,7 +360,7 @@ def cmd_parse(args) -> int:
     for unit in units:
         by_kind[unit.granularity] += 1
     print(
-        f"{doc_id}: {len(units)} units "
+        f"{out_root.name}: {len(units)} units "
         f"({by_kind[GRAN_SECTION]} section, {by_kind[GRAN_ENVIRONMENT]} environment, "
         f"{by_kind[GRAN_CAPTION]} caption), "
         f"{len(parsed.merged.boundaries)} merged file(s), "

@@ -12,13 +12,14 @@ once, in a sidecar; :func:`read_transcript` joins them back), the run's
 warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
 (:meth:`LlmClient.submit`), whose calls and warnings count only once they
 are kept; a job may submit the next job of a chain, and each is kept on
-its own.  Every submitted job runs, kept or not, so the backend sees the
-same calls whatever the timing.  A request sent early
+its own.  Above a bound of 1 every submitted job runs, kept or not, so the
+backend sees the same calls whatever the timing; at a bound of 1 a job
+runs only once its value is asked for.  A request sent early
 (:meth:`LlmClient.send_early`) is answered only to a byte-equal request
-(:meth:`LlmClient.reply`).  Backends implement a single
-``complete(request) -> ChatResult`` method, so tests can swap in the mocks
-and the rest of the pipeline cannot tell the difference.  Backends may be
-called from several threads at once.
+(:meth:`LlmClient.reply`), so one program serves every bound.  Backends
+implement a single ``complete(request) -> ChatResult`` method, so tests
+can swap in the mocks and the rest of the pipeline cannot tell the
+difference.  Backends may be called from several threads at once.
 """
 
 from __future__ import annotations

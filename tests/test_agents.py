@@ -23,6 +23,7 @@ from latexmt.agents import (
     extract_terms,
     retranslate_unit,
     run_pipeline,
+    summary_request,
     translate_unit,
     translator_request,
     update_summary,
@@ -204,6 +205,15 @@ def test_update_summary_overflow_is_a_warning_not_truncation():
     updated = update_summary(Summary(), "sec", client, CFG)
     assert updated.word_count == 400
     assert any("400 words" in w for w in client.warnings)
+
+
+def test_update_summary_takes_the_reply_to_its_request_sent_early():
+    backend = RuleBackend([], default="early digest")
+    client = make_client(backend)
+    client.send_early(summary_request(Summary("old", 1), "sec", CFG))
+    assert backend.calls == 0  # at a bound of 1, an early request waits to be taken
+    assert update_summary(Summary("old", 1), "sec", client, CFG) == Summary("early digest", 2)
+    assert backend.calls == 1 and client.speculation["hits"] == 1
 
 
 def test_update_summary_failure_keeps_previous():
@@ -684,13 +694,17 @@ def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
     assert client.ledger.summary() == serial_client.ledger.summary()
     assert [u.translated_text for u in result.units] == [u.translated_text for u in serial.units]
     assert client.warnings == serial_client.warnings
-    assert dict(serial_client.speculation) == dict.fromkeys(serial_client.speculation, 0)
+    # One program at every bound: only the calls discarded differ.
+    counted, serially = ("hits", "misses"), serial_client.speculation
+    assert [client.speculation[k] for k in counted] == [serially[k] for k in counted]
+    assert {v for k, v in serially.items() if k.startswith("discarded_")} == {0}
     # Unit 1 was sent without the pair, then again with it; only the resend counts.
     unit1 = [r for r in sent if r.user_message == "A second calibration run."]
     assert [r.system_prompt.endswith('"calibration" - "KALIB"') for r in unit1] == [False, True]
     transcribed = [json.loads(line) for line in lines.splitlines()]
     assert sum(e["user"] == "A second calibration run." for e in transcribed) == 1
-    assert client.speculation["misses"] == 1
+    # Unit 1's first request, and the update of the section that failed.
+    assert client.speculation["misses"] == 2
     assert client.speculation["hits"] >= 1
     # The miss and the summary of the section that failed were dropped.
     assert client.speculation["discarded_calls"] == 2
@@ -706,6 +720,35 @@ def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path):
     assert result.summary == serial.summary == Summary("digest of Closing word", 2)
     # Its summary update ran alongside the failed translation, then was dropped.
     assert any("new_section:\nAn unlucky" in r.user_message for r in sent)
+
+
+def test_speculation_takes_each_translated_sections_update_early(tmp_path, monkeypatch):
+    taken, reply = [], LlmClient.reply
+
+    def recording(client, request):
+        hits = client.speculation["hits"]
+        try:
+            return reply(client, request)
+        finally:
+            taken.append((request.user_message, client.speculation["hits"] > hits))
+
+    monkeypatch.setattr(LlmClient, "reply", recording)
+    for bound in (1, 4):
+        taken.clear()
+        _, sent, lines, client = run_speculating(tmp_path, bound)
+        updates = [
+            (message.rsplit("new_section:\n", 1)[1], hit)
+            for message, hit in taken
+            if message.startswith("prev_summary:\n")
+        ]
+        assert updates == [("The calibration of the sensor.", True), ("Closing words.", True)]
+        # The failed section's update is sent early and never taken: a miss.
+        # It runs only above a bound of 1, once, and is discarded unseen.
+        failed = [r for r in sent if r.user_message.endswith("new_section:\nAn unlucky section.")]
+        assert len(failed) == (0 if bound == 1 else 1)
+        assert b"An unlucky" not in lines
+        assert client.speculation["misses"] == 2
+        assert client.speculation["discarded_calls"] == (0 if bound == 1 else 2)
 
 
 # --------------------------------------------------------------------------

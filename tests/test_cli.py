@@ -436,26 +436,40 @@ def test_a_project_without_a_name_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "cwd, project, out",
-    [
-        ("papers", "paper", "."),  # the output tree is the project
-        ("papers/paper", ".", "out"),  # the output tree lies inside the project
-        ("papers", "paper/paper", "."),  # the output tree holds the project
-    ],
-)
-def test_an_output_tree_overlapping_its_project_is_a_usage_error_before_it_is_touched(
-    tmp_path, monkeypatch, capsys, cwd, project, out
-):
+OVERLAPS = [  # (cwd, --project, --out)
+    ("papers", "paper", "."),  # the output tree is the project
+    ("papers/paper", ".", "out"),  # the output tree lies inside the project
+    ("papers", "paper/paper", "."),  # the output tree holds the project
+]
+
+
+def _refused_overlap(tmp_path, monkeypatch, capsys, cwd, argv):
+    """Run *argv* in *cwd*, beside nested projects; it must exit 2 and touch none."""
     papers = tmp_path / "papers"
     write_files(papers / "paper", PARSE_FIXTURE)
     write_files(papers / "paper" / "paper", PARSE_FIXTURE)
     before = tree_snapshot(papers)
     monkeypatch.chdir(tmp_path / cwd)
-    argv = ["translate", "--project", project, "--mock", "echo", "--no-compile", "--out", out]
     assert run(argv) == 2
     assert "overlaps the project directory" in capsys.readouterr().err
     assert tree_snapshot(papers) == before
+
+
+@pytest.mark.parametrize("cwd, project, out", OVERLAPS)
+def test_an_output_tree_overlapping_its_project_is_a_usage_error_before_it_is_touched(
+    tmp_path, monkeypatch, capsys, cwd, project, out
+):
+    argv = ["translate", "--project", project, "--mock", "echo", "--no-compile", "--out", out]
+    _refused_overlap(tmp_path, monkeypatch, capsys, cwd, argv)
+
+
+@pytest.mark.parametrize("cwd, project, out", OVERLAPS)
+def test_parse_refuses_an_output_tree_overlapping_its_project(
+    tmp_path, monkeypatch, capsys, cwd, project, out
+):
+    # Its maps hold merged_document.tex, which a later translate would read as a source.
+    argv = ["parse", "--project", project, "--out", out]
+    _refused_overlap(tmp_path, monkeypatch, capsys, cwd, argv)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -162,7 +162,7 @@ def test_filter_and_judge_calls_overlap_the_translations(tmp_path, monkeypatch):
 
 def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
     serial, _, outcome = _bound_1_and_8(tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS)
-    section = ["translator", "terminology", "summarizer"]
+    section = ["translator", "summarizer", "terminology"]
     # Sections One and Two, the filter calls at the last section's step
     # (notebox, figure and remark; equation is protected), section Three,
     # the notebox and the caption, then the judges in unit order.
