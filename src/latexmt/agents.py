@@ -8,13 +8,15 @@ prompt carries the summary and dictionary the units before it built.
 Translation and summary requests are sent early
 (:meth:`LlmClient.send_early`): a section's summary update reads only
 source text, so it is sent as the section's translation starts and taken
-once that translation returns; unit k+1's requests are sent while unit k's
-terms are extracted, with the dictionary as it stood before.  The client
-answers a request with an early reply only if the two are byte-equal.  An
-early request never taken runs only above a bound of 1, and is then
-discarded unseen (:class:`~latexmt.llm.Pending`), so every bound runs one
-program.  The environment units' filter calls run while the sections
-translate.  Every agent builds its request with
+once that translation returns.  Once unit k is translated, the next
+``AHEAD`` units' translations go with the summary and dictionary as they
+stand, each with its terms request chained, and again once unit k's
+terms change their request; a section, whose summary update the units
+after it need, ends the window.  An early reply answers only a byte-equal
+request.  An early request never taken runs only above a bound of 1, and
+is then discarded unseen (:class:`~latexmt.llm.Pending`), so every bound
+runs one program.  The environment units' filter calls run while the
+sections translate.  Every agent builds its request with
 :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
 are taken in program order, the chains round by round, so results,
@@ -31,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import takewhile
 from typing import Sequence
 
@@ -52,6 +55,7 @@ DIM_COMMAND = "COMMAND_INTEGRITY"
 DIM_COMPLETENESS = "CONTENT_COMPLETENESS"
 
 SUMMARY_WORD_LIMIT = 300
+AHEAD = 8  # wanted units whose translations are sent before their turn
 
 # Control sequences that may legitimately appear or vanish when prose moves
 # between languages (quotation marks get replaced by native punctuation).
@@ -380,6 +384,13 @@ def update_summary(
     return Summary(text, summary.version + 1)
 
 
+def terms_request(source_text: str, translated_text: str, config: RunConfig) -> ChatRequest:
+    """What the terminology extractor is sent to mine pairs from one source/translation pair."""
+    return prompts.request(
+        "terminology", f"[Source]\n{source_text}\n\n[Translation]\n{translated_text}", config
+    )
+
+
 def extract_terms(
     source_text: str,
     translated_text: str,
@@ -389,15 +400,13 @@ def extract_terms(
 ) -> list[tuple[str, str]]:
     """Mine new term pairs from one source/translation pair.
 
+    One terminology call, or the reply to the same request sent early.
     The reply must be ``N/A`` or lines of ``"src" - "tgt"``.  Malformed
     lines are skipped (one aggregated warning per reply); existing source
     terms are never overwritten.  Returns the pairs actually added.
     """
-    request = prompts.request(
-        "terminology", f"[Source]\n{source_text}\n\n[Translation]\n{translated_text}", config
-    )
     try:
-        reply = client.chat(request)
+        reply = client.reply(terms_request(source_text, translated_text, config))
     except LlmError as exc:
         client.warn(f"terminology extraction failed: {exc}")
         return []
@@ -467,6 +476,22 @@ def run_pipeline(
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
         wanted.extend([u for u in units if u.needs_translation][len(wanted) :])
 
+    sent: dict[int, tuple[int, int]] = {}  # (len(dictionary), summary.version) at each send
+
+    def send_ahead(i: int) -> None:
+        """Send the next AHEAD units' translations early, each with its terms request chained.
+
+        A unit is rendered again only if its context changed; a section ends the window.
+        """
+        for ahead in wanted[i + 1 : i + 1 + AHEAD]:
+            if sent.get(ahead.id) != (len(dictionary), summary.version):
+                sent[ahead.id] = (len(dictionary), summary.version)
+                request = translator_request(ahead, summary, dictionary, config)
+                client.send_early(request, partial(terms_request, ahead.source_text, config=config))
+            if ahead.granularity == GRAN_SECTION:
+                client.send_early(summary_request(summary, ahead.source_text, config))
+                break
+
     if not wanted:
         decide()
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
@@ -485,13 +510,10 @@ def run_pipeline(
         unit.translated_text, unit.status = text, STATUS_TRANSLATED
         if unit.granularity == GRAN_SECTION:
             summary = update_summary(summary, unit.source_text, client, config)
-        following = wanted[i + 1] if i + 1 < len(wanted) else None
-        if following is not None:  # its requests, sent with what is known so far
-            client.send_early(translator_request(following, summary, dictionary, config))
-            if following.granularity == GRAN_SECTION:
-                client.send_early(summary_request(summary, following.source_text, config))
+        send_ahead(i)  # with the dictionary as it stands
         chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
         extract_terms(unit.source_text, text, dictionary, client, config)
+        send_ahead(i)  # again, with the pairs just added
 
     for unit in units:
         if not unit.needs_translation:

@@ -16,7 +16,9 @@ its own.  Above a bound of 1 every submitted job runs, kept or not, so the
 backend sees the same calls whatever the timing; at a bound of 1 a job
 runs only once its value is asked for.  A request sent early
 (:meth:`LlmClient.send_early`) is answered only to a byte-equal request
-(:meth:`LlmClient.reply`), so one program serves every bound.  Backends
+(:meth:`LlmClient.reply`), so one program serves every bound; its job may
+chain a request built from its reply, which counts as sent early once the
+first is taken.  Backends
 implement a single ``complete(request) -> ChatResult`` method, so tests
 can swap in the mocks and the rest of the pipeline cannot tell the
 difference.  Backends may be called from several threads at once.
@@ -335,12 +337,14 @@ class LlmClient:
     ``max_in_flight`` threads, and a job may submit the next one of a
     chain; the default of 1 starts no thread and keeps every call in
     program order.  Only the program's thread calls :meth:`send_early`,
-    :meth:`reply` and :meth:`close`.  ``speculation`` counts the requests
-    sent early that :meth:`reply` took (hits) and never took (misses), and
-    the calls that :meth:`Pending.discard` dropped.  :meth:`close`, or
-    leaving a ``with`` block, discards the misses, waits for the pool,
-    counts what was discarded and closes the transcript files, which are
-    buffered until then: a killed process loses their tail.
+    :meth:`reply` and :meth:`close`, and only it files requests sent early:
+    :meth:`reply` files the job that a job it takes chained.  ``speculation``
+    counts the requests sent early that :meth:`reply` took (hits) and never
+    took (misses), and the calls that :meth:`Pending.discard` dropped.
+    :meth:`close`, or leaving a ``with`` block, discards the misses and,
+    once each returns, what it chained, waits for the pool, counts what was
+    discarded and closes the transcript files, which are buffered until
+    then: a killed process loses their tail.
     """
 
     backend: object
@@ -391,10 +395,21 @@ class LlmClient:
         """Start ``fn(*args)``, which must not wait for other jobs."""
         return Pending(self, fn, args)
 
-    def send_early(self, request: ChatRequest) -> None:
-        """Submit :meth:`chat` of *request*, for :meth:`reply` to an equal request to take."""
+    def send_early(self, request: ChatRequest, then: Callable | None = None) -> None:
+        """Submit :meth:`chat` of *request*, for :meth:`reply` to an equal request to take.
+
+        Given *then*, the job next submits the chat of ``then(reply)``, early once the job is taken.
+        """
         if request not in self._early:
-            self._early[request] = self.submit(self.chat, request)
+            self._early[request] = self.submit(self._early_job, request, then)
+
+    def _early_job(self, request: ChatRequest, then) -> tuple[str, tuple | None]:
+        """The reply to *request*, and the chained ``(request, job)`` *then* asks for."""
+        text = self.chat(request)
+        if then is None:
+            return text, None
+        chained = then(text)
+        return text, (chained, self.submit(self._early_job, chained, None))
 
     def reply(self, request: ChatRequest) -> str:
         """The reply to an equal request sent early, committed now (a hit), or :meth:`chat`."""
@@ -402,17 +417,25 @@ class LlmClient:
         if early is None:
             return self.chat(request)
         self.speculation["hits"] += 1
-        return early.result()
+        text, chained = early.result()
+        if chained is not None and self._early.setdefault(*chained) is not chained[1]:
+            self.speculation["misses"] += 1  # an equal request is pending already
+            chained[1].discard()
+        return text
 
     @property
     def calls(self) -> int:
         return self.ledger.calls
 
     def close(self) -> None:
-        """Discard the misses, wait for every job, count what was discarded, close the files."""
+        """Discard the misses and the jobs they chain, wait for the pool, count, close the files."""
         self.speculation["misses"] += len(self._early)
         for early in self._early.values():
             early.discard()
+            if early._future is not None and early._future.exception() is None:  # waits for it
+                chained = early._future.result()[1]  # submitted before the pool shuts down
+                if chained is not None:
+                    chained[1].discard()
         self._early.clear()
         if self._pool is not None:
             self._pool.shutdown()  # a job that submits from now on raises

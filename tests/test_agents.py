@@ -706,9 +706,10 @@ def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
     # Unit 1's first request, and the update of the section that failed.
     assert client.speculation["misses"] == 2
     assert client.speculation["hits"] >= 1
-    # The miss and the summary of the section that failed were dropped.
-    assert client.speculation["discarded_calls"] == 2
-    assert len(sent) == len(serial_sent) + 2
+    # The miss, the terms request chained behind it, and the summary of the
+    # section that failed were dropped.
+    assert client.speculation["discarded_calls"] == 3
+    assert len(sent) == len(serial_sent) + 3
     assert client.ledger.calls == len(transcribed)
 
 
@@ -748,7 +749,74 @@ def test_speculation_takes_each_translated_sections_update_early(tmp_path, monke
         assert len(failed) == (0 if bound == 1 else 1)
         assert b"An unlucky" not in lines
         assert client.speculation["misses"] == 2
-        assert client.speculation["discarded_calls"] == (0 if bound == 1 else 2)
+        # And unit 1's first translation, with the terms request chained behind it.
+        assert client.speculation["discarded_calls"] == (0 if bound == 1 else 3)
+
+
+def tail_units():
+    return [
+        section_unit(0, "An opening section."),
+        caption_unit(1, "A graph of the tree."),
+        caption_unit(2, "Plain caption two."),
+        caption_unit(3, "Another tree, pruned."),
+        caption_unit(4, "Plain caption four."),
+        section_unit(5, "A second section."),
+        caption_unit(6, "A caption after the second section."),
+    ]
+
+
+def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monkeypatch):
+    # The first section's step sends the four captions and the second section
+    # at once; caption 1's terms then pin "tree", so caption 3 is sent again.
+    events, send_early, reply = [], LlmClient.send_early, LlmClient.reply
+
+    def sending(client, request, then=None):
+        events.append(("sent", request.user_message))
+        send_early(client, request, then)
+
+    def taking(client, request):
+        hits = client.speculation["hits"]
+        try:
+            return reply(client, request)
+        finally:
+            kind = "hit" if client.speculation["hits"] > hits else "chat"
+            events.append((kind, request.user_message))
+
+    def answer(_match, request):
+        sent.append(request)
+        message = request.user_message
+        if message.startswith("[Source]\n"):
+            return '"tree" - "BAUM"' if message.startswith("[Source]\nA graph") else "N/A"
+        return "digest" if message.startswith("prev_summary:\n") else message
+
+    monkeypatch.setattr(LlmClient, "send_early", sending)
+    monkeypatch.setattr(LlmClient, "reply", taking)
+    runs = {}
+    for bound in (1, 4):
+        events.clear()
+        sent, path = [], tmp_path / f"bound{bound}.jsonl"
+        with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
+            result = run_pipeline(tail_units(), client, RunConfig(completeness_check=False))
+        runs[bound] = path.read_bytes(), dict(client.speculation), sent
+        # Each caption's translation and terms request is taken early.
+        taken = dict((message, kind) for kind, message in events if kind != "sent")
+        for unit in result.units[1:5] + result.units[6:]:
+            terms = f"[Source]\n{unit.source_text}\n\n[Translation]\n{unit.source_text}"
+            assert taken[unit.source_text] == taken[terms] == "hit"
+        # Nothing after the second section is sent before its summary update is taken.
+        update = ("hit", "prev_summary:\ndigest\n\nnew_section:\nA second section.")
+        assert events.index(update) < events.index(("sent", result.units[6].source_text))
+    (serial, serially, _), (lines, counted, sent) = runs[1], runs[4]
+    assert lines == serial
+    assert [counted[k] for k in ("hits", "misses")] == [serially[k] for k in ("hits", "misses")]
+    assert {v for k, v in serially.items() if k.startswith("discarded_")} == {0}
+    # Caption 3 was sent without the pair, then with it; only the second is transcribed.
+    third = [r.system_prompt for r in sent if r.user_message == "Another tree, pruned."]
+    assert [system.endswith('"tree" - "BAUM"') for system in third] == [False, True]
+    transcribed = [json.loads(line) for line in lines.splitlines()]
+    assert [e["user"] for e in transcribed].count("Another tree, pruned.") == 1
+    assert counted["misses"] == 1  # its translation and the terms call chained behind it
+    assert counted["discarded_calls"] == 2 and len(sent) == len(transcribed) + 2
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import time
 from latexmt import cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
-from latexmt.llm import RuleBackend, read_transcript
+from latexmt.llm import ChatRequest, LlmClient, RuleBackend, read_transcript
 from latexmt.placeholders import TOKEN_RE
 
 from conftest import write_files
@@ -277,7 +277,7 @@ def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
     # With slow judges, the two pool threads still judge sections Zero and One
     # when section Three's early translation is sent, so it waits in the
     # queue until after it is found to miss; with fast ones it starts at once.
-    # It must run either way.
+    # It must run either way, and so must the terms call chained behind it.
     project = write_files(
         tmp_path / "paper",
         {
@@ -296,8 +296,55 @@ def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
     serial, *speculated = runs
     assert speculated == [speculated[0]] * 3
     counted = json.loads(speculated[0][1])
-    assert counted["discarded_calls"] == counted["misses"] == 1  # the miss made its call
+    # The miss made its call, and the terms call chained behind it.
+    assert counted["misses"] == 1 and counted["discarded_calls"] == 2
     assert speculated[0][0] == serial[0] + counted["discarded_calls"]
+
+
+def test_a_miss_still_running_at_close_makes_its_chained_call():
+    # The stale request outlasts the rest of the run; its chained request
+    # is submitted only once it returns, after close() has begun.
+    stale, chained = ChatRequest("sys", "stale"), ChatRequest("sys", "terms of stale")
+    for delay in (0.0, 0.1, 0.2):
+        backend = RuleBackend([(r"^stale$", lambda _m, _r: time.sleep(delay) or "old")], "ok")
+        with LlmClient(backend, max_in_flight=2) as client:
+            client.send_early(stale, lambda _text: chained)
+            assert client.reply(ChatRequest("sys", "fresh")) == "ok"
+        assert backend.calls == 3, delay
+        assert client.calls == 1 and client.speculation["misses"] == 1
+        assert client.speculation["discarded_calls"] == 2
+        spent = sum(len(r.system_prompt + r.user_message) // 4 for r in (stale, chained))
+        assert client.speculation["discarded_prompt_tokens"] == spent
+
+
+def _slow_stale(delay):
+    """:func:`_pinning`, sleeping *delay* seconds on section Two's translation without the pair."""
+
+    def reply(match, request):
+        stale = "KALIB" not in request.system_prompt
+        if stale and request.user_message.startswith("\\section{Two}"):
+            time.sleep(delay)
+        return _pinning(match, request)
+
+    return reply
+
+
+def test_a_translation_miss_running_at_close_is_counted_whatever_its_delay(tmp_path, monkeypatch):
+    project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
+    runs = []
+    for bound, delay in ((1, 0.0), (2, 0.0), (2, 0.1), (2, 0.2)):
+        out = tmp_path / f"run{len(runs)}"
+        outcome, sent = _translate_with(project, out, bound, monkeypatch, _slow_stale(delay))
+        assert outcome.ok, outcome.error
+        counted = json.loads((outcome.out_dir / "logs" / "speculation.json").read_text())
+        runs.append((len(sent), counted))
+    (serial, _), *speculated = runs
+    assert speculated == [speculated[0]] * 3
+    calls, counted = speculated[0]
+    # Two's first translation and the terms call chained behind it, and the
+    # update of Three, which failed.
+    assert counted["misses"] == 2 and counted["discarded_calls"] == 3
+    assert calls == serial + counted["discarded_calls"]
 
 
 def test_no_thread_outlives_translate_project(tmp_path, monkeypatch):

@@ -652,6 +652,33 @@ def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
     assert client.speculation["discarded_calls"] == 0
 
 
+@pytest.mark.parametrize("bound", [1, 3])
+def test_a_request_chained_behind_an_early_one_is_early_once_that_one_is_taken(tmp_path, bound):
+    path = tmp_path / "transcript.jsonl"
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+        client.send_early(req("unit"), lambda text: req(f"terms of {text}"))
+        assert client.reply(req("before")) == "before"  # not sent early: a plain call
+        assert client.reply(req("unit")) == "unit"
+        assert client.reply(req("terms of unit")) == "terms of unit"
+    assert transcript_users(path) == ["before", "unit", "terms of unit"]
+    assert client.backend.calls == 3
+    assert client.speculation["hits"] == 2 and client.speculation["misses"] == 0
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_a_chained_request_already_pending_is_a_miss_for_the_later_chain(tmp_path, bound):
+    path = tmp_path / "transcript.jsonl"
+    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+        for unit in ("a", "b"):
+            client.send_early(req(unit), lambda _text: req("shared terms"))
+        assert [client.reply(req(unit)) for unit in ("a", "b")] == ["a", "b"]
+        assert client.reply(req("shared terms")) == "shared terms"  # a's chained job
+    assert transcript_users(path) == ["a", "b", "shared terms"]
+    assert client.speculation["hits"] == 3 and client.speculation["misses"] == 1
+    assert client.speculation["discarded_calls"] == (0 if bound == 1 else 1)
+    assert client.backend.calls == 3 + client.speculation["discarded_calls"]
+
+
 # --------------------------------------------------------------------------
 # warnings: held, kept and dropped with a job's calls
 
