@@ -5,16 +5,19 @@ a first-occurrence-wins term dictionary as it goes); each unit's validation
 chain, judge then (revise, judge)* up to the round cap, starts once its
 translation is final and waits for no other unit.  Each translation's
 prompt carries the summary and dictionary the units before it built.
+The units after the last section go to the translator and the terminology
+extractor in groups (:func:`grouped`), each unit's part headed by its
+placeholder token; a reply that does not split back into the parts sends
+each unit on its own.  Judging, revision and fallback stay per unit.
 Translation and summary requests are sent early
 (:meth:`LlmClient.send_early`): a section's summary update reads only
 source text, so it is sent as the section's translation starts and taken
-once that translation returns.  Once unit k is translated, the next
-``AHEAD`` units' translations go with the summary and dictionary as they
-stand, each with its terms request chained, and again once unit k's
-terms change their request; a section, whose summary update the units
-after it need, ends the window.  An early reply answers only a byte-equal
-request.  An early request never taken runs only above a bound of 1, and
-is then discarded unseen (:class:`~latexmt.llm.Pending`), so every bound
+once that translation returns.  Once a unit or group is translated, the
+next one's translation goes with the summary and dictionary as they
+stand, its terms request chained, and again if the terms just mined add
+pairs.  An early reply answers only a byte-equal request.  An early
+request never taken runs only above a bound of 1, and is then discarded
+unseen (:class:`~latexmt.llm.Pending`), so every bound
 runs one program.  The environment units' filter calls run while the
 sections translate.  Every agent builds its request with
 :func:`~latexmt.prompts.request` and records warnings with
@@ -55,7 +58,17 @@ DIM_COMMAND = "COMMAND_INTEGRITY"
 DIM_COMPLETENESS = "CONTENT_COMPLETENESS"
 
 SUMMARY_WORD_LIMIT = 300
-AHEAD = 8  # wanted units whose translations are sent before their turn
+GROUP_UNITS = 8  # tail units per translator request, at most
+GROUP_CHARS = 6000  # their source characters, at most (a longer unit goes alone)
+# What a group's translator prompt adds: the format of its message and reply.
+GROUP_FORMAT = (
+    "\n\n[Parts]\n"
+    "The text holds several parts. Each part begins with a line that holds only "
+    "its placeholder token, and a blank line ends it. Translate each part on its "
+    "own. Reply with every part, in the same order and format: its token line "
+    "exactly as given, then its translation. Write nothing before the first "
+    "token line."
+)
 
 # Control sequences that may legitimately appear or vanish when prose moves
 # between languages (quotation marks get replaced by native punctuation).
@@ -315,13 +328,80 @@ def translator_request(
     unit: TranslationUnit, summary: Summary, dictionary: TermDictionary, config: RunConfig
 ) -> ChatRequest:
     """What the translator is sent for *unit*: its source, under the summary and its terms."""
-    base = prompts.render_for("translator", config)
-    dict_block = dictionary.render(unit.source_text, config.term_dict_cap)
+    return group_request((unit,), summary, dictionary, config)
+
+
+def join_parts(parts: Sequence[tuple[str, str]]) -> str:
+    """One message of ``(header, text)`` parts: each header alone on a line, then its text.
+
+    A blank line separates the parts.
+    """
+    return "\n\n".join(f"{header}\n{text}" for header, text in parts)
+
+
+def split_parts(reply: str, headers: Sequence[str]) -> list[str] | None:
+    """The texts of *reply*'s parts, as :func:`join_parts` joins them, or None.
+
+    *reply* splits only if each of *headers* is a line of it exactly once,
+    in order, and nothing but whitespace comes before the first.
+    """
+    lines = reply.split("\n")
+    at = [i for i, line in enumerate(lines) if line in headers]
+    if not at or [lines[i] for i in at] != list(headers) or "".join(lines[: at[0]]).strip():
+        return None
+    texts = ["\n".join(lines[i + 1 : j]) for i, j in zip(at, at[1:] + [len(lines)])]
+    # Each part but the last ends with the blank line before the next header.
+    return [text.removesuffix("\n") for text in texts[:-1]] + texts[-1:]
+
+
+def group_source(group: Sequence[TranslationUnit]) -> str:
+    """What the translator is sent as *group*'s text: one unit's source, or their parts."""
+    if len(group) == 1:
+        return group[0].source_text
+    return join_parts([(unit.token, unit.source_text) for unit in group])
+
+
+def group_request(
+    group: Sequence[TranslationUnit],
+    summary: Summary,
+    dictionary: TermDictionary,
+    config: RunConfig,
+) -> ChatRequest:
+    """What the translator is sent for *group*: its text, under the summary and the terms it holds.
+
+    The text is :func:`group_source`; a group of several units adds
+    :data:`GROUP_FORMAT` to the system prompt.
+    """
+    source = group_source(group)
+    dict_block = dictionary.render(source, config.term_dict_cap)
     system = (
-        f"{base}\n\n[Summary]\n{summary.text or '(none yet)'}"
-        f"\n\n[Term Dictionary]\n{dict_block or '(empty)'}"
+        f"{prompts.render_for('translator', config)}\n\n[Summary]\n{summary.text or '(none yet)'}"
+        f"\n\n[Term Dictionary]\n{dict_block or '(empty)'}{GROUP_FORMAT if len(group) > 1 else ''}"
     )
-    return prompts.request("translator", unit.source_text, config, system)
+    return prompts.request("translator", source, config, system)
+
+
+def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...]]:
+    """*units* as the loop sends them: one by one up to the last section, then in groups.
+
+    A group holds up to :data:`GROUP_UNITS` units and :data:`GROUP_CHARS`
+    source characters, and only units whose joined parts split back; a unit
+    that fits in no group goes alone.
+    """
+    cut = max((i + 1 for i, u in enumerate(units) if u.granularity == GRAN_SECTION), default=0)
+    groups = [(unit,) for unit in units[:cut]]
+    for unit in units[cut:]:
+        group = groups[-1] + (unit,) if len(groups) > cut else (unit,)
+        if (
+            1 < len(group) <= GROUP_UNITS
+            and sum(len(u.source_text) for u in group) <= GROUP_CHARS
+            and split_parts(group_source(group), [u.token for u in group])
+            == [u.source_text for u in group]
+        ):
+            groups[-1] = group
+        else:
+            groups.append((unit,))
+    return groups
 
 
 def translate_unit(
@@ -448,6 +528,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Translate every unit; each unit's validation chain starts once its text is final.
 
+    The units after the last section are translated in groups (:func:`grouped`).
     *classify* is the environment units' filter decisions
     (:func:`~latexmt.unit_filter.classify_units`): the model work runs over
     the leading sections' steps, and every decision is taken, in order, at
@@ -464,41 +545,34 @@ def run_pipeline(
         wanted = list(takewhile(lambda u: u.granularity == GRAN_SECTION, wanted))
     asks = [work for work in classify if callable(work)]  # the filter work that calls the model
     filtering, decisions = [], []  # started filter jobs, and every decision
-    per_step, last = -(-len(asks) // max(1, len(wanted))), len(wanted) - 1
+    per_step = -(-len(asks) // max(1, len(wanted)))
 
     def start_filters(count: int) -> None:
         filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
 
     def decide() -> None:
-        """Take every decision in unit order; the units let in join ``wanted``."""
+        """Take every decision in unit order; the units let in join ``wanted`` and ``groups``."""
         start_filters(len(asks))
         jobs = iter(filtering)
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
-        wanted.extend([u for u in units if u.needs_translation][len(wanted) :])
+        let_in = [u for u in units if u.needs_translation][len(wanted) :]
+        wanted.extend(let_in)
+        groups.extend(grouped(let_in))
 
-    sent: dict[int, tuple[int, int]] = {}  # (len(dictionary), summary.version) at each send
+    def send_next(i: int) -> None:
+        """Send the next group's translation early, its terms chained; a section's, its summary."""
+        if i + 1 < len(groups):
+            request = group_request(groups[i + 1], summary, dictionary, config)
+            client.send_early(request, partial(terms_request, request.user_message, config=config))
+            head = groups[i + 1][0]
+            if head.granularity == GRAN_SECTION:
+                client.send_early(summary_request(summary, head.source_text, config))
 
-    def send_ahead(i: int) -> None:
-        """Send the next AHEAD units' translations early, each with its terms request chained.
-
-        A unit is rendered again only if its context changed; a section ends the window.
-        """
-        for ahead in wanted[i + 1 : i + 1 + AHEAD]:
-            if sent.get(ahead.id) != (len(dictionary), summary.version):
-                sent[ahead.id] = (len(dictionary), summary.version)
-                request = translator_request(ahead, summary, dictionary, config)
-                client.send_early(request, partial(terms_request, ahead.source_text, config=config))
-            if ahead.granularity == GRAN_SECTION:
-                client.send_early(summary_request(summary, ahead.source_text, config))
-                break
-
-    if not wanted:
-        decide()
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
-    for i, unit in enumerate(wanted):  # ``wanted`` grows in decide()
-        start_filters(per_step)
-        if i == last:
-            decide()
+
+    def translate_one(i: int, unit: TranslationUnit) -> None:
+        """*unit*'s translator call, then its validation chain and its terms."""
+        nonlocal summary
         if unit.granularity == GRAN_SECTION:  # sent already, unless first or after a failure
             client.send_early(summary_request(summary, unit.source_text, config))
         try:
@@ -506,14 +580,49 @@ def run_pipeline(
         except LlmError as exc:
             client.warn(f"translation failed for unit {unit.id}: {exc}")
             unit.status = STATUS_FAILED
-            continue
-        unit.translated_text, unit.status = text, STATUS_TRANSLATED
+            return
         if unit.granularity == GRAN_SECTION:
             summary = update_summary(summary, unit.source_text, client, config)
-        send_ahead(i)  # with the dictionary as it stands
-        chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
-        extract_terms(unit.source_text, text, dictionary, client, config)
-        send_ahead(i)  # again, with the pairs just added
+        translated(i, (unit,), [text], text)
+
+    def translate_group(i: int, group: tuple[TranslationUnit, ...]) -> None:
+        """One translator call for *group*; its units one by one if the reply does not split."""
+        request = group_request(group, summary, dictionary, config)
+        try:
+            reply = client.reply(request)
+            texts, problem = split_parts(reply, [u.token for u in group]), "reply did not split"
+        except LlmError as exc:
+            texts, problem = None, str(exc)
+        if texts is None:
+            ids = ", ".join(str(u.id) for u in group)
+            client.warn(f"group translation failed for units {ids}, sent one by one: {problem}")
+            for unit in group:
+                translate_one(i, unit)
+            return
+        translated(i, group, texts, reply)
+
+    def translated(i: int, group: tuple, texts: list[str], reply: str) -> None:
+        """Keep *group*'s translations, start their validation chains, mine terms from *reply*."""
+        for unit, text in zip(group, texts):
+            unit.translated_text, unit.status = text, STATUS_TRANSLATED
+        send_next(i)  # with the dictionary as it stands
+        for unit in group:
+            chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
+        if extract_terms(group_source(group), reply, dictionary, client, config):
+            send_next(i)  # again, with the pairs just added
+
+    groups = grouped(wanted)
+    last = len(groups) - 1
+    if not wanted:
+        decide()
+    for i, group in enumerate(groups):  # ``groups`` grows in decide()
+        start_filters(per_step)
+        if i == last:
+            decide()
+        if len(group) == 1:
+            translate_one(i, group[0])
+        else:
+            translate_group(i, group)
 
     for unit in units:
         if not unit.needs_translation:

@@ -5,13 +5,16 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latexmt import prompts
+from latexmt import agents, prompts
 from latexmt.agents import (
     DEFAULT_COMMAND_ALLOWLIST,
     DIM_COMMAND,
     DIM_COMPLETENESS,
     DIM_PLACEHOLDER,
+    GROUP_FORMAT,
     ErrorReport,
     Finding,
     PipelineFailed,
@@ -21,8 +24,12 @@ from latexmt.agents import (
     check_content_completeness,
     check_placeholder_integrity,
     extract_terms,
+    group_request,
+    grouped,
+    join_parts,
     retranslate_unit,
     run_pipeline,
+    split_parts,
     summary_request,
     translate_unit,
     translator_request,
@@ -372,7 +379,8 @@ def test_translator_system_prompt_placeholders_for_empty_context():
     assert "[Term Dictionary]\n(empty)" in system
 
 
-def test_pipeline_translator_sees_only_the_terms_its_unit_holds():
+def test_pipeline_translator_sees_only_the_terms_its_unit_holds(monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # each caption on its own
     systems = {}
 
     def translate(_match, request):
@@ -757,8 +765,8 @@ def tail_units():
     return [
         section_unit(0, "An opening section."),
         caption_unit(1, "A graph of the tree."),
-        caption_unit(2, "Plain caption two."),
-        caption_unit(3, "Another tree, pruned."),
+        caption_unit(2, "Another tree, pruned."),
+        caption_unit(3, "Plain caption three."),
         caption_unit(4, "Plain caption four."),
         section_unit(5, "A second section."),
         caption_unit(6, "A caption after the second section."),
@@ -766,8 +774,8 @@ def tail_units():
 
 
 def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monkeypatch):
-    # The first section's step sends the four captions and the second section
-    # at once; caption 1's terms then pin "tree", so caption 3 is sent again.
+    # Each step sends the next unit early; caption 1's terms then pin "tree",
+    # so caption 2, sent at caption 1's step, is sent again.
     events, send_early, reply = [], LlmClient.send_early, LlmClient.reply
 
     def sending(client, request, then=None):
@@ -810,13 +818,182 @@ def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monke
     assert lines == serial
     assert [counted[k] for k in ("hits", "misses")] == [serially[k] for k in ("hits", "misses")]
     assert {v for k, v in serially.items() if k.startswith("discarded_")} == {0}
-    # Caption 3 was sent without the pair, then with it; only the second is transcribed.
-    third = [r.system_prompt for r in sent if r.user_message == "Another tree, pruned."]
-    assert [system.endswith('"tree" - "BAUM"') for system in third] == [False, True]
+    # Caption 2 was sent without the pair, then with it; only the second is transcribed.
+    second = [r.system_prompt for r in sent if r.user_message == "Another tree, pruned."]
+    assert [system.endswith('"tree" - "BAUM"') for system in second] == [False, True]
     transcribed = [json.loads(line) for line in lines.splitlines()]
     assert [e["user"] for e in transcribed].count("Another tree, pruned.") == 1
     assert counted["misses"] == 1  # its translation and the terms call chained behind it
     assert counted["discarded_calls"] == 2 and len(sent) == len(transcribed) + 2
+
+
+# --------------------------------------------------------------------------
+# groups: the tail units sent to the translator together
+
+HEADERS = [f"<PLACEHOLDER_CAP_{i}>" for i in range(8)]
+OTHER_TOKENS = ["<PLACEHOLDER_ENV_3>", "<PLACEHOLDER_CAP_12>", "<PLACEHOLDER_FILE_0_begin>"]
+
+part_text = st.lists(
+    st.sampled_from(
+        [
+            "",
+            "Plain prose.",
+            "  indented, 50\\% of $x$",
+            "```",
+            *OTHER_TOKENS,  # other tokens alone on their line
+            *(f"{token} starts this line" for token in OTHER_TOKENS + HEADERS[:2]),
+            f"this line ends with {HEADERS[0]}",
+        ]
+    ),
+    max_size=5,
+).map("\n".join)
+group_parts = st.tuples(st.permutations(HEADERS), st.lists(part_text, min_size=1, max_size=8)).map(
+    lambda drawn: list(zip(*drawn))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_parts)
+def test_group_parts_split_back_as_they_were_joined(parts):
+    assert split_parts(join_parts(parts), [h for h, _ in parts]) == [text for _, text in parts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_parts, st.data())
+def test_a_group_reply_with_a_header_dropped_duplicated_or_moved_does_not_split(parts, data):
+    headers = [h for h, _ in parts]
+    lines = join_parts(parts).split("\n")
+    at = [i for i, line in enumerate(lines) if line in headers]
+    k = data.draw(st.integers(0, len(at) - 1))
+    damage = data.draw(st.sampled_from(["drop", "duplicate", "reorder"][: 2 + (len(at) > 1)]))
+    if damage == "drop":
+        del lines[at[k]]
+    elif damage == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), headers[k])
+    else:
+        j = data.draw(st.integers(0, len(at) - 1).filter(lambda j: j != k))
+        lines[at[k]], lines[at[j]] = lines[at[j]], lines[at[k]]
+    assert split_parts("\n".join(lines), headers) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_parts, st.sampled_from(["```\n", "```latex\n"]))
+def test_a_group_reply_wrapped_in_a_fence_does_not_split(parts, fence):
+    fenced = f"{fence}{join_parts(parts)}\n```"
+    assert split_parts(fenced, [h for h, _ in parts]) is None
+
+
+def test_a_group_reply_splits_without_blank_lines_or_with_leading_ones():
+    headers = HEADERS[:2]
+    assert split_parts(f"\n{headers[0]}\nOne.\n{headers[1]}\nTwo.\n", headers) == ["One.", "Two.\n"]
+
+
+def test_tail_units_are_grouped_up_to_the_unit_and_character_caps(monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_CHARS", 100)
+    units = [
+        section_unit(0, "Opening."),
+        caption_unit(1, "x" * 30),  # before the last section: alone
+        section_unit(2, "Closing."),
+        caption_unit(3, "x" * 30),
+        caption_unit(4, "x" * 30),
+        caption_unit(5, "x" * 50),  # 110 characters with 3 and 4
+        caption_unit(6, "x" * 150),  # more than GROUP_CHARS by itself
+        *(caption_unit(uid, "y") for uid in range(7, 16)),  # 9 units: 8, then 1
+        caption_unit(16, "<PLACEHOLDER_CAP_15>\nholds unit 15's header alone on a line"),
+    ]
+    assert [[u.id for u in group] for group in grouped(units)] == [
+        [0], [1], [2], [3, 4], [5], [6], list(range(7, 15)), [15], [16]
+    ]
+
+
+def test_a_group_request_holds_its_parts_under_the_translator_prompt():
+    dictionary = TermDictionary()
+    for pair in [("graph", "G"), ("tree", "T"), ("absent", "A")]:
+        dictionary.add(*pair)
+    group = (caption_unit(1, "A graph."), caption_unit(2, "A tree."))
+    request = group_request(group, Summary("so far", 1), dictionary, CFG)
+    assert request.user_message == "<PLACEHOLDER_CAP_1>\nA graph.\n\n<PLACEHOLDER_CAP_2>\nA tree."
+    assert request.system_prompt == (
+        prompts.render_for("translator", CFG)
+        + '\n\n[Summary]\nso far\n\n[Term Dictionary]\n"graph" - "G"\n"tree" - "T"'
+        + GROUP_FORMAT
+    )
+    one = group[:1]
+    assert group_request(one, Summary(), dictionary, CFG) == translator_request(
+        one[0], Summary(), dictionary, CFG
+    )
+
+
+def grouped_units():
+    """A section, then ten captions: groups of eight and of two."""
+    return [section_unit(0, "An opening section.")] + [
+        caption_unit(uid, f"Caption number {uid}.") for uid in range(1, 11)
+    ]
+
+
+def run_grouped(tmp_path, bound, fault, name):
+    """Run :func:`grouped_units`; the first group's reply drops a header, or its call fails."""
+
+    def answer(_match, request):
+        message = request.user_message
+        if message.startswith("[Source]\n"):
+            return "N/A"
+        if message.startswith("prev_summary:\n"):
+            return "digest"
+        if message.startswith("[Original]\n"):
+            return "OK"
+        if fault and message.startswith("<PLACEHOLDER_CAP_1>\n"):  # the first group's request
+            if fault == "error":
+                raise LlmError("group refused")
+            return message.replace("<PLACEHOLDER_CAP_3>\n", "", 1)
+        return message
+
+    path = tmp_path / f"{name}.jsonl"
+    with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
+        result = run_pipeline(grouped_units(), client, CFG)
+    transcribed = [json.loads(line)["user"] for line in path.read_text().splitlines()]
+    return result, client.warnings, path.read_bytes(), transcribed
+
+
+@pytest.mark.parametrize("fault", ["split", "error"])
+def test_a_group_that_fails_goes_unit_by_unit_as_an_ungrouped_run(tmp_path, monkeypatch, fault):
+    runs = {bound: run_grouped(tmp_path, bound, fault, f"b{bound}") for bound in (1, 4)}
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)
+    ungrouped, ungrouped_warnings, _, _ = run_grouped(tmp_path, 1, fault, "ungrouped")
+    result, warnings, lines, transcribed = runs[1]
+    assert runs[4][2] == lines
+    assert runs[4][1] == warnings
+    [warning] = warnings
+    assert warning.startswith("group translation failed for units 1, 2, 3, 4, 5, 6, 7, 8,")
+    assert ungrouped_warnings == []
+    outcome = [(u.id, u.translated_text, u.status) for u in result.units]
+    assert outcome == [(u.id, u.translated_text, u.status) for u in ungrouped.units]
+    assert all(u.status == STATUS_VALIDATED for u in result.units)
+    # Only the first group's captions went one by one; the second group is one call.
+    units = result.units
+    first = [join_parts([(u.token, u.source_text) for u in units[1:9]])] if fault == "split" else []
+    translator = [m for m in transcribed if not m.startswith(("[", "prev_summary:"))]
+    assert translator == (
+        [units[0].source_text]
+        + first
+        + [u.source_text for u in units[1:9]]
+        + [join_parts([(u.token, u.source_text) for u in units[9:]])]
+    )
+    # The judge is asked once per unit, in unit order.
+    judged = [m for m in transcribed if m.startswith("[Original]\n")]
+    echoed = [f"[Original]\n{u.source_text}\n\n[Translation]\n{u.source_text}" for u in units]
+    assert judged == echoed
+
+
+def test_a_group_makes_one_terms_call_on_its_whole_reply(tmp_path):
+    for bound in (1, 4):
+        result, warnings, _, transcribed = run_grouped(tmp_path, bound, None, f"b{bound}")
+        assert warnings == []
+        groups = [result.units[1:9], result.units[9:]]
+        joined = [join_parts([(u.token, u.source_text) for u in group]) for group in groups]
+        terms = [m for m in transcribed if m.startswith("[Source]\n")]
+        source = result.units[0].source_text
+        assert terms == [f"[Source]\n{m}\n\n[Translation]\n{m}" for m in [source] + joined]
 
 
 # --------------------------------------------------------------------------

@@ -165,12 +165,12 @@ def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
     section = ["translator", "summarizer", "terminology"]
     # Sections One and Two, the filter calls at the last section's step
     # (notebox, figure and remark; equation is protected), section Three,
-    # the notebox and the caption, then the judges in unit order.
+    # the notebox and the caption in one group, then the judges in unit order.
     assert [role for role, _ in serial] == (
         section * 2
         + ["filter"] * 3
         + section
-        + ["translator", "terminology"] * 2
+        + ["translator", "terminology"]
         + ["completeness"] * 5
     )
     filtered = [message for role, message in serial if role == "filter"]
