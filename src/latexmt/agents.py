@@ -1,26 +1,27 @@
 """The multi-agent translation loop.
 
-One translator pass over all units (building a rolling document summary and
-a first-occurrence-wins term dictionary as it goes); each unit's validation
-chain, judge then (revise, judge)* up to the round cap, starts once its
-translation is final and waits for no other unit.  Each translation's
-prompt carries the summary and dictionary the units before it built.
-The units after the last section go to the translator and the terminology
-extractor in groups (:func:`grouped`), each unit's part headed by its
-placeholder token; a reply that does not split back into the parts sends
-each unit on its own.  Judging, revision and fallback stay per unit.
-Translation and summary requests are sent early
-(:meth:`LlmClient.send_early`): a section's summary update reads only
-source text, so it is sent as the section's translation starts and taken
-once that translation returns.  Once a unit or group is translated, the
-next one's translation goes with the summary and dictionary as they
-stand, its terms request chained, and again if the terms just mined add
-pairs.  An early reply answers only a byte-equal request.  An early
-request never taken runs only above a bound of 1, and is then discarded
-unseen (:class:`~latexmt.llm.Pending`), so every bound
-runs one program.  The environment units' filter calls run while the
-sections translate.  Every agent builds its request with
-:func:`~latexmt.prompts.request` and records warnings with
+One translator pass over the units, one step per group: the units up to
+the last section go one at a time, the environments and captions after
+it in groups (:func:`grouped`), each unit's part headed by its
+placeholder token.  Every step is the same: one translator call
+(:func:`translate_unit`) whose reply splits back into the parts, a
+section's summary update, each unit's validation chain, and one
+terminology call.  A group whose call fails or whose reply does not split
+sends its units one at a time; a lone unit that fails is FAILED.  Each
+prompt carries the rolling document summary and the first-occurrence-wins
+term dictionary the steps before it built.  A validation chain, judge
+then (revise, judge)* up to the round cap, is per unit and waits for no
+other unit.  Requests are sent early (:meth:`LlmClient.send_early`): a
+section's summary update reads only source text, so it is sent as the
+section's translation starts; once a step is translated, the next one's
+translation goes with the summary and dictionary as they stand, its terms
+request chained, and again if the terms just mined add pairs.  An early
+reply answers only a byte-equal request.  An early request never taken
+runs only above a bound of 1, and is then discarded unseen
+(:class:`~latexmt.llm.Pending`), so every bound runs one program.  The
+environment units' filter calls run over the steps up to the last
+section, whose step takes the decisions.  Every agent builds its request
+with :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
 are taken in program order, the chains round by round, so results,
 findings, warnings and the transcript read as in a serial run.  Two
@@ -37,7 +38,6 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import takewhile
 from typing import Sequence
 
 from . import prompts
@@ -324,13 +324,6 @@ def validate_translations(
 # generation agents
 
 
-def translator_request(
-    unit: TranslationUnit, summary: Summary, dictionary: TermDictionary, config: RunConfig
-) -> ChatRequest:
-    """What the translator is sent for *unit*: its source, under the summary and its terms."""
-    return group_request((unit,), summary, dictionary, config)
-
-
 def join_parts(parts: Sequence[tuple[str, str]]) -> str:
     """One message of ``(header, text)`` parts: each header alone on a line, then its text.
 
@@ -382,16 +375,14 @@ def group_request(
 
 
 def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...]]:
-    """*units* as the loop sends them: one by one up to the last section, then in groups.
+    """*units* in groups of up to :data:`GROUP_UNITS` units and :data:`GROUP_CHARS` characters.
 
-    A group holds up to :data:`GROUP_UNITS` units and :data:`GROUP_CHARS`
-    source characters, and only units whose joined parts split back; a unit
-    that fits in no group goes alone.
+    A group holds only units whose joined parts split back; a unit that
+    fits in no group goes alone.
     """
-    cut = max((i + 1 for i, u in enumerate(units) if u.granularity == GRAN_SECTION), default=0)
-    groups = [(unit,) for unit in units[:cut]]
-    for unit in units[cut:]:
-        group = groups[-1] + (unit,) if len(groups) > cut else (unit,)
+    groups: list[tuple[TranslationUnit, ...]] = []
+    for unit in units:
+        group = groups[-1] + (unit,) if groups else (unit,)
         if (
             1 < len(group) <= GROUP_UNITS
             and sum(len(u.source_text) for u in group) <= GROUP_CHARS
@@ -405,14 +396,14 @@ def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...
 
 
 def translate_unit(
-    unit: TranslationUnit,
+    group: Sequence[TranslationUnit],
     summary: Summary,
     dictionary: TermDictionary,
     client: LlmClient,
     config: RunConfig,
 ) -> str:
-    """One translator call, or the reply to the same request sent early."""
-    return client.reply(translator_request(unit, summary, dictionary, config))
+    """One translator call for *group*, or the reply to the same request sent early."""
+    return client.reply(group_request(group, summary, dictionary, config))
 
 
 def retranslate_unit(
@@ -526,38 +517,36 @@ class PipelineResult:
 def run_pipeline(
     units: list[TranslationUnit], client: LlmClient, config: RunConfig, classify: Sequence = ()
 ) -> PipelineResult:
-    """Translate every unit; each unit's validation chain starts once its text is final.
+    """Translate every unit, one step per group; a validation chain starts once its text is final.
 
-    The units after the last section are translated in groups (:func:`grouped`).
-    *classify* is the environment units' filter decisions
-    (:func:`~latexmt.unit_filter.classify_units`): the model work runs over
-    the leading sections' steps, and every decision is taken, in order, at
-    the last one's (with no section to translate, first).  The chains are
-    taken by :func:`validate_translations`.  The run fails only when no unit
-    produced a candidate translation; an invalid *config* raises
-    :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
+    The units up to the last section go one at a time, the rest in groups
+    (:func:`grouped`).  *classify* is the environment units' filter
+    decisions (:func:`~latexmt.unit_filter.classify_units`): their model
+    work runs over the steps up to the last section, and that section's step
+    (with none, the first) takes every decision, in order, then groups the rest.
+    The chains are taken by :func:`validate_translations`.  The run fails
+    only when no unit produced a candidate translation; an invalid *config*
+    raises :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
     """
     config.validate()
     summary = Summary()
     dictionary = TermDictionary()
-    wanted = [u for u in units if u.needs_translation]
-    if classify:  # the units after the leading sections wait for the decisions
-        wanted = list(takewhile(lambda u: u.granularity == GRAN_SECTION, wanted))
+    sections = [i for i, unit in enumerate(units) if unit.granularity == GRAN_SECTION]
+    tail = sections[-1] + 1 if sections else 0  # where the units after the last section start
+    groups = [(unit,) for unit in units[:tail] if unit.needs_translation]  # decide() adds the rest
     asks = [work for work in classify if callable(work)]  # the filter work that calls the model
     filtering, decisions = [], []  # started filter jobs, and every decision
-    per_step = -(-len(asks) // max(1, len(wanted)))
+    per_step = -(-len(asks) // max(1, len(groups)))
 
     def start_filters(count: int) -> None:
         filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
 
     def decide() -> None:
-        """Take every decision in unit order; the units let in join ``wanted`` and ``groups``."""
+        """Take every decision in unit order, then group the units after the last section."""
         start_filters(len(asks))
         jobs = iter(filtering)
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
-        let_in = [u for u in units if u.needs_translation][len(wanted) :]
-        wanted.extend(let_in)
-        groups.extend(grouped(let_in))
+        groups.extend(grouped([unit for unit in units[tail:] if unit.needs_translation]))
 
     def send_next(i: int) -> None:
         """Send the next group's translation early, its terms chained; a section's, its summary."""
@@ -570,39 +559,34 @@ def run_pipeline(
 
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
 
-    def translate_one(i: int, unit: TranslationUnit) -> None:
-        """*unit*'s translator call, then its validation chain and its terms."""
-        nonlocal summary
-        if unit.granularity == GRAN_SECTION:  # sent already, unless first or after a failure
-            client.send_early(summary_request(summary, unit.source_text, config))
-        try:
-            text = translate_unit(unit, summary, dictionary, client, config)
-        except LlmError as exc:
-            client.warn(f"translation failed for unit {unit.id}: {exc}")
-            unit.status = STATUS_FAILED
-            return
-        if unit.granularity == GRAN_SECTION:
-            summary = update_summary(summary, unit.source_text, client, config)
-        translated(i, (unit,), [text], text)
+    def step(i: int, group: tuple[TranslationUnit, ...]) -> None:
+        """*group*'s translator call, then its summary update, validation chains and terms.
 
-    def translate_group(i: int, group: tuple[TranslationUnit, ...]) -> None:
-        """One translator call for *group*; its units one by one if the reply does not split."""
-        request = group_request(group, summary, dictionary, config)
+        A failed call fails a lone unit; it, or a reply that does not split,
+        sends a larger group's units one by one.
+        """
+        nonlocal summary
+        head = group[0]
+        if head.granularity == GRAN_SECTION:  # sent already, unless first or after a failure
+            client.send_early(summary_request(summary, head.source_text, config))
         try:
-            reply = client.reply(request)
-            texts, problem = split_parts(reply, [u.token for u in group]), "reply did not split"
+            reply = translate_unit(group, summary, dictionary, client, config)
+            texts = [reply] if len(group) == 1 else split_parts(reply, [u.token for u in group])
+            problem = "reply did not split"
         except LlmError as exc:
             texts, problem = None, str(exc)
         if texts is None:
-            ids = ", ".join(str(u.id) for u in group)
-            client.warn(f"group translation failed for units {ids}, sent one by one: {problem}")
-            for unit in group:
-                translate_one(i, unit)
+            if len(group) == 1:
+                client.warn(f"translation failed for unit {head.id}: {problem}")
+                head.status = STATUS_FAILED
+            else:
+                ids = ", ".join(str(u.id) for u in group)
+                client.warn(f"group translation failed for units {ids}, sent one by one: {problem}")
+                for unit in group:
+                    step(i, (unit,))
             return
-        translated(i, group, texts, reply)
-
-    def translated(i: int, group: tuple, texts: list[str], reply: str) -> None:
-        """Keep *group*'s translations, start their validation chains, mine terms from *reply*."""
+        if head.granularity == GRAN_SECTION:
+            summary = update_summary(summary, head.source_text, client, config)
         for unit, text in zip(group, texts):
             unit.translated_text, unit.status = text, STATUS_TRANSLATED
         send_next(i)  # with the dictionary as it stands
@@ -611,23 +595,19 @@ def run_pipeline(
         if extract_terms(group_source(group), reply, dictionary, client, config):
             send_next(i)  # again, with the pairs just added
 
-    groups = grouped(wanted)
     last = len(groups) - 1
-    if not wanted:
+    if not groups:
         decide()
     for i, group in enumerate(groups):  # ``groups`` grows in decide()
         start_filters(per_step)
         if i == last:
             decide()
-        if len(group) == 1:
-            translate_one(i, group[0])
-        else:
-            translate_group(i, group)
+        step(i, group)
 
     for unit in units:
         if not unit.needs_translation:
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
-    if wanted and not chains:
-        raise PipelineFailed(f"all {len(wanted)} translatable units failed")
-    reports = validate_translations([u for u in wanted if u.id in chains], client, config, chains)
+    if groups and not chains:
+        raise PipelineFailed(f"all {sum(map(len, groups))} translatable units failed")
+    reports = validate_translations([u for u in units if u.id in chains], client, config, chains)
     return PipelineResult(units, summary, dictionary, len(reports), reports, decisions)

@@ -32,7 +32,6 @@ from latexmt.agents import (
     split_parts,
     summary_request,
     translate_unit,
-    translator_request,
     update_summary,
     validate_translations,
 )
@@ -53,7 +52,12 @@ from latexmt.parser import (
     STATUS_VALIDATED,
     TranslationUnit,
 )
-from latexmt.unit_filter import classify_unit
+from latexmt.unit_filter import (
+    SOURCE_PREDEFINED,
+    classify_unit,
+    classify_units,
+    protected_environments,
+)
 
 
 JOIN_TIMEOUT_S = 30.0
@@ -367,13 +371,13 @@ def test_translator_system_prompt_carries_context():
     d = TermDictionary()
     d.add("graph", "\u56fe")
     unit = section_unit(0, "A graph.")
-    system = translator_request(unit, Summary("the story so far", 1), d, CFG).system_prompt
+    system = group_request((unit,), Summary("the story so far", 1), d, CFG).system_prompt
     assert "[Summary]\nthe story so far" in system
     assert '[Term Dictionary]\n"graph" - "\u56fe"' in system
 
 
 def test_translator_system_prompt_placeholders_for_empty_context():
-    request = translator_request(section_unit(0, "text"), Summary(), TermDictionary(), CFG)
+    request = group_request((section_unit(0, "text"),), Summary(), TermDictionary(), CFG)
     system = request.system_prompt
     assert "[Summary]\n(none yet)" in system
     assert "[Term Dictionary]\n(empty)" in system
@@ -416,7 +420,7 @@ def test_translate_unit_user_message_is_exactly_the_source():
 
     u = section_unit(0, "\\section{A}\nVerbatim source.\n")
     translate_unit(
-        u, Summary(), TermDictionary(), make_client(RuleBackend([(r".", capture)])), CFG
+        (u,), Summary(), TermDictionary(), make_client(RuleBackend([(r".", capture)])), CFG
     )
     assert seen["user"] == u.source_text
     assert seen["temperature"] == CFG.translator_temperature
@@ -823,6 +827,10 @@ def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monke
     assert [system.endswith('"tree" - "BAUM"') for system in second] == [False, True]
     transcribed = [json.loads(line) for line in lines.splitlines()]
     assert [e["user"] for e in transcribed].count("Another tree, pruned.") == 1
+    # The captions before the last section go alone; so does the one after it.
+    translator = [e["user"] for e in transcribed if not e["user"].startswith(("[", "prev_summary:"))]
+    assert translator == [u.source_text for u in result.units]
+    assert not any(GROUP_FORMAT in r.system_prompt for r in sent)
     assert counted["misses"] == 1  # its translation and the terms call chained behind it
     assert counted["discarded_calls"] == 2 and len(sent) == len(transcribed) + 2
 
@@ -891,9 +899,6 @@ def test_a_group_reply_splits_without_blank_lines_or_with_leading_ones():
 def test_tail_units_are_grouped_up_to_the_unit_and_character_caps(monkeypatch):
     monkeypatch.setattr(agents, "GROUP_CHARS", 100)
     units = [
-        section_unit(0, "Opening."),
-        caption_unit(1, "x" * 30),  # before the last section: alone
-        section_unit(2, "Closing."),
         caption_unit(3, "x" * 30),
         caption_unit(4, "x" * 30),
         caption_unit(5, "x" * 50),  # 110 characters with 3 and 4
@@ -902,7 +907,7 @@ def test_tail_units_are_grouped_up_to_the_unit_and_character_caps(monkeypatch):
         caption_unit(16, "<PLACEHOLDER_CAP_15>\nholds unit 15's header alone on a line"),
     ]
     assert [[u.id for u in group] for group in grouped(units)] == [
-        [0], [1], [2], [3, 4], [5], [6], list(range(7, 15)), [15], [16]
+        [3, 4], [5], [6], list(range(7, 15)), [15], [16]
     ]
 
 
@@ -918,9 +923,13 @@ def test_a_group_request_holds_its_parts_under_the_translator_prompt():
         + '\n\n[Summary]\nso far\n\n[Term Dictionary]\n"graph" - "G"\n"tree" - "T"'
         + GROUP_FORMAT
     )
-    one = group[:1]
-    assert group_request(one, Summary(), dictionary, CFG) == translator_request(
-        one[0], Summary(), dictionary, CFG
+    # A group of one is a unit: its source unchanged, and no [Parts] block.
+    alone = group_request(group[:1], Summary("so far", 1), dictionary, CFG)
+    assert alone.user_message == "A graph."
+    assert GROUP_FORMAT not in alone.system_prompt
+    assert alone.system_prompt == (
+        prompts.render_for("translator", CFG)
+        + '\n\n[Summary]\nso far\n\n[Term Dictionary]\n"graph" - "G"'
     )
 
 
@@ -996,6 +1005,43 @@ def test_a_group_makes_one_terms_call_on_its_whole_reply(tmp_path):
         assert terms == [f"[Source]\n{m}\n\n[Translation]\n{m}" for m in [source] + joined]
 
 
+def test_protected_environments_leave_the_steps_and_groups_of_an_unfiltered_run(tmp_path):
+    # Every environment is protected: decided with no call, so no filter work
+    # runs, and taking the decisions at the last section's step changes nothing.
+    def units():
+        return [
+            section_unit(0, "An opening section."),
+            caption_unit(1, "A caption before the last section."),
+            section_unit(2, "The last section."),
+            TranslationUnit(
+                id=3, granularity=GRAN_ENVIRONMENT, source_text="\\begin{equation}x\\end{equation}",
+                needs_translation=False, token="<PLACEHOLDER_ENV_0>", env_name="equation",
+            ),
+            *(caption_unit(uid, f"Caption number {uid}.") for uid in range(4, 14)),
+        ]
+
+    def run(bound, filtered):
+        path = tmp_path / f"b{bound}-{filtered}.jsonl"
+        with make_client(EchoBackend(), path, bound) as client:
+            todo = units()
+            classify = classify_units(todo, protected_environments(), client, CFG) if filtered else ()
+            result = run_pipeline(todo, client, CFG, classify)
+        sent = [json.loads(line) for line in path.read_text().splitlines()]
+        return classify, result, [(e["system_parts"], e["user"]) for e in sent]
+
+    for bound in (1, 4):
+        classify, result, sent = run(bound, True)
+        assert classify and not any(callable(work) for work in classify)
+        assert [d.source for d in result.decisions] == [SOURCE_PREDEFINED]
+        assert run(bound, False)[2] == sent
+        # The units up to the last section alone, then the captions in groups.
+        translator = [m for _, m in sent if not m.startswith(("[", "prev_summary:"))]
+        tail = result.units[4:]
+        assert translator == [u.source_text for u in result.units[:3]] + [
+            join_parts([(u.token, u.source_text) for u in group]) for group in (tail[:8], tail[8:])
+        ]
+
+
 # --------------------------------------------------------------------------
 # what each agent sends
 
@@ -1014,7 +1060,7 @@ def test_each_agent_sends_its_template_and_sampling():
     client = make_client(RuleBackend([(r"", capture)]))
     unit = unit_with("src", "dst")
     summary, terms = Summary("so far", 1), TermDictionary()
-    translate_unit(unit, summary, terms, client, cfg)
+    translate_unit((unit,), summary, terms, client, cfg)
     retranslate_unit(unit, [Finding(0, DIM_COMPLETENESS, "gone")], client, cfg)
     extract_terms("src", "dst", terms, client, cfg)
     update_summary(summary, "section", client, cfg)
