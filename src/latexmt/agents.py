@@ -1,35 +1,34 @@
 """The multi-agent translation loop.
 
-One translator pass over the units, one step per group: the units up to
-the last section go one at a time, the environments and captions after
-it in groups (:func:`grouped`), each unit's part headed by its
-placeholder token.  Every step is the same: one translator call
-(:func:`translate_unit`) whose reply splits back into the parts, a
-section's summary update, each unit's validation chain, and one
-terminology call.  A group whose call fails or whose reply does not split
-sends its units one at a time; a lone unit that fails is FAILED.  Each
-prompt carries the rolling document summary and the first-occurrence-wins
-term dictionary the steps before it built.  A validation chain, judge
-then (revise, judge)* up to the round cap, is per unit and waits for no
-other unit.  Requests are sent early (:meth:`LlmClient.send_early`): a
-section's summary update reads only source text, so it is sent as the
-section's translation starts; once a step is translated, the next one's
-translation goes with the summary and dictionary as they stand, its terms
-request chained, and again if the terms just mined add pairs.  An early
-reply answers only a byte-equal request.  An early request never taken
-runs only above a bound of 1, and is then discarded unseen
-(:class:`~latexmt.llm.Pending`), so every bound runs one program.  The
-environment units' filter calls run over the steps up to the last
-section, whose step takes the decisions.  Every agent builds its request
-with :func:`~latexmt.prompts.request` and records warnings with
+One translator pass over the units, one step per group (:func:`grouped`) of
+up to :data:`GROUP_UNITS` units: the sections up to the last one, then the
+environments and captions after it, each part headed by its unit's
+:func:`header`.  Every step is the same: one translator call
+(:func:`translate_unit`) whose reply splits back into the parts, each with
+its source's edge whitespace restored (:func:`fit_edges`), one summary
+update over the group's sections, each unit's validation chain, and one
+terminology call.  A group whose call fails or reply does not split sends
+its units one by one; a lone unit that fails is FAILED.  Each prompt
+carries the rolling document summary and the first-occurrence-wins term
+dictionary built so far.  A validation chain, judge then (revise, judge)*
+up to the round cap, is per unit and waits on no other.  Requests are sent
+early (:meth:`LlmClient.send_early`): a group's summary update reads only
+source text, so it goes with the group's translation; once a step is
+translated, the next one's translation goes with the summary and dictionary
+as they stand, its terms request chained, and again if the terms just mined
+add pairs.  An early reply answers only a byte-equal request.  An early
+request never taken runs only above a bound of 1, and is then discarded
+unseen (:class:`~latexmt.llm.Pending`), so every bound runs one program.
+The environment units' filter calls run while the sections before the last
+are translated; then the decisions are taken.  Every agent builds its
+request with :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
 are taken in program order, the chains round by round, so results,
 findings, warnings and the transcript read as in a serial run.  Two
-validation dimensions are purely mechanical (placeholder and
-control-sequence conservation); the third asks a judge model about content
-completeness and degrades to "skipped" when no usable judge reply is
-available.  Units still failing after the round cap fall back to their
-source text.
+validation dimensions are mechanical (placeholder and control-sequence
+conservation); the third asks a judge model about content completeness and
+degrades to "skipped" without a usable judge reply.  Units still failing
+after the round cap fall back to their source text.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from . import prompts
@@ -58,16 +57,15 @@ DIM_COMMAND = "COMMAND_INTEGRITY"
 DIM_COMPLETENESS = "CONTENT_COMPLETENESS"
 
 SUMMARY_WORD_LIMIT = 300
-GROUP_UNITS = 8  # tail units per translator request, at most
+GROUP_UNITS = 8  # units per translator request, at most
 GROUP_CHARS = 6000  # their source characters, at most (a longer unit goes alone)
 # What a group's translator prompt adds: the format of its message and reply.
 GROUP_FORMAT = (
     "\n\n[Parts]\n"
-    "The text holds several parts. Each part begins with a line that holds only "
-    "its placeholder token, and a blank line ends it. Translate each part on its "
-    "own. Reply with every part, in the same order and format: its token line "
-    "exactly as given, then its translation. Write nothing before the first "
-    "token line."
+    "The text holds several parts. Each part is a header line holding only a placeholder "
+    "token, then all the text up to the next header line. Translate each part on its own. "
+    "Reply with every part, in the same order: its header line copied exactly, then its "
+    "translation. Write nothing before the first header line."
 )
 
 # Control sequences that may legitimately appear or vanish when prose moves
@@ -266,10 +264,11 @@ def start_validation(
 
     def revised(findings: list[Finding], round_index: int) -> Check | Pending[Check]:
         try:
-            unit.translated_text = retranslate_unit(unit, findings, client, config)
+            reply = retranslate_unit(unit, findings, client, config)
         except LlmError as exc:
             client.warn(f"revision failed for unit {unit.id}: {exc}")
             return checked(findings, round_index)  # same text: same findings, no judge
+        unit.translated_text = fit_edges(unit.source_text, reply)
         return validated(round_index)
 
     return validated(1)
@@ -347,11 +346,28 @@ def split_parts(reply: str, headers: Sequence[str]) -> list[str] | None:
     return [text.removesuffix("\n") for text in texts[:-1]] + texts[-1:]
 
 
+def header(unit: TranslationUnit) -> str:
+    """The line that heads *unit*'s part: its placeholder token, or a section's (no token)."""
+    return unit.token or f"<PLACEHOLDER_PART_{unit.id}>"
+
+
 def group_source(group: Sequence[TranslationUnit]) -> str:
     """What the translator is sent as *group*'s text: one unit's source, or their parts."""
     if len(group) == 1:
         return group[0].source_text
-    return join_parts([(unit.token, unit.source_text) for unit in group])
+    return join_parts([(header(unit), unit.source_text) for unit in group])
+
+
+def section_source(group: Sequence[TranslationUnit]) -> str:
+    """*group*'s sections' source, joined in order: what its summary update folds in."""
+    return "".join(unit.source_text for unit in group if unit.granularity == GRAN_SECTION)
+
+
+def fit_edges(source: str, reply: str) -> str:
+    """*reply*, given back the leading or trailing whitespace of *source* that it lacks."""
+    lead, _, trail = re.fullmatch(r"(\s*)(.*?)(\s*)", source, re.DOTALL).groups()
+    reply = reply if reply.startswith(lead) else lead + reply.lstrip()
+    return reply if reply.endswith(trail) else reply.rstrip() + trail
 
 
 def group_request(
@@ -386,7 +402,7 @@ def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...
         if (
             1 < len(group) <= GROUP_UNITS
             and sum(len(u.source_text) for u in group) <= GROUP_CHARS
-            and split_parts(group_source(group), [u.token for u in group])
+            and split_parts(group_source(group), [header(u) for u in group])
             == [u.source_text for u in group]
         ):
             groups[-1] = group
@@ -519,12 +535,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Translate every unit, one step per group; a validation chain starts once its text is final.
 
-    The units up to the last section go one at a time, the rest in groups
-    (:func:`grouped`).  *classify* is the environment units' filter
-    decisions (:func:`~latexmt.unit_filter.classify_units`): their model
-    work runs over the steps up to the last section, and that section's step
-    (with none, the first) takes every decision, in order, then groups the rest.
-    The chains are taken by :func:`validate_translations`.  The run fails
+    *classify* is the environment units' filter decisions
+    (:func:`~latexmt.unit_filter.classify_units`): their model work runs while
+    the sections before the last are translated (:func:`grouped`), and the last
+    section group's step takes every decision, in order, once translated (a lone
+    section's, before; with none, the first step), then groups the units after
+    it.  The chains are taken by :func:`validate_translations`.  The run fails
     only when no unit produced a candidate translation; an invalid *config*
     raises :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
     """
@@ -533,7 +549,8 @@ def run_pipeline(
     dictionary = TermDictionary()
     sections = [i for i, unit in enumerate(units) if unit.granularity == GRAN_SECTION]
     tail = sections[-1] + 1 if sections else 0  # where the units after the last section start
-    groups = [(unit,) for unit in units[:tail] if unit.needs_translation]  # decide() adds the rest
+    groups = grouped([unit for unit in units[:tail] if unit.needs_translation])  # decide() adds more
+    last = len(groups) - 1  # the last section group
     asks = [work for work in classify if callable(work)]  # the filter work that calls the model
     filtering, decisions = [], []  # started filter jobs, and every decision
     per_step = -(-len(asks) // max(1, len(groups)))
@@ -541,37 +558,40 @@ def run_pipeline(
     def start_filters(count: int) -> None:
         filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
 
-    def decide() -> None:
+    @cache  # runs once
+    def decide() -> list[tuple[TranslationUnit, ...]]:
         """Take every decision in unit order, then group the units after the last section."""
         start_filters(len(asks))
         jobs = iter(filtering)
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
         groups.extend(grouped([unit for unit in units[tail:] if unit.needs_translation]))
+        return groups
 
     def send_next(i: int) -> None:
-        """Send the next group's translation early, its terms chained; a section's, its summary."""
+        """Send the next group's translation early, its terms chained, and its summary update."""
+        if i == last:
+            decide()
         if i + 1 < len(groups):
             request = group_request(groups[i + 1], summary, dictionary, config)
             client.send_early(request, partial(terms_request, request.user_message, config=config))
-            head = groups[i + 1][0]
-            if head.granularity == GRAN_SECTION:
-                client.send_early(summary_request(summary, head.source_text, config))
+            if new_section := section_source(groups[i + 1]):
+                client.send_early(summary_request(summary, new_section, config))
 
     chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
 
-    def step(i: int, group: tuple[TranslationUnit, ...]) -> None:
+    def step(i: int, group: tuple[TranslationUnit, ...], ahead: bool = True) -> None:
         """*group*'s translator call, then its summary update, validation chains and terms.
 
         A failed call fails a lone unit; it, or a reply that does not split,
-        sends a larger group's units one by one.
+        sends a larger group's units one by one, only the last sending *ahead*.
         """
         nonlocal summary
-        head = group[0]
-        if head.granularity == GRAN_SECTION:  # sent already, unless first or after a failure
-            client.send_early(summary_request(summary, head.source_text, config))
+        head, new_section = group[0], section_source(group)
+        if new_section:  # sent already, unless first or after a failure
+            client.send_early(summary_request(summary, new_section, config))
         try:
             reply = translate_unit(group, summary, dictionary, client, config)
-            texts = [reply] if len(group) == 1 else split_parts(reply, [u.token for u in group])
+            texts = [reply] if len(group) == 1 else split_parts(reply, [header(u) for u in group])
             problem = "reply did not split"
         except LlmError as exc:
             texts, problem = None, str(exc)
@@ -583,26 +603,26 @@ def run_pipeline(
                 ids = ", ".join(str(u.id) for u in group)
                 client.warn(f"group translation failed for units {ids}, sent one by one: {problem}")
                 for unit in group:
-                    step(i, (unit,))
+                    step(i, (unit,), unit is group[-1])
             return
-        if head.granularity == GRAN_SECTION:
-            summary = update_summary(summary, head.source_text, client, config)
+        if new_section:
+            summary = update_summary(summary, new_section, client, config)
         for unit, text in zip(group, texts):
-            unit.translated_text, unit.status = text, STATUS_TRANSLATED
-        send_next(i)  # with the dictionary as it stands
+            unit.translated_text, unit.status = fit_edges(unit.source_text, text), STATUS_TRANSLATED
+        if ahead:
+            send_next(i)  # with the dictionary as it stands
         for unit in group:
             chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
-        if extract_terms(group_source(group), reply, dictionary, client, config):
+        if extract_terms(group_source(group), reply, dictionary, client, config) and ahead:
             send_next(i)  # again, with the pairs just added
 
-    last = len(groups) - 1
-    if not groups:
-        decide()
-    for i, group in enumerate(groups):  # ``groups`` grows in decide()
+    for i, group in enumerate(groups or decide()):  # ``groups`` grows in decide()
         start_filters(per_step)
-        if i == last:
-            decide()
+        if i == last and len(group) == 1:
+            decide()  # the sections before it are translated
         step(i, group)
+        if i == last:
+            decide()  # unless its step has
 
     for unit in units:
         if not unit.needs_translation:

@@ -336,40 +336,59 @@ def test_07_bookkeeping(tmp_path, announce):
         assert list(d) == [("graph", "\u56fe"), ("edge", "\u8fb9")]
         assert dict(d)["graph"] == "\u56fe"
 
-        # summary updated exactly once per section unit, in document order
-        transcript = tmp_path / "calls.jsonl"
-        units = [
-            TranslationUnit(id=0, granularity=GRAN_SECTION, source_text="S1 text"),
-            TranslationUnit(id=1, granularity=GRAN_SECTION, source_text="S2 text"),
-            TranslationUnit(
-                id=2,
-                granularity=GRAN_CAPTION,
-                source_text="C1 text",
-                token="<PLACEHOLDER_CAP_0>",
-                role="caption",
-            ),
-        ]
-        backend = RuleBackend(
-            [
-                (r"^\[Source\]", "N/A"),
-                (r"new_section:\nS1", "sum1"),
-                (r"new_section:\nS2", "sum2"),
-                (r"^S1", "t1"),
-                (r"^S2", "t2"),
-                (r"^C1", "t3"),
+        # summary updated once per section group, over its sections in document
+        # order; a group reply that does not split updates it once per section
+        def bookkeeping(group_rules, name):
+            transcript = tmp_path / name
+            units = [
+                TranslationUnit(id=0, granularity=GRAN_SECTION, source_text="S1 text\n"),
+                TranslationUnit(id=1, granularity=GRAN_SECTION, source_text="S2 text\n"),
+                TranslationUnit(
+                    id=2,
+                    granularity=GRAN_CAPTION,
+                    source_text="C1 text",
+                    token="<PLACEHOLDER_CAP_0>",
+                    role="caption",
+                ),
             ]
+            backend = RuleBackend(
+                group_rules
+                + [
+                    (r"^\[Source\]", "N/A"),
+                    (r"new_section:\nS1", "sum1"),
+                    (r"new_section:\nS2", "sum2"),
+                    (r"^S1", "t1"),
+                    (r"^S2", "t2"),
+                    (r"^C1", "t3"),
+                ]
+            )
+            with quiet_client(backend, transcript_path=transcript) as client:
+                result = run_pipeline(units, client, RunConfig(completeness_check=False))
+            entries = [json.loads(line) for line in transcript.read_text().splitlines()]
+            summaries = [e["user"] for e in entries if e["user"].startswith("prev_summary:")]
+            return backend.calls, result, summaries, client.warnings
+
+        group_reply = "<PLACEHOLDER_PART_0>\nt1\n\n<PLACEHOLDER_PART_1>\nt2\n"
+        calls, result, summaries, warnings = bookkeeping(
+            [(r"^<PLACEHOLDER_PART_0>", group_reply)], "grouped.jsonl"
         )
-        with quiet_client(backend, transcript_path=transcript) as client:
-            result = run_pipeline(units, client, RunConfig(completeness_check=False))
-        assert backend.calls == 8
-        assert result.summary.version == 2
-        assert result.summary.text == "sum2"
-        entries = [json.loads(line) for line in transcript.read_text().splitlines()]
-        summary_calls = [e for e in entries if e["user"].startswith("prev_summary:")]
-        assert len(summary_calls) == 2
-        assert "new_section:\nS1 text" in summary_calls[0]["user"]
-        assert "prev_summary:\nsum1" in summary_calls[1]["user"]
-        assert "new_section:\nS2 text" in summary_calls[1]["user"]
+        assert calls == 5  # the group's translation, summary and terms; the caption's two
+        assert (result.summary.version, result.summary.text) == (1, "sum1")
+        assert summaries == ["prev_summary:\n(empty)\n\nnew_section:\nS1 text\nS2 text\n"]
+        assert [u.translated_text for u in result.units] == ["t1\n", "t2\n", "t3"]
+        assert warnings == []
+
+        # The group request matches no rule, so its sections go one by one.
+        calls, result, summaries, warnings = bookkeeping([], "alone.jsonl")
+        assert calls == 9
+        assert [w.split(":")[0] for w in warnings] == [
+            "group translation failed for units 0, 1, sent one by one"
+        ]
+        assert (result.summary.version, result.summary.text) == (2, "sum2")
+        assert len(summaries) == 2
+        assert "new_section:\nS1 text" in summaries[0]
+        assert "prev_summary:\nsum1" in summaries[1]
+        assert "new_section:\nS2 text" in summaries[1]
         status = "PASS"
     finally:
         announce("7 terminology and summary bookkeeping", status)

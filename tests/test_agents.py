@@ -24,8 +24,10 @@ from latexmt.agents import (
     check_content_completeness,
     check_placeholder_integrity,
     extract_terms,
+    fit_edges,
     group_request,
     grouped,
+    header,
     join_parts,
     retranslate_unit,
     run_pipeline,
@@ -51,7 +53,9 @@ from latexmt.parser import (
     STATUS_TRANSLATED,
     STATUS_VALIDATED,
     TranslationUnit,
+    split_sections,
 )
+from latexmt.placeholders import TOKEN_RE
 from latexmt.unit_filter import (
     SOURCE_PREDEFINED,
     classify_unit,
@@ -505,6 +509,43 @@ def test_pipeline_repairs_flagged_unit_in_round_two():
     assert result.reports[1].ok
 
 
+def test_a_reply_gets_back_only_the_edge_whitespace_it_lacks():
+    assert fit_edges("\nAlpha.\n\n", " Alpha. ") == "\nAlpha.\n\n"
+    assert fit_edges("Alpha.\n\n", "Alpha.\n") == "Alpha.\n\n"
+    assert fit_edges("Alpha.\n", "Alpha.\n\n") == "Alpha.\n\n"  # kept, edges and all
+    assert fit_edges("  \n", "x") == "  \nx"
+
+
+def test_a_revision_trimmed_at_its_edges_keeps_the_units_edge_whitespace():
+    unit = section_unit(0, "\nAlpha <PLACEHOLDER_ENV_0> beta.\n\n")
+    run_pipeline([unit], make_client(repair_rules(FIXED)), CFG)
+    assert unit.status == STATUS_VALIDATED
+    assert unit.translated_text == f"\n{FIXED}\n\n"
+
+
+@pytest.mark.parametrize("group_units", [1, agents.GROUP_UNITS])
+def test_a_reply_trimmed_at_its_edges_keeps_the_next_heading_out_of_a_comment(
+    monkeypatch, group_units
+):
+    monkeypatch.setattr(agents, "GROUP_UNITS", group_units)
+    text = (
+        "\\begin{document}\n\\section{A}\nAlpha text here.\n% a note\n"
+        "\\section{B}\nBeta text.\n\\end{document}\n"
+    )
+    units = split_sections(text)
+    backend = RuleBackend(
+        [
+            (r"^\[Original\]", "OK"),
+            (r"^\[Source\]", "N/A"),
+            (r"^prev_summary:", "digest"),
+            (r"", lambda _match, request: request.user_message.rstrip("\n")),
+        ]
+    )
+    run_pipeline(units, make_client(backend), CFG)
+    assert all(u.status == STATUS_VALIDATED for u in units)
+    assert "".join(u.output_text() for u in units) == text
+
+
 def test_pipeline_gives_up_after_max_rounds_and_falls_back():
     unit = section_unit(0, "Alpha <PLACEHOLDER_ENV_0> beta.")
     cfg = RunConfig(max_validation_rounds=3)
@@ -606,7 +647,12 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
     cfg = RunConfig(completeness_check=False)
     with make_client(backend, transcript_path=transcript) as client:
         result = run_pipeline([s1, s2, c1], client, cfg)
-    assert backend.calls == 8  # a translation and a terminology call each, two summaries
+    # The group of S1 and S2 matches no rule, so its sections go one by one:
+    # that call, then a translation and a terminology call each, two summaries.
+    assert backend.calls == 9
+    assert [w.split(":")[0] for w in client.warnings] == [
+        "group translation failed for units 0, 1, sent one by one"
+    ]
     assert result.summary.text == "sum2"
     assert result.summary.version == 2
     entries = [json.loads(line) for line in transcript.read_text().splitlines()]
@@ -681,6 +727,12 @@ def pinning_backend(sent, early_sent=None):
     return RuleBackend([(r"", reply)])
 
 
+@pytest.fixture
+def alone(monkeypatch):
+    """Every unit goes to the translator alone, as a section too long to group does."""
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)
+
+
 def speculation_units():
     return [
         section_unit(0, "The calibration of the sensor."),
@@ -699,7 +751,7 @@ def run_speculating(tmp_path, bound):
     return result, sent, transcript.read_bytes(), client
 
 
-def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
+def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path, alone):
     serial, serial_sent, serial_lines, serial_client = run_speculating(tmp_path, 1)
     result, sent, lines, client = run_speculating(tmp_path, 4)
     assert lines == serial_lines
@@ -725,7 +777,7 @@ def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path):
     assert client.ledger.calls == len(transcribed)
 
 
-def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path):
+def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path, alone):
     serial, *_ = run_speculating(tmp_path, 1)
     result, sent, _, _ = run_speculating(tmp_path, 4)
     assert [u.status for u in result.units] == [u.status for u in serial.units]
@@ -735,7 +787,7 @@ def test_speculation_keeps_the_summary_of_a_failed_section_unchanged(tmp_path):
     assert any("new_section:\nAn unlucky" in r.user_message for r in sent)
 
 
-def test_speculation_takes_each_translated_sections_update_early(tmp_path, monkeypatch):
+def test_speculation_takes_each_translated_sections_update_early(tmp_path, monkeypatch, alone):
     taken, reply = [], LlmClient.reply
 
     def recording(client, request):
@@ -777,7 +829,7 @@ def tail_units():
     ]
 
 
-def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monkeypatch):
+def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monkeypatch, alone):
     # Each step sends the next unit early; caption 1's terms then pin "tree",
     # so caption 2, sent at caption 1's step, is sent again.
     events, send_early, reply = [], LlmClient.send_early, LlmClient.reply
@@ -827,7 +879,7 @@ def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monke
     assert [system.endswith('"tree" - "BAUM"') for system in second] == [False, True]
     transcribed = [json.loads(line) for line in lines.splitlines()]
     assert [e["user"] for e in transcribed].count("Another tree, pruned.") == 1
-    # The captions before the last section go alone; so does the one after it.
+    # Every unit goes alone, the captions before the last section and the one after it.
     translator = [e["user"] for e in transcribed if not e["user"].startswith(("[", "prev_summary:"))]
     assert translator == [u.source_text for u in result.units]
     assert not any(GROUP_FORMAT in r.system_prompt for r in sent)
@@ -1034,12 +1086,121 @@ def test_protected_environments_leave_the_steps_and_groups_of_an_unfiltered_run(
         assert classify and not any(callable(work) for work in classify)
         assert [d.source for d in result.decisions] == [SOURCE_PREDEFINED]
         assert run(bound, False)[2] == sent
-        # The units up to the last section alone, then the captions in groups.
+        # The units up to the last section in one group, then the captions in groups.
         translator = [m for _, m in sent if not m.startswith(("[", "prev_summary:"))]
         tail = result.units[4:]
-        assert translator == [u.source_text for u in result.units[:3]] + [
-            join_parts([(u.token, u.source_text) for u in group]) for group in (tail[:8], tail[8:])
+        assert translator == [
+            join_parts([(header(u), u.source_text) for u in group])
+            for group in (result.units[:3], tail[:8], tail[8:])
         ]
+
+
+# --------------------------------------------------------------------------
+# section groups: consecutive sections sent to the translator together
+
+
+def section_group_units():
+    return [
+        section_unit(0, "\\section{A}\nAlpha text.\n"),
+        section_unit(1, "\\section{B}\nBeta text.\n\n"),
+        section_unit(2, "\\section{C}\nGamma text.\n"),
+        caption_unit(3, "A closing caption."),
+    ]
+
+
+def run_section_group(tmp_path, bound, translate):
+    """Run :func:`section_group_units` with *translate* as the translator.
+
+    Returns the result, the messages transcribed, the transcript and the client.
+    """
+
+    def answer(_match, request):
+        message = request.user_message
+        if message.startswith("[Source]\n"):
+            return "N/A"
+        if message.startswith("prev_summary:\n"):
+            return "digest of " + message.rsplit("new_section:\n", 1)[1][:12]
+        if message.startswith("[Original]\n"):
+            return "OK"
+        return translate(message)
+
+    path = tmp_path / f"b{bound}.jsonl"
+    with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
+        result = run_pipeline(section_group_units(), client, CFG)
+    transcribed = [json.loads(line)["user"] for line in path.read_text().splitlines()]
+    return result, transcribed, path.read_bytes(), client
+
+
+def test_three_short_sections_are_one_group_with_one_summary_and_one_terms_call(tmp_path):
+    runs = {}
+    for bound in (1, 4):
+        result, transcribed, lines, client = run_section_group(
+            tmp_path, bound, lambda message: message.replace(" text.", " TEXT.")
+        )
+        runs[bound] = lines, client.warnings, client.speculation["misses"]
+        sections, caption = result.units[:3], result.units[3]
+        headers = [header(u) for u in sections]
+        assert headers == ["<PLACEHOLDER_PART_0>", "<PLACEHOLDER_PART_1>", "<PLACEHOLDER_PART_2>"]
+        assert not any(TOKEN_RE.search(h) for h in headers)
+        joined = join_parts([(header(u), u.source_text) for u in sections])
+        translator = [m for m in transcribed if not m.startswith(("[", "prev_summary:"))]
+        assert translator == [joined, caption.source_text]
+        summaries = [m for m in transcribed if m.startswith("prev_summary:\n")]
+        new_section = "".join(u.source_text for u in sections)
+        assert summaries == [f"prev_summary:\n(empty)\n\nnew_section:\n{new_section}"]
+        assert result.summary.version == 1
+        terms = [m for m in transcribed if m.startswith("[Source]\n")]
+        translated = joined.replace(" text.", " TEXT.")
+        assert terms[0] == f"[Source]\n{joined}\n\n[Translation]\n{translated}"
+        assert len(terms) == 2  # the group's, then the caption's
+        # Each part splits back to its unit, edge whitespace and all.
+        assert [u.translated_text for u in sections] == [
+            u.source_text.replace(" text.", " TEXT.") for u in sections
+        ]
+        assert all(u.status == STATUS_VALIDATED for u in result.units)
+    assert runs[4] == runs[1] == (runs[1][0], [], 0)
+
+
+def test_a_section_group_reply_that_does_not_split_sends_each_section_alone(tmp_path):
+    def garble(message):
+        return message.replace("<PLACEHOLDER_PART_1>\n", "", 1)
+
+    runs = {}
+    for bound in (1, 4):
+        result, transcribed, lines, client = run_section_group(tmp_path, bound, garble)
+        runs[bound] = lines, client.warnings
+        sections = result.units[:3]
+        assert client.warnings == [
+            "group translation failed for units 0, 1, 2, sent one by one: reply did not split"
+        ]
+        joined = join_parts([(header(u), u.source_text) for u in sections])
+        translator = [m for m in transcribed if not m.startswith(("[", "prev_summary:"))]
+        assert translator == [joined] + [u.source_text for u in result.units]
+        # One summary update per section, in document order, each on the one before.
+        summaries = [m for m in transcribed if m.startswith("prev_summary:\n")]
+        assert [m.rsplit("new_section:\n", 1)[1] for m in summaries] == [
+            u.source_text for u in sections
+        ]
+        assert [m.split("\n", 2)[1] for m in summaries] == [
+            "(empty)", "digest of \\section{A}", "digest of \\section{B}"
+        ]
+        assert result.summary.version == 3
+        assert [u.translated_text for u in result.units] == [u.source_text for u in result.units]
+        assert all(u.status == STATUS_VALIDATED for u in result.units)
+        # Only the last section alone sends the caption ahead, so the one miss
+        # is the group's own summary update, sent as its translation started.
+        assert client.speculation["misses"] == 1
+        assert client.speculation["discarded_calls"] == (bound > 1)
+    assert runs[4] == runs[1]
+
+
+def test_a_section_holding_the_next_sections_header_on_a_line_is_not_grouped_with_it():
+    units = [
+        section_unit(0, "\\section{A}\n<PLACEHOLDER_PART_1>\nquotes the next header.\n"),
+        section_unit(1, "\\section{B}\nBeta text.\n"),
+        section_unit(2, "\\section{C}\nGamma text.\n"),
+    ]
+    assert [[u.id for u in group] for group in grouped(units)] == [[0], [1, 2]]
 
 
 # --------------------------------------------------------------------------

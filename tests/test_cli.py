@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latexmt import cli, prompts
+from latexmt import agents, cli, prompts
 from latexmt.config import RunConfig, load_config
 from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
 
@@ -136,8 +136,11 @@ def test_translate_transcript_rebuilds_every_request(tmp_path, monkeypatch):
     calls = list(read_transcript(out / "doc" / "logs"))
     assert [c["system"] for c in calls] == [r.system_prompt for r in sent]
     assert [c["user"] for c in calls] == [r.user_message for r in sent]
-    stored = (out / "doc" / "logs" / PROMPTS_NAME).read_text().splitlines()
-    assert sum(map(len, stored)) < sum(len(r.system_prompt) for r in sent) / 2
+    # Each block is stored once: prompts that share a template share its bytes.
+    sidecar = (out / "doc" / "logs" / PROMPTS_NAME).read_text().splitlines()
+    stored = [json.loads(line)["text"] for line in sidecar]
+    assert len(set(stored)) == len(stored)
+    assert sum(map(len, stored)) < sum(map(len, {r.system_prompt for r in sent}))
 
 
 def test_translate_uses_every_template_from_prompt_dir(tmp_path):
@@ -650,8 +653,35 @@ def test_a_recording_replays_byte_identically_at_any_bound(tmp_path, monkeypatch
         assert _but_speculation(replayed) == _but_speculation(recorded), bound
 
 
+def test_a_recording_of_units_sent_alone_replays_each_group_unit_by_unit(tmp_path, monkeypatch):
+    proj = write_files(tmp_path / "doc", REPLAY_PROJECT)
+    recorded_dir = tmp_path / "recorded"
+    backend = RuleBackend([(r"", _content_reply)])
+    with monkeypatch.context() as alone:
+        alone.setattr(agents, "GROUP_UNITS", 1)  # every unit alone, sections included
+        code, recorded = _translate(
+            proj, recorded_dir, monkeypatch, "--mock", "echo", backend=backend
+        )
+    assert code == 0
+    replay = ("--mock", "replay", "--replay-from", str(recorded_dir))
+    code, replayed = _translate(proj, tmp_path / "replayed", monkeypatch, *replay)
+    assert code == 0
+    report = json.loads(replayed["doc/report.json"])
+    # The three sections' group and the tail's (remark, figure, caption) each
+    # miss once; then each of their units replays alone and is kept.
+    assert [w.split(": request not in the recording: ")[0] for w in report["warnings"]] == [
+        "group translation failed for units 2, 3, 4, sent one by one",
+        "group translation failed for units 5, 6, 7, sent one by one",
+    ]
+    assert {u["status"] for u in report["units"]} == {"VALIDATED"}
+    tex = {rel: data for rel, data in recorded.items() if rel.startswith("doc/tex/")}
+    assert tex and all(replayed[rel] == data for rel, data in tex.items())
+
+
 def test_an_unrecorded_request_falls_back_with_a_named_warning(tmp_path, monkeypatch):
-    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    # Section A is too long to group, so B goes alone too, and only B's request is edited.
+    long_a = PARSE_FIXTURE["main.tex"].replace("alpha text\n", "alpha text\n" * 600)
+    proj = write_files(tmp_path / "doc", {"main.tex": long_a})
     recorded_dir = tmp_path / "recorded"
     assert _translate(proj, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
     main = proj / "main.tex"
@@ -667,6 +697,32 @@ def test_an_unrecorded_request_falls_back_with_a_named_warning(tmp_path, monkeyp
     statuses = {u["id"]: u["status"] for u in report["units"]}
     assert (statuses[3], statuses[5]) == ("FAILED", "FAILED")
     assert "beta text, revised" in tree["doc/tex/main.tex"].decode()  # the source text
+
+
+def test_an_edit_in_a_section_group_fails_the_whole_group_on_replay(tmp_path, monkeypatch):
+    # Sections A and B were recorded as one group request.  After an edit in B
+    # the group misses, and each section alone was never recorded, so A misses
+    # too; so does the caption, whose prompt lacks the group's summary update.
+    # With no unit translated, the run fails.
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    recorded_dir = tmp_path / "recorded"
+    assert _translate(proj, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
+    main = proj / "main.tex"
+    main.write_text(main.read_text().replace("beta text", "beta text, revised"))
+    replay = ("--mock", "replay", "--replay-from", str(recorded_dir))
+    code, tree = _translate(proj, tmp_path / "out", monkeypatch, *replay)
+    assert code == 3
+    report = json.loads(tree["doc/report.json"])
+    missed = [w.split(": request not in the recording: ")[0] for w in report["warnings"]]
+    assert [w for w in missed if "translation failed" in w] == [
+        "group translation failed for units 2, 3, sent one by one",
+        "translation failed for unit 2",
+        "translation failed for unit 3",
+        "translation failed for unit 5",
+    ]
+    assert missed[-1] == "PipelineFailed: all 3 translatable units failed"
+    statuses = {u["id"]: u["status"] for u in report["units"]}
+    assert (statuses[2], statuses[3], statuses[5]) == ("FAILED", "FAILED", "FAILED")
 
 
 def test_replay_into_its_own_recording_is_refused(tmp_path, monkeypatch, capsys):
@@ -829,3 +885,4 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
+

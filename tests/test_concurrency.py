@@ -17,7 +17,7 @@ import sys
 import threading
 import time
 
-from latexmt import cli, prompts
+from latexmt import agents, cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
 from latexmt.llm import ChatRequest, LlmClient, RuleBackend, read_transcript
@@ -226,6 +226,7 @@ def _translate_with(project, out, bound, monkeypatch, reply):
 
 
 def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
     project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
     runs = {}
     for bound in (1, 4):
@@ -262,6 +263,55 @@ def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatc
     assert len(speculated[4]) - len(serial[4]) == speculated[3]["discarded_calls"]
 
 
+def _garbling(match, request) -> str:
+    """:func:`_pinning`, except that a group reply holding "garbled" loses its second header."""
+    message = request.user_message
+    if "garbled" in message and message.startswith("<PLACEHOLDER_PART_"):
+        return re.sub(r"\n\n<PLACEHOLDER_PART_\d+>\n", "\n\n", message, count=1)
+    return _pinning(match, request)
+
+
+def test_section_groups_give_the_same_report_and_transcript_at_bounds_1_and_4(
+    tmp_path, monkeypatch
+):
+    # Ten sections: a group of eight, whose terms pin "calibration", then a
+    # group of two, sent early without the pair, whose reply does not split.
+    words = {1: "The calibration of it.", 8: "A second calibration run.", 9: "A garbled one."}
+    body = "".join(
+        f"\\section{{Part {i}}}\n{words.get(i, f'Plain words of part {i}.')}\n"
+        "\\begin{remark}\nA remark on it.\n\\end{remark}\n"
+        for i in range(10)
+    )
+    project = write_files(
+        tmp_path / "paper",
+        {
+            "main.tex": "\\documentclass{article}\n\\begin{document}\n" + body
+            + "\\begin{figure}\n\\caption{A plain caption.}\n\\end{figure}\n\\end{document}\n"
+        },
+    )
+    runs = {}
+    for bound in (1, 4):
+        outcome, _ = _translate_with(project, tmp_path / f"b{bound}", bound, monkeypatch, _garbling)
+        assert outcome.ok, outcome.error
+        logs = outcome.out_dir / "logs"
+        runs[bound] = [
+            (outcome.out_dir / "report.json").read_bytes(),
+            (logs / "llm_transcript.jsonl").read_bytes(),
+            (logs / "llm_prompts.jsonl").read_bytes(),
+            json.loads((logs / "speculation.json").read_text())["misses"],
+        ]
+    assert runs[4] == runs[1]
+    report = json.loads(runs[1][0])
+    sections = [u["id"] for u in report["units"] if u["role"] == "body" and u["needs_translation"]]
+    assert report["warnings"] == [
+        f"group translation failed for units {sections[8]}, {sections[9]}, "
+        "sent one by one: reply did not split"
+    ]
+    assert {u["status"] for u in report["units"]} == {"VALIDATED"}
+    assert report["summary"]["version"] == 3  # the first group, then parts 8 and 9 alone
+    assert runs[1][3] >= 1  # the second group, sent before the pair was added
+
+
 def _delaying(judge_delay):
     """:func:`_pinning` after 2 ms, or after *judge_delay* seconds for a judge call."""
 
@@ -278,6 +328,7 @@ def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
     # when section Three's early translation is sent, so it waits in the
     # queue until after it is found to miss; with fast ones it starts at once.
     # It must run either way, and so must the terms call chained behind it.
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
     project = write_files(
         tmp_path / "paper",
         {
@@ -330,6 +381,7 @@ def _slow_stale(delay):
 
 
 def test_a_translation_miss_running_at_close_is_counted_whatever_its_delay(tmp_path, monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
     project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
     runs = []
     for bound, delay in ((1, 0.0), (2, 0.0), (2, 0.1), (2, 0.2)):

@@ -1,11 +1,11 @@
 """Stage overlap: filter calls and validation chains run inside the translation loop.
 
 A content-keyed rule backend records the order in which requests arrive.
-No assertion reads a clock: the filter calls of the second section step
-start only after the first section's translation has returned, and the one
-wait below holds the last translation until a judge or corrector call,
-which the loop started earlier, has arrived (or fails after a generous
-timeout).
+No assertion reads a clock: above a bound of 1 a run may hold one kind of
+request until another has arrived (the filter calls until a translation,
+the last translation until a judge or corrector call), which only a loop
+that sent the second without waiting for the first can satisfy; any other
+stalls for a generous timeout, and the order it records then fails.
 """
 
 from __future__ import annotations
@@ -49,25 +49,27 @@ class Recorder:
     "unlucky", which fails every attempt, and one with "damaged", whose
     ``\\emph`` is dropped.  Judge: a finding for "flagged" text, else OK.
     Corrector: the original, except that it keeps a "stuck" translation
-    and fails every attempt on "flagged" text.  Given *wait_for*, a role,
-    the last translation waits until a request of that role has arrived.
+    and fails every attempt on "flagged" text.  Given *holds*,
+    ``{(role, text): until}``, a request of that role whose message holds
+    the text is recorded only once a request of role *until* has been.
     """
 
-    def __init__(self, wait_for: str | None = None):
+    def __init__(self, holds: dict[tuple[str, str], str] | None = None):
         self.arrivals: list[tuple[str, str]] = []
         self._lock = threading.Lock()
-        self._arrived = threading.Event()
-        self._wait_for = wait_for
+        self._holds = holds or {}
+        self._arrived = {until: threading.Event() for until in self._holds.values()}
 
     def __call__(self, match, request) -> str:
         message = request.user_message
         role = _role(request)
-        if role == self._wait_for:
-            self._arrived.set()
-        if self._wait_for and role == "translator" and message == LAST_TRANSLATION:
-            self._arrived.wait(JOIN_TIMEOUT_S)
+        for (held, text), until in self._holds.items():
+            if role == held and text in message:
+                self._arrived[until].wait(JOIN_TIMEOUT_S)
         with self._lock:
             self.arrivals.append((role, message))
+        if role in self._arrived:
+            self._arrived[role].set()
         if role == "filter":
             return "True" if "prose" in message else "False"
         if role == "terminology":
@@ -129,12 +131,12 @@ def _translate(project, out, bound, monkeypatch, recorder):
     ]
 
 
-def _bound_1_and_8(tmp_path, monkeypatch, files, wait_for=None):
-    """Both runs' arrivals; asserts their outputs are byte-identical."""
+def _bound_1_and_8(tmp_path, monkeypatch, files, holds=None):
+    """Both runs' arrivals, *holds* only above a bound of 1; asserts their outputs are equal."""
     project = write_files(tmp_path / "paper", files)
     runs = {}
     for bound in (1, 8):
-        recorder = Recorder(wait_for if bound > 1 else None)
+        recorder = Recorder(holds if bound > 1 else None)
         out = tmp_path / f"b{bound}"
         outcome, outputs = _translate(project, out, bound, monkeypatch, recorder)
         runs[bound] = recorder.arrivals, outputs, outcome
@@ -151,8 +153,10 @@ def _last(arrivals, role):
 
 
 def test_filter_and_judge_calls_overlap_the_translations(tmp_path, monkeypatch):
+    # Sections One, Two and Three form one group; the notebox and the caption another.
+    holds = {("filter", ""): "translator", ("translator", LAST_TRANSLATION): "completeness"}
     serial, overlapped, outcome = _bound_1_and_8(
-        tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS, wait_for="completeness"
+        tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS, holds
     )
     assert outcome.ok, outcome.error
     assert _last(overlapped, "filter") > _first(overlapped, "translator")
@@ -162,15 +166,14 @@ def test_filter_and_judge_calls_overlap_the_translations(tmp_path, monkeypatch):
 
 def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
     serial, _, outcome = _bound_1_and_8(tmp_path, monkeypatch, SECTIONS_AND_ENVIRONMENTS)
-    section = ["translator", "summarizer", "terminology"]
-    # Sections One and Two, the filter calls at the last section's step
-    # (notebox, figure and remark; equation is protected), section Three,
-    # the notebox and the caption in one group, then the judges in unit order.
+    # Sections One, Two and Three form one group: its translation and summary
+    # update, the filter calls its step waits on once translated (notebox,
+    # figure and remark; equation is protected), and its terms call; then the
+    # notebox and the caption in one group, then the judges in unit order.
     assert [role for role, _ in serial] == (
-        section * 2
+        ["translator", "summarizer"]
         + ["filter"] * 3
-        + section
-        + ["translator", "terminology"]
+        + ["terminology", "translator", "terminology"]
         + ["completeness"] * 5
     )
     filtered = [message for role, message in serial if role == "filter"]
@@ -249,7 +252,7 @@ def _unit_id(report, word):
 
 def test_an_early_revision_starts_before_the_last_translation(tmp_path, monkeypatch):
     serial, overlapped, outcome = _bound_1_and_8(
-        tmp_path, monkeypatch, REVISED, wait_for="corrector"
+        tmp_path, monkeypatch, REVISED, {("translator", LAST_TRANSLATION): "corrector"}
     )
     assert outcome.ok, outcome.error
     corrected = [m for role, m in overlapped if role == "corrector"]
