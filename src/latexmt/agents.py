@@ -6,24 +6,25 @@ environments and captions after it, each part headed by its unit's
 :func:`header`.  Every step is the same: one translator call
 (:func:`translate_unit`) whose reply splits back into the parts, each with
 its source's edge whitespace restored (:func:`fit_edges`), one summary
-update over the group's sections, each unit's validation chain, and one
-terminology call.  A group whose call fails or reply does not split sends
-its units one by one; a lone unit that fails is FAILED.  Each prompt
-carries the rolling document summary and the first-occurrence-wins term
-dictionary built so far.  A validation chain, judge then (revise, judge)*
-up to the round cap, is per unit and waits on no other.  Requests are sent
-early (:meth:`LlmClient.send_early`): a group's summary update reads only
-source text, so it goes with the group's translation; once a step is
-translated, the next one's translation goes with the summary and dictionary
-as they stand, its terms request chained, and again if the terms just mined
-add pairs.  An early reply answers only a byte-equal request.  An early
-request never taken runs only above a bound of 1, and is then discarded
-unseen (:class:`~latexmt.llm.Pending`), so every bound runs one program.
-The environment units' filter calls run while the sections before the last
-are translated; then the decisions are taken.  Every agent builds its
-request with :func:`~latexmt.prompts.request` and records warnings with
+update over the group's sections, one validation job per unit
+(:func:`validate_unit`), and one terminology call.  A group whose call fails
+or reply does not split sends its units one by one; a lone unit that fails
+is FAILED.  Each prompt carries the rolling document summary and the
+first-occurrence-wins term dictionary built so far.  A unit's validation,
+its rounds of checks and revisions up to the round cap, waits on no other
+unit.  Requests are sent early (:meth:`LlmClient.send_early`): a group's
+summary update reads only source text, so it goes with the group's
+translation; once a step is translated, the next one's translation goes
+with the summary and dictionary as they stand, its terms request chained,
+and again if the terms just mined add pairs.  An early reply answers only a
+byte-equal request.  An early request never taken runs only above a bound
+of 1, and is then discarded unseen (:class:`~latexmt.llm.Pending`), so
+every bound runs one program.  The environment units' filter calls run
+while the sections are translated; the decisions are taken when the group
+after the last section is first asked for.  Every agent builds its request
+with :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
-are taken in program order, the chains round by round, so results,
+are taken in program order, the validation jobs in unit order, so results,
 findings, warnings and the transcript read as in a serial run.  Two
 validation dimensions are mechanical (placeholder and control-sequence
 conservation); the third asks a judge model about content completeness and
@@ -228,94 +229,65 @@ def check_content_completeness(
     return None
 
 
-@dataclass
-class Check:
-    """One validation round of one unit: its findings, and the revision they started."""
-
-    findings: list[Finding]
-    skipped: bool = False  # the judge gave no usable reply
-    revision: Pending | None = None  # the next round: a Check, or the job of one
-
-
-def start_validation(
+def validate_unit(
     unit: TranslationUnit, client: LlmClient, config: RunConfig
-) -> Check | Pending[Check]:
-    """Start *unit*'s validation chain: judge, then (revise, judge)* up to the round cap.
+) -> list[tuple[list[Finding], bool]]:
+    """Validate *unit*, revising until clean or capped: ``(findings, judge skipped)`` a round.
 
-    A round is the mechanical findings, or the judge's job if those are clean
-    and ``config.completeness_check`` is on: text to regenerate is not judged.
-    Findings with rounds left start the revision at once; the revision starts the next round.
+    A round is the mechanical checks, then the judge if those are clean and
+    ``config.completeness_check`` is on; findings with rounds left go to the
+    corrector.  A failed revision keeps the round's findings, unjudged.
     """
-
-    def validated(round_index: int) -> Check | Pending[Check]:
-        mechanical = check_placeholder_integrity(unit) + check_command_integrity(unit)
-        if mechanical or not config.completeness_check:
-            return checked(mechanical, round_index)
-        return client.submit(judged, round_index)
-
-    def judged(round_index: int) -> Check:
-        found = check_content_completeness(unit, client, config)
-        return checked(found or [], round_index, found is None)
-
-    def checked(findings: list[Finding], round_index: int, skipped: bool = False) -> Check:
-        if findings and round_index < config.max_validation_rounds:
-            return Check(findings, skipped, client.submit(revised, findings, round_index + 1))
-        return Check(findings, skipped)
-
-    def revised(findings: list[Finding], round_index: int) -> Check | Pending[Check]:
+    rounds: list[tuple[list[Finding], bool]] = []
+    findings = None  # None: the text is new, so check it
+    while True:
+        skipped = False
+        if findings is None:
+            findings = check_placeholder_integrity(unit) + check_command_integrity(unit)
+            if not findings and config.completeness_check:
+                found = check_content_completeness(unit, client, config)
+                findings, skipped = found or [], found is None
+        rounds.append((findings, skipped))
+        if not findings or len(rounds) == config.max_validation_rounds:
+            return rounds
         try:
             reply = retranslate_unit(unit, findings, client, config)
         except LlmError as exc:
             client.warn(f"revision failed for unit {unit.id}: {exc}")
-            return checked(findings, round_index)  # same text: same findings, no judge
-        unit.translated_text = fit_edges(unit.source_text, reply)
-        return validated(round_index)
-
-    return validated(1)
+            continue  # same text: same findings, no judge
+        unit.translated_text, findings = fit_edges(unit.source_text, reply), None
 
 
 def validate_translations(
     units: list[TranslationUnit],
     client: LlmClient,
     config: RunConfig,
-    started: dict[int, Check | Pending[Check]] | None = None,
+    started: dict[int, Pending[list]] | None = None,
 ) -> list[ErrorReport]:
     """Validate every candidate translation in *units*, revising until clean or capped.
 
-    A unit in *started* has its chain (:func:`start_validation`) under way;
-    the rest start now.  The chains are taken round by round, in unit order:
-    the round's checks, then its revisions, so reports, warnings and the
-    transcript read as in a serial run.  A unit with findings after
-    ``max_validation_rounds`` is FAILED, with a warning.  One report per round.
+    A unit in *started* has its :func:`validate_unit` job under way; the rest
+    run now.  The units are taken in order, so reports (one per round),
+    warnings and the transcript read as in a serial run.  A unit with
+    findings after ``max_validation_rounds`` is FAILED, with a warning.
     """
-    live = [
-        (unit, (started or {}).get(unit.id) or start_validation(unit, client, config))
-        for unit in units
-        if unit.needs_translation and unit.translated_text is not None
-    ]
     reports: list[ErrorReport] = []
-    while live:
-        report = ErrorReport(len(reports) + 1)
-        reports.append(report)
-        flagged = []
-        for unit, step in live:
-            check = step.result() if isinstance(step, Pending) else step
-            report.findings.extend(check.findings)
-            if check.skipped:
+    for unit in units:
+        if not unit.needs_translation or unit.translated_text is None:
+            continue
+        job = (started or {}).get(unit.id)
+        rounds = job.result() if job else validate_unit(unit, client, config)
+        reports += [ErrorReport(index + 1) for index in range(len(reports), len(rounds))]
+        for report, (findings, skipped) in zip(reports, rounds):
+            report.findings.extend(findings)
+            if skipped:
                 report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
-            if check.findings:
-                flagged.append((unit, check.revision))
-            else:
-                unit.status = STATUS_VALIDATED
-        if report.round_index == config.max_validation_rounds:
-            for unit, _ in flagged:
-                unit.status = STATUS_FAILED
-                client.warn(
-                    f"unit {unit.id} still failing after {report.round_index} validation "
-                    f"rounds; falling back to source text"
-                )
-            break
-        live = [(unit, revision.result()) for unit, revision in flagged]
+        unit.status = STATUS_FAILED if findings else STATUS_VALIDATED
+        if findings:
+            client.warn(
+                f"unit {unit.id} still failing after {len(rounds)} validation "
+                f"rounds; falling back to source text"
+            )
     return reports
 
 
@@ -365,7 +337,9 @@ def section_source(group: Sequence[TranslationUnit]) -> str:
 
 def fit_edges(source: str, reply: str) -> str:
     """*reply*, given back the leading or trailing whitespace of *source* that it lacks."""
-    lead, _, trail = re.fullmatch(r"(\s*)(.*?)(\s*)", source, re.DOTALL).groups()
+    lead = source[: len(source) - len(source.lstrip())]
+    rest = source[len(lead) :]
+    trail = rest[len(rest.rstrip()) :]
     reply = reply if reply.startswith(lead) else lead + reply.lstrip()
     return reply if reply.endswith(trail) else reply.rstrip() + trail
 
@@ -525,7 +499,6 @@ class PipelineResult:
     units: list[TranslationUnit]
     summary: Summary
     dictionary: TermDictionary
-    rounds_used: int
     reports: list[ErrorReport]
     decisions: list = field(default_factory=list)  # what each classify item returned
 
@@ -533,16 +506,17 @@ class PipelineResult:
 def run_pipeline(
     units: list[TranslationUnit], client: LlmClient, config: RunConfig, classify: Sequence = ()
 ) -> PipelineResult:
-    """Translate every unit, one step per group; a validation chain starts once its text is final.
+    """Translate every unit, one step per group, and validate each once it is translated.
 
     *classify* is the environment units' filter decisions
     (:func:`~latexmt.unit_filter.classify_units`): their model work runs while
-    the sections before the last are translated (:func:`grouped`), and the last
-    section group's step takes every decision, in order, once translated (a lone
-    section's, before; with none, the first step), then groups the units after
-    it.  The chains are taken by :func:`validate_translations`.  The run fails
-    only when no unit produced a candidate translation; an invalid *config*
-    raises :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
+    the section groups (:func:`grouped`) are translated, and the first ask for
+    a group past them, once the last is translated (with none, at the start),
+    takes every decision, in order, then groups the units after the last
+    section.  The jobs are taken by :func:`validate_translations`.  The run
+    fails only when no unit produced a candidate translation; an invalid
+    *config* raises :class:`ConfigError` before any call.  Warnings go to
+    ``client.warnings``.
     """
     config.validate()
     summary = Summary()
@@ -550,37 +524,40 @@ def run_pipeline(
     sections = [i for i, unit in enumerate(units) if unit.granularity == GRAN_SECTION]
     tail = sections[-1] + 1 if sections else 0  # where the units after the last section start
     groups = grouped([unit for unit in units[:tail] if unit.needs_translation])  # decide() adds more
-    last = len(groups) - 1  # the last section group
+    section_groups = len(groups)
     asks = [work for work in classify if callable(work)]  # the filter work that calls the model
     filtering, decisions = [], []  # started filter jobs, and every decision
-    per_step = -(-len(asks) // max(1, len(groups)))
+    per_step = -(-len(asks) // max(1, section_groups))
 
     def start_filters(count: int) -> None:
         filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
 
     @cache  # runs once
-    def decide() -> list[tuple[TranslationUnit, ...]]:
+    def decide() -> None:
         """Take every decision in unit order, then group the units after the last section."""
         start_filters(len(asks))
         jobs = iter(filtering)
         decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
         groups.extend(grouped([unit for unit in units[tail:] if unit.needs_translation]))
-        return groups
+
+    def group_at(i: int) -> tuple[TranslationUnit, ...] | None:
+        """Group *i*, or None; asking past the section groups first takes the decisions."""
+        if i >= section_groups:
+            decide()
+        return groups[i] if i < len(groups) else None
 
     def send_next(i: int) -> None:
         """Send the next group's translation early, its terms chained, and its summary update."""
-        if i == last:
-            decide()
-        if i + 1 < len(groups):
-            request = group_request(groups[i + 1], summary, dictionary, config)
+        if (group := group_at(i + 1)) is not None:
+            request = group_request(group, summary, dictionary, config)
             client.send_early(request, partial(terms_request, request.user_message, config=config))
-            if new_section := section_source(groups[i + 1]):
+            if new_section := section_source(group):
                 client.send_early(summary_request(summary, new_section, config))
 
-    chains: dict[int, Check | Pending[Check]] = {}  # each translated unit's validation
+    validating: dict[int, Pending[list]] = {}  # each translated unit's validation job
 
     def step(i: int, group: tuple[TranslationUnit, ...], ahead: bool = True) -> None:
-        """*group*'s translator call, then its summary update, validation chains and terms.
+        """*group*'s translator call, then its summary update, validation jobs and terms.
 
         A failed call fails a lone unit; it, or a reply that does not split,
         sends a larger group's units one by one, only the last sending *ahead*.
@@ -612,22 +589,20 @@ def run_pipeline(
         if ahead:
             send_next(i)  # with the dictionary as it stands
         for unit in group:
-            chains[unit.id] = start_validation(unit, client, config)  # may revise the unit's text
+            validating[unit.id] = client.submit(validate_unit, unit, client, config)
         if extract_terms(group_source(group), reply, dictionary, client, config) and ahead:
             send_next(i)  # again, with the pairs just added
 
-    for i, group in enumerate(groups or decide()):  # ``groups`` grows in decide()
+    i = 0
+    while (group := group_at(i)) is not None:
         start_filters(per_step)
-        if i == last and len(group) == 1:
-            decide()  # the sections before it are translated
         step(i, group)
-        if i == last:
-            decide()  # unless its step has
+        i += 1
 
     for unit in units:
         if not unit.needs_translation:
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
-    if groups and not chains:
+    if groups and not validating:
         raise PipelineFailed(f"all {sum(map(len, groups))} translatable units failed")
-    reports = validate_translations([u for u in units if u.id in chains], client, config, chains)
-    return PipelineResult(units, summary, dictionary, len(reports), reports, decisions)
+    reports = validate_translations(units, client, config, validating)
+    return PipelineResult(units, summary, dictionary, reports, decisions)

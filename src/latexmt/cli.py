@@ -253,7 +253,7 @@ def translate_project(
             if injected != original:
                 _write_tex(main_path, injected)
         report["filter"] = [dataclasses.asdict(d) for d in result.decisions]
-        report["rounds_used"] = result.rounds_used
+        report["rounds_used"] = len(result.reports)
         report["validation"] = [r.to_dict() for r in result.reports]
         report["summary"] = {
             "version": result.summary.version,

@@ -259,9 +259,12 @@ class HttpBackend(_CallCounter):
             raise LlmError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
             data = resp.json()
-            text = data["choices"][0]["message"]["content"]
+            choice = data["choices"][0]
+            text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError(f"malformed completion payload: {exc}") from exc
+        if choice.get("finish_reason") == "length":
+            raise LlmError(f"reply cut off at max_tokens ({request.max_new_tokens})")
         usage = data.get("usage") or {}
         return ChatResult(
             text or "",

@@ -235,7 +235,7 @@ def test_05_validator_mechanics(announce):
         result = run_pipeline(
             [unit], quiet_client(repairing_backend(FAULT_FIXED)), RunConfig()
         )
-        assert result.rounds_used == 2
+        assert len(result.reports) == 2
         assert unit.status == STATUS_VALIDATED
         assert unit.translated_text == FAULT_FIXED
         assert result.reports[-1].ok
@@ -246,7 +246,7 @@ def test_05_validator_mechanics(announce):
         result = run_pipeline(
             [unit], quiet_client(repairing_backend(FAULT_BROKEN)), cfg
         )
-        assert result.rounds_used == cfg.max_validation_rounds
+        assert len(result.reports) == cfg.max_validation_rounds
         assert unit.status == STATUS_FAILED
         env_map = PlaceholderMap()
         env_map.add(env_token(0), KIND_ENV, "\\begin{equation}x\\end{equation}")

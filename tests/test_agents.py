@@ -1,7 +1,9 @@
 """The translate/validate/revise loop, rolling summary, term dictionary."""
 
 import json
+import re
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -458,7 +460,7 @@ def test_retranslate_unit_requires_findings():
 def test_pipeline_echo_identity_validates_first_round():
     units = [section_unit(0, "Some prose to translate.\n"), caption_unit(1, "A caption")]
     result = run_pipeline(units, make_client(EchoBackend()), CFG)
-    assert result.rounds_used == 1
+    assert len(result.reports) == 1
     assert all(u.status == STATUS_VALIDATED for u in units)
     assert units[0].translated_text == units[0].source_text
     assert result.reports[-1].ok
@@ -478,7 +480,6 @@ def test_pipeline_skips_non_translatable_units_without_calls():
     result = run_pipeline(units, make_client(backend), CFG)
     assert backend.calls == 0
     assert units[0].status == STATUS_VALIDATED
-    assert result.rounds_used == 0
     assert result.reports == []
 
 
@@ -503,7 +504,6 @@ def test_pipeline_repairs_flagged_unit_in_round_two():
     result = run_pipeline([unit], make_client(repair_rules(FIXED)), CFG)
     assert unit.status == STATUS_VALIDATED
     assert unit.translated_text == FIXED
-    assert result.rounds_used == 2
     assert len(result.reports) == 2
     assert result.reports[0].findings[0].dimension == DIM_PLACEHOLDER
     assert result.reports[1].ok
@@ -514,6 +514,29 @@ def test_a_reply_gets_back_only_the_edge_whitespace_it_lacks():
     assert fit_edges("Alpha.\n\n", "Alpha.\n") == "Alpha.\n\n"
     assert fit_edges("Alpha.\n", "Alpha.\n\n") == "Alpha.\n\n"  # kept, edges and all
     assert fit_edges("  \n", "x") == "  \nx"
+
+
+def _fit_edges_by_regex(source: str, reply: str) -> str:
+    """The reference: :func:`fit_edges` with its edges found by one regex fullmatch."""
+    lead, _, trail = re.fullmatch(r"(\s*)(.*?)(\s*)", source, re.DOTALL).groups()
+    reply = reply if reply.startswith(lead) else lead + reply.lstrip()
+    return reply if reply.endswith(trail) else reply.rstrip() + trail
+
+
+EDGE_TEXT = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000ab."), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(EDGE_TEXT, EDGE_TEXT)
+def test_fit_edges_finds_the_edges_the_regex_found(source, reply):
+    assert fit_edges(source, reply) == _fit_edges_by_regex(source, reply)
+
+
+def test_fit_edges_is_linear_in_an_interior_whitespace_run():
+    source = "a" + " " * 200_000 + "b\n"
+    started = time.perf_counter()
+    assert fit_edges(source, "x") == "x\n"
+    assert time.perf_counter() - started < 1.0  # the regex took minutes
 
 
 def test_a_revision_trimmed_at_its_edges_keeps_the_units_edge_whitespace():
@@ -551,7 +574,7 @@ def test_pipeline_gives_up_after_max_rounds_and_falls_back():
     cfg = RunConfig(max_validation_rounds=3)
     client = make_client(repair_rules(BROKEN))
     result = run_pipeline([unit], client, cfg)
-    assert result.rounds_used == 3
+    assert len(result.reports) == 3
     assert unit.status == STATUS_FAILED
     assert unit.output_text() == unit.source_text
     assert any("falling back to source text" in w for w in client.warnings)
@@ -587,7 +610,7 @@ def test_failed_revision_carries_findings_instead_of_rejudging():
     assert set(judged.values()) == {1}
     assert stuck.status == STATUS_FAILED
     assert repaired.status == STATUS_VALIDATED
-    assert result.rounds_used == 3
+    assert len(result.reports) == 3
     first = [f for f in result.reports[0].findings if f.unit_id == stuck.id]
     assert first and all(r.findings == first for r in result.reports[1:])
 
@@ -626,7 +649,7 @@ def test_pipeline_partial_translation_failure_is_tolerated():
     assert good.status == STATUS_VALIDATED
     assert bad.status == STATUS_FAILED
     assert any("translation failed for unit 1" in w for w in client.warnings)
-    assert result.rounds_used == 1
+    assert len(result.reports) == 1
 
 
 def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):

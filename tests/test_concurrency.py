@@ -312,6 +312,86 @@ def test_section_groups_give_the_same_report_and_transcript_at_bounds_1_and_4(
     assert runs[1][3] >= 1  # the second group, sent before the pair was added
 
 
+def _revising(match, request) -> str:
+    """Replies for :data:`REVISED_PROJECT`, after a per-request jitter.
+
+    The translator drops ``\\emph``.  The corrector adds a sentence that
+    keeps the damage, then restores the original, except that it always
+    keeps a "stuck" unit's damage and fails on a "flagged" one, which the
+    judge flags.
+    """
+    message = request.user_message
+    time.sleep(_hash(message) % 5 * 0.002)
+    if request.system_prompt == FILTER_PROMPT:
+        return "True"
+    if message.startswith("[Source]\n"):
+        return "N/A"
+    if message.startswith("prev_summary:\n"):
+        return "digest"
+    if not message.startswith("[Original]\n"):
+        return message.replace("\\emph{damaged}", "damaged")
+    original, _, rest = message.removeprefix("[Original]\n").partition("\n\n[Translation]\n")
+    translation, _, errors = rest.partition("\n\n[Error Reports]\n")
+    if not errors:
+        return "- a clause is missing" if "flagged" in original else "OK"
+    if "flagged" in original:
+        raise TransientLlmError("corrector down")
+    if "Again." in translation and "stuck" not in original:
+        return original
+    return translation + " Again."
+
+
+REVISED_PROJECT = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe \\emph{damaged} first part.\n"
+        "\\section{Two}\nThe \\emph{damaged} and stuck second part.\n"
+        "\\section{Three}\nThe flagged third part.\n"
+        "\\end{document}\n"
+    )
+}
+
+
+def test_units_revised_in_several_rounds_give_the_same_outputs_at_bounds_1_and_4(
+    tmp_path, monkeypatch
+):
+    project = write_files(tmp_path / "paper", REVISED_PROJECT)
+    runs = {}
+    for bound in (1, 4):
+        outcome, _ = _translate_with(project, tmp_path / f"b{bound}", bound, monkeypatch, _revising)
+        assert outcome.ok, outcome.error
+        logs = outcome.out_dir / "logs"
+        runs[bound] = [
+            (outcome.out_dir / "report.json").read_bytes(),
+            (logs / "llm_transcript.jsonl").read_bytes(),
+            (logs / "llm_prompts.jsonl").read_bytes(),
+        ]
+    assert runs[4] == runs[1]
+    report = json.loads(runs[1][0])
+    one, two, three = [u["id"] for u in report["units"] if u["needs_translation"]]
+    assert report["rounds_used"] == 3
+    flagged = [sorted({f["unit_id"] for f in r["findings"]}) for r in report["validation"]]
+    assert flagged == [[one, two, three], [one, two, three], [two, three]]
+    statuses = [u["status"] for u in report["units"] if u["needs_translation"]]
+    assert statuses == ["VALIDATED", "FAILED", "FAILED"]
+    assert [w.split(":")[0] for w in report["warnings"]] == [
+        f"unit {two} still failing after 3 validation rounds; falling back to source text",
+        f"revision failed for unit {three}",
+        f"revision failed for unit {three}",
+        f"unit {three} still failing after 3 validation rounds; falling back to source text",
+    ]
+    # The transcript takes the units' validations one after another; Three's
+    # failed revisions made no call to record.
+    revised = [
+        word
+        for call in read_transcript(tmp_path / "b4" / "paper" / "logs")
+        if call["user"].startswith("[Original]\n")
+        for word in ("first", "second", "third")
+        if f"{word} part" in call["user"].partition("\n\n")[0]
+    ]
+    assert revised == ["first"] * 3 + ["second"] * 2 + ["third"]
+
+
 def _delaying(judge_delay):
     """:func:`_pinning` after 2 ms, or after *judge_delay* seconds for a judge call."""
 

@@ -7,6 +7,8 @@ import time
 import pytest
 import requests
 
+from latexmt.agents import run_pipeline
+from latexmt.config import RunConfig
 from latexmt.errors import (
     AuthError,
     ConfigError,
@@ -28,6 +30,7 @@ from latexmt.llm import (
     UsageLedger,
     read_transcript,
 )
+from latexmt.parser import GRAN_SECTION, STATUS_FAILED, STATUS_VALIDATED, TranslationUnit
 
 
 def req(user="hello", system="sys"):
@@ -383,6 +386,77 @@ def test_http_backend_malformed_payload():
     backend = HttpBackend("http://h", session=session)
     with pytest.raises(LlmError):
         backend.complete(req())
+
+
+def cut_payload(text="bonj", finish_reason="length"):
+    payload = ok_payload(text)
+    payload["choices"][0]["finish_reason"] = finish_reason
+    return payload
+
+
+def test_http_backend_refuses_a_reply_cut_off_at_max_tokens_without_retrying():
+    session = FakeSession([FakeResponse(200, cut_payload())])
+    client = client_for(HttpBackend("http://h", session=session), retry_budget=3)
+    with pytest.raises(LlmError, match="cut off at max_tokens") as info:
+        client.chat(req())
+    assert not isinstance(info.value, TransientLlmError)
+    assert len(session.requests) == 1 and client.calls == 0
+
+
+def test_http_backend_keeps_a_reply_that_stopped():
+    session = FakeSession([FakeResponse(200, cut_payload("bonjour", "stop"))])
+    assert HttpBackend("http://h", session=session).complete(req()).text == "bonjour"
+
+
+class ReplyingSession(FakeSession):
+    """Answers each post from its user message: *reply* gives ``(text, finish_reason)``."""
+
+    def __init__(self, reply):
+        super().__init__([])
+        self._reply = reply
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        text, finish_reason = self._reply(json["messages"][-1]["content"])
+        self.outcomes.append(FakeResponse(200, cut_payload(text, finish_reason)))
+        return super().post(url, json, headers, timeout)
+
+
+def test_a_pipeline_falls_back_on_replies_cut_off_at_max_tokens():
+    def reply(message):
+        if "\n\n[Error Reports]\n" in message:  # every revision is cut off
+            return "Delta", "length"
+        if message.startswith("[Original]\n"):  # the judge: Gamma's verdict is cut off
+            verdict = "- a clause is missing" if "Delta" in message else "OK"
+            return verdict, "length" if "Gamma" in message else "stop"
+        if message.startswith(("prev_summary:\n", "[Source]\n")):
+            return ("digest" if message.startswith("prev") else "N/A"), "stop"
+        return message, "length" if "cut" in message else "stop"  # the translator echoes
+
+    sources = ["Alpha.\n", "A cut one.\n", "Gamma.\n", "Delta.\n"]
+    units = [
+        TranslationUnit(id=i, granularity=GRAN_SECTION, source_text=text)
+        for i, text in enumerate(sources)
+    ]
+    session = ReplyingSession(reply)
+    client = client_for(HttpBackend("http://h", session=session))
+    result = run_pipeline(units, client, RunConfig(max_validation_rounds=3))
+    assert [u.status for u in units] == [
+        STATUS_VALIDATED, STATUS_FAILED, STATUS_VALIDATED, STATUS_FAILED
+    ]
+    assert [r.skipped for r in result.reports] == [["unit 2: CONTENT_COMPLETENESS"], [], []]
+    cut = "reply cut off at max_tokens (8192)"
+    assert client.warnings == [
+        f"group translation failed for units 0, 1, 2, 3, sent one by one: {cut}",
+        f"translation failed for unit 1: {cut}",
+        f"completeness check skipped for unit 2: {cut}",
+        f"revision failed for unit 3: {cut}",
+        f"revision failed for unit 3: {cut}",
+        "unit 3 still failing after 3 validation rounds; falling back to source text",
+    ]
+    # No cut-off reply was asked for again.
+    sent = [r["json"]["messages"][-1]["content"] for r in session.requests]
+    assert sum("cut" in m for m in sent) == 2
+    assert sum("[Error Reports]" in m for m in sent) == 2
 
 
 def test_client_retries_http_transients_end_to_end():

@@ -1,4 +1,4 @@
-"""Stage overlap: filter calls and validation chains run inside the translation loop.
+"""Stage overlap: filter calls and validation jobs run inside the translation loop.
 
 A content-keyed rule backend records the order in which requests arrive.
 No assertion reads a clock: above a bound of 1 a run may hold one kind of
@@ -184,7 +184,9 @@ def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
     assert [d["translate"] for d in report["filter"]] == [True, False, False, False]
 
 
-def test_without_sections_every_filter_call_comes_first(tmp_path, monkeypatch):
+def test_without_sections_the_body_translates_before_the_decisions(tmp_path, monkeypatch):
+    # The body that holds the environments is a lone section group: it is
+    # translated, then the decisions are taken, then the tail is grouped.
     files = {
         "main.tex": (
             "\\documentclass{article}\n\\begin{document}\n"
@@ -195,8 +197,27 @@ def test_without_sections_every_filter_call_comes_first(tmp_path, monkeypatch):
     }
     serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files)
     assert outcome.ok, outcome.error
+    assert _first(serial, "translator") < _first(serial, "filter")
     for arrivals in (serial, overlapped):
-        assert _last(arrivals, "filter") < _first(arrivals, "translator")
+        assert _last(arrivals, "filter") < _last(arrivals, "translator")
+
+
+def test_filter_calls_overlap_a_lone_last_sections_translation(tmp_path, monkeypatch):
+    files = {
+        "main.tex": (
+            "\\documentclass{article}\n\\begin{document}\n"
+            "\\section{One}\nThe only section has prose.\n"
+            "\\begin{notebox}\nA note with plain prose.\n\\end{notebox}\n"
+            "\\begin{figure}\n\\caption{" + LAST_TRANSLATION + "}\n\\end{figure}\n"
+            "\\end{document}\n"
+        )
+    }
+    holds = {("filter", ""): "translator"}
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files, holds)
+    assert outcome.ok, outcome.error
+    assert _first(overlapped, "filter") > _first(overlapped, "translator")
+    assert _last(overlapped, "filter") < _last(overlapped, "translator")
+    assert sorted(overlapped) == sorted(serial)
 
 
 def test_without_environments_no_filter_call_is_made(tmp_path, monkeypatch):
@@ -229,7 +250,7 @@ def test_a_unit_whose_translation_fails_is_not_judged(tmp_path, monkeypatch, unl
 
 
 # --------------------------------------------------------------------------
-# validation chains: each unit's revisions start when its own judge returns
+# validation: each unit's revisions start when its own judge returns
 
 REVISED = {
     "main.tex": (
@@ -272,17 +293,21 @@ def test_a_unit_at_the_round_cap_reports_as_in_a_serial_run(tmp_path, monkeypatc
     assert flagged == [[one, two, three], [two, three], [two, three]]
     statuses = {u["id"]: u["status"] for u in report["units"]}
     assert (statuses[one], statuses[two], statuses[three]) == ("VALIDATED", "FAILED", "FAILED")
-    # Round by round: the revision warnings, then the cap's, in unit order.
+    # Unit by unit: each unit's revision warnings, then its cap's.
     assert [w.split(":")[0] for w in report["warnings"]] == [
-        f"revision failed for unit {three}",
-        f"revision failed for unit {three}",
         f"unit {two} still failing after 3 validation rounds; falling back to source text",
+        f"revision failed for unit {three}",
+        f"revision failed for unit {three}",
         f"unit {three} still failing after 3 validation rounds; falling back to source text",
     ]
-    # The serial program: all round-r judge calls, then all round-r revisions.
-    # Round 1 judges Three, Four and the caption; One is judged in round 2.
+    # The serial program: each unit's validation in turn.  One is revised,
+    # then judged; Two is revised twice, never judged; Three is judged, then
+    # two revisions fail three attempts each; Four and the caption are judged.
     roles = [role for role, _ in serial if role in ("completeness", "corrector")]
-    assert roles == ["completeness"] * 3 + ["corrector"] * 5 + ["completeness"] + ["corrector"] * 4
+    assert roles == (
+        ["corrector", "completeness"] + ["corrector"] * 2
+        + ["completeness"] + ["corrector"] * 6 + ["completeness"] * 2
+    )
 
 
 def test_a_failed_revision_carries_its_findings_and_is_not_judged(tmp_path, monkeypatch):
