@@ -5,7 +5,8 @@ Each translated document gets its own output tree::
 
     out/<doc-id>/tex/      translated sources (plus untouched project files)
     out/<doc-id>/pdf/      compiled artifact, when an engine ran
-    out/<doc-id>/logs/     compile log, LLM transcript, its prompt sidecar and
+    out/<doc-id>/logs/     engine log (compile.log, moved out of tex/) and its
+                           timing, LLM transcript, its prompt sidecar and
                            what speculative calls cost (speculation.json)
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
@@ -37,12 +38,10 @@ from .config import RunConfig, base_language, load_config
 from .errors import (
     ConfigError,
     EmptyCorpus,
-    EngineNotFound,
-    EngineTimeout,
     LatexmtError,
     MissingMainFile,
 )
-from .evaluator import FCScoreParams, LogStats, fc_score, parse_log, score_corpus
+from .evaluator import FCScoreParams, LogStats, parse_log, score_corpus
 from .generator import (
     DEFAULT_LANGUAGE_PREAMBLES,
     compile_document,
@@ -140,41 +139,6 @@ def _write_maps(parsed, maps_dir: Path) -> None:
     )
 
 
-def _compile_step(
-    config: RunConfig,
-    tex_dir: Path,
-    pdf_dir: Path,
-    logs_dir: Path,
-    main_file: str,
-    warnings: list[str],
-) -> tuple[dict, float | None]:
-    engine = config.chosen_engine
-    try:
-        record, elapsed = compile_document(
-            tex_dir,
-            main_file,
-            engine,
-            timeout=config.compile_timeout,
-            passes=config.compile_passes,
-            count_box_warnings=config.count_box_warnings,
-        )
-    except EngineNotFound:
-        warnings.append(f"TeX engine not found on PATH: {engine}; compilation skipped")
-        return {"skipped": True, "reason": f"engine not found: {engine}"}, None
-    except EngineTimeout as exc:
-        warnings.append(str(exc))
-        return {"skipped": False, "engine": engine, "success": False, "reason": str(exc)}, None
-    stem = Path(main_file).stem
-    pdf_src = tex_dir / f"{stem}.pdf"
-    if pdf_src.exists():
-        shutil.move(str(pdf_src), str(pdf_dir / pdf_src.name))
-    log_path = tex_dir / f"{stem}.log"
-    if log_path.exists():
-        shutil.copy2(log_path, logs_dir / "compile.log")
-    _write_json(logs_dir / "compile_meta.json", {"elapsed_seconds": round(elapsed, 3)})
-    return record, fc_score(record["error_count"], record["warning_count"], record["success"])
-
-
 def _doc_id(project_dir: Path | str) -> str:
     """The name of the project's output tree: its directory's own name, also for ``.``."""
     name = Path(os.path.abspath(project_dir)).name
@@ -199,6 +163,9 @@ def translate_project(
 
     The environment units' filter work runs inside the translation loop
     (:func:`~latexmt.agents.run_pipeline`), while the sections translate.
+    The Generator stage follows: the language preamble goes into the
+    reassembled merged document before it is split back into files, and
+    :func:`~latexmt.generator.compile_document` compiles and scores them.
     Every run that gets past parsing writes a report.json, including failed
     ones; partial outputs stay on disk for inspection.
     """
@@ -240,18 +207,11 @@ def translate_project(
         filtering = classify_units(units, protected, client, config)
         result = run_pipeline(units, client, config, filtering)
         body = reassemble(units, parsed.cap_map, parsed.env_map, parsed.merged)
-        written = unmerge(body, parsed.merged, tex_dir)
         if config.inject_preamble:
-            main_path = tex_dir / parsed.merged.main_file
-            original = main_path.read_text(encoding="utf-8", errors="surrogateescape")
-            injected = inject_language_preamble(
-                original,
-                base_language(config.target_language),
-                _preamble_table(config),
-                warnings,
+            body = inject_language_preamble(
+                body, base_language(config.target_language), _preamble_table(config), warnings
             )
-            if injected != original:
-                _write_tex(main_path, injected)
+        written = unmerge(body, parsed.merged, tex_dir)
         report["filter"] = [dataclasses.asdict(d) for d in result.decisions]
         report["rounds_used"] = len(result.reports)
         report["validation"] = [r.to_dict() for r in result.reports]
@@ -267,8 +227,8 @@ def translate_project(
             result.summary.text, encoding="utf-8", errors="surrogateescape"
         )
         if config.compile_enabled:
-            compile_info, fc = _compile_step(
-                config, tex_dir, pdf_dir, logs_dir, parsed.merged.main_file, warnings
+            compile_info, fc = compile_document(
+                tex_dir, pdf_dir, logs_dir, parsed.merged.main_file, config, warnings
             )
     except LatexmtError as exc:
         error = f"{type(exc).__name__}: {exc}"

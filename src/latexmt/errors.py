@@ -95,14 +95,6 @@ class UnbalancedFileBoundaries(LatexmtError):
     """File begin/end markers do not pair up or nest properly."""
 
 
-class EngineNotFound(LatexmtError):
-    """The requested TeX engine is not on PATH."""
-
-
-class EngineTimeout(LatexmtError):
-    """A compilation pass exceeded its time limit."""
-
-
 # --------------------------------------------------------------------------
 # scoring / configuration
 

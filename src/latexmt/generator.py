@@ -1,4 +1,10 @@
-"""Document reconstruction: substitute back, split files out, compile.
+"""The Generator stage: rebuild the translated document, compile and score it.
+
+:func:`reassemble` substitutes the translated units back into the merged
+document, :func:`inject_language_preamble` adds the target language's
+support lines to it, :func:`unmerge` splits it back into the project's
+files, and :func:`compile_document` compiles them, files the PDF and the
+engine log, and computes the FC score.
 
 Reassembly enforces placeholder conservation strictly: every map entry
 must be consumed exactly once and no unknown token may remain.  Environment
@@ -9,6 +15,7 @@ it writes a file, so bad boundaries leave the output directory untouched.
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
 import time
@@ -17,14 +24,12 @@ from pathlib import Path
 
 from .errors import (
     DuplicatePlaceholderUse,
-    EngineNotFound,
-    EngineTimeout,
     MissingPlaceholderUse,
     UnbalancedFileBoundaries,
     UnresolvedPlaceholder,
 )
-from .config import CJK_LANGUAGES
-from .evaluator import parse_log
+from .config import CJK_LANGUAGES, RunConfig
+from .evaluator import fc_score, parse_log
 from .parser import GRAN_SECTION, MergedDocument, TranslationUnit, find_begin_document
 from .placeholders import (
     CAP_TOKEN_RE,
@@ -171,21 +176,26 @@ def inject_language_preamble(
 ) -> str:
     """Insert the target language's support lines before ``\\begin{document}``.
 
-    Idempotent: lines already present in the preamble are not added again.
-    Languages without an entry (e.g. ``en``) leave the text untouched.
+    Idempotent: lines already live in the preamble, outside comments, are
+    not added again.  Given the merged document, the preamble includes the
+    files it ``\\input``s, and the lines land in whichever file holds
+    ``\\begin{document}``.  Languages without an entry (e.g. ``en``)
+    leave the text untouched.
     """
     table = DEFAULT_LANGUAGE_PREAMBLES if preambles is None else preambles
     lines = table.get(target_language, ())
     if not lines:
         return text
-    insert_at = find_begin_document(text)
+    insert_at, spans = find_begin_document(text)
     if insert_at is None:
         if warnings is not None:
             warnings.append(
                 "no \\begin{document} found; language preamble prepended to file"
             )
         insert_at = 0
-    region = text[:insert_at]
+    # The preamble without its comments: the gaps between the spans before insert_at.
+    cuts = [0, *(i for span in spans if span[0] < insert_at for i in span), insert_at]
+    region = "".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
     missing = [line for line in lines if line not in region]
     if not missing:
         return text
@@ -198,56 +208,62 @@ def inject_language_preamble(
 
 
 def compile_document(
-    tex_dir: Path | str,
+    tex_dir: Path,
+    pdf_dir: Path,
+    logs_dir: Path,
     main_file: str,
-    engine: str,
-    timeout: float = 300.0,
-    passes: int = 2,
-    count_box_warnings: bool = False,
-) -> tuple[dict, float]:
-    """Run the engine over the main file (twice, for references).
+    config: RunConfig,
+    warnings: list[str],
+) -> tuple[dict, float | None]:
+    """Compile the main file in *tex_dir*, file the artifacts and score the log.
 
-    Returns report.json's ``compile`` record and the seconds the passes
-    took.  A failed compilation is data, not an exception: the record
-    carries the parsed error/warning counts either way.  Only a missing
-    engine or a pass blowing the time limit raises.
+    Runs ``config.compile_passes`` passes of the chosen engine, moves the
+    PDF to *pdf_dir* and the engine log to ``compile.log`` in *logs_dir*,
+    and writes the passes' seconds to ``compile_meta.json`` there.
+    Returns report.json's ``compile`` record and the FC score.  A failed
+    compilation is data: the record carries the parsed error and warning
+    counts either way.  A missing engine or a pass over the time limit
+    adds a warning and gives a record without a score.
     """
+    engine = config.chosen_engine
     if shutil.which(engine) is None:
-        raise EngineNotFound(f"TeX engine not on PATH: {engine}")
-    tex_dir = Path(tex_dir)
+        warnings.append(f"TeX engine not found on PATH: {engine}; compilation skipped")
+        return {"skipped": True, "reason": f"engine not found: {engine}"}, None
     started = time.monotonic()
-    returncode: int | None = None
-    for _ in range(max(1, passes)):
+    for _ in range(config.compile_passes):
         try:
             proc = subprocess.run(
                 [engine, "-interaction=nonstopmode", main_file],
                 cwd=tex_dir,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
-                timeout=timeout,
+                timeout=config.compile_timeout,
             )
-        except subprocess.TimeoutExpired as exc:
-            raise EngineTimeout(
-                f"{engine} exceeded {timeout:.0f}s on {main_file}"
-            ) from exc
-        returncode = proc.returncode
+        except subprocess.TimeoutExpired:
+            reason = f"{engine} exceeded {config.compile_timeout:.0f}s on {main_file}"
+            warnings.append(reason)
+            return {"skipped": False, "engine": engine, "success": False, "reason": reason}, None
     elapsed = time.monotonic() - started
     stem = Path(main_file).stem
-    log_path = tex_dir / f"{stem}.log"
-    log_text = (
-        log_path.read_text(encoding="utf-8", errors="replace")
-        if log_path.exists()
-        else ""
+    pdf_path, log_path = tex_dir / f"{stem}.pdf", tex_dir / f"{stem}.log"
+    log_text = ""
+    if log_path.exists():
+        log_text = log_path.read_text(encoding="utf-8", errors="replace")
+        shutil.move(log_path, logs_dir / "compile.log")
+    stats = parse_log(log_text, count_box_warnings=config.count_box_warnings)
+    success = stats.compiled and proc.returncode == 0 and pdf_path.exists()
+    if pdf_path.exists():
+        shutil.move(pdf_path, pdf_dir / pdf_path.name)
+    (logs_dir / "compile_meta.json").write_text(
+        json.dumps({"elapsed_seconds": round(elapsed, 3)}, indent=2) + "\n", encoding="utf-8"
     )
-    stats = parse_log(log_text, count_box_warnings=count_box_warnings)
-    success = stats.compiled and returncode == 0 and (tex_dir / f"{stem}.pdf").exists()
     record = {
         "skipped": False,
         "engine": engine,
         "success": success,
         "error_count": stats.error_count,
         "warning_count": stats.warning_count,
-        "returncode": returncode,
-        "passes": max(1, passes),
+        "returncode": proc.returncode,
+        "passes": config.compile_passes,
     }
-    return record, elapsed
+    return record, fc_score(stats.error_count, stats.warning_count, success)

@@ -339,9 +339,11 @@ class LlmClient:
     serial run would.  Jobs from :meth:`submit` share one pool of
     ``max_in_flight`` threads, and a job may submit the next one of a
     chain; the default of 1 starts no thread and keeps every call in
-    program order.  Only the program's thread calls :meth:`send_early`,
-    :meth:`reply` and :meth:`close`, and only it files requests sent early:
-    :meth:`reply` files the job that a job it takes chained.  ``speculation``
+    program order.  At most ``max_in_flight`` backend calls run at once,
+    the program thread's own included; a backoff sleep holds no slot.
+    Only the program's thread calls :meth:`send_early`, :meth:`reply` and
+    :meth:`close`, and only it files requests sent early: :meth:`reply`
+    files the job that a job it takes chained.  ``speculation``
     counts the requests sent early that :meth:`reply` took (hits) and never
     took (misses), and the calls that :meth:`Pending.discard` dropped.
     :meth:`close`, or leaving a ``with`` block, discards the misses and,
@@ -371,12 +373,18 @@ class LlmClient:
     _discarded: list = field(default_factory=list, init=False, repr=False, compare=False)
     _early: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False, compare=False)
+    _slots: threading.BoundedSemaphore | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def chat(self, request: ChatRequest) -> str:
+        with self._lock:  # made at the first call, so max_in_flight may be set until then
+            slots = self._slots = self._slots or threading.BoundedSemaphore(self.max_in_flight)
         last: Exception | None = None
         for attempt in range(self.retry_budget):
             try:
-                result = self.backend.complete(request)
+                with slots:
+                    result = self.backend.complete(request)
             except TransientLlmError as exc:
                 last = exc
                 if attempt + 1 < self.retry_budget:

@@ -532,11 +532,11 @@ def _document_body(text: str, span_at) -> tuple[int, int]:
     return m.end(), e.start() if e is not None else len(text)
 
 
-def find_begin_document(text: str) -> int | None:
-    """Offset of the first effective ``\\begin{document}``, or None."""
-    span_at = _span_index(comment_spans(text))
-    m = _next_live(_BEGIN_DOC_RE, text, span_at)
-    return m.start() if m is not None else None
+def find_begin_document(text: str) -> tuple[int | None, list[tuple[int, int]]]:
+    """Offset of the first effective ``\\begin{document}``, or None, and *text*'s comment spans."""
+    spans = comment_spans(text)
+    m = _next_live(_BEGIN_DOC_RE, text, _span_index(spans))
+    return (m.start() if m is not None else None), spans
 
 
 # --------------------------------------------------------------------------

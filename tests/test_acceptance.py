@@ -404,6 +404,21 @@ BROKEN_DOC = (
 )
 
 
+def _compile_smoke(root, text, engine):
+    """compile_document over *root*'s tex/, pdf/ and logs/, *text* as main.tex.
+
+    Returns the record, the score and the seconds the passes took.
+    """
+    dirs = [root / name for name in ("tex", "pdf", "logs")]
+    for d in dirs:
+        d.mkdir(parents=True)
+    (dirs[0] / "main.tex").write_text(text)
+    config = RunConfig(engine=engine, compile_timeout=60)
+    record, score = compile_document(*dirs, "main.tex", config, [])
+    meta = json.loads((dirs[2] / "compile_meta.json").read_text())
+    return record, score, meta["elapsed_seconds"]
+
+
 def test_08_compile_smoke(tmp_path, announce):
     engine = next(
         (e for e in ("pdflatex", "xelatex") if shutil.which(e)), None
@@ -413,22 +428,16 @@ def test_08_compile_smoke(tmp_path, announce):
         pytest.skip("no TeX engine on PATH; compile smoke not run")
     status = "FAIL"
     try:
-        good = tmp_path / "good"
-        good.mkdir()
-        (good / "main.tex").write_text(GOOD_DOC)
-        record, elapsed = compile_document(good, "main.tex", engine, timeout=60)
+        record, score, elapsed = _compile_smoke(tmp_path / "good", GOOD_DOC, engine)
         assert record["success"] is True
-        score = fc_score(record["error_count"], record["warning_count"], record["success"])
-        assert score == 100.0
+        assert score == fc_score(record["error_count"], record["warning_count"], True) == 100.0
         assert elapsed < 120.0
+        assert (tmp_path / "good" / "pdf" / "main.pdf").exists()
 
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        (broken / "main.tex").write_text(BROKEN_DOC)
-        record, _ = compile_document(broken, "main.tex", engine, timeout=60)
+        record, score, _ = _compile_smoke(tmp_path / "broken", BROKEN_DOC, engine)
         assert record["success"] is False
         assert record["error_count"] >= 1
-        score = fc_score(record["error_count"], record["warning_count"], record["success"])
+        assert score == fc_score(record["error_count"], record["warning_count"], False)
         assert score < 100.0
         status = "PASS"
     finally:

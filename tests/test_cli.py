@@ -498,6 +498,45 @@ def test_two_projects_with_one_name_are_a_usage_error_before_any_tree_is_touched
 
 
 # --------------------------------------------------------------------------
+# language preamble, injected into the merged document before unmerge
+
+BODY = "\\begin{document}\n\\section{A}\nalpha text\n\\end{document}\n"
+XECJK = "\\usepackage{xeCJK}\n"
+INPUTS_PREAMBLE = "\\documentclass{article}\n\\input{preamble}\n"
+
+
+@pytest.mark.parametrize(
+    "files, changed",
+    [
+        pytest.param(
+            {"main.tex": "\\documentclass{article}\n\\input{body}\n", "body.tex": BODY},
+            {"body.tex": XECJK + BODY},
+            id="begin-document-in-an-included-file",
+        ),
+        pytest.param(
+            {"main.tex": INPUTS_PREAMBLE + BODY, "preamble.tex": XECJK},
+            {},
+            id="package-loaded-by-an-input-preamble-file",
+        ),
+        pytest.param(
+            {"main.tex": INPUTS_PREAMBLE + BODY, "preamble.tex": "\\usepackage{amsmath}\n"},
+            {"main.tex": INPUTS_PREAMBLE + XECJK + BODY},
+            id="input-preamble-file-then-begin-document",
+        ),
+    ],
+)
+def test_the_preamble_line_goes_before_the_merged_documents_begin(tmp_path, files, changed):
+    proj = write_files(tmp_path / "doc", files)
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--mock", "echo", "--to", "zh"]
+    assert run([*argv, "--no-compile", "--out", str(out)]) == 0
+    tex = {name: (out / "doc" / "tex" / name).read_text() for name in files}
+    assert tex == {**files, **changed}
+    report = json.loads((out / "doc" / "report.json").read_text())
+    assert not any("begin{document}" in w for w in report["warnings"])
+
+
+# --------------------------------------------------------------------------
 # compile stage
 
 
@@ -523,6 +562,7 @@ def test_translate_compiles_with_the_engine_and_scores_its_log(tmp_path, capsys)
     assert (root / "pdf" / "main.pdf").read_text() == "PDF"
     assert not (root / "tex" / "main.pdf").exists()  # moved, not copied
     assert (root / "logs" / "compile.log").read_text() == COMPILE_LOG
+    assert not (root / "tex" / "main.log").exists()  # moved, not copied
     meta = json.loads((root / "logs" / "compile_meta.json").read_text())
     assert list(meta) == ["elapsed_seconds"] and meta["elapsed_seconds"] >= 0
     report = json.loads((root / "report.json").read_text())

@@ -1,17 +1,19 @@
 """Reassembly, conservation checks, unmerge, preamble injection, compile."""
 
+import json
 import stat
 
 import pytest
 
+from latexmt import parser
+from latexmt.config import RunConfig
 from latexmt.errors import (
     DuplicatePlaceholderUse,
-    EngineNotFound,
-    EngineTimeout,
     MissingPlaceholderUse,
     UnbalancedFileBoundaries,
     UnresolvedPlaceholder,
 )
+from latexmt.evaluator import fc_score
 from latexmt.generator import (
     compile_document,
     inject_language_preamble,
@@ -27,6 +29,7 @@ from latexmt.parser import (
     MergedDocument,
     ProjectSource,
     TranslationUnit,
+    comment_spans,
     enumerate_units,
     merge_project,
     parse_project,
@@ -279,6 +282,17 @@ def test_inject_preamble_without_document_env_prepends_and_warns():
     assert len(warnings) == 1
 
 
+def test_inject_preamble_adds_a_line_that_is_only_commented_out(monkeypatch):
+    scans = []
+    monkeypatch.setattr(parser, "comment_spans", lambda *a: scans.append(a) or comment_spans(*a))
+    commented = DOC.replace("\\begin", "% \\usepackage{xeCJK}\n\\begin")
+    out = inject_language_preamble(commented, "zh")
+    assert out == commented.replace("\\begin", "\\usepackage{xeCJK}\n\\begin")
+    assert len(scans) == 1  # the \\begin{document} search's scan, reused
+    live = DOC.replace("\\begin", "\\usepackage{xeCJK} % CJK\n\\begin")
+    assert inject_language_preamble(live, "zh") == live
+
+
 def test_inject_preamble_custom_table():
     table = {"de": ("\\usepackage[ngerman]{babel}",)}
     out = inject_language_preamble(DOC, "de", preambles=table)
@@ -300,20 +314,33 @@ def fake_engine(tmp_path, script_body):
 GOOD_LOG = "Output written on main.pdf (1 page, 1234 bytes).\n"
 
 
-def test_compile_missing_engine():
-    with pytest.raises(EngineNotFound):
-        compile_document("/tmp", "main.tex", "definitely-not-a-tex-engine-7f3a")
+def compile_in(tmp_path, engine, **settings):
+    """compile_document over tmp_path's tex/, pdf/ and logs/; its record, score and warnings."""
+    dirs = [tmp_path / name for name in ("tex", "pdf", "logs")]
+    for d in dirs:
+        d.mkdir()
+    (dirs[0] / "main.tex").write_text("irrelevant")
+    warnings = []
+    config = RunConfig(engine=engine, **settings)
+    record, score = compile_document(*dirs, "main.tex", config, warnings)
+    return record, score, warnings
+
+
+def test_compile_missing_engine(tmp_path):
+    engine = "definitely-not-a-tex-engine-7f3a"
+    record, score, warnings = compile_in(tmp_path, engine)
+    assert record == {"skipped": True, "reason": f"engine not found: {engine}"}
+    assert score is None
+    assert warnings == [f"TeX engine not found on PATH: {engine}; compilation skipped"]
+    assert not any((tmp_path / "pdf").iterdir()) and not any((tmp_path / "logs").iterdir())
 
 
 def test_compile_success_with_fake_engine(tmp_path):
-    tex_dir = tmp_path / "tex"
-    tex_dir.mkdir()
-    (tex_dir / "main.tex").write_text("irrelevant")
     engine = fake_engine(
         tmp_path,
         f"printf '%s' '{GOOD_LOG}' > main.log\n: > main.pdf\nexit 0\n",
     )
-    record, elapsed = compile_document(tex_dir, "main.tex", engine, passes=2)
+    record, score, warnings = compile_in(tmp_path, engine, compile_passes=2)
     assert record == {
         "skipped": False,
         "engine": engine,
@@ -323,41 +350,43 @@ def test_compile_success_with_fake_engine(tmp_path):
         "returncode": 0,
         "passes": 2,
     }
-    assert elapsed >= 0
-    assert (tex_dir / "main.log").read_text() == GOOD_LOG
+    assert score == 100.0 and warnings == []
+    # The log and the PDF are moved, not copied.
+    assert (tmp_path / "logs" / "compile.log").read_text() == GOOD_LOG
+    assert sorted(p.name for p in (tmp_path / "tex").iterdir()) == ["main.tex"]
+    assert (tmp_path / "pdf" / "main.pdf").exists()
+    meta = json.loads((tmp_path / "logs" / "compile_meta.json").read_text())
+    assert list(meta) == ["elapsed_seconds"] and meta["elapsed_seconds"] >= 0
 
 
 def test_compile_failure_is_data_not_exception(tmp_path):
-    tex_dir = tmp_path / "tex"
-    tex_dir.mkdir()
-    (tex_dir / "main.tex").write_text("irrelevant")
     engine = fake_engine(
         tmp_path,
         'printf \'! Undefined control sequence.\\nl.3 oops\\n\' > main.log\nexit 1\n',
     )
-    record, _ = compile_document(tex_dir, "main.tex", engine)
+    record, score, warnings = compile_in(tmp_path, engine)
     assert record["success"] is False
     assert record["error_count"] == 1
     assert record["returncode"] == 1
+    assert score == fc_score(1, 0, False) and warnings == []
 
 
 def test_compile_no_pdf_means_failure_even_with_zero_errors(tmp_path):
-    tex_dir = tmp_path / "tex"
-    tex_dir.mkdir()
-    (tex_dir / "main.tex").write_text("irrelevant")
     engine = fake_engine(tmp_path, "printf '%s' 'nothing useful' > main.log\nexit 0\n")
-    record, _ = compile_document(tex_dir, "main.tex", engine)
+    record, score, _ = compile_in(tmp_path, engine)
     assert record["success"] is False
     assert record["error_count"] == 0
+    assert score == fc_score(0, 0, False)
+    assert not any((tmp_path / "pdf").iterdir())
 
 
 def test_compile_timeout(tmp_path):
-    tex_dir = tmp_path / "tex"
-    tex_dir.mkdir()
-    (tex_dir / "main.tex").write_text("irrelevant")
-    engine = fake_engine(tmp_path, "sleep 5\n")
-    with pytest.raises(EngineTimeout):
-        compile_document(tex_dir, "main.tex", engine, timeout=0.2, passes=1)
+    engine = fake_engine(tmp_path, "exec sleep 5\n")
+    record, score, warnings = compile_in(tmp_path, engine, compile_timeout=0.2, compile_passes=1)
+    reason = f"{engine} exceeded 0s on main.tex"
+    assert record == {"skipped": False, "engine": engine, "success": False, "reason": reason}
+    assert score is None
+    assert warnings == [reason]
 
 
 def test_unmerge_preserves_non_ascii_bytes(tmp_path):

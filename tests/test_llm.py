@@ -657,6 +657,45 @@ def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
     assert client.speculation["discarded_prompt_tokens"] == tokens
 
 
+class Holding:
+    """Echoes; a request whose message starts with "held" waits for ``release``.
+
+    Keeps the most calls seen in flight at once; ``full`` is set once two are.
+    """
+
+    def __init__(self):
+        self.release, self.full = threading.Event(), threading.Event()
+        self._lock = threading.Lock()
+        self.in_flight = self.max_in_flight = 0
+
+    def complete(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            if self.in_flight == 2:
+                self.full.set()
+        try:
+            if request.user_message.startswith("held"):
+                assert self.release.wait(10)
+            return ChatResult(request.user_message, 1, 1)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_the_programs_own_call_waits_for_a_slot_beside_the_jobs():
+    backend = Holding()
+    with client_for(backend, max_in_flight=2) as client:
+        jobs = [client.submit(client.chat, req(f"held {i}")) for i in range(2)]
+        assert backend.full.wait(10)  # both jobs are inside the backend
+        timer = threading.Timer(0.2, backend.release.set)
+        timer.start()
+        assert client.chat(req("direct")) == "direct"
+        assert [job.result() for job in jobs] == ["held 0", "held 1"]
+        timer.join()
+    assert backend.max_in_flight == 2
+
+
 def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
     backend = RuleBackend([], default="first")
     with client_for(backend, transcript_path=tmp_path / "t.jsonl") as client:
