@@ -1,35 +1,35 @@
 """The multi-agent translation loop.
 
 One translator pass over the units, one step per group (:func:`grouped`) of
-up to :data:`GROUP_UNITS` units: the sections up to the last one, then the
-environments and captions after it, each part headed by its unit's
+up to :data:`GROUP_CHARS` characters: the sections up to the last one, then
+the environments and captions after it, each part headed by its unit's
 :func:`header`.  Every step is the same: one translator call
 (:func:`translate_unit`) whose reply splits back into the parts, each with
 its source's edge whitespace restored (:func:`fit_edges`), one summary
-update over the group's sections, one validation job per unit
-(:func:`validate_unit`), and one terminology call.  A group whose call fails
-or reply does not split sends its units one by one; a lone unit that fails
-is FAILED.  Each prompt carries the rolling document summary and the
-first-occurrence-wins term dictionary built so far.  A unit's validation,
-its rounds of checks and revisions up to the round cap, waits on no other
-unit.  Requests are sent early (:meth:`LlmClient.send_early`): a group's
-summary update reads only source text, so it goes with the group's
-translation; once a step is translated, the next one's translation goes
-with the summary and dictionary as they stand, its terms request chained,
-and again if the terms just mined add pairs.  An early reply answers only a
-byte-equal request.  An early request never taken runs only above a bound
-of 1, and is then discarded unseen (:class:`~latexmt.llm.Pending`), so
-every bound runs one program.  The environment units' filter calls run
-while the sections are translated; the decisions are taken when the group
-after the last section is first asked for.  Every agent builds its request
-with :func:`~latexmt.prompts.request` and records warnings with
-:meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
-are taken in program order, the validation jobs in unit order, so results,
-findings, warnings and the transcript read as in a serial run.  Two
-validation dimensions are mechanical (placeholder and control-sequence
-conservation); the third asks a judge model about content completeness and
-degrades to "skipped" without a usable judge reply.  Units still failing
-after the round cap fall back to their source text.
+update over the group's sections, one validation job
+(:func:`validate_group`), and one terminology call.  A group whose call
+fails or reply does not split sends its units one by one, then validates
+them together; a lone unit that fails is FAILED.  Each prompt carries the
+rolling document summary and the first-occurrence-wins term dictionary built
+so far.  A group's first round of checks judges its units in one call; a
+unit's revisions and later rounds wait on no other unit.  Requests are sent
+early (:meth:`LlmClient.send_early`): a group's summary update reads only
+source text, so it goes with the group's translation; once a step is
+translated, the next one's translation goes with the summary and dictionary
+as they stand, its terms request chained, and again if the terms just mined
+add pairs.  An early reply answers only a byte-equal request.  An early
+request never taken runs only above a bound of 1, and is then discarded
+unseen (:class:`~latexmt.llm.Pending`), so every bound runs one program.
+The environment units' filter calls run while the sections are translated;
+the decisions are taken when the group after the last section is first asked
+for.  Every agent builds its request with :func:`~latexmt.prompts.request`
+and records warnings with :meth:`LlmClient.warn`, which keeps a job's
+warnings with its calls; jobs are taken in program order, the validation
+jobs in unit order, so results, findings, warnings and the transcript read
+as in a serial run.  Two validation dimensions are mechanical (placeholder
+and control-sequence conservation); the third asks a judge model about
+content completeness and degrades to "skipped" without a usable judge reply.
+Units still failing after the round cap fall back to their source text.
 """
 
 from __future__ import annotations
@@ -58,15 +58,20 @@ DIM_COMMAND = "COMMAND_INTEGRITY"
 DIM_COMPLETENESS = "CONTENT_COMPLETENESS"
 
 SUMMARY_WORD_LIMIT = 300
-GROUP_UNITS = 8  # units per translator request, at most
-GROUP_CHARS = 6000  # their source characters, at most (a longer unit goes alone)
-# What a group's translator prompt adds: the format of its message and reply.
+GROUP_CHARS = 6000  # source characters per group, at most (a longer unit goes alone)
+# What a group's translator and judge prompts add: the format of their message and reply.
 GROUP_FORMAT = (
     "\n\n[Parts]\n"
     "The text holds several parts. Each part is a header line holding only a placeholder "
     "token, then all the text up to the next header line. Translate each part on its own. "
     "Reply with every part, in the same order: its header line copied exactly, then its "
     "translation. Write nothing before the first header line."
+)
+JUDGE_FORMAT = (
+    "\n\n[Parts]\nThe original and the translation hold the same parts, each a header line "
+    "holding only a placeholder token, then the text up to the next header line. If every part "
+    "is complete and faithful, output exactly: OK\nOtherwise output every header line copied "
+    'exactly, in order, each followed by OK or by that part\'s findings, one "- " line each.'
 )
 
 # Control sequences that may legitimately appear or vanish when prose moves
@@ -198,85 +203,113 @@ def check_command_integrity(
     return findings
 
 
-def check_content_completeness(
-    unit: TranslationUnit, client: LlmClient, config: RunConfig
-) -> list[Finding] | None:
-    """Ask the judge model whether content survived; None when the dimension is skipped.
+def check_round(
+    group: Sequence[TranslationUnit], client: LlmClient, config: RunConfig
+) -> list[tuple[list[Finding], bool]] | None:
+    """One round of checks on each unit of *group*: ``(findings, judge skipped)``, or None.
 
-    Reply contract: exactly ``OK`` means clean; otherwise every non-blank
-    line must start with ``- `` and becomes one finding.  Anything else
-    (including transport failure) skips the dimension for this unit, with
-    a warning.
+    The mechanical checks come first.  The units they pass go to the judge
+    in one call, if ``config.completeness_check`` is on: the originals, then
+    the translations, joined by :func:`group_source`, with
+    :data:`JUDGE_FORMAT` in a group's prompt.  Exactly ``OK`` clears every
+    unit; else a lone unit's reply, or each part of a group's, must be
+    ``OK`` or ``- `` lines, a finding each.  Anything else, a failed call
+    too, skips a lone unit's dimension, or gives None for a group, whose
+    units are then to be checked alone; either with a warning.
     """
+    rounds = [(check_placeholder_integrity(u) + check_command_integrity(u), False) for u in group]
+    clean = [u for u, (mech, _) in zip(group, rounds) if not mech]
+    if not clean or not config.completeness_check:
+        return rounds
+    lone = len(clean) == 1
     request = prompts.request(
         "completeness",
-        f"[Original]\n{unit.source_text}\n\n[Translation]\n{unit.translated_text}",
+        f"[Original]\n{group_source(clean)}\n\n"
+        f"[Translation]\n{group_source(clean, [u.translated_text for u in clean])}",
         config,
+        "" if lone else prompts.render_for("completeness", config) + JUDGE_FORMAT,
     )
     try:
-        reply = client.chat(request).strip()
+        reply, problem = client.chat(request).strip(), "reply unparseable"
     except LlmError as exc:
-        client.warn(f"completeness check skipped for unit {unit.id}: {exc}")
-        return None
-    if reply == "OK":
-        return []
-    lines = [line.strip() for line in reply.splitlines() if line.strip()]
-    if lines and all(line.startswith("- ") for line in lines):
-        return [
-            Finding(unit.id, DIM_COMPLETENESS, line[2:].strip()) for line in lines
-        ]
-    client.warn(f"completeness reply unparseable for unit {unit.id}; dimension skipped")
-    return None
+        reply, problem = "", str(exc)
+    heads = [header(u) for u in clean]
+    parts = [reply] * len(clean) if lone or reply == "OK" else split_parts(reply, heads) or []
+    verdicts = [[x.strip() for x in part.splitlines() if x.strip()] for part in parts]
+    if verdicts and all(v == ["OK"] or v and all(x.startswith("- ") for x in v) for v in verdicts):
+        found = {
+            u.id: [Finding(u.id, DIM_COMPLETENESS, x[2:].strip()) for x in v if x != "OK"]
+            for u, v in zip(clean, verdicts)
+        }
+        return [(found.get(u.id, mech), False) for u, (mech, _) in zip(group, rounds)]
+    ids = ", ".join(str(u.id) for u in clean)
+    client.warn(
+        f"completeness check skipped for unit {ids}: {problem}"
+        if lone
+        else f"group completeness check failed for units {ids}, judged one by one: {problem}"
+    )
+    return [(mech, not mech) for mech, _ in rounds] if lone else None
 
 
 def validate_unit(
-    unit: TranslationUnit, client: LlmClient, config: RunConfig
+    unit: TranslationUnit, client: LlmClient, config: RunConfig, first: tuple | None = None
 ) -> list[tuple[list[Finding], bool]]:
     """Validate *unit*, revising until clean or capped: ``(findings, judge skipped)`` a round.
 
-    A round is the mechanical checks, then the judge if those are clean and
-    ``config.completeness_check`` is on; findings with rounds left go to the
-    corrector.  A failed revision keeps the round's findings, unjudged.
+    A round is :func:`check_round` of the unit alone, round 1 unless *first*
+    is given.  A failed revision keeps the round's findings, unjudged.
     """
-    rounds: list[tuple[list[Finding], bool]] = []
-    findings = None  # None: the text is new, so check it
-    while True:
-        skipped = False
-        if findings is None:
-            findings = check_placeholder_integrity(unit) + check_command_integrity(unit)
-            if not findings and config.completeness_check:
-                found = check_content_completeness(unit, client, config)
-                findings, skipped = found or [], found is None
-        rounds.append((findings, skipped))
-        if not findings or len(rounds) == config.max_validation_rounds:
-            return rounds
+    rounds = [first or check_round((unit,), client, config)[0]]
+    while rounds[-1][0] and len(rounds) < config.max_validation_rounds:
         try:
-            reply = retranslate_unit(unit, findings, client, config)
+            reply = retranslate_unit(unit, rounds[-1][0], client, config)
         except LlmError as exc:
             client.warn(f"revision failed for unit {unit.id}: {exc}")
-            continue  # same text: same findings, no judge
-        unit.translated_text, findings = fit_edges(unit.source_text, reply), None
+            rounds.append((rounds[-1][0], False))  # same text: same findings, no judge
+            continue
+        unit.translated_text = fit_edges(unit.source_text, reply)
+        rounds.append(check_round((unit,), client, config)[0])
+    return rounds
+
+
+def validate_group(
+    group: Sequence[TranslationUnit], client: LlmClient, config: RunConfig
+) -> list[list | Pending[list]]:
+    """Each unit's :func:`validate_unit` rounds, round 1 checked for the whole group at once.
+
+    A unit left with findings goes on in a job of its own, as does every
+    unit when the group's judge gave no verdicts.
+    """
+    rounds = check_round(group, client, config) or [None] * len(group)
+    return [
+        client.submit(validate_unit, unit, client, config, first)
+        if first is None or first[0]
+        else [first]
+        for unit, first in zip(group, rounds)
+    ]
 
 
 def validate_translations(
     units: list[TranslationUnit],
     client: LlmClient,
     config: RunConfig,
-    started: dict[int, Pending[list]] | None = None,
+    started: dict[int, tuple[Pending[list], int]] | None = None,
 ) -> list[ErrorReport]:
     """Validate every candidate translation in *units*, revising until clean or capped.
 
-    A unit in *started* has its :func:`validate_unit` job under way; the rest
-    run now.  The units are taken in order, so reports (one per round),
-    warnings and the transcript read as in a serial run.  A unit with
-    findings after ``max_validation_rounds`` is FAILED, with a warning.
+    A unit in *started* maps to its group's :func:`validate_group` job and
+    its place in the group; the rest run :func:`validate_unit` now.  The units
+    are taken in order, so reports (one per round), warnings and the
+    transcript read as in a serial run.  A unit with findings after
+    ``max_validation_rounds`` is FAILED, with a warning.
     """
     reports: list[ErrorReport] = []
     for unit in units:
         if not unit.needs_translation or unit.translated_text is None:
             continue
-        job = (started or {}).get(unit.id)
-        rounds = job.result() if job else validate_unit(unit, client, config)
+        job, place = (started or {}).get(unit.id, (None, 0))
+        rounds = job.result()[place] if job else validate_unit(unit, client, config)
+        rounds = rounds.result() if isinstance(rounds, Pending) else rounds
         reports += [ErrorReport(index + 1) for index in range(len(reports), len(rounds))]
         for report, (findings, skipped) in zip(reports, rounds):
             report.findings.extend(findings)
@@ -323,11 +356,13 @@ def header(unit: TranslationUnit) -> str:
     return unit.token or f"<PLACEHOLDER_PART_{unit.id}>"
 
 
-def group_source(group: Sequence[TranslationUnit]) -> str:
-    """What the translator is sent as *group*'s text: one unit's source, or their parts."""
-    if len(group) == 1:
-        return group[0].source_text
-    return join_parts([(header(unit), unit.source_text) for unit in group])
+def group_source(group: Sequence[TranslationUnit], texts: Sequence[str] = ()) -> str:
+    """What the translator is sent as *group*'s text: one unit's source, or their parts.
+
+    *texts*, one per unit, stand in for the sources.
+    """
+    texts = texts or [unit.source_text for unit in group]
+    return texts[0] if len(group) == 1 else join_parts(list(zip(map(header, group), texts)))
 
 
 def section_source(group: Sequence[TranslationUnit]) -> str:
@@ -365,7 +400,7 @@ def group_request(
 
 
 def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...]]:
-    """*units* in groups of up to :data:`GROUP_UNITS` units and :data:`GROUP_CHARS` characters.
+    """*units* in groups of up to :data:`GROUP_CHARS` characters.
 
     A group holds only units whose joined parts split back; a unit that
     fits in no group goes alone.
@@ -374,9 +409,9 @@ def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...
     for unit in units:
         group = groups[-1] + (unit,) if groups else (unit,)
         if (
-            1 < len(group) <= GROUP_UNITS
+            len(group) > 1
             and sum(len(u.source_text) for u in group) <= GROUP_CHARS
-            and split_parts(group_source(group), [header(u) for u in group])
+            and split_parts(group_source(group), list(map(header, group)))
             == [u.source_text for u in group]
         ):
             groups[-1] = group
@@ -554,21 +589,27 @@ def run_pipeline(
             if new_section := section_source(group):
                 client.send_early(summary_request(summary, new_section, config))
 
-    validating: dict[int, Pending[list]] = {}  # each translated unit's validation job
+    validating: dict[int, tuple[Pending[list], int]] = {}  # each unit's group job, and its place
 
-    def step(i: int, group: tuple[TranslationUnit, ...], ahead: bool = True) -> None:
-        """*group*'s translator call, then its summary update, validation jobs and terms.
+    def validate(group: tuple[TranslationUnit, ...]) -> None:
+        job = client.submit(validate_group, group, client, config)
+        validating.update((unit.id, (job, place)) for place, unit in enumerate(group))
+
+    def step(i: int, group: tuple[TranslationUnit, ...], within: tuple = ()) -> None:
+        """*group*'s translator call, then its summary update, validation job and terms.
 
         A failed call fails a lone unit; it, or a reply that does not split,
-        sends a larger group's units one by one, only the last sending *ahead*.
+        sends a larger group's units one by one, each *within* it: only the
+        last sends ahead, and the units translated are validated together.
         """
         nonlocal summary
         head, new_section = group[0], section_source(group)
+        ahead = not within or head is within[-1]
         if new_section:  # sent already, unless first or after a failure
             client.send_early(summary_request(summary, new_section, config))
         try:
             reply = translate_unit(group, summary, dictionary, client, config)
-            texts = [reply] if len(group) == 1 else split_parts(reply, [header(u) for u in group])
+            texts = [reply] if len(group) == 1 else split_parts(reply, list(map(header, group)))
             problem = "reply did not split"
         except LlmError as exc:
             texts, problem = None, str(exc)
@@ -580,7 +621,9 @@ def run_pipeline(
                 ids = ", ".join(str(u.id) for u in group)
                 client.warn(f"group translation failed for units {ids}, sent one by one: {problem}")
                 for unit in group:
-                    step(i, (unit,), unit is group[-1])
+                    step(i, (unit,), group)
+                if translated := tuple(u for u in group if u.status == STATUS_TRANSLATED):
+                    validate(translated)
             return
         if new_section:
             summary = update_summary(summary, new_section, client, config)
@@ -588,8 +631,8 @@ def run_pipeline(
             unit.translated_text, unit.status = fit_edges(unit.source_text, text), STATUS_TRANSLATED
         if ahead:
             send_next(i)  # with the dictionary as it stands
-        for unit in group:
-            validating[unit.id] = client.submit(validate_unit, unit, client, config)
+        if not within:
+            validate(group)
         if extract_terms(group_source(group), reply, dictionary, client, config) and ahead:
             send_next(i)  # again, with the pairs just added
 

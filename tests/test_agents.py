@@ -17,14 +17,15 @@ from latexmt.agents import (
     DIM_COMPLETENESS,
     DIM_PLACEHOLDER,
     GROUP_FORMAT,
+    JUDGE_FORMAT,
     ErrorReport,
     Finding,
     PipelineFailed,
     Summary,
     TermDictionary,
     check_command_integrity,
-    check_content_completeness,
     check_placeholder_integrity,
+    check_round,
     extract_terms,
     fit_edges,
     group_request,
@@ -311,15 +312,14 @@ def test_command_counts_must_match_exactly():
 def test_completeness_ok_reply():
     u = unit_with("src", "dst")
     client = make_client(RuleBackend([], default="OK"))
-    findings = check_content_completeness(u, client, CFG)
-    assert findings == []
+    assert check_round((u,), client, CFG) == [([], False)]
     assert client.warnings == []
 
 
 def test_completeness_findings_parsed_line_by_line():
     u = unit_with("src", "dst")
     reply = "- the second paragraph is missing\n- the footnote vanished"
-    findings = check_content_completeness(u, make_client(RuleBackend([], default=reply)), CFG)
+    [(findings, _)] = check_round((u,), make_client(RuleBackend([], default=reply)), CFG)
     assert [f.dimension for f in findings] == [DIM_COMPLETENESS, DIM_COMPLETENESS]
     assert findings[0].description == "the second paragraph is missing"
 
@@ -327,8 +327,7 @@ def test_completeness_findings_parsed_line_by_line():
 def test_completeness_garbage_reply_skips_dimension():
     u = unit_with("src", "dst")
     client = make_client(RuleBackend([], default="I think it looks fine!"))
-    findings = check_content_completeness(u, client, CFG)
-    assert findings is None
+    assert check_round((u,), client, CFG) == [([], True)]
     assert any("unparseable" in w for w in client.warnings)
     # validate_translations records the skip in the round's report.
     [report] = validate_translations([u], client, CFG)
@@ -339,8 +338,7 @@ def test_completeness_garbage_reply_skips_dimension():
 def test_completeness_transport_failure_skips_dimension():
     u = unit_with("src", "dst")
     client = make_client(RuleBackend([]))
-    findings = check_content_completeness(u, client, CFG)
-    assert findings is None
+    assert check_round((u,), client, CFG) == [([], True)]
     assert any("completeness check skipped for unit 0" in w for w in client.warnings)
 
 
@@ -370,6 +368,99 @@ def test_validate_skips_units_without_candidates():
 
 
 # --------------------------------------------------------------------------
+# the group judge: one call for a group's round 1
+
+
+def judged_captions(judge):
+    """Run three captions through the pipeline; *judge* answers the group's judge call.
+
+    The translator drops "lost words", a lone judge call answers ``OK``, and
+    the corrector gives back the source.  Returns the units, the reports,
+    the warnings and each ``(role, message)`` sent.
+    """
+    sent = []
+
+    def answer(_match, request):
+        message = request.user_message
+        role = "judge" if message.startswith("[Original]\n") else "other"
+        role = "corrector" if "\n\n[Error Reports]\n" in message else role
+        role = "group judge" if request.system_prompt.endswith(JUDGE_FORMAT) else role
+        sent.append((role, message))
+        if role == "group judge":
+            return judge(message)
+        if role == "corrector":
+            return message.removeprefix("[Original]\n").partition("\n\n[Translation]\n")[0]
+        if role == "judge":
+            return "OK"
+        return "N/A" if message.startswith("[Source]\n") else message.replace("lost words", "")
+
+    units = [caption_unit(i, text) for i, text in enumerate(["One.", "Two, lost words.", "Three."], 1)]
+    client = make_client(RuleBackend([(r"", answer)]))
+    result = run_pipeline(units, client, CFG)
+    return units, result.reports, client.warnings, sent
+
+
+def parted(*verdicts, order=(1, 2, 3)):
+    """A reply to the three captions' group: each header in *order*, then its verdict."""
+    return "\n".join(f"<PLACEHOLDER_CAP_{i}>\n{v}" for i, v in zip(order, verdicts))
+
+
+def test_a_group_is_judged_in_one_call_and_ok_clears_every_unit():
+    units, reports, warnings, sent = judged_captions(lambda _message: "OK")
+    source = join_parts([(u.token, u.source_text) for u in units])
+    translated = join_parts([(u.token, u.translated_text) for u in units])
+    assert "Two, ." in translated
+    assert [m for role, m in sent if "judge" in role] == [
+        f"[Original]\n{source}\n\n[Translation]\n{translated}"
+    ]
+    assert warnings == [] and [r.to_dict() for r in reports] == [ErrorReport(1).to_dict()]
+    assert all(u.status == STATUS_VALIDATED for u in units)
+
+
+def test_a_headered_group_judge_reply_sends_only_the_flagged_unit_to_the_corrector():
+    units, reports, warnings, sent = judged_captions(
+        lambda _message: parted("OK", "- words are lost", "OK")
+    )
+    assert warnings == []
+    assert [f.unit_id for f in reports[0].findings] == [2]
+    assert reports[0].findings[0].description == "words are lost"
+    assert reports[1].ok and len(reports) == 2
+    assert all(u.status == STATUS_VALIDATED for u in units)
+    assert units[1].translated_text == "Two, lost words."  # the corrector's
+    # Only unit 2 is revised and judged again; 1 and 3 have no judge call of their own.
+    roles = [(role, m.split("\n")[1]) for role, m in sent if role in ("judge", "corrector")]
+    assert roles == [("corrector", "Two, lost words."), ("judge", "Two, lost words.")]
+
+
+def _refused(_message):
+    raise TransientLlmError("judge down")
+
+
+@pytest.mark.parametrize(
+    "judge, problem",
+    [
+        (_refused, "gave up after 3 attempts: judge down"),
+        (lambda _message: "- a clause is missing", "reply unparseable"),
+        (lambda _message: parted("OK", "fine", "OK"), "reply unparseable"),
+        (lambda _message: parted("OK", "OK", "OK", order=(2, 1, 3)), "reply unparseable"),
+    ],
+    ids=["exhausted", "no-headers", "unparseable-part", "out-of-order"],
+)
+def test_a_group_judge_reply_without_verdicts_judges_each_unit_alone(judge, problem):
+    units, reports, warnings, sent = judged_captions(judge)
+    assert warnings == [
+        f"group completeness check failed for units 1, 2, 3, judged one by one: {problem}"
+    ]
+    # Then each unit's own call, with the per-unit message, which answers OK.
+    alone = [m for role, m in sent if role == "judge"]
+    assert alone == [
+        f"[Original]\n{u.source_text}\n\n[Translation]\n{u.translated_text}" for u in units
+    ]
+    assert [r.to_dict() for r in reports] == [ErrorReport(1).to_dict()]
+    assert all(u.status == STATUS_VALIDATED for u in units)
+
+
+# --------------------------------------------------------------------------
 # prompt assembly
 
 
@@ -390,7 +481,7 @@ def test_translator_system_prompt_placeholders_for_empty_context():
 
 
 def test_pipeline_translator_sees_only_the_terms_its_unit_holds(monkeypatch):
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # each caption on its own
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)  # each caption on its own
     systems = {}
 
     def translate(_match, request):
@@ -546,11 +637,11 @@ def test_a_revision_trimmed_at_its_edges_keeps_the_units_edge_whitespace():
     assert unit.translated_text == f"\n{FIXED}\n\n"
 
 
-@pytest.mark.parametrize("group_units", [1, agents.GROUP_UNITS])
+@pytest.mark.parametrize("group_chars", [0, agents.GROUP_CHARS], ids=["alone", "grouped"])
 def test_a_reply_trimmed_at_its_edges_keeps_the_next_heading_out_of_a_comment(
-    monkeypatch, group_units
+    monkeypatch, group_chars
 ):
-    monkeypatch.setattr(agents, "GROUP_UNITS", group_units)
+    monkeypatch.setattr(agents, "GROUP_CHARS", group_chars)
     text = (
         "\\begin{document}\n\\section{A}\nAlpha text here.\n% a note\n"
         "\\section{B}\nBeta text.\n\\end{document}\n"
@@ -605,8 +696,9 @@ def test_failed_revision_carries_findings_instead_of_rejudging():
     repaired = section_unit(1, "Repairable text. More.")
     cfg = RunConfig(max_validation_rounds=3)
     result = run_pipeline([stuck, repaired], make_client(backend), cfg)
-    # Each distinct (original, translation) pair reaches the judge once.
-    assert len(judged) == 3
+    # Each distinct (original, translation) pair reaches the judge once: the
+    # two sections', which gives no verdicts per part, then each one's.
+    assert len(judged) == 4
     assert set(judged.values()) == {1}
     assert stuck.status == STATUS_FAILED
     assert repaired.status == STATUS_VALIDATED
@@ -753,7 +845,7 @@ def pinning_backend(sent, early_sent=None):
 @pytest.fixture
 def alone(monkeypatch):
     """Every unit goes to the translator alone, as a section too long to group does."""
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)
 
 
 def speculation_units():
@@ -971,18 +1063,18 @@ def test_a_group_reply_splits_without_blank_lines_or_with_leading_ones():
     assert split_parts(f"\n{headers[0]}\nOne.\n{headers[1]}\nTwo.\n", headers) == ["One.", "Two.\n"]
 
 
-def test_tail_units_are_grouped_up_to_the_unit_and_character_caps(monkeypatch):
+def test_tail_units_are_grouped_up_to_the_character_cap(monkeypatch):
     monkeypatch.setattr(agents, "GROUP_CHARS", 100)
     units = [
         caption_unit(3, "x" * 30),
         caption_unit(4, "x" * 30),
         caption_unit(5, "x" * 50),  # 110 characters with 3 and 4
         caption_unit(6, "x" * 150),  # more than GROUP_CHARS by itself
-        *(caption_unit(uid, "y") for uid in range(7, 16)),  # 9 units: 8, then 1
-        caption_unit(16, "<PLACEHOLDER_CAP_15>\nholds unit 15's header alone on a line"),
+        *(caption_unit(uid, "y") for uid in range(7, 19)),  # 12 units, no cap on their number
+        caption_unit(19, "<PLACEHOLDER_CAP_18>\nholds unit 18's header alone on a line"),
     ]
     assert [[u.id for u in group] for group in grouped(units)] == [
-        [3, 4], [5], [6], list(range(7, 15)), [15], [16]
+        [3, 4], [5], [6], list(range(7, 19)), [19]
     ]
 
 
@@ -1009,10 +1101,16 @@ def test_a_group_request_holds_its_parts_under_the_translator_prompt():
 
 
 def grouped_units():
-    """A section, then ten captions: groups of eight and of two."""
+    """A section, then ten captions: groups of eight and of two (:func:`eight_captions`)."""
     return [section_unit(0, "An opening section.")] + [
         caption_unit(uid, f"Caption number {uid}.") for uid in range(1, 11)
     ]
+
+
+@pytest.fixture
+def eight_captions(monkeypatch):
+    """A character cap that the first eight of :func:`grouped_units`' captions fill."""
+    monkeypatch.setattr(agents, "GROUP_CHARS", 8 * len("Caption number 1."))
 
 
 def run_grouped(tmp_path, bound, fault, name):
@@ -1040,9 +1138,11 @@ def run_grouped(tmp_path, bound, fault, name):
 
 
 @pytest.mark.parametrize("fault", ["split", "error"])
-def test_a_group_that_fails_goes_unit_by_unit_as_an_ungrouped_run(tmp_path, monkeypatch, fault):
+def test_a_group_that_fails_goes_unit_by_unit_as_an_ungrouped_run(
+    tmp_path, monkeypatch, eight_captions, fault
+):
     runs = {bound: run_grouped(tmp_path, bound, fault, f"b{bound}") for bound in (1, 4)}
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)
     ungrouped, ungrouped_warnings, _, _ = run_grouped(tmp_path, 1, fault, "ungrouped")
     result, warnings, lines, transcribed = runs[1]
     assert runs[4][2] == lines
@@ -1063,13 +1163,15 @@ def test_a_group_that_fails_goes_unit_by_unit_as_an_ungrouped_run(tmp_path, monk
         + [u.source_text for u in units[1:9]]
         + [join_parts([(u.token, u.source_text) for u in units[9:]])]
     )
-    # The judge is asked once per unit, in unit order.
+    # The judge is asked once per group, the first one's captions together too.
     judged = [m for m in transcribed if m.startswith("[Original]\n")]
-    echoed = [f"[Original]\n{u.source_text}\n\n[Translation]\n{u.source_text}" for u in units]
+    groups = (units[1:9], units[9:])
+    parts = [join_parts([(u.token, u.source_text) for u in group]) for group in groups]
+    echoed = [f"[Original]\n{m}\n\n[Translation]\n{m}" for m in [units[0].source_text] + parts]
     assert judged == echoed
 
 
-def test_a_group_makes_one_terms_call_on_its_whole_reply(tmp_path):
+def test_a_group_makes_one_terms_call_on_its_whole_reply(tmp_path, eight_captions):
     for bound in (1, 4):
         result, warnings, _, transcribed = run_grouped(tmp_path, bound, None, f"b{bound}")
         assert warnings == []
@@ -1109,12 +1211,11 @@ def test_protected_environments_leave_the_steps_and_groups_of_an_unfiltered_run(
         assert classify and not any(callable(work) for work in classify)
         assert [d.source for d in result.decisions] == [SOURCE_PREDEFINED]
         assert run(bound, False)[2] == sent
-        # The units up to the last section in one group, then the captions in groups.
+        # The units up to the last section in one group, then the ten captions in one.
         translator = [m for _, m in sent if not m.startswith(("[", "prev_summary:"))]
-        tail = result.units[4:]
         assert translator == [
             join_parts([(header(u), u.source_text) for u in group])
-            for group in (result.units[:3], tail[:8], tail[8:])
+            for group in (result.units[:3], result.units[4:])
         ]
 
 
@@ -1248,7 +1349,7 @@ def test_each_agent_sends_its_template_and_sampling():
     retranslate_unit(unit, [Finding(0, DIM_COMPLETENESS, "gone")], client, cfg)
     extract_terms("src", "dst", terms, client, cfg)
     update_summary(summary, "section", client, cfg)
-    check_content_completeness(unit, client, cfg)
+    check_round((unit,), client, cfg)
     box = TranslationUnit(id=1, granularity=GRAN_ENVIRONMENT, source_text="x", env_name="box")
     classify_unit(box, frozenset(), client, cfg)
 

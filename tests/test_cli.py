@@ -698,7 +698,7 @@ def test_a_recording_of_units_sent_alone_replays_each_group_unit_by_unit(tmp_pat
     recorded_dir = tmp_path / "recorded"
     backend = RuleBackend([(r"", _content_reply)])
     with monkeypatch.context() as alone:
-        alone.setattr(agents, "GROUP_UNITS", 1)  # every unit alone, sections included
+        alone.setattr(agents, "GROUP_CHARS", 0)  # every unit alone, sections included
         code, recorded = _translate(
             proj, recorded_dir, monkeypatch, "--mock", "echo", backend=backend
         )
@@ -708,11 +708,15 @@ def test_a_recording_of_units_sent_alone_replays_each_group_unit_by_unit(tmp_pat
     assert code == 0
     report = json.loads(replayed["doc/report.json"])
     # The three sections' group and the tail's (remark, figure, caption) each
-    # miss once; then each of their units replays alone and is kept.
+    # miss once at the translator and once at the judge; then each of their
+    # units replays alone and is kept.
     assert [w.split(": request not in the recording: ")[0] for w in report["warnings"]] == [
         "group translation failed for units 2, 3, 4, sent one by one",
         "group translation failed for units 5, 6, 7, sent one by one",
+        "group completeness check failed for units 2, 3, 4, judged one by one",
+        "group completeness check failed for units 5, 6, 7, judged one by one",
     ]
+    assert report["validation"] == [{"round": 1, "findings": [], "skipped": []}]
     assert {u["status"] for u in report["units"]} == {"VALIDATED"}
     tex = {rel: data for rel, data in recorded.items() if rel.startswith("doc/tex/")}
     assert tex and all(replayed[rel] == data for rel, data in tex.items())

@@ -226,7 +226,7 @@ def _translate_with(project, out, bound, monkeypatch, reply):
 
 
 def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatch):
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)  # sections alone, as long ones go
     project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
     runs = {}
     for bound in (1, 4):
@@ -276,6 +276,7 @@ def test_section_groups_give_the_same_report_and_transcript_at_bounds_1_and_4(
 ):
     # Ten sections: a group of eight, whose terms pin "calibration", then a
     # group of two, sent early without the pair, whose reply does not split.
+    monkeypatch.setattr(agents, "GROUP_CHARS", 8 * 60)  # eight sections of 60 characters
     words = {1: "The calibration of it.", 8: "A second calibration run.", 9: "A garbled one."}
     body = "".join(
         f"\\section{{Part {i}}}\n{words.get(i, f'Plain words of part {i}.')}\n"
@@ -380,8 +381,9 @@ def test_units_revised_in_several_rounds_give_the_same_outputs_at_bounds_1_and_4
         f"revision failed for unit {three}",
         f"unit {three} still failing after 3 validation rounds; falling back to source text",
     ]
-    # The transcript takes the units' validations one after another; Three's
-    # failed revisions made no call to record.
+    # The transcript takes the group's round 1 (its judge call, on Three
+    # alone, the one unit the mechanical checks pass), then the units'
+    # validations one after another; Three's failed revisions made no call.
     revised = [
         word
         for call in read_transcript(tmp_path / "b4" / "paper" / "logs")
@@ -389,7 +391,7 @@ def test_units_revised_in_several_rounds_give_the_same_outputs_at_bounds_1_and_4
         for word in ("first", "second", "third")
         if f"{word} part" in call["user"].partition("\n\n")[0]
     ]
-    assert revised == ["first"] * 3 + ["second"] * 2 + ["third"]
+    assert revised == ["third"] + ["first"] * 3 + ["second"] * 2
 
 
 def _delaying(judge_delay):
@@ -408,7 +410,7 @@ def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
     # when section Three's early translation is sent, so it waits in the
     # queue until after it is found to miss; with fast ones it starts at once.
     # It must run either way, and so must the terms call chained behind it.
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)  # sections alone, as long ones go
     project = write_files(
         tmp_path / "paper",
         {
@@ -430,6 +432,112 @@ def test_backend_calls_do_not_depend_on_timing(tmp_path, monkeypatch):
     # The miss made its call, and the terms call chained behind it.
     assert counted["misses"] == 1 and counted["discarded_calls"] == 2
     assert speculated[0][0] == serial[0] + counted["discarded_calls"]
+
+
+# --------------------------------------------------------------------------
+# the group judge: one call for a group's round 1
+
+_PART_HEADER_RE = re.compile(r"^<PLACEHOLDER_PART_\d+>\n", re.M)
+
+
+def _judging(salt: str):
+    """Replies after a per-request jitter that *salt* varies.
+
+    The translator drops "lossy "; the corrector gives back the original.
+    The judge flags a translation that differs from its original; on a
+    group it answers per part, or only ``OK``, except that a group holding
+    "garbled" gets findings with no headers.
+    """
+
+    def reply(match, request) -> str:
+        message = request.user_message
+        time.sleep(_hash(salt + message) % 4 * 0.001)
+        if message.startswith("[Source]\n"):
+            return "N/A"
+        if message.startswith("prev_summary:\n"):
+            return "digest"
+        if not message.startswith("[Original]\n"):
+            return message.replace("lossy ", "")
+        original, _, rest = message.removeprefix("[Original]\n").partition("\n\n[Translation]\n")
+        translation, _, errors = rest.partition("\n\n[Error Reports]\n")
+        if errors:
+            return original
+        if agents.JUDGE_FORMAT not in request.system_prompt:
+            return "OK" if original == translation else "- a clause is missing"
+        if "garbled" in original:
+            return "- a clause is missing"
+        pairs = zip(_PART_HEADER_RE.split(original)[1:], _PART_HEADER_RE.split(translation)[1:])
+        verdicts = ["OK" if o.strip() == t.strip() else "- a clause is missing" for o, t in pairs]
+        if set(verdicts) == {"OK"}:
+            return "OK"
+        headers = _PART_HEADER_RE.findall(original)
+        return "\n".join(f"{head}{verdict}" for head, verdict in zip(headers, verdicts))
+
+    return reply
+
+
+# Two of _judged_project's sections, the last of which also holds "\\end{document}\n".
+JUDGED_CAP = 2 * 44 + 15
+
+
+def _judged_project() -> dict[str, str]:
+    """Six sections of 44 characters, two to a group under :data:`JUDGED_CAP`:
+    a group the judge clears, one whose verdicts flag one part, and one whose
+    reply has no headers."""
+    bodies = {
+        "A1": "Plain words", "A2": "More plain words",
+        "B1": "A lossy part", "B2": "A plain part",
+        "C1": "A garbled verdict", "C2": "Another lossy part",
+    }
+    sections = "".join(f"\\section{{{t}}}\n{b:.<30}\n" for t, b in bodies.items())
+    return {
+        "main.tex": "\\documentclass{article}\n\\begin{document}\n" + sections + "\\end{document}\n"
+    }
+
+
+def test_group_judging_gives_the_same_outputs_at_bounds_1_and_8(tmp_path, monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_CHARS", JUDGED_CAP)
+    project = write_files(tmp_path / "paper", _judged_project())
+    runs = {}
+    for bound in (1, 8):
+        out = tmp_path / f"b{bound}"
+        outcome, _ = _translate_with(project, out, bound, monkeypatch, _judging(""))
+        assert outcome.ok, outcome.error
+        logs = outcome.out_dir / "logs"
+        runs[bound] = [
+            (outcome.out_dir / "report.json").read_bytes(),
+            (logs / "llm_transcript.jsonl").read_bytes(),
+            (logs / "llm_prompts.jsonl").read_bytes(),
+        ]
+    assert runs[8] == runs[1]
+    report = json.loads(runs[1][0])
+    _, _, b1, _, c1, c2 = [u["id"] for u in report["units"] if u["needs_translation"]]
+    assert report["warnings"] == [
+        f"group completeness check failed for units {c1}, {c2}, judged one by one: "
+        "reply unparseable"
+    ]
+    flagged = [sorted({f["unit_id"] for f in r["findings"]}) for r in report["validation"]]
+    assert flagged == [[b1, c2], []]
+    assert {u["status"] for u in report["units"]} == {"VALIDATED"}
+    # In unit order: each group's judge call, then its units' own: B1 once
+    # revised; C1 and C2 alone, then C2 once revised.
+    judged = [
+        "group" if c["system"].endswith(agents.JUDGE_FORMAT) else "unit"
+        for c in read_transcript(tmp_path / "b1" / "paper" / "logs")
+        if c["user"].startswith("[Original]\n") and "[Error Reports]" not in c["user"]
+    ]
+    assert judged == ["group", "group", "unit", "group", "unit", "unit", "unit"]
+
+
+def test_backend_calls_with_group_judging_do_not_depend_on_timing(tmp_path, monkeypatch):
+    monkeypatch.setattr(agents, "GROUP_CHARS", JUDGED_CAP)
+    project = write_files(tmp_path / "paper", _judged_project())
+    counts = set()
+    for salt in "abcdef":  # six documents, each with its own order of replies
+        outcome, sent = _translate_with(project, tmp_path / salt, 2, monkeypatch, _judging(salt))
+        assert outcome.ok, outcome.error
+        counts.add(len(sent))
+    assert len(counts) == 1
 
 
 def test_a_miss_still_running_at_close_makes_its_chained_call():
@@ -461,7 +569,7 @@ def _slow_stale(delay):
 
 
 def test_a_translation_miss_running_at_close_is_counted_whatever_its_delay(tmp_path, monkeypatch):
-    monkeypatch.setattr(agents, "GROUP_UNITS", 1)  # sections alone, as long ones go
+    monkeypatch.setattr(agents, "GROUP_CHARS", 0)  # sections alone, as long ones go
     project = write_files(tmp_path / "paper", SPECULATION_PROJECT)
     runs = []
     for bound, delay in ((1, 0.0), (2, 0.0), (2, 0.1), (2, 0.2)):

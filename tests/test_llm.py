@@ -425,7 +425,7 @@ def test_a_pipeline_falls_back_on_replies_cut_off_at_max_tokens():
     def reply(message):
         if "\n\n[Error Reports]\n" in message:  # every revision is cut off
             return "Delta", "length"
-        if message.startswith("[Original]\n"):  # the judge: Gamma's verdict is cut off
+        if message.startswith("[Original]\n"):  # the judge: a verdict on Gamma is cut off
             verdict = "- a clause is missing" if "Delta" in message else "OK"
             return verdict, "length" if "Gamma" in message else "stop"
         if message.startswith(("prev_summary:\n", "[Source]\n")):
@@ -445,9 +445,11 @@ def test_a_pipeline_falls_back_on_replies_cut_off_at_max_tokens():
     ]
     assert [r.skipped for r in result.reports] == [["unit 2: CONTENT_COMPLETENESS"], [], []]
     cut = "reply cut off at max_tokens (8192)"
+    # The group's judge call, on 0, 2 and 3, is cut off too: each is then judged alone.
     assert client.warnings == [
         f"group translation failed for units 0, 1, 2, 3, sent one by one: {cut}",
         f"translation failed for unit 1: {cut}",
+        f"group completeness check failed for units 0, 2, 3, judged one by one: {cut}",
         f"completeness check skipped for unit 2: {cut}",
         f"revision failed for unit 3: {cut}",
         f"revision failed for unit 3: {cut}",
@@ -457,6 +459,7 @@ def test_a_pipeline_falls_back_on_replies_cut_off_at_max_tokens():
     sent = [r["json"]["messages"][-1]["content"] for r in session.requests]
     assert sum("cut" in m for m in sent) == 2
     assert sum("[Error Reports]" in m for m in sent) == 2
+    assert sum(m.startswith("[Original]\n<PLACEHOLDER_PART_") for m in sent) == 1
 
 
 def test_client_retries_http_transients_end_to_end():

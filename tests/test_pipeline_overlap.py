@@ -169,12 +169,12 @@ def test_a_bound_of_1_runs_the_serial_program(tmp_path, monkeypatch):
     # Sections One, Two and Three form one group: its translation and summary
     # update, the filter calls its step waits on once translated (notebox,
     # figure and remark; equation is protected), and its terms call; then the
-    # notebox and the caption in one group, then the judges in unit order.
+    # notebox and the caption in one group, then each group's judge.
     assert [role for role, _ in serial] == (
         ["translator", "summarizer"]
         + ["filter"] * 3
         + ["terminology", "translator", "terminology"]
-        + ["completeness"] * 5
+        + ["completeness"] * 2
     )
     filtered = [message for role, message in serial if role == "filter"]
     assert [m.split("}", 1)[0] for m in filtered] == [
@@ -243,8 +243,8 @@ def test_a_unit_whose_translation_fails_is_not_judged(tmp_path, monkeypatch, unl
     serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files)
     assert outcome.ok, outcome.error
     for arrivals in (serial, overlapped):
-        judged = [m for role, m in arrivals if role == "completeness"]
-        assert len(judged) == 4 and not any("unlucky" in m for m in judged)
+        judged = [m for role, m in arrivals if role == "completeness"]  # one call per group
+        assert len(judged) == 2 and not any("unlucky" in m for m in judged)
     statuses = [u["status"] for u in outcome.report["units"] if u["needs_translation"]]
     assert statuses.count("FAILED") == 1
 
@@ -287,25 +287,28 @@ def test_a_unit_at_the_round_cap_reports_as_in_a_serial_run(tmp_path, monkeypatc
     serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, REVISED)
     assert outcome.ok, outcome.error
     report = outcome.report
-    one, two, three = (_unit_id(report, word) for word in ("One", "Two", "Three"))
+    one, two, three, four = (_unit_id(report, word) for word in ("One", "Two", "Three", "Four"))
     assert report["rounds_used"] == 3
     flagged = [sorted({f["unit_id"] for f in r["findings"]}) for r in report["validation"]]
     assert flagged == [[one, two, three], [two, three], [two, three]]
     statuses = {u["id"]: u["status"] for u in report["units"]}
     assert (statuses[one], statuses[two], statuses[three]) == ("VALIDATED", "FAILED", "FAILED")
-    # Unit by unit: each unit's revision warnings, then its cap's.
+    # The judge's reply on Three and Four has no parts, so each is judged
+    # alone; then unit by unit: each unit's revision warnings, then its cap's.
     assert [w.split(":")[0] for w in report["warnings"]] == [
+        f"group completeness check failed for units {three}, {four}, judged one by one",
         f"unit {two} still failing after 3 validation rounds; falling back to source text",
         f"revision failed for unit {three}",
         f"revision failed for unit {three}",
         f"unit {three} still failing after 3 validation rounds; falling back to source text",
     ]
-    # The serial program: each unit's validation in turn.  One is revised,
-    # then judged; Two is revised twice, never judged; Three is judged, then
-    # two revisions fail three attempts each; Four and the caption are judged.
+    # The serial program: the group's judge call, then each unit's validation
+    # in turn.  One is revised, then judged; Two is revised twice, never
+    # judged; Three is judged, then two revisions fail three attempts each;
+    # Four and the caption are judged.
     roles = [role for role, _ in serial if role in ("completeness", "corrector")]
     assert roles == (
-        ["corrector", "completeness"] + ["corrector"] * 2
+        ["completeness", "corrector", "completeness"] + ["corrector"] * 2
         + ["completeness"] + ["corrector"] * 6 + ["completeness"] * 2
     )
 
@@ -316,7 +319,7 @@ def test_a_failed_revision_carries_its_findings_and_is_not_judged(tmp_path, monk
     three = _unit_id(outcome.report, "Three")
     for arrivals in (serial, overlapped):
         judged = [m for role, m in arrivals if role == "completeness" and "flagged" in m]
-        assert len(judged) == 1  # round 1 only
+        assert len(judged) == 2  # round 1 only: the group's call, then its own
         revised = [m for role, m in arrivals if role == "corrector" and "flagged" in m]
         assert len(revised) == 2 * 3  # two revisions, every attempt refused
     findings = [
@@ -324,3 +327,26 @@ def test_a_failed_revision_carries_its_findings_and_is_not_judged(tmp_path, monk
         for r in outcome.report["validation"]
     ]
     assert findings == [["a clause is missing"]] * 3
+
+
+def test_two_flagged_units_of_a_group_revise_at_once(tmp_path, monkeypatch):
+    # One, Two and Three form one group; the mechanical checks flag One and
+    # Two, and the group's judge call clears Three.  Above a bound of 1, One's
+    # revision is held until another has arrived, which only Two's can be.
+    files = {
+        "main.tex": (
+            "\\documentclass{article}\n\\begin{document}\n"
+            "\\section{One}\nThe \\emph{damaged} first section.\n"
+            "\\section{Two}\nThe \\emph{damaged} second section.\n"
+            "\\section{Three}\nThe plain third section.\n"
+            "\\end{document}\n"
+        )
+    }
+    holds = {("corrector", "first"): "corrector"}
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, files, holds)
+    assert outcome.ok, outcome.error
+    assert {u["status"] for u in outcome.report["units"] if u["needs_translation"]} == {"VALIDATED"}
+    for arrivals, order in ((serial, ["first", "second"]), (overlapped, ["second", "first"])):
+        corrected = [m.split("[Translation]")[0] for role, m in arrivals if role == "corrector"]
+        assert [next(w for w in order if w in m) for m in corrected] == order
+    assert sorted(overlapped) == sorted(serial)
