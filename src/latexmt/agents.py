@@ -20,16 +20,16 @@ as they stand, its terms request chained, and again if the terms just mined
 add pairs.  An early reply answers only a byte-equal request.  An early
 request never taken runs only above a bound of 1, and is then discarded
 unseen (:class:`~latexmt.llm.Pending`), so every bound runs one program.
-The environment units' filter calls run while the sections are translated;
-the decisions are taken when the group after the last section is first asked
-for.  Every agent builds its request with :func:`~latexmt.prompts.request`
-and records warnings with :meth:`LlmClient.warn`, which keeps a job's
-warnings with its calls; jobs are taken in program order, the validation
-jobs in unit order, so results, findings, warnings and the transcript read
-as in a serial run.  Two validation dimensions are mechanical (placeholder
-and control-sequence conservation); the third asks a judge model about
-content completeness and degrades to "skipped" without a usable judge reply.
-Units still failing after the round cap fall back to their source text.
+Every filter call is submitted at the start; an environment's decision is
+taken once the groups are read as far as its unit.  Every agent builds its
+request with :func:`~latexmt.prompts.request` and records warnings with
+:meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
+are taken in program order, the validation jobs in unit order, so results,
+findings, warnings and the transcript read as in a serial run.  Two
+validation dimensions are mechanical (placeholder and control-sequence
+conservation); the third asks a judge model about content completeness and
+degrades to "skipped" without a usable judge reply.  Units still failing
+after the round cap fall back to their source text.
 """
 
 from __future__ import annotations
@@ -37,14 +37,16 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
-from typing import Sequence
+from functools import partial
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from . import prompts
 from .config import RunConfig
 from .errors import LlmError, PipelineFailed
 from .llm import ChatRequest, LlmClient, Pending
 from .parser import (
+    GRAN_ENVIRONMENT,
     GRAN_SECTION,
     STATUS_FAILED,
     STATUS_TRANSLATED,
@@ -399,25 +401,24 @@ def group_request(
     return prompts.request("translator", source, config, system)
 
 
-def grouped(units: Sequence[TranslationUnit]) -> list[tuple[TranslationUnit, ...]]:
-    """*units* in groups of up to :data:`GROUP_CHARS` characters.
+def grouped(units: Iterable[TranslationUnit]) -> Iterator[tuple[TranslationUnit, ...]]:
+    """*units* in groups of up to :data:`GROUP_CHARS` characters, each once the next is read.
 
-    A group holds only units whose joined parts split back; a unit that
-    fits in no group goes alone.
+    A group holds only units whose joined parts split back: no line of a
+    member is a member's header.  A unit too long, or holding its own header, goes alone.
     """
-    groups: list[tuple[TranslationUnit, ...]] = []
+    group, chars, lines, heads = (), 0, set(), set()
     for unit in units:
-        group = groups[-1] + (unit,) if groups else (unit,)
-        if (
-            len(group) > 1
-            and sum(len(u.source_text) for u in group) <= GROUP_CHARS
-            and split_parts(group_source(group), list(map(header, group)))
-            == [u.source_text for u in group]
-        ):
-            groups[-1] = group
-        else:
-            groups.append((unit,))
-    return groups
+        own, head = set(unit.source_text.split("\n")), header(unit)
+        size = len(unit.source_text) if head not in own else GROUP_CHARS + 1
+        if group and (chars + size > GROUP_CHARS or head in lines or not own.isdisjoint(heads)):
+            yield group
+            group, chars, lines, heads = (), 0, set(), set()
+        group, chars = group + (unit,), chars + size
+        lines |= own
+        heads.add(head)
+    if group:
+        yield group
 
 
 def translate_unit(
@@ -544,11 +545,11 @@ def run_pipeline(
     """Translate every unit, one step per group, and validate each once it is translated.
 
     *classify* is the environment units' filter decisions
-    (:func:`~latexmt.unit_filter.classify_units`): their model work runs while
-    the section groups (:func:`grouped`) are translated, and the first ask for
-    a group past them, once the last is translated (with none, at the start),
-    takes every decision, in order, then groups the units after the last
-    section.  The jobs are taken by :func:`validate_translations`.  The run
+    (:func:`~latexmt.unit_filter.classify_units`): their model work is all
+    submitted at the start, and the groups (:func:`grouped`) are read only
+    as far as the next step needs, each environment's decision taken, in
+    unit order, as its unit is read.  The validation jobs are taken by
+    :func:`validate_translations`.  The run
     fails only when no unit produced a candidate translation; an invalid
     *config* raises :class:`ConfigError` before any call.  Warnings go to
     ``client.warnings``.
@@ -558,27 +559,23 @@ def run_pipeline(
     dictionary = TermDictionary()
     sections = [i for i, unit in enumerate(units) if unit.granularity == GRAN_SECTION]
     tail = sections[-1] + 1 if sections else 0  # where the units after the last section start
-    groups = grouped([unit for unit in units[:tail] if unit.needs_translation])  # decide() adds more
-    section_groups = len(groups)
-    asks = [work for work in classify if callable(work)]  # the filter work that calls the model
-    filtering, decisions = [], []  # started filter jobs, and every decision
-    per_step = -(-len(asks) // max(1, section_groups))
+    jobs = [client.submit(work) if callable(work) else work for work in classify]
+    decided = (job.result() if isinstance(job, Pending) else job for job in jobs)
+    decisions = []  # every decision, taken in unit order as the groups are read
 
-    def start_filters(count: int) -> None:
-        filtering.extend(client.submit(work) for work in asks[len(filtering) :][:count])
+    def translatable(part: Sequence[TranslationUnit]) -> Iterator[TranslationUnit]:
+        for unit in part:
+            if unit.granularity == GRAN_ENVIRONMENT:
+                decisions.extend(islice(decided, 1))  # its decision, taken as it is read
+            if unit.needs_translation:
+                yield unit
 
-    @cache  # runs once
-    def decide() -> None:
-        """Take every decision in unit order, then group the units after the last section."""
-        start_filters(len(asks))
-        jobs = iter(filtering)
-        decisions.extend(next(jobs).result() if callable(work) else work for work in classify)
-        groups.extend(grouped([unit for unit in units[tail:] if unit.needs_translation]))
+    reading = chain(grouped(translatable(units[:tail])), grouped(translatable(units[tail:])))
+    groups: list[tuple[TranslationUnit, ...]] = []  # the groups read so far
 
     def group_at(i: int) -> tuple[TranslationUnit, ...] | None:
-        """Group *i*, or None; asking past the section groups first takes the decisions."""
-        if i >= section_groups:
-            decide()
+        """Group *i*, or None; the units are read, and decided, up to the first after it."""
+        groups.extend(islice(reading, i + 1 - len(groups)))
         return groups[i] if i < len(groups) else None
 
     def send_next(i: int) -> None:
@@ -638,7 +635,6 @@ def run_pipeline(
 
     i = 0
     while (group := group_at(i)) is not None:
-        start_filters(per_step)
         step(i, group)
         i += 1
 

@@ -18,22 +18,25 @@ runs only once its value is asked for.  A request sent early
 (:meth:`LlmClient.send_early`) is answered only to a byte-equal request
 (:meth:`LlmClient.reply`), so one program serves every bound; its job may
 chain a request built from its reply, which counts as sent early once the
-first is taken.  Backends
-implement a single ``complete(request) -> ChatResult`` method, so tests
-can swap in the mocks and the rest of the pipeline cannot tell the
+first is taken; the pool runs early requests before submitted jobs.
+Backends implement a single ``complete(request) -> ChatResult`` method, so
+tests can swap in the mocks and the rest of the pipeline cannot tell the
 difference.  Backends may be called from several threads at once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import queue
 import re
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
@@ -57,6 +60,9 @@ SPECULATED = dict.fromkeys(
 )
 # Where a system prompt's blocks start: a template, summary or term list is one part.
 _BLOCK_START = "\n\n["
+EARLY, BACKGROUND = 0, 1  # the ranks of queued jobs: the lowest runs first
+_STOP = (2, 0, None)  # queued behind every job, it stops a pool thread
+_private = partial(field, init=False, repr=False, compare=False)  # not in __init__, repr or ==
 
 
 @dataclass(frozen=True)
@@ -283,23 +289,23 @@ class Pending(Generic[R]):
     are held until :meth:`result` commits them, when it is called, so the
     order of ``result`` calls is the order of the transcript and of
     ``LlmClient.warnings``; :meth:`discard` drops them.  At a bound above 1
-    every job runs, discarded or not.  At a bound of 1 the job runs in the
-    calling thread, when its value is first asked for, or never.
+    every job runs, discarded or not, queued at *rank*.  At a bound of 1 the
+    job runs in the calling thread, when its value is first asked for, or never.
     """
 
-    def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple):
+    def __init__(self, client: "LlmClient", fn: Callable[..., R], args: tuple, rank: int):
         self._client, self._fn, self._args = client, fn, args
         self._held, self._warnings = [], []  # the calls and warnings result() commits
-        self._future: Future | None = None
-        if client.max_in_flight > 1:
-            client._pool = client._pool or ThreadPoolExecutor(client.max_in_flight)
-            self._future = client._pool.submit(self._holding)
+        self._future: Future | None = None  # set when the job is queued or first run
+        client._queue(rank, self)
 
-    def _holding(self) -> R:
+    def _run(self) -> None:  # here, in the calling thread; its value or error to its future
         local = self._client._local
         outer, local.job = getattr(local, "job", None), self
         try:
-            return self._fn(*self._args)
+            self._future.set_result(self._fn(*self._args))
+        except BaseException as exc:
+            self._future.set_exception(exc)
         finally:
             local.job = outer
 
@@ -307,10 +313,7 @@ class Pending(Generic[R]):
         """The job's value, or its error raised, with its calls still held."""
         if self._future is None:
             self._future = Future()
-            try:
-                self._future.set_result(self._holding())
-            except BaseException as exc:
-                self._future.set_exception(exc)
+            self._run()
         return self._future.result()
 
     def result(self) -> R:
@@ -336,20 +339,22 @@ class LlmClient:
     is longer, never more than ``backoff_cap``; auth failures and
     malformed-payload errors propagate at once.  ``sleep`` is injectable so
     tests never wait.  :meth:`warn` adds to ``warnings``, in the order a
-    serial run would.  Jobs from :meth:`submit` share one pool of
-    ``max_in_flight`` threads, and a job may submit the next one of a
-    chain; the default of 1 starts no thread and keeps every call in
-    program order.  At most ``max_in_flight`` backend calls run at once,
-    the program thread's own included; a backoff sleep holds no slot.
+    serial run would.  Jobs share one pool of ``max_in_flight`` threads, which
+    run the requests of :meth:`send_early` and those they chain (the next
+    step waits for them) before the jobs of :meth:`submit`, each rank in the
+    order submitted; a job may submit the next one of a chain.  The default
+    of 1 starts no thread and keeps every call in program order.  At most
+    ``max_in_flight`` backend calls run at once, the program thread's own
+    included; a backoff sleep holds no slot.
     Only the program's thread calls :meth:`send_early`, :meth:`reply` and
     :meth:`close`, and only it files requests sent early: :meth:`reply`
     files the job that a job it takes chained.  ``speculation``
     counts the requests sent early that :meth:`reply` took (hits) and never
     took (misses), and the calls that :meth:`Pending.discard` dropped.
     :meth:`close`, or leaving a ``with`` block, discards the misses and,
-    once each returns, what it chained, waits for the pool, counts what was
-    discarded and closes the transcript files, which are buffered until
-    then: a killed process loses their tail.
+    once each returns, what it chained, waits for every queued job, counts
+    what was discarded and closes the transcript files, which are buffered
+    until then: a killed process loses their tail.
     """
 
     backend: object
@@ -362,20 +367,17 @@ class LlmClient:
     max_in_flight: int = 1
     speculation: Counter = field(default_factory=lambda: Counter(SPECULATED), init=False)
     warnings: list[str] = field(default_factory=list, init=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-    _local: threading.local = field(
-        default_factory=threading.local, init=False, repr=False, compare=False
-    )
-    _stored: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
-    _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _discarded: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _early: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False, compare=False)
-    _slots: threading.BoundedSemaphore | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _lock: threading.Lock = _private(default_factory=threading.Lock)
+    _local: threading.local = _private(default_factory=threading.local)
+    _stored: set[str] = _private(default_factory=set)
+    _files: dict = _private(default_factory=dict)
+    _discarded: list = _private(default_factory=list)
+    _early: dict = _private(default_factory=dict)
+    _jobs: queue.PriorityQueue = _private(default_factory=queue.PriorityQueue)  # (rank, order, job)
+    _order: Iterator[int] = _private(default_factory=itertools.count)
+    _threads: list = _private(default_factory=list)
+    _closed: bool = _private(default=False)
+    _slots: threading.BoundedSemaphore | None = _private(default=None)
 
     def chat(self, request: ChatRequest) -> str:
         with self._lock:  # made at the first call, so max_in_flight may be set until then
@@ -403,8 +405,23 @@ class LlmClient:
         self._commit([], [text])
 
     def submit(self, fn: Callable[..., R], *args) -> Pending[R]:
-        """Start ``fn(*args)``, which must not wait for other jobs."""
-        return Pending(self, fn, args)
+        """Start ``fn(*args)``, which must not wait for other jobs, behind the early requests."""
+        return Pending(self, fn, args, BACKGROUND)
+
+    def _queue(self, rank: int, job: Pending) -> None:
+        """Above a bound of 1, queue *job* at *rank*; the first job starts the pool's threads."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit a job to a closed client")
+            if self.max_in_flight == 1:
+                return
+            job._future = Future()
+            if not self._threads:
+                for _ in range(self.max_in_flight):
+                    thread = threading.Thread(target=_work, args=(self._jobs,), daemon=True)
+                    thread.start()
+                    self._threads.append(thread)
+            self._jobs.put((rank, next(self._order), job))
 
     def send_early(self, request: ChatRequest, then: Callable | None = None) -> None:
         """Submit :meth:`chat` of *request*, for :meth:`reply` to an equal request to take.
@@ -412,7 +429,7 @@ class LlmClient:
         Given *then*, the job next submits the chat of ``then(reply)``, early once the job is taken.
         """
         if request not in self._early:
-            self._early[request] = self.submit(self._early_job, request, then)
+            self._early[request] = Pending(self, self._early_job, (request, then), EARLY)
 
     def _early_job(self, request: ChatRequest, then) -> tuple[str, tuple | None]:
         """The reply to *request*, and the chained ``(request, job)`` *then* asks for."""
@@ -420,7 +437,7 @@ class LlmClient:
         if then is None:
             return text, None
         chained = then(text)
-        return text, (chained, self.submit(self._early_job, chained, None))
+        return text, (chained, Pending(self, self._early_job, (chained, None), EARLY))
 
     def reply(self, request: ChatRequest) -> str:
         """The reply to an equal request sent early, committed now (a hit), or :meth:`chat`."""
@@ -444,13 +461,14 @@ class LlmClient:
         for early in self._early.values():
             early.discard()
             if early._future is not None and early._future.exception() is None:  # waits for it
-                chained = early._future.result()[1]  # submitted before the pool shuts down
+                chained = early._future.result()[1]  # submitted before the client closes
                 if chained is not None:
                     chained[1].discard()
         self._early.clear()
-        if self._pool is not None:
-            self._pool.shutdown()  # a job that submits from now on raises
-            self._pool = None
+        self._closed = True  # a job that submits from now on raises
+        self._jobs.put(_STOP)  # taken once every queued job has been
+        for thread in self._threads:
+            thread.join()
         for held in self._discarded:
             self.speculation.update(
                 discarded_calls=len(held),
@@ -514,6 +532,12 @@ class LlmClient:
             "reply": result.text,
         }
         return _json_line(record), parts
+
+
+def _work(jobs: queue.PriorityQueue) -> None:
+    for _, _, job in iter(jobs.get, _STOP):  # up to the stop item; it goes back for the next thread
+        job._run()
+    jobs.put(_STOP)
 
 
 def _json_line(record: dict) -> str:

@@ -100,7 +100,7 @@ def classify_units(
     Protected and nameless environments are decided here, with no call.
     For the rest the item is the work: it classifies its unit, applies the
     decision in place and returns it; :func:`~latexmt.agents.run_pipeline`
-    runs them as the sections translate.
+    submits them all at once and takes each as the groups reach its unit.
     """
     def classify(unit: TranslationUnit) -> FilterDecision:
         decision = classify_unit(unit, protected, client, config)

@@ -5,6 +5,7 @@ import re
 import threading
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from latexmt.agents import (
     extract_terms,
     fit_edges,
     group_request,
+    group_source,
     grouped,
     header,
     join_parts,
@@ -1325,6 +1327,65 @@ def test_a_section_holding_the_next_sections_header_on_a_line_is_not_grouped_wit
         section_unit(2, "\\section{C}\nGamma text.\n"),
     ]
     assert [[u.id for u in group] for group in grouped(units)] == [[0], [1, 2]]
+
+
+def grouped_by_split(units):
+    """The groups of the whole-group check: a unit joins if the joined group splits back."""
+    groups = []
+    for unit in units:
+        group = groups[-1] + (unit,) if groups else (unit,)
+        if (
+            len(group) > 1
+            and sum(len(u.source_text) for u in group) <= agents.GROUP_CHARS
+            and split_parts(group_source(group), list(map(header, group)))
+            == [u.source_text for u in group]
+        ):
+            groups[-1] = group
+        else:
+            groups.append((unit,))
+    return groups
+
+
+# Source lines: plain text, blank lines, and the headers of the first units.
+SOURCE_LINE = st.sampled_from(
+    ["", "x", " words ", "\\section{Z}", "y\r"]
+    + [f"<PLACEHOLDER_PART_{uid}>" for uid in range(4)]
+    + [f"<PLACEHOLDER_CAP_{uid}>" for uid in range(4)]
+)
+
+
+@st.composite
+def unit_lists(draw):
+    """Up to eight sections and captions, ids from 0, whose sources may hold headers."""
+    units = []
+    for uid in range(draw(st.integers(0, 8))):
+        text = "\n".join(draw(st.lists(SOURCE_LINE, min_size=1, max_size=4)))
+        units.append((section_unit if draw(st.booleans()) else caption_unit)(uid, text))
+    return units
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_lists(), st.sampled_from([0, 12, 40, agents.GROUP_CHARS]))
+def test_grouped_checks_each_new_unit_as_the_whole_group_split_does(units, cap):
+    with mock.patch.object(agents, "GROUP_CHARS", cap):
+        assert [[u.id for u in group] for group in grouped(units)] == [
+            [u.id for u in group] for group in grouped_by_split(units)
+        ]
+
+
+def test_grouped_reads_one_unit_past_each_group_it_gives():
+    read = []
+
+    def units():
+        for uid in range(5):
+            read.append(uid)
+            yield caption_unit(uid, "x" * (60 if uid == 2 else 10))
+
+    with mock.patch.object(agents, "GROUP_CHARS", 50):
+        groups = grouped(units())
+        assert [u.id for u in next(groups)] == [0, 1] and read == [0, 1, 2]
+        assert [u.id for u in next(groups)] == [2] and read == [0, 1, 2, 3]
+        assert [u.id for u in next(groups)] == [3, 4] and read == list(range(5))
 
 
 # --------------------------------------------------------------------------

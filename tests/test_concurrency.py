@@ -540,6 +540,93 @@ def test_backend_calls_with_group_judging_do_not_depend_on_timing(tmp_path, monk
     assert len(counts) == 1
 
 
+# --------------------------------------------------------------------------
+# tail decisions taken as the tail's groups are read
+
+
+def _filtering(salt: str):
+    """Replies after a per-request jitter that *salt* varies; an echoing translator.
+
+    The filter cannot parse its reply on a "garbled" environment, which is
+    then kept as source, and says ``True`` to any other.
+    """
+
+    def reply(match, request) -> str:
+        message = request.user_message
+        time.sleep(_hash(salt + message) % 4 * 0.001)
+        if request.system_prompt == FILTER_PROMPT:
+            return "Maybe" if "garbled" in message else "True"
+        if message.startswith("[Source]\n"):
+            return "N/A"
+        if message.startswith("prev_summary:\n"):
+            return "digest"
+        if message.startswith("[Original]\n"):
+            return "OK"
+        return message
+
+    return reply
+
+
+# Two of _remarks_project's remarks, 48 or 49 characters each, fit in a group.
+REMARKS_CAP = 100
+
+
+def _remarks_project() -> dict[str, str]:
+    """Two sections, then eight remarks after the last one, the third and sixth garbled."""
+    remarks = "".join(
+        f"\\begin{{remark}}\nRemark {i} is {'garbled' if i in (3, 6) else 'readable'}.\n"
+        "\\end{remark}\n"
+        for i in range(1, 9)
+    )
+    return {
+        "main.tex": "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe first section.\n\\section{Two}\nThe second section.\n"
+        + remarks
+        + "\\end{document}\n"
+    }
+
+
+def test_tail_decisions_taken_group_by_group_give_the_same_outputs_at_bounds_1_and_8(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(agents, "GROUP_CHARS", REMARKS_CAP)
+    project = write_files(tmp_path / "paper", _remarks_project())
+    runs = {}
+    for bound in (1, 8):
+        out = tmp_path / f"b{bound}"
+        outcome, sent = _translate_with(project, out, bound, monkeypatch, _filtering(""))
+        assert outcome.ok, outcome.error
+        logs = outcome.out_dir / "logs"
+        runs[bound] = [
+            (outcome.out_dir / "report.json").read_bytes(),
+            (logs / "llm_transcript.jsonl").read_bytes(),
+            (logs / "llm_prompts.jsonl").read_bytes(),
+        ]
+    assert runs[8] == runs[1]
+    report = json.loads(runs[1][0])
+    assert [d["translate"] for d in report["filter"]] == [i not in (3, 6) for i in range(1, 9)]
+    assert len(report["warnings"]) == 2
+    # After the sections' group, the six remarks kept go in three groups of two.
+    translated = [
+        c["user"] for c in read_transcript(tmp_path / "b1" / "paper" / "logs")
+        if c["system"] != FILTER_PROMPT and c["user"].startswith(("\\begin", "<PLACEHOLDER_ENV_"))
+    ]
+    assert [re.findall(r"Remark (\d)", m) for m in translated] == [["1", "2"], ["4", "5"], ["7", "8"]]
+
+
+def test_backend_calls_with_tail_decisions_taken_group_by_group_do_not_depend_on_timing(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(agents, "GROUP_CHARS", REMARKS_CAP)
+    project = write_files(tmp_path / "paper", _remarks_project())
+    counts = set()
+    for salt in "abcdef":  # six documents, each with its own order of replies
+        outcome, sent = _translate_with(project, tmp_path / salt, 2, monkeypatch, _filtering(salt))
+        assert outcome.ok, outcome.error
+        counts.add(len(sent))
+    assert len(counts) == 1
+
+
 def test_a_miss_still_running_at_close_makes_its_chained_call():
     # The stale request outlasts the rest of the run; its chained request
     # is submitted only once it returns, after close() has begun.

@@ -713,6 +713,89 @@ def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# the pool: requests sent early before submitted jobs
+
+
+class Gated:
+    """Echoes and records each message as its call starts; a message in *held* waits.
+
+    Each held call meets the test's thread at ``inside``, then waits for its
+    own event in ``release``.
+    """
+
+    def __init__(self, *held):
+        self.release = {message: threading.Event() for message in held}
+        self.inside = threading.Barrier(len(held) + 1, timeout=10)
+        self.started = []
+        self._lock = threading.Lock()
+
+    def __call__(self, _match, request):
+        message = request.user_message
+        with self._lock:
+            self.started.append(message)
+        if message in self.release:
+            self.inside.wait()
+            assert self.release[message].wait(10)
+        return message
+
+
+def test_pool_runs_requests_sent_early_before_jobs_submitted_earlier(tmp_path):
+    gated = Gated("held 0", "held 1")
+    path = tmp_path / "transcript.jsonl"
+    with client_for(RuleBackend([(r"", gated)]), transcript_path=path, max_in_flight=2) as client:
+        held = [client.submit(client.chat, req(message)) for message in gated.release]
+        background = [client.submit(client.chat, req(f"background {i}")) for i in range(3)]
+        gated.inside.wait()  # both threads are in a held call: the other jobs wait in the queue
+        client.send_early(req("early"), lambda text: req(f"chained to {text}"))
+        gated.release["held 0"].set()  # one thread is free; the other stays held
+        assert client.reply(req("early")) == "early"
+        assert client.reply(req("chained to early")) == "chained to early"
+        gated.release["held 1"].set()
+        kept = [job.result() for job in held + background]
+    assert sorted(gated.started[:2]) == ["held 0", "held 1"]
+    assert gated.started[2:4] == ["early", "chained to early"]
+    assert sorted(gated.started[4:]) == ["background 0", "background 1", "background 2"]
+    # The transcript keeps the order in which the program took the replies.
+    assert transcript_users(path) == ["early", "chained to early"] + kept
+    assert client.speculation["hits"] == 2 and client.speculation["misses"] == 0
+
+
+def test_pool_of_bound_one_runs_a_job_only_when_its_value_is_asked_for():
+    gated = Gated()
+    with client_for(RuleBackend([(r"", gated)])) as client:
+        job = client.submit(client.chat, req("job"))
+        client.send_early(req("early"), lambda text: req(f"chained to {text}"))
+        assert gated.started == []
+        assert client.reply(req("early")) == "early"
+        assert job.result() == "job"
+        assert gated.started == ["early", "job"]  # the chained request is never taken
+    assert client.speculation["misses"] == 1 and client.speculation["discarded_calls"] == 0
+    with pytest.raises(RuntimeError, match="closed"):
+        client.submit(client.chat, req("late"))
+
+
+def test_pool_close_waits_for_every_queued_job_and_then_refuses_jobs():
+    gated = Gated("held 0", "held 1")
+    backend = RuleBackend([(r"", gated)])
+    client = client_for(backend, max_in_flight=2)
+    threads = threading.active_count()
+    jobs = [client.submit(client.chat, req(message)) for message in gated.release]
+    jobs += [client.submit(client.chat, req(f"queued {i}")) for i in range(4)]
+    gated.inside.wait()  # the four others are still queued
+    timers = [threading.Timer(0.05, release.set) for release in gated.release.values()]
+    for timer in timers:
+        timer.start()
+    client.close()
+    assert backend.calls == 6 and all(job._future.done() for job in jobs)
+    for timer in timers:
+        timer.join()
+    assert threading.active_count() == threads  # the pool's threads are gone
+    with pytest.raises(RuntimeError, match="closed"):
+        client.submit(client.chat, req("late"))
+    assert backend.calls == 6
+
+
+# --------------------------------------------------------------------------
 # requests sent early: a reply is kept only for an equal request
 
 

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from latexmt import cli, prompts
+from latexmt import agents, cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
 from latexmt.llm import RuleBackend
@@ -45,7 +45,8 @@ SECTIONS_AND_ENVIRONMENTS = {
 class Recorder:
     """Replies from the request alone; records ``(role, user message)`` on arrival.
 
-    Filter: ``True`` for prose.  Translator: echo, except a message with
+    Filter: ``True`` for prose, and a reply that does not parse for
+    "garbled" text.  Translator: echo, except a message with
     "unlucky", which fails every attempt, and one with "damaged", whose
     ``\\emph`` is dropped.  Judge: a finding for "flagged" text, else OK.
     Corrector: the original, except that it keeps a "stuck" translation
@@ -71,7 +72,7 @@ class Recorder:
         if role in self._arrived:
             self._arrived[role].set()
         if role == "filter":
-            return "True" if "prose" in message else "False"
+            return "Maybe" if "garbled" in message else "True" if "prose" in message else "False"
         if role == "terminology":
             return "N/A"
         if role == "summarizer":
@@ -218,6 +219,57 @@ def test_filter_calls_overlap_a_lone_last_sections_translation(tmp_path, monkeyp
     assert _first(overlapped, "filter") > _first(overlapped, "translator")
     assert _last(overlapped, "filter") < _last(overlapped, "translator")
     assert sorted(overlapped) == sorted(serial)
+
+
+def _environment(name, text):
+    return f"\\begin{{{name}}}\n{text}\n\\end{{{name}}}\n"
+
+
+# After its one section, three environments of about 50 characters.
+LAZY_TAIL = {
+    "main.tex": (
+        "\\documentclass{article}\n\\begin{document}\n"
+        "\\section{One}\nThe only section has prose.\n"
+        + _environment("notebox", "An unlucky note with prose.")
+        + _environment("notebox", "A second note with prose.")
+        + _environment("remark", "A garbled remark, prose.")
+        + "\\end{document}\n"
+    )
+}
+
+
+def test_a_later_environment_is_filtered_after_the_first_tail_group_is_translated(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(agents, "GROUP_CHARS", 60)  # each environment in a group of its own
+    serial, overlapped, outcome = _bound_1_and_8(tmp_path, monkeypatch, LAZY_TAIL)
+    assert outcome.ok, outcome.error
+    # Once the section is translated, the filter decides the first note and
+    # the second, which ends the first note's group.  The remark is decided
+    # only when the group after that one is asked for.
+    words = ("unlucky", "second", "garbled", "only")  # what tells each unit's text apart
+    assert [(role, next(w for w in words if w in m)) for role, m in serial] == [
+        ("translator", "only"),
+        ("summarizer", "only"),
+        ("filter", "unlucky"),
+        ("filter", "second"),
+        ("terminology", "only"),
+        *[("translator", "unlucky")] * 3,  # every attempt fails
+        *[("filter", "garbled")] * 3,  # every attempt is unparseable
+        ("translator", "second"),
+        ("terminology", "second"),
+        ("completeness", "only"),
+        ("completeness", "second"),
+    ]
+    assert sorted(overlapped) == sorted(serial)
+    # The remark's warning follows the first note's: program order, not arrival.
+    ids = [u["id"] for u in outcome.report["units"] if u["granularity"] == "ENVIRONMENT"]
+    assert [w.split(":")[0] for w in outcome.report["warnings"]] == [
+        f"translation failed for unit {ids[0]}",
+        f"filter reply unparseable for unit {ids[2]} (remark) after 3 attempts; "
+        "defaulting to preserve",
+    ]
+    assert [d["translate"] for d in outcome.report["filter"]] == [True, True, False]
 
 
 def test_without_environments_no_filter_call_is_made(tmp_path, monkeypatch):
