@@ -18,7 +18,10 @@ runs only once its value is asked for.  A request sent early
 (:meth:`LlmClient.send_early`) is answered only to a byte-equal request
 (:meth:`LlmClient.reply`), so one program serves every bound; its job may
 chain a request built from its reply, which counts as sent early once the
-first is taken; the pool runs early requests before submitted jobs.
+first is taken; the pool runs early requests before submitted jobs.  Its
+threads are the one bound on calls in flight: a call the program makes
+itself waits in the queue among the early requests, and a retry's backoff
+sleep holds its thread.  After :meth:`LlmClient.close` any call raises.
 Backends implement a single ``complete(request) -> ChatResult`` method, so
 tests can swap in the mocks and the rest of the pipeline cannot tell the
 difference.  Backends may be called from several threads at once.
@@ -309,17 +312,13 @@ class Pending(Generic[R]):
         finally:
             local.job = outer
 
-    def peek(self) -> R:
-        """The job's value, or its error raised, with its calls still held."""
+    def result(self) -> R:
+        """The job's value, or its error raised, with its calls committed now."""
         if self._future is None:
             self._future = Future()
             self._run()
-        return self._future.result()
-
-    def result(self) -> R:
-        """The job's value, or its error raised, with its calls committed now."""
         try:
-            return self.peek()
+            return self._future.result()
         finally:
             held, warnings, self._held, self._warnings = self._held, self._warnings, [], []
             self._client._commit(held, warnings)
@@ -343,9 +342,10 @@ class LlmClient:
     run the requests of :meth:`send_early` and those they chain (the next
     step waits for them) before the jobs of :meth:`submit`, each rank in the
     order submitted; a job may submit the next one of a chain.  The default
-    of 1 starts no thread and keeps every call in program order.  At most
-    ``max_in_flight`` backend calls run at once, the program thread's own
-    included; a backoff sleep holds no slot.
+    of 1 starts no thread and keeps every call in program order.  The
+    threads are the one bound on calls in flight: :meth:`chat` runs on a
+    job's thread, or queues with the early requests and waits, so a
+    backoff sleep holds a thread, the program's own call's retry too.
     Only the program's thread calls :meth:`send_early`, :meth:`reply` and
     :meth:`close`, and only it files requests sent early: :meth:`reply`
     files the job that a job it takes chained.  ``speculation``
@@ -354,7 +354,8 @@ class LlmClient:
     :meth:`close`, or leaving a ``with`` block, discards the misses and,
     once each returns, what it chained, waits for every queued job, counts
     what was discarded and closes the transcript files, which are buffered
-    until then: a killed process loses their tail.
+    until then: a killed process loses their tail.  A call or a job asked
+    for after that raises :class:`RuntimeError`.
     """
 
     backend: object
@@ -377,16 +378,18 @@ class LlmClient:
     _order: Iterator[int] = _private(default_factory=itertools.count)
     _threads: list = _private(default_factory=list)
     _closed: bool = _private(default=False)
-    _slots: threading.BoundedSemaphore | None = _private(default=None)
 
     def chat(self, request: ChatRequest) -> str:
-        with self._lock:  # made at the first call, so max_in_flight may be set until then
-            slots = self._slots = self._slots or threading.BoundedSemaphore(self.max_in_flight)
+        """The reply to *request*: inside a job, from its thread; else queued at rank EARLY."""
+        if getattr(self._local, "job", None) is not None:
+            return self._chat(request)
+        return Pending(self, self._chat, (request,), EARLY).result()
+
+    def _chat(self, request: ChatRequest) -> str:
         last: Exception | None = None
         for attempt in range(self.retry_budget):
             try:
-                with slots:
-                    result = self.backend.complete(request)
+                result = self.backend.complete(request)
             except TransientLlmError as exc:
                 last = exc
                 if attempt + 1 < self.retry_budget:
@@ -412,7 +415,7 @@ class LlmClient:
         """Above a bound of 1, queue *job* at *rank*; the first job starts the pool's threads."""
         with self._lock:
             if self._closed:
-                raise RuntimeError("cannot submit a job to a closed client")
+                raise RuntimeError("cannot call or submit to a closed client")
             if self.max_in_flight == 1:
                 return
             job._future = Future()
@@ -451,10 +454,6 @@ class LlmClient:
             chained[1].discard()
         return text
 
-    @property
-    def calls(self) -> int:
-        return self.ledger.calls
-
     def close(self) -> None:
         """Discard the misses and the jobs they chain, wait for the pool, count, close the files."""
         self.speculation["misses"] += len(self._early)
@@ -465,7 +464,7 @@ class LlmClient:
                 if chained is not None:
                     chained[1].discard()
         self._early.clear()
-        self._closed = True  # a job that submits from now on raises
+        self._closed = True  # a call or a job asked for from now on raises
         self._jobs.put(_STOP)  # taken once every queued job has been
         for thread in self._threads:
             thread.join()

@@ -637,7 +637,7 @@ def test_a_miss_still_running_at_close_makes_its_chained_call():
             client.send_early(stale, lambda _text: chained)
             assert client.reply(ChatRequest("sys", "fresh")) == "ok"
         assert backend.calls == 3, delay
-        assert client.calls == 1 and client.speculation["misses"] == 1
+        assert client.ledger.calls == 1 and client.speculation["misses"] == 1
         assert client.speculation["discarded_calls"] == 2
         spent = sum(len(r.system_prompt + r.user_message) // 4 for r in (stale, chained))
         assert client.speculation["discarded_prompt_tokens"] == spent

@@ -178,7 +178,7 @@ def test_retry_budget_exhausted():
     with pytest.raises(RetryBudgetExhausted):
         client.chat(req())
     assert backend.calls == 3
-    assert client.calls == 0  # nothing ever succeeded
+    assert client.ledger.calls == 0  # nothing ever succeeded
 
 
 class RefusingBackend:
@@ -217,7 +217,7 @@ def test_ledger_totals_and_cost():
 def test_client_records_usage_per_successful_call():
     client = client_for(EchoBackend())
     client.chat(req("x" * 40))
-    assert client.calls == 1
+    assert client.ledger.calls == 1
     assert client.ledger.summary()["completion_tokens"] == 10  # 40 chars // 4
 
 
@@ -400,7 +400,7 @@ def test_http_backend_refuses_a_reply_cut_off_at_max_tokens_without_retrying():
     with pytest.raises(LlmError, match="cut off at max_tokens") as info:
         client.chat(req())
     assert not isinstance(info.value, TransientLlmError)
-    assert len(session.requests) == 1 and client.calls == 0
+    assert len(session.requests) == 1 and client.ledger.calls == 0
 
 
 def test_http_backend_keeps_a_reply_that_stopped():
@@ -535,7 +535,7 @@ def test_jobs_taken_in_order_give_results_and_transcript_in_that_order(tmp_path)
 
     jobs = [client.submit(call, item) for item in items]
     assert [job.result() for job in jobs] == items
-    assert client.calls == 12
+    assert client.ledger.calls == 12
     client.close()
     assert transcript_users(path) == items
     assert threading.active_count() == threads  # no thread outlives close()
@@ -572,7 +572,7 @@ def test_jobs_discarded_after_an_error_still_run(tmp_path):
         for job in jobs[3:]:
             job.discard()
     assert transcript_users(path) == ["0", "1"]
-    assert client.calls == 2
+    assert client.ledger.calls == 2
     assert client.backend.calls == 29  # every job ran but item 2's, which raised first
     assert client.speculation["discarded_calls"] == 27
 
@@ -587,7 +587,7 @@ def test_with_bound_one_jobs_run_inline_in_the_order_taken(tmp_path):
     def call(item):
         seen.append((item, threading.get_ident()))
         reply = client.chat(req(item))
-        assert client.calls == len(seen) - 1  # held until the job ends
+        assert client.ledger.calls == len(seen) - 1  # held until the job ends
         return reply
 
     with client:
@@ -606,13 +606,14 @@ def test_results_commit_in_the_order_they_are_taken(tmp_path):
     path = tmp_path / "transcript.jsonl"
     with client_for(EchoBackend(), transcript_path=path, max_in_flight=3) as client:
         jobs = {u: client.submit(client.chat, req(u)) for u in ("a", "bb", "ccc")}
-        assert [jobs[u].peek() for u in jobs] == ["a", "bb", "ccc"]
-        assert not path.exists() and client.calls == 0  # done, but held
+        assert [jobs[u]._future.result() for u in jobs] == ["a", "bb", "ccc"]
+        assert not path.exists() and client.ledger.calls == 0  # done, but held
         assert jobs["ccc"].result() == "ccc"
         assert jobs["a"].result() == "a"
-        jobs["bb"].discard()
+        assert jobs["a"].result() == "a"  # taken again: committed once
+        jobs["bb"].discard()  # it ran: its call is dropped
     assert transcript_users(path) == ["ccc", "a"]
-    assert client.calls == 2
+    assert client.ledger.calls == 2
     assert client.speculation["discarded_calls"] == 1
     assert client.speculation["discarded_prompt_tokens"] == len(req("bb").system_prompt + "bb") // 4
 
@@ -632,7 +633,7 @@ def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
         job.discard()
         release.set()
     assert not path.exists()
-    assert client.calls == 0 and client.backend.calls == 1
+    assert client.ledger.calls == 0 and client.backend.calls == 1
     assert client.speculation["discarded_calls"] == 1
 
 
@@ -654,49 +655,10 @@ def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
         assert [gate.result() for gate in gates] == ["a", "b"]
     assert client.backend.calls == 3
     assert transcript_users(path) == ["a", "b"]
-    assert client.calls == 2
+    assert client.ledger.calls == 2
     assert client.speculation["discarded_calls"] == 1
     tokens = len(req("queued").system_prompt + "queued") // 4
     assert client.speculation["discarded_prompt_tokens"] == tokens
-
-
-class Holding:
-    """Echoes; a request whose message starts with "held" waits for ``release``.
-
-    Keeps the most calls seen in flight at once; ``full`` is set once two are.
-    """
-
-    def __init__(self):
-        self.release, self.full = threading.Event(), threading.Event()
-        self._lock = threading.Lock()
-        self.in_flight = self.max_in_flight = 0
-
-    def complete(self, request):
-        with self._lock:
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-            if self.in_flight == 2:
-                self.full.set()
-        try:
-            if request.user_message.startswith("held"):
-                assert self.release.wait(10)
-            return ChatResult(request.user_message, 1, 1)
-        finally:
-            with self._lock:
-                self.in_flight -= 1
-
-
-def test_the_programs_own_call_waits_for_a_slot_beside_the_jobs():
-    backend = Holding()
-    with client_for(backend, max_in_flight=2) as client:
-        jobs = [client.submit(client.chat, req(f"held {i}")) for i in range(2)]
-        assert backend.full.wait(10)  # both jobs are inside the backend
-        timer = threading.Timer(0.2, backend.release.set)
-        timer.start()
-        assert client.chat(req("direct")) == "direct"
-        assert [job.result() for job in jobs] == ["held 0", "held 1"]
-        timer.join()
-    assert backend.max_in_flight == 2
 
 
 def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
@@ -707,6 +669,7 @@ def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
         assert backend.calls == 0
         dropped.discard()
         assert kept.result() == "first"
+        assert kept.result() == "first"  # taken again: run and committed once
     assert backend.calls == 1
     assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
     assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)
@@ -720,23 +683,30 @@ class Gated:
     """Echoes and records each message as its call starts; a message in *held* waits.
 
     Each held call meets the test's thread at ``inside``, then waits for its
-    own event in ``release``.
+    own event in ``release``.  Keeps the most calls seen in flight at once.
     """
 
     def __init__(self, *held):
         self.release = {message: threading.Event() for message in held}
         self.inside = threading.Barrier(len(held) + 1, timeout=10)
         self.started = []
+        self.in_flight = self.max_in_flight = 0
         self._lock = threading.Lock()
 
     def __call__(self, _match, request):
         message = request.user_message
         with self._lock:
             self.started.append(message)
-        if message in self.release:
-            self.inside.wait()
-            assert self.release[message].wait(10)
-        return message
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            if message in self.release:
+                self.inside.wait()
+                assert self.release[message].wait(10)
+            return message
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 def test_pool_runs_requests_sent_early_before_jobs_submitted_earlier(tmp_path):
@@ -758,6 +728,45 @@ def test_pool_runs_requests_sent_early_before_jobs_submitted_earlier(tmp_path):
     # The transcript keeps the order in which the program took the replies.
     assert transcript_users(path) == ["early", "chained to early"] + kept
     assert client.speculation["hits"] == 2 and client.speculation["misses"] == 0
+
+
+def test_pool_runs_the_programs_own_call_before_jobs_submitted_earlier():
+    gated = Gated("held 0", "held 1")
+    with client_for(RuleBackend([(r"", gated)]), max_in_flight=2) as client:
+        held = [client.submit(client.chat, req(message)) for message in gated.release]
+        background = [client.submit(client.chat, req(f"background {i}")) for i in range(3)]
+        gated.inside.wait()  # both threads are in a held call: the other jobs wait in the queue
+
+        def release_once_queued():  # one thread is freed once the direct call waits too
+            deadline = time.monotonic() + 5
+            while client._jobs.qsize() < len(background) + 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            gated.release["held 0"].set()
+
+        timer = threading.Timer(0.01, release_once_queued)
+        timer.start()
+        assert client.chat(req("direct")) == "direct"
+        timer.join()
+        gated.release["held 1"].set()
+        assert [job.result() for job in held + background] == list(gated.release) + [
+            f"background {i}" for i in range(3)
+        ]
+    assert sorted(gated.started[:2]) == ["held 0", "held 1"]
+    assert gated.started[2] == "direct"
+    assert sorted(gated.started[3:]) == ["background 0", "background 1", "background 2"]
+    assert gated.max_in_flight == 2
+
+
+@pytest.mark.parametrize("bound", [1, 4])
+def test_a_call_after_close_raises_and_opens_no_file(tmp_path, bound):
+    path = tmp_path / "transcript.jsonl"
+    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=bound)
+    assert client.chat(req("before")) == "before"
+    client.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        client.chat(req("after"))
+    assert client._files == {}
+    assert client.backend.calls == 1 and transcript_users(path) == ["before"]
 
 
 def test_pool_of_bound_one_runs_a_job_only_when_its_value_is_asked_for():
@@ -827,7 +836,7 @@ def test_an_early_reply_is_kept_only_for_an_equal_request(tmp_path):
         lines[bound] = path.read_bytes()
     assert lines[3] == lines[1]
     assert transcript_users(path) == ["before", "unit 1", "unit 2", "after"]
-    assert backend.calls == 5 and client.calls == 4
+    assert backend.calls == 5 and client.ledger.calls == 4
     spent = len(miss.system_prompt + miss.user_message) // 4, len("unit 2x") // 4
     assert dict(client.speculation) == {
         "hits": 1,
@@ -894,7 +903,7 @@ def test_kept_jobs_warnings_arrive_in_the_order_results_are_taken(bound):
         client.warn("before")
         jobs = {item: client.submit(warning_job, client, item) for item in ("a", "b", "c")}
         if bound > 1:
-            assert [job.peek() for job in jobs.values()] == ["a", "b", "c"]
+            assert [job._future.result() for job in jobs.values()] == ["a", "b", "c"]
         assert client.warnings == ["before"]  # done at bound 3, but held
         jobs["c"].result()
         jobs["a"].result()
@@ -909,11 +918,11 @@ def test_a_discarded_jobs_warnings_never_arrive(bound):
         dropped = client.submit(warning_job, client, "dropped")
         kept = client.submit(warning_job, client, "kept")
         if bound > 1:
-            assert dropped.peek() == "dropped"  # it ran and warned
+            assert dropped._future.result() == "dropped"  # it ran and warned
         dropped.discard()
         assert kept.result() == "kept"
     assert client.warnings == ["warned kept"]
-    assert client.calls == 1
+    assert client.ledger.calls == 1
 
 
 @pytest.mark.parametrize("bound", [1, 3])
@@ -932,23 +941,7 @@ def test_a_job_that_raises_still_commits_its_warnings(bound):
             jobs[1].result()
         jobs[2].discard()
     assert client.warnings == ["warned a", "warned b"]  # c's, if it ran, were dropped
-    assert client.calls == 2
-
-
-@pytest.mark.parametrize("bound", [1, 3])
-def test_peek_runs_the_job_and_keeps_its_calls_held(tmp_path, bound):
-    path = tmp_path / "transcript.jsonl"
-    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
-        kept, dropped = (client.submit(warning_job, client, item) for item in ("kept", "dropped"))
-        assert kept.peek() == "kept" and dropped.peek() == "dropped"
-        assert client.backend.calls == 2  # both ran, at bound 1 too
-        assert client.calls == 0 and client.warnings == [] and not path.exists()
-        dropped.discard()
-        assert kept.result() == "kept"
-        assert kept.result() == "kept"  # taken again: committed once
-    assert transcript_users(path) == ["kept"]
-    assert client.calls == 1 and client.warnings == ["warned kept"]
-    assert client.speculation["discarded_calls"] == 1
+    assert client.ledger.calls == 2
 
 
 @pytest.mark.parametrize("bound", [1, 3])
