@@ -69,7 +69,8 @@ class EmptyCompletion(LlmError):
 
 
 class PlaceholderError(LatexmtError):
-    """Base class for placeholder-conservation failures during reassembly."""
+    """A placeholder-shaped token already in a source file, and the base class
+    of placeholder-conservation failures during reassembly."""
 
     def __init__(self, token: str, detail: str = ""):
         self.token = token

@@ -64,55 +64,42 @@ def reassemble(
     survive exactly once each; they are otherwise left for :func:`unmerge`.
     """
     by_token = {u.token: u for u in units if u.token is not None}
-    base = "".join(
-        u.output_text() for u in units if u.granularity == GRAN_SECTION
-    )
-    text, env_counts = _substitute(base, ENV_TOKEN_RE, env_map, by_token)
-    text, cap_counts = _substitute(text, CAP_TOKEN_RE, cap_map, by_token)
-    _check_consumed(env_map, env_counts)
-    _check_consumed(cap_map, cap_counts)
+    text = "".join(u.output_text() for u in units if u.granularity == GRAN_SECTION)
+    seen: list[str] = []
+    for token_re, pmap in ((ENV_TOKEN_RE, env_map), (CAP_TOKEN_RE, cap_map)):
+        text = _substitute(text, token_re, pmap, by_token, seen)
+    counts = Counter(seen)
+    for entry in (*env_map, *cap_map):
+        if (n := counts[entry.token]) != 1:
+            if n == 0:
+                raise MissingPlaceholderUse(entry.token, "never substituted back")
+            raise DuplicatePlaceholderUse(entry.token, f"substituted {n} times")
     if merged is not None:
         file_counts = Counter(m.group(0) for m in FILE_TOKEN_RE.finditer(text))
         for boundary in merged.boundaries:
-            for token in (
-                file_begin_token(boundary.token_id),
-                file_end_token(boundary.token_id),
-            ):
-                n = file_counts[token]
-                if n != 1:
+            for token in (file_begin_token(boundary.token_id), file_end_token(boundary.token_id)):
+                if (n := file_counts[token]) != 1:
                     raise UnbalancedFileBoundaries(
                         f"{token} appears {n} times after reassembly (expected 1)"
                     )
     return text
 
 
-def _substitute(
-    text: str,
-    token_re,
-    pmap: PlaceholderMap,
-    by_token: dict[str, TranslationUnit],
-) -> tuple[str, Counter]:
-    counts: Counter = Counter()
+def _substitute(text, token_re, pmap: PlaceholderMap, by_token, seen: list[str]) -> str:
+    """Replace *pmap*'s tokens by their units' output or, with no unit, their source.
+
+    Each token replaced is appended to *seen*; one of no map is an error.
+    """
+    texts = {entry.token: entry.original_text for entry in pmap}
+    texts.update((token, by_token[token].output_text()) for token in texts.keys() & by_token.keys())
 
     def repl(m):
-        token = m.group(0)
-        entry = pmap.get(token)
-        if entry is None:
+        seen.append(token := m.group(0))
+        if token not in texts:
             raise UnresolvedPlaceholder(token, "not present in any map")
-        counts[token] += 1
-        unit = by_token.get(token)
-        return unit.output_text() if unit is not None else entry.original_text
+        return texts[token]
 
-    return token_re.sub(repl, text), counts
-
-
-def _check_consumed(pmap: PlaceholderMap, counts: Counter) -> None:
-    for entry in pmap:
-        n = counts.get(entry.token, 0)
-        if n == 0:
-            raise MissingPlaceholderUse(entry.token, "never substituted back")
-        if n > 1:
-            raise DuplicatePlaceholderUse(entry.token, f"substituted {n} times")
+    return token_re.sub(repl, text)
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,13 @@ earlier ones:
 Every pass finds structure with ``_next_live``: a match counts only outside
 comments (an unescaped ``%`` hides the rest of the line; inside
 ``verbatim``-like environments it is literal) and when it is not escaped.
-Includes and captions also skip verbatim-like bodies.  Structural problems
-such as unbalanced braces, a stray ``\\end`` or a brace-less ``\\input`` are
+Includes and captions also skip verbatim-like bodies.  Each source file is
+scanned once, by ``comment_spans`` with the verbatim bodies: the merge puts
+the merged text's spans together from its files', and each pass hands its
+output's on, carried through its cuts, to the next.  Where carrying would
+not give what a scan gives, the text is scanned again.  A source that
+already holds a placeholder token is refused.  Structural problems such as
+unbalanced braces, a stray ``\\end`` or a brace-less ``\\input`` are
 recorded as warning strings, never raised.
 """
 
@@ -21,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path, PurePosixPath
 
-from .errors import InclusionCycle, MissingMainFile
+from .errors import InclusionCycle, MissingMainFile, PlaceholderError
 from .placeholders import (
     KIND_CAP,
     KIND_ENV,
@@ -82,6 +88,9 @@ FLOAT_ENVS = frozenset(
 )
 
 _BEGIN_RE = re.compile(r"\\begin\s*\{([^{}]*)\}")
+_FLOAT_BEGIN_RE = re.compile(
+    r"\\begin\s*\{(" + "|".join(map(re.escape, sorted(FLOAT_ENVS))) + r")\}"
+)
 _BEGIN_OR_END_RE = re.compile(r"\\(begin|end)\s*\{([^{}]*)\}")
 _BEGIN_DOC_RE = re.compile(r"\\begin\s*\{document\}")
 _END_DOC_RE = re.compile(r"\\end\s*\{document\}")
@@ -98,9 +107,10 @@ _VERBATIM_BEGIN_RE = re.compile(
     + r")\}"
 )
 _SPACE_RE = re.compile(r"[ \t\r\n]*")
-# The characters brace matching stops at; a backslash takes the next one along.
-_GROUP_RE = re.compile(r"\\.|[{}]", re.S)
-_OPTIONAL_RE = re.compile(r"\\.|[{}\[\]]", re.S)
+# The characters brace matching stops at; a backslash takes the next one along
+# (only those it takes from brace matching, or from the next backslash, matter).
+_GROUP_RE = re.compile(r"\\[{}\\]|[{}]")
+_OPTIONAL_RE = re.compile(r"\\[{}\[\]\\]|[{}\[\]]")
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +162,55 @@ def _line_bounds(text: str, pos: int) -> tuple[int, int]:
     if m is None:
         return len(text), len(text)
     return (m.start() if text[m.start()] in "\r\n" else m.end()), m.end()
+
+
+def _comments(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The comment view of *text*'s verbatim-view *spans*: those opened by ``%``."""
+    return [span for span in spans if text[span[0]] == "%"]
+
+
+def _cut(text: str, spans: list[tuple[int, int]], cuts: list[tuple[int, int, str]], inner=()):
+    """*text* with each ``(start, end, token)`` cut replaced by its token, and its verbatim view.
+
+    Of *spans*, *text*'s view, those inside a cut go and later ones shift;
+    *inner*, if given, holds each token's own view, or None where a span of
+    the token's runs on past it.  Where that would differ from a scan, the new
+    text is scanned: a span lies partly inside a cut, a cut is in the rest of
+    a line that the scan skips after a multi-line verbatim's ``\\end``, or a
+    token's span runs on.
+    """
+    if not cuts:
+        return text, spans
+    pieces, starts, ends, shifts = [], [], [], [0]
+    pos = 0
+    for a, b, token in cuts:
+        pieces += (text[pos:a], token)
+        starts.append(a)
+        ends.append(b)
+        shifts.append(shifts[-1] + len(token) - (b - a))
+        pos = b
+    pieces.append(text[pos:])
+    out = "".join(pieces)
+    carried = []
+    for start, end in spans:
+        k = bisect_right(starts, start)  # the cuts that start at or before this span
+        inside = k > 0 and start < ends[k - 1]
+        exact = end <= ends[k - 1] if inside else k == len(cuts) or end <= starts[k]
+        if not inside:
+            carried.append((start + shifts[k], end + shifts[k]))
+        if text[start] == "\\":  # a verbatim: is a cut's end in the rest of its \end line?
+            rest = _line_bounds(text, end)[0]
+            i = bisect_left(starts, end)  # the first cut after it
+            if (i < len(cuts) and starts[i] <= rest) or (inside and ends[k - 1] < rest):
+                exact = exact and not _LINE_BREAK_RE.search(text, start, end)
+        if not exact:
+            return out, comment_spans(out, verbatim=True)
+    for k, token_spans in enumerate(inner):
+        if token_spans is None:
+            return out, comment_spans(out, verbatim=True)
+        at = starts[k] + shifts[k]
+        carried += [(start + at, end + at) for start, end in token_spans]
+    return out, sorted(carried) if inner else carried
 
 
 def _span_index(spans: list[tuple[int, int]]):
@@ -238,7 +297,7 @@ def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None
     Handles nesting of the same environment name; matches inside comments
     are ignored.
     """
-    pattern = re.compile(r"\\(begin|end)\s*\{" + re.escape(name) + r"\}")
+    pattern = _env_pattern(name)
     depth = 1
     while (m := _next_live(pattern, text, span_at, search_from)) is not None:
         search_from = m.end()
@@ -246,6 +305,11 @@ def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None
         if depth == 0:
             return m.end()
     return None
+
+
+@lru_cache(maxsize=512)
+def _env_pattern(name: str) -> re.Pattern:
+    return re.compile(r"\\(begin|end)\s*\{" + re.escape(name) + r"\}")
 
 
 def _next_live(pattern: re.Pattern, text: str, span_at, pos: int = 0, endpos: int | None = None):
@@ -324,6 +388,7 @@ class MergedDocument:
     main_file: str
     boundaries: tuple[FileBoundary, ...] = ()
     warnings: tuple[str, ...] = ()
+    spans: list[tuple[int, int]] | None = field(default=None, compare=False, repr=False)
 
 
 def _resolve_include(files: dict[str, str], raw: str) -> str | None:
@@ -351,13 +416,18 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     included: dict[str, str] = {}  # path -> where it was first included
     counter = 0
 
-    def expand(rel_path: str) -> str:
+    def expand(rel_path: str) -> tuple[str, list[tuple[int, int]]]:
         nonlocal counter
         text = project.files[rel_path]
+        if "<PLACEHOLDER_" in text and (m := TOKEN_RE.search(text)) is not None:
+            raise PlaceholderError(
+                m.group(0), f"already in the source, at offset {m.start()} in {rel_path}"
+            )
         visiting.append(rel_path)
-        span_at = _span_index(comment_spans(text, verbatim=True))
-        out: list[str] = []
-        pos = scan = 0
+        spans = comment_spans(text, verbatim=True)
+        span_at = _span_index(spans)
+        cuts, inner = [], []
+        scan = 0
         while (m := _next_live(_INCLUDE_RE, text, span_at, scan)) is not None:
             scan = m.end()
             if m.group(1) is None:
@@ -382,21 +452,21 @@ def merge_project(project: ProjectSource) -> MergedDocument:
                 )
             token_id = counter
             counter += 1
-            body = expand(target)
+            body, body_spans = expand(target)
             boundaries.append(FileBoundary(token_id, target, m.group(0)))
-            out.append(text[pos : m.start()])
-            out.append(file_begin_token(token_id))
-            out.append(body)
-            out.append(file_end_token(token_id))
-            pos = m.end()
-        out.append(text[pos:])
+            begin = file_begin_token(token_id)
+            cuts.append((m.start(), m.end(), begin + body + file_end_token(token_id)))
+            # A last span with no line break after it runs on past the body.
+            open_end = body_spans and not _LINE_BREAK_RE.search(body, body_spans[-1][1])
+            shift = len(begin)
+            inner.append(None if open_end else [(a + shift, b + shift) for a, b in body_spans])
         visiting.pop()
-        return "".join(out)
+        return _cut(text, spans, cuts, inner)
 
-    merged_text = expand(project.main_file)
+    merged_text, spans = expand(project.main_file)
     boundaries.sort(key=lambda b: b.token_id)
     return MergedDocument(
-        merged_text, project.main_file, tuple(boundaries), tuple(warnings)
+        merged_text, project.main_file, tuple(boundaries), tuple(warnings), spans
     )
 
 
@@ -405,23 +475,25 @@ def merge_project(project: ProjectSource) -> MergedDocument:
 
 
 def extract_captions(
-    text: str, warnings: list[str] | None = None
-) -> tuple[str, PlaceholderMap]:
+    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None
+) -> tuple[str, PlaceholderMap, list[tuple[int, int]]]:
     """Replace caption bodies inside float environments with CAP tokens.
 
     Handles ``\\caption``, ``\\caption*`` and ``\\captionof``, an optional
     short-caption argument, and nested braces in the body.  Tokens are
     numbered from zero in document order.  Captions in comments and in
-    verbatim-like environments are text, not captions.
+    verbatim-like environments are text, not captions.  *spans*, *text*'s
+    ``comment_spans(text, verbatim=True)``, is scanned when not given.
     """
     if warnings is None:
         warnings = []
-    span_at = _span_index(comment_spans(text, verbatim=True))
+    if spans is None:
+        spans = comment_spans(text, verbatim=True)
+    span_at = _span_index(spans)
     in_float = _span_index(_float_spans(text, span_at))
     pmap = PlaceholderMap()
-    out: list[str] = []
-    pos = scan = 0
-    counter = 0
+    cuts: list[tuple[int, int, str]] = []
+    scan = 0
     while (m := _next_live(_CAPTION_RE, text, span_at, scan)) is not None:
         scan = m.end()
         if in_float(m.start()) is None:
@@ -454,51 +526,45 @@ def extract_captions(
                 f"UnbalancedBraces: {m.group(0)} at offset {m.start()} never closes"
             )
             continue
-        token = cap_token(counter)
-        counter += 1
+        token = cap_token(len(cuts))
         pmap.add(token, KIND_CAP, text[i + 1 : close])
-        out.append(text[pos : i + 1])
-        out.append(token)
-        pos = scan = close
-    out.append(text[pos:])
-    return "".join(out), pmap
+        cuts.append((i + 1, close, token))
+        scan = close
+    out, spans = _cut(text, spans, cuts)
+    return out, pmap, spans
 
 
 def _float_spans(text: str, span_at) -> list[tuple[int, int]]:
     """Spans of outermost float environments (where captions may live)."""
     spans: list[tuple[int, int]] = []
     scan = 0
-    while (m := _next_live(_BEGIN_RE, text, span_at, scan)) is not None:
+    while (m := _next_live(_FLOAT_BEGIN_RE, text, span_at, scan)) is not None:
         scan = m.end()
-        name = m.group(1)
-        if name not in FLOAT_ENVS:
-            continue
-        end = _find_env_end(text, m.end(), name, span_at)
-        if end is None:
-            continue
-        spans.append((m.start(), end))
-        scan = end
+        if (end := _find_env_end(text, m.end(), m.group(1), span_at)) is not None:
+            spans.append((m.start(), end))
+            scan = end
     return spans
 
 
 def extract_environments(
-    text: str, warnings: list[str] | None = None
-) -> tuple[str, PlaceholderMap]:
+    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None
+) -> tuple[str, PlaceholderMap, list[tuple[int, int]]]:
     """Replace each top-level ``\\begin{x}...\\end{x}`` block with an ENV token.
 
     Only the document body is scanned (the preamble is never translated).
     Nested environments ride along inside their outermost block.  An
     unterminated begin or a stray end is recorded as a warning and the text
-    is passed through unchanged.
+    is passed through unchanged.  Only comments hide structure here.
     """
     if warnings is None:
         warnings = []
-    span_at = _span_index(comment_spans(text))
+    if spans is None:
+        spans = comment_spans(text, verbatim=True)
+    span_at = _span_index(_comments(text, spans))
     body_start, body_end = _document_body(text, span_at)
     pmap = PlaceholderMap()
-    out: list[str] = []
-    counter = 0
-    pos, scan = 0, body_start
+    cuts: list[tuple[int, int, str]] = []
+    scan = body_start
     while (m := _next_live(_BEGIN_OR_END_RE, text, span_at, scan, body_end)) is not None:
         scan = m.end()
         which, name = m.group(1), m.group(2)
@@ -514,14 +580,12 @@ def extract_environments(
                 f"has no matching \\end"
             )
             continue
-        token = env_token(counter)
-        counter += 1
+        token = env_token(len(cuts))
         pmap.add(token, KIND_ENV, text[m.start() : end])
-        out.append(text[pos : m.start()])
-        out.append(token)
-        pos = scan = end
-    out.append(text[pos:])
-    return "".join(out), pmap
+        cuts.append((m.start(), end, token))
+        scan = end
+    out, spans = _cut(text, spans, cuts)
+    return out, pmap, spans
 
 
 def _document_body(text: str, span_at) -> tuple[int, int]:
@@ -577,7 +641,7 @@ class TranslationUnit:
         return self.source_text
 
 
-def split_sections(text: str) -> list[TranslationUnit]:
+def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> list[TranslationUnit]:
     """Cut the document into preamble + section-sized units.
 
     The preamble (up to and including ``\\begin{document}``) becomes a
@@ -585,20 +649,10 @@ def split_sections(text: str) -> list[TranslationUnit]:
     command; front matter before the first section is its own unit.  The
     concatenation of all ``source_text`` fields equals *text* exactly.
     """
-    span_at = _span_index(comment_spans(text))
-    units: list[TranslationUnit] = []
+    span_at = _span_index(comment_spans(text) if spans is None else _comments(text, spans))
     m = _next_live(_BEGIN_DOC_RE, text, span_at)
     prev = scan = 0 if m is None else m.end()
-    if m is not None:
-        units.append(
-            TranslationUnit(
-                id=0,
-                granularity=GRAN_SECTION,
-                source_text=text[: m.end()],
-                needs_translation=False,
-                role="preamble",
-            )
-        )
+    units = [TranslationUnit(0, GRAN_SECTION, text[:prev], False, role="preamble")] if prev else []
     segments: list[str] = []
     while (c := _next_live(_SECTION_RE, text, span_at, scan)) is not None:
         segments.append(text[prev : c.start()])
@@ -606,15 +660,7 @@ def split_sections(text: str) -> list[TranslationUnit]:
     segments.append(text[prev:])
     for seg in segments:
         residue = TOKEN_RE.sub("", seg).strip()
-        units.append(
-            TranslationUnit(
-                id=len(units),
-                granularity=GRAN_SECTION,
-                source_text=seg,
-                needs_translation=bool(residue),
-                role="body",
-            )
-        )
+        units.append(TranslationUnit(len(units), GRAN_SECTION, seg, bool(residue), role="body"))
     return units
 
 
@@ -634,9 +680,9 @@ def parse_project(project: ProjectSource) -> ParsedDocument:
     """Run the full parse pipeline over a project."""
     merged = merge_project(project)
     warnings = list(merged.warnings)
-    decapped, cap_map = extract_captions(merged.text, warnings)
-    stripped, env_map = extract_environments(decapped, warnings)
-    sections = split_sections(stripped)
+    decapped, cap_map, spans = extract_captions(merged.text, warnings, merged.spans)
+    stripped, env_map, spans = extract_environments(decapped, warnings, spans)
+    sections = split_sections(stripped, spans)
     return ParsedDocument(merged, stripped, cap_map, env_map, sections, warnings)
 
 
@@ -652,31 +698,17 @@ def enumerate_units(doc: ParsedDocument) -> list[TranslationUnit]:
     unit per environment, then one per caption.  Environment units start
     with ``needs_translation=False``; the unit filter may flip them.
     """
-    units: list[TranslationUnit] = []
-    for u in doc.section_units:
-        units.append(dataclasses.replace(u, id=len(units)))
+    units = [dataclasses.replace(u, id=i) for i, u in enumerate(doc.section_units)]
     for entry in doc.env_map:
+        name = _env_name_of(entry.original_text)
         units.append(
-            TranslationUnit(
-                id=len(units),
-                granularity=GRAN_ENVIRONMENT,
-                source_text=entry.original_text,
-                needs_translation=False,
-                token=entry.token,
-                env_name=_env_name_of(entry.original_text),
-                role="env",
-            )
+            TranslationUnit(len(units), GRAN_ENVIRONMENT, entry.original_text, False,
+                            token=entry.token, env_name=name, role="env")
         )
     for entry in doc.cap_map:
         units.append(
-            TranslationUnit(
-                id=len(units),
-                granularity=GRAN_CAPTION,
-                source_text=entry.original_text,
-                needs_translation=True,
-                token=entry.token,
-                role="caption",
-            )
+            TranslationUnit(len(units), GRAN_CAPTION, entry.original_text, token=entry.token,
+                            role="caption")
         )
     return units
 

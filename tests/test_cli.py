@@ -8,6 +8,7 @@ import pytest
 
 from latexmt import agents, cli, prompts
 from latexmt.config import RunConfig, load_config
+from latexmt.errors import PlaceholderError
 from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
 
 from conftest import tree_snapshot, write_files
@@ -141,6 +142,26 @@ def test_translate_transcript_rebuilds_every_request(tmp_path, monkeypatch):
     stored = [json.loads(line)["text"] for line in sidecar]
     assert len(set(stored)) == len(stored)
     assert sum(map(len, stored)) < sum(map(len, {r.system_prompt for r in sent}))
+
+
+@pytest.mark.parametrize("token", ["<PLACEHOLDER_ENV_0>", "<PLACEHOLDER_FILE_0_end>"])
+def test_a_placeholder_shaped_source_fails_before_any_model_call(tmp_path, monkeypatch, token):
+    # Either token used to cost every call of the run and then fail reassembly.
+    main = PARSE_FIXTURE["main.tex"].replace("beta text", f"beta {token}")
+    proj = write_files(tmp_path / "doc", {"main.tex": main})
+    sent = []
+    build = cli._build_client
+
+    def recording(config, logs_dir):
+        client = build(config, logs_dir)
+        client.backend = RuleBackend([(r"", lambda match, request: sent.append(request) or "x")])
+        return client
+
+    monkeypatch.setattr(cli, "_build_client", recording)
+    config = load_config(None, {"out_dir": str(tmp_path / "out"), "compile_enabled": False})
+    with pytest.raises(PlaceholderError, match=f"offset {main.index(token)} in main.tex"):
+        cli.translate_project(proj, config)
+    assert sent == []
 
 
 def test_translate_uses_every_template_from_prompt_dir(tmp_path):

@@ -61,41 +61,41 @@ def test_verbatim_opened_and_closed_on_one_line():
 
 def test_caption_with_nested_braces():
     text = "\\begin{figure}\\caption{a {b {c}} d}\\end{figure}"
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert out == "\\begin{figure}\\caption{" + cap_token(0) + "}\\end{figure}"
     assert pmap.get(cap_token(0)).original_text == "a {b {c}} d"
 
 
 def test_caption_short_argument_preserved():
     text = "\\begin{figure}\\caption[s]{long body}\\end{figure}"
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert "\\caption[s]{" + cap_token(0) + "}" in out
     assert pmap.get(cap_token(0)).original_text == "long body"
 
 
 def test_captionof_keeps_float_type():
     text = "\\begin{figure}\\captionof{table}{body}\\end{figure}"
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert "\\captionof{table}{" + cap_token(0) + "}" in out
     assert pmap.get(cap_token(0)).original_text == "body"
 
 
 def test_starred_caption():
     text = "\\begin{figure}\\caption*{star}\\end{figure}"
-    _, pmap = extract_captions(text)
+    _, pmap, _ = extract_captions(text)
     assert pmap.get(cap_token(0)).original_text == "star"
 
 
 def test_caption_outside_float_left_alone():
     text = "Intro. \\caption{loose} Outro."
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert out == text
     assert len(pmap) == 0
 
 
 def test_commented_caption_ignored():
     text = "\\begin{figure}\n% \\caption{ghost}\n\\caption{real}\n\\end{figure}"
-    _, pmap = extract_captions(text)
+    _, pmap, _ = extract_captions(text)
     assert [e.original_text for e in pmap] == ["real"]
 
 
@@ -104,7 +104,7 @@ def test_caption_numbering_is_zero_based_document_order():
         "\\begin{figure}\\caption{first}\\end{figure}"
         "\\begin{table}\\caption{second}\\end{table}"
     )
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert [e.token for e in pmap] == [cap_token(0), cap_token(1)]
     assert out.index(cap_token(0)) < out.index(cap_token(1))
 
@@ -112,7 +112,7 @@ def test_caption_numbering_is_zero_based_document_order():
 def test_unbalanced_caption_is_a_warning_not_an_error():
     text = "\\begin{figure}\\caption{never closes\\end{figure}"
     warnings = []
-    out, pmap = extract_captions(text, warnings)
+    out, pmap, _ = extract_captions(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("UnbalancedBraces" in w for w in warnings)
@@ -141,7 +141,7 @@ def test_caption_inside_verbatim_body_is_text(project_factory, block):
 
 def test_captionsetup_is_not_a_caption():
     text = "\\begin{figure}\\captionsetup{font=small}\\caption{real}\\end{figure}"
-    out, pmap = extract_captions(text)
+    out, pmap, _ = extract_captions(text)
     assert "\\captionsetup{font=small}" in out
     assert [e.original_text for e in pmap] == ["real"]
 
@@ -162,7 +162,7 @@ def test_top_level_environments_extracted_nested_ride_along():
         "pre\n\\begin{center}\\begin{figure}x\\end{figure}\\end{center}\n"
         "mid\n\\begin{equation}e = m\\end{equation}\npost\n"
     )
-    out, pmap = extract_environments(text)
+    out, pmap, _ = extract_environments(text)
     assert [e.token for e in pmap] == [env_token(0), env_token(1)]
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{center}")
     assert "\\begin{figure}x\\end{figure}" in pmap.get(env_token(0)).original_text
@@ -178,7 +178,7 @@ def test_preamble_environments_untouched():
         "\\begin{filecontents*}{d.csv}\n1,2\n\\end{filecontents*}\n"
         "\\begin{document}\n\\begin{itemize}\\item a\\end{itemize}\n\\end{document}\n"
     )
-    out, pmap = extract_environments(text)
+    out, pmap, _ = extract_environments(text)
     assert len(pmap) == 1
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{itemize}")
     assert "\\begin{filecontents*}{d.csv}" in out
@@ -187,7 +187,7 @@ def test_preamble_environments_untouched():
 def test_stray_end_is_a_warning():
     warnings = []
     text = _body("x\\end{itemize} y\n")
-    out, pmap = extract_environments(text, warnings)
+    out, pmap, _ = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("stray \\end{itemize}" in w for w in warnings)
@@ -196,7 +196,7 @@ def test_stray_end_is_a_warning():
 def test_unterminated_begin_is_a_warning():
     warnings = []
     text = _body("x\\begin{itemize} y\n")
-    out, pmap = extract_environments(text, warnings)
+    out, pmap, _ = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("no matching \\end" in w for w in warnings)
@@ -205,7 +205,7 @@ def test_unterminated_begin_is_a_warning():
 def test_same_name_nesting_matched_by_depth():
     block = "\\begin{itemize}\\item o\\begin{itemize}\\item i\\end{itemize}\\end{itemize}"
     text = _body(block + "\n")
-    _, pmap = extract_environments(text)
+    _, pmap, _ = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
 
 
@@ -215,14 +215,14 @@ def test_verbatim_body_swallowed_whole():
         "\\end{lstlisting}"
     )
     text = _body(block + "\n")
-    out, pmap = extract_environments(text)
+    out, pmap, _ = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
     assert "% not a comment" not in out
 
 
 def test_commented_begin_ignored():
     text = _body("% \\begin{figure}\nreal text\n")
-    out, pmap = extract_environments(text)
+    out, pmap, _ = extract_environments(text)
     assert out == text
     assert len(pmap) == 0
 

@@ -6,8 +6,9 @@ every file of the include closure byte for byte, and only real captions
 units.  The projects mix the constructs the parser has to skip: comments,
 ``\\%`` and ``\\\\``, ``verbatim``/``lstlisting`` bodies holding ``%``,
 ``\\section``, a captioned float and a lone ``{``, ``\\verb|50%|``, nested
-environments, captions with optional arguments and nested braces, and
-nested ``\\input``.
+environments (``itemize`` inside ``itemize`` among them), captions with
+optional arguments and nested braces, nested ``\\input``, and an included
+file that ends inside a ``verbatim`` it never closes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from latexmt.parser import ProjectSource, enumerate_units, parse_project
 
 REAL = "REAL"  # every generated float caption holds this word once
 FAKE = "in verbatim"  # captions inside verbatim-like bodies hold this
+# Ends an included file: the merged text is verbatim from there to the next
+# line that holds an \end{verbatim}, or to its end.
+OPEN_VERBATIM = "\\begin{verbatim}\n50% left open\n"
 
 prose = st.lists(
     st.sampled_from(
@@ -100,6 +104,9 @@ chunks = st.recursive(
             st.lists(inner, max_size=2),
             caption,
         ).map(_float),
+        st.lists(inner, min_size=1, max_size=2).map(
+            lambda children: _environment(("itemize", [_environment(("itemize", children))]))
+        ),
     ),
     max_leaves=8,
 )
@@ -107,13 +114,18 @@ chunks = st.recursive(
 
 @st.composite
 def projects(draw) -> dict[str, str]:
-    """Main file plus up to three included files, each included once."""
+    """Main file plus up to three included files, each included once.
+
+    One included file may end inside an open verbatim.
+    """
     n = draw(st.integers(0, 3))
     bodies = [draw(st.lists(chunks, max_size=5)) for _ in range(n + 1)]
     for child in range(1, n + 1):
         parent = draw(st.integers(0, child - 1))
         at = draw(st.integers(0, len(bodies[parent])))
         bodies[parent].insert(at, f"\\input{{f{child}}}\n")
+    if n and draw(st.booleans()):
+        bodies[draw(st.integers(1, n))].append(OPEN_VERBATIM)
     files = {f"f{i}.tex": "".join(bodies[i]) for i in range(1, n + 1)}
     files["main.tex"] = (
         "\\documentclass{article}\n\\begin{document}\n"
@@ -145,4 +157,9 @@ def test_only_real_captions_become_units(files):
     parsed = parse_project(ProjectSource(Path("."), "main.tex", files))
     captions = [e.original_text for e in parsed.cap_map]
     assert not [c for c in captions if FAKE in c]
-    assert len(captions) == sum(text.count(REAL) for text in files.values())
+    real = sum(text.count(REAL) for text in files.values())
+    opened = parsed.merged.text.find(OPEN_VERBATIM)
+    if opened == -1:
+        assert len(captions) == real
+    else:  # past it, a caption counts only where a later \end{verbatim} closed it
+        assert parsed.merged.text[:opened].count(REAL) <= len(captions) <= real
