@@ -67,7 +67,6 @@ class RunConfig:
     max_validation_rounds: int = 3
     term_dict_cap: int = 200
     completeness_check: bool = True
-    filter_parse_retries: int = 3
     prompt_dir: str = ""
     protected_envs_path: str = ""
 
@@ -99,8 +98,7 @@ class RunConfig:
         minimums = (
             ("max_validation_rounds", 1), ("retry_budget", 1), ("workers", 1),
             ("compile_passes", 1), ("translator_temperature", 0), ("judge_temperature", 0),
-            ("agent_max_new_tokens", 1), ("term_dict_cap", 1), ("filter_parse_retries", 1),
-            ("backoff_base", 0),
+            ("agent_max_new_tokens", 1), ("term_dict_cap", 1), ("backoff_base", 0),
         )
         for name, least in minimums:
             if getattr(self, name) < least:

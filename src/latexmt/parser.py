@@ -132,7 +132,9 @@ def comment_spans(text: str, verbatim: bool = False) -> list[tuple[int, int]]:
     while True:
         pct = text.find("%", pos)
         m = _VERBATIM_BEGIN_RE.search(text, pos, len(text) if pct == -1 else pct)
-        if m is not None:  # a verbatim-like environment opens before the '%'
+        if m is not None and _escaped(text, m.start()):  # \\begin is text
+            pos = m.end()
+        elif m is not None:  # a verbatim-like environment opens before the '%'
             content_end, next_line = _line_bounds(text, m.start())
             end = f"\\end{{{m.group(1)}}}"
             close = text.find(end, m.end(), content_end)
@@ -554,13 +556,14 @@ def extract_environments(
     Only the document body is scanned (the preamble is never translated).
     Nested environments ride along inside their outermost block.  An
     unterminated begin or a stray end is recorded as a warning and the text
-    is passed through unchanged.  Only comments hide structure here.
+    is passed through unchanged.  Comments hide structure from the search
+    for blocks; inside a block, verbatim-like bodies hide it too.
     """
     if warnings is None:
         warnings = []
     if spans is None:
         spans = comment_spans(text, verbatim=True)
-    span_at = _span_index(_comments(text, spans))
+    span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
     body_start, body_end = _document_body(text, span_at)
     pmap = PlaceholderMap()
     cuts: list[tuple[int, int, str]] = []
@@ -573,7 +576,8 @@ def extract_environments(
                 f"UnmatchedEnvironment: stray \\end{{{name}}} at offset {m.start()}"
             )
             continue
-        end = _find_env_end(text, m.end(), name, span_at)
+        # A verbatim's own body is a span of the verbatim view.
+        end = _find_env_end(text, m.end(), name, span_at if name in VERBATIM_ENVS else verbatim_at)
         if end is None or end > body_end:
             warnings.append(
                 f"UnmatchedEnvironment: \\begin{{{name}}} at offset {m.start()} "

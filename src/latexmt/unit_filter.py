@@ -2,9 +2,9 @@
 
 Well-known math/code/table environments are decided from a static list
 without spending a single model call.  Anything unrecognized is judged by
-the model from its content alone, with a strict True/False reply contract:
-after the parse-retry budget the decision falls back to "preserve" and the
-incident is recorded as a warning (:meth:`LlmClient.warn`).
+the model from its content alone, asked once at temperature 0: a reply that
+is not ``True`` or ``False``, read leniently, falls back to "preserve" and
+is recorded as a warning (:meth:`LlmClient.warn`).
 """
 
 from __future__ import annotations
@@ -65,30 +65,24 @@ def classify_unit(
     """Decide whether one environment unit's content should be translated.
 
     Protected names (and nameless blocks) never reach the model.  For the
-    rest, the model sees only the environment body and must answer exactly
-    ``True`` or ``False``; anything else is retried, then defaulted to
-    ``False`` with a warning.
+    rest, the model sees only the environment body and must answer ``True``
+    or ``False``.  It is asked once: at temperature 0 a resend gets the same
+    reply.  Anything else defaults to ``False`` with a warning.
     """
     if _protected(unit, protected):
         return FilterDecision(unit.id, False, SOURCE_PREDEFINED)
-    request = prompts.request("filter", unit.source_text, config)
-    for _ in range(max(1, config.filter_parse_retries)):
-        try:
-            reply = client.chat(request).strip()
-        except LlmError as exc:
-            client.warn(
-                f"filter call failed for unit {unit.id} ({unit.env_name}): "
-                f"{exc}; defaulting to preserve"
-            )
-            return FilterDecision(unit.id, False, SOURCE_DEFAULT)
-        if reply == "True":
-            return FilterDecision(unit.id, True, SOURCE_LLM)
-        if reply == "False":
-            return FilterDecision(unit.id, False, SOURCE_LLM)
-    client.warn(
-        f"filter reply unparseable for unit {unit.id} ({unit.env_name}) "
-        f"after {config.filter_parse_retries} attempts; defaulting to preserve"
-    )
+    try:
+        reply = client.chat(prompts.request("filter", unit.source_text, config))
+    except LlmError as exc:
+        problem = f"filter call failed for unit {unit.id} ({unit.env_name}): {exc}"
+    else:
+        # Edge whitespace, then quotes, backticks or '*' around the word, then
+        # one trailing '.' go: 'True', **False**, TRUE and True. all count.
+        word = reply.strip().strip("'\"`*").removesuffix(".").casefold()
+        if word in ("true", "false"):
+            return FilterDecision(unit.id, word == "true", SOURCE_LLM)
+        problem = f"filter reply unparseable for unit {unit.id} ({unit.env_name}): {reply[:60]!r}"
+    client.warn(f"{problem}; defaulting to preserve")
     return FilterDecision(unit.id, False, SOURCE_DEFAULT)
 
 

@@ -60,6 +60,13 @@ def test_unknown_keys_rejected(tmp_path):
     assert "max_rounds" in str(err.value)
 
 
+def test_removed_filter_parse_retries_key_is_unknown(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("filter_parse_retries: 3\n")
+    with pytest.raises(ConfigError, match="unknown config keys: filter_parse_retries"):
+        load_config(path)
+
+
 def test_env_interpolation(tmp_path, monkeypatch):
     monkeypatch.setenv("MY_ENDPOINT", "http://inference:9000/v1")
     path = tmp_path / "run.yaml"
@@ -120,7 +127,6 @@ def test_validation_catches_bad_values():
 @pytest.mark.parametrize(
     "field, bad, good",
     [
-        ("filter_parse_retries", 0, 1),
         ("request_timeout", 0, 0.5),
         ("request_timeout", -1, 0.5),
         ("compile_timeout", 0, 0.5),

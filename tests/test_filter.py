@@ -80,16 +80,46 @@ def test_whitespace_around_verdict_tolerated():
     assert decision.translate is True
 
 
-def test_garbage_replies_retried_then_defaulted():
-    replies = iter(["maybe", "TRUE", "yes"])  # one request, asked three times
-    backend = RuleBackend([(r"", lambda _m, _r: next(replies))])
+@pytest.mark.parametrize(
+    "reply, translate",
+    [
+        ("'True'", True),  # as the template quotes it
+        ('"False"', False),
+        ("**False**", False),
+        ("`true`", True),
+        ("TRUE", True),
+        ("True.", True),
+        (" false.\n", False),
+    ],
+)
+def test_verdict_read_leniently(reply, translate):
+    backend = RuleBackend([], default=reply)
+    decision = classify_unit(env_unit(), protected_environments(), client_of(backend), CFG)
+    assert decision == FilterDecision(0, translate, SOURCE_LLM)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        "maybe",
+        "True because it is prose",
+        "Yes",
+        "It depends on the content.",
+        "True..",
+        "Tru",
+        "**",
+        pytest.param("x" * 59 + "\n" + "y" * 40, id="long"),  # the warning quotes 60 characters
+    ],
+)
+def test_garbage_reply_sent_once_then_defaulted(reply):
+    backend = RuleBackend([], default=reply)
     client = client_of(backend)
-    decision = classify_unit(
-        env_unit(), protected_environments(), client, RunConfig(filter_parse_retries=3)
-    )
+    decision = classify_unit(env_unit(), protected_environments(), client, CFG)
     assert decision == FilterDecision(0, False, SOURCE_DEFAULT)
-    assert backend.calls == 3
-    assert any("unparseable" in w for w in client.warnings)
+    assert backend.calls == 1  # temperature 0: a resend would get the same reply
+    assert client.warnings == [
+        f"filter reply unparseable for unit 0 (tcolorbox): {reply[:60]!r}; defaulting to preserve"
+    ]
 
 
 def test_transport_failure_defaults_to_preserve():

@@ -220,6 +220,19 @@ def test_verbatim_body_swallowed_whole():
     assert "% not a comment" not in out
 
 
+def test_verbatim_inside_a_block_hides_its_end():
+    block = (
+        "\\begin{itemize}\n\\begin{verbatim}\n\\end{itemize}\n\\end{verbatim}\n"
+        "\\end{itemize}"
+    )
+    text = _body(block + "\n")
+    warnings = []
+    out, pmap, _ = extract_environments(text, warnings)
+    assert [e.original_text for e in pmap] == [block]
+    assert warnings == []
+    assert pmap.restore(out) == text
+
+
 def test_commented_begin_ignored():
     text = _body("% \\begin{figure}\nreal text\n")
     out, pmap, _ = extract_environments(text)

@@ -29,7 +29,7 @@ from latexmt.parser import (
     merge_project,
 )
 
-from test_parser_scan_equivalence import texts
+from test_parser_scan_equivalence import ESCAPED_BEGIN, texts
 from test_round_trip import projects
 
 # --------------------------------------------------------------------------
@@ -127,6 +127,12 @@ CAPTION_BEFORE_SKIPPED = (
 CAPTION_FROM_SKIPPED = (
     "\\begin{figure}\n\\begin{verbatim}\nx\n\\end{verbatim}\\caption{a\nb} %c\n\\end{figure}\n"
 )
+# A \begin after an escaped backslash opens no verbatim, before and after
+# the caption and block cuts around it.
+ESCAPED_BEGIN_IN_FLOAT = (
+    "\\begin{document}\n\\begin{figure}\n\\caption{a} \\\\begin{verbatim} % c\n"
+    "\\end{figure}\\\\begin{verbatim} %d\n\\end{document}\n"
+)
 
 
 def assert_hands_on_a_scan(text: str, spans=None) -> None:
@@ -144,6 +150,8 @@ def assert_hands_on_a_scan(text: str, spans=None) -> None:
 @example(BLOCK_BEFORE_SKIPPED)
 @example(CAPTION_BEFORE_SKIPPED)
 @example(CAPTION_FROM_SKIPPED)
+@example(ESCAPED_BEGIN)
+@example(ESCAPED_BEGIN_IN_FLOAT)
 def test_each_pass_hands_on_what_a_scan_of_its_output_gives(text):
     assert_hands_on_a_scan(text)
 

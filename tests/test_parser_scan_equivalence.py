@@ -37,9 +37,10 @@ def oracle_comment_spans(text: str) -> list[tuple[int, int]]:
         while True:
             cut = oracle_comment_start(line, start, content_len)
             scan_end = content_len if cut is None else cut
+            landed = oracle_landings(line, start, scan_end)
             begin = next(
                 (m for m in BEGIN_RE.finditer(line, start, scan_end)
-                 if m.group(1) in VERBATIM_ENVS),
+                 if m.group(1) in VERBATIM_ENVS and m.start() in landed),
                 None,
             )
             if begin is None:
@@ -55,6 +56,16 @@ def oracle_comment_spans(text: str) -> list[tuple[int, int]]:
             start = close + len(end)
         offset += len(line)
     return spans
+
+
+def oracle_landings(line: str, start: int, limit: int) -> set[int]:
+    """The offsets the walk stops at: every character a backslash does not take."""
+    landed = set()
+    i = start
+    while i < limit:
+        landed.add(i)
+        i += 2 if line[i] == "\\" else 1
+    return landed
 
 
 def oracle_comment_start(line: str, start: int, limit: int) -> int | None:
@@ -174,6 +185,8 @@ VERBATIM_THEN_COMMENT = (
 CUT_VERBATIM = "\\begin{verbatim}50%\\end{verbatim}\n%a\n\\end{verbatim}\n%b\n"
 # Percent signs after one, two and three backslashes.
 ESCAPED_PERCENT = "a\\%b\\\\%c\n\\\\\\%d %e\n"
+# A \begin after an escaped backslash is text: the '%' after it is a comment.
+ESCAPED_BEGIN = "a \\\\begin{verbatim} % c\n\\section{S}\n"
 # A \begin whose name is on the next line opens nothing.
 SPLIT_BEGIN = "\\begin\x0b{verbatim}\n%a\n"
 # Escaped braces and brackets inside groups and optional arguments.
@@ -186,6 +199,7 @@ ESCAPES = "[\\]]{\\}}[{\\{]}]\\\n{\\\n}"
 @example(SPLIT_BEGIN)
 @example(CUT_VERBATIM)
 @example(ESCAPED_PERCENT)
+@example(ESCAPED_BEGIN)
 def test_comment_spans_matches_the_walk(text):
     assert parser.comment_spans(text) == oracle_comment_spans(text)
 
