@@ -112,28 +112,27 @@ class TermDictionary:
     """Ordered source-term -> target-term pairs; first occurrence wins."""
 
     def __init__(self):
-        self._pairs: list[tuple[str, str]] = []
-        self._by_source: dict[str, str] = {}
+        self._pairs: dict[str, str] = {}
 
     def add(self, source_term: str, target_term: str) -> bool:
         """Record a pair unless the source term is already pinned."""
         key = source_term.strip()
-        if not key or key in self._by_source:
+        if not key or key in self._pairs:
             return False
-        self._by_source[key] = target_term
-        self._pairs.append((key, target_term))
+        self._pairs[key] = target_term
         return True
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __iter__(self):
-        return iter(self._pairs)
+        return iter(self._pairs.items())
 
     def render(self, text: str, cap: int) -> str:
         """Of the most recent *cap* pairs, one line each for those *text* holds (casefolded)."""
         folded = text.casefold()
-        return "\n".join(f'"{s}" - "{t}"' for s, t in self._pairs[-cap:] if s.casefold() in folded)
+        recent = list(self._pairs.items())[-cap:]
+        return "\n".join(f'"{s}" - "{t}"' for s, t in recent if s.casefold() in folded)
 
 
 @dataclass(frozen=True)

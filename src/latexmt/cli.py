@@ -131,11 +131,7 @@ def _write_maps(parsed, maps_dir: Path) -> None:
     parsed.cap_map.save(maps_dir / "cap_map.json")
     parsed.env_map.save(maps_dir / "env_map.json")
     _write_json(
-        maps_dir / "file_boundaries.json",
-        [
-            {"token_id": b.token_id, "path": b.path, "directive": b.directive}
-            for b in parsed.merged.boundaries
-        ],
+        maps_dir / "file_boundaries.json", [dataclasses.asdict(b) for b in parsed.merged.boundaries]
     )
 
 

@@ -166,10 +166,8 @@ def _coerce(name: str, default, value):
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
         return value
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name} must be a mapping, got {value!r}")
-        return value
+    if not isinstance(value, dict):  # the one field type left: a mapping
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
     return value
 
 

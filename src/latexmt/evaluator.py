@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyCorpus
 
@@ -114,19 +114,7 @@ class CorpusScore:
     mean_score: float
 
     def to_dict(self) -> dict:
-        return {
-            "documents": [
-                {
-                    "doc_id": d.doc_id,
-                    "error_count": d.error_count,
-                    "warning_count": d.warning_count,
-                    "compiled": d.compiled,
-                    "score": d.score,
-                }
-                for d in self.documents
-            ],
-            "mean_score": self.mean_score,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .config import CJK_LANGUAGES, RunConfig
 from .evaluator import fc_score, parse_log
-from .parser import GRAN_SECTION, MergedDocument, TranslationUnit, find_begin_document
+from . import parser
+from .parser import GRAN_SECTION, MergedDocument, TranslationUnit
 from .placeholders import (
     CAP_TOKEN_RE,
     ENV_TOKEN_RE,
@@ -163,24 +164,25 @@ def inject_language_preamble(
 ) -> str:
     """Insert the target language's support lines before ``\\begin{document}``.
 
-    Idempotent: lines already live in the preamble, outside comments, are
-    not added again.  Given the merged document, the preamble includes the
-    files it ``\\input``s, and the lines land in whichever file holds
-    ``\\begin{document}``.  Languages without an entry (e.g. ``en``)
-    leave the text untouched.
+    Idempotent: lines already live in the preamble, outside comments and
+    verbatim-like bodies, are not added again.  Given the merged document,
+    the preamble includes the files it ``\\input``s, and the lines land in
+    whichever file holds ``\\begin{document}``.  Languages without an entry
+    (e.g. ``en``) leave the text untouched.
     """
     table = DEFAULT_LANGUAGE_PREAMBLES if preambles is None else preambles
     lines = table.get(target_language, ())
     if not lines:
         return text
-    insert_at, spans = find_begin_document(text)
+    spans = parser.comment_spans(text)
+    insert_at, _, _ = parser.document_body(text, spans)
     if insert_at is None:
         if warnings is not None:
             warnings.append(
                 "no \\begin{document} found; language preamble prepended to file"
             )
         insert_at = 0
-    # The preamble without its comments: the gaps between the spans before insert_at.
+    # The preamble as TeX reads it: the gaps between the spans before insert_at.
     cuts = [0, *(i for span in spans if span[0] < insert_at for i in span), insert_at]
     region = "".join(text[a:b] for a, b in zip(cuts[::2], cuts[1::2]))
     missing = [line for line in lines if line not in region]

@@ -9,17 +9,19 @@ earlier ones:
 4. ``split_sections``      - cut the remaining text at sectioning commands
 5. ``enumerate_units``     - one flat, ordered list of translation units
 
-Every pass finds structure with ``_next_live``: a match counts only outside
-comments (an unescaped ``%`` hides the rest of the line; inside
-``verbatim``-like environments it is literal) and when it is not escaped.
-Includes and captions also skip verbatim-like bodies.  Each source file is
-scanned once, by ``comment_spans`` with the verbatim bodies: the merge puts
-the merged text's spans together from its files', and each pass hands its
-output's on, carried through its cuts, to the next.  Where carrying would
-not give what a scan gives, the text is scanned again.  A source that
-already holds a placeholder token is refused.  Structural problems such as
-unbalanced braces, a stray ``\\end`` or a brace-less ``\\input`` are
-recorded as warning strings, never raised.
+Every pass finds structure with ``_next_live``: a match counts only when it
+is not escaped and lies outside the spans it is given.  ``comment_spans``
+finds them in one scan: the comments (an unescaped ``%`` hides the rest of
+the line; inside ``verbatim``-like environments it is literal) and the
+verbatim-like bodies.  Includes, captions and ``document_body`` skip both;
+the block and section searches skip the comments alone (``_comments``),
+since a verbatim block is itself a block.  Each source file is scanned
+once: the merge puts the merged text's spans together from its files', and
+each pass hands its output's on, carried through its cuts, to the next.
+Where carrying would not give what a scan gives, the text is scanned
+again.  A source that already holds a placeholder token is refused.
+Structural problems such as unbalanced braces, a stray ``\\end`` or a
+brace-less ``\\input`` are recorded as warning strings, never raised.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from pathlib import Path, PurePosixPath
 
 from .errors import InclusionCycle, MissingMainFile, PlaceholderError
 from .placeholders import (
-    KIND_CAP,
-    KIND_ENV,
     PlaceholderMap,
     TOKEN_RE,
     cap_token,
@@ -117,15 +117,15 @@ _OPTIONAL_RE = re.compile(r"\\[{}\[\]\\]|[{}\[\]]")
 # low-level scanning
 
 
-def comment_spans(text: str, verbatim: bool = False) -> list[tuple[int, int]]:
-    """Return sorted (start, end) spans of commented-out text.
+def comment_spans(text: str) -> list[tuple[int, int]]:
+    """Return sorted (start, end) spans of the comments and verbatim-like bodies.
 
-    A span runs from an unescaped ``%`` to the end of that line, excluding
+    A comment runs from an unescaped ``%`` to the end of that line, excluding
     the newline itself (TeX eats it, but for our purposes the line boundary
     must survive).  Percent signs inside verbatim-like environments, one
     line long or not, do not open comments.  Lines are those of ``str.splitlines``.
-    With *verbatim*, each such environment, from its ``\\begin`` to its
-    ``\\end`` (or the end of the text), is a span as well.
+    Each such environment, from its ``\\begin`` to its ``\\end`` (or the end
+    of the text), is a span as well.
     """
     spans: list[tuple[int, int]] = []
     pos = 0
@@ -141,13 +141,11 @@ def comment_spans(text: str, verbatim: bool = False) -> list[tuple[int, int]]:
             if close != -1:  # opened and closed on the same line
                 pos = close + len(end)
             elif (close := text.find(end, next_line)) == -1:  # verbatim to the end
-                if verbatim:
-                    spans.append((m.start(), len(text)))
+                spans.append((m.start(), len(text)))
                 break
             else:  # verbatim up to the first later line that holds its \end
                 pos = _line_bounds(text, close)[1]
-            if verbatim:
-                spans.append((m.start(), close + len(end)))
+            spans.append((m.start(), close + len(end)))
         elif pct == -1:
             break
         elif _escaped(text, pct):
@@ -167,15 +165,15 @@ def _line_bounds(text: str, pos: int) -> tuple[int, int]:
 
 
 def _comments(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The comment view of *text*'s verbatim-view *spans*: those opened by ``%``."""
+    """The comments among *text*'s *spans*: those opened by ``%``."""
     return [span for span in spans if text[span[0]] == "%"]
 
 
 def _cut(text: str, spans: list[tuple[int, int]], cuts: list[tuple[int, int, str]], inner=()):
-    """*text* with each ``(start, end, token)`` cut replaced by its token, and its verbatim view.
+    """*text* with each ``(start, end, token)`` cut replaced by its token, and its spans.
 
-    Of *spans*, *text*'s view, those inside a cut go and later ones shift;
-    *inner*, if given, holds each token's own view, or None where a span of
+    Of *spans*, *text*'s, those inside a cut go and later ones shift;
+    *inner*, if given, holds each token's own spans, or None where a span of
     the token's runs on past it.  Where that would differ from a scan, the new
     text is scanned: a span lies partly inside a cut, a cut is in the rest of
     a line that the scan skips after a multi-line verbatim's ``\\end``, or a
@@ -206,10 +204,10 @@ def _cut(text: str, spans: list[tuple[int, int]], cuts: list[tuple[int, int, str
             if (i < len(cuts) and starts[i] <= rest) or (inside and ends[k - 1] < rest):
                 exact = exact and not _LINE_BREAK_RE.search(text, start, end)
         if not exact:
-            return out, comment_spans(out, verbatim=True)
+            return out, comment_spans(out)
     for k, token_spans in enumerate(inner):
         if token_spans is None:
-            return out, comment_spans(out, verbatim=True)
+            return out, comment_spans(out)
         at = starts[k] + shifts[k]
         carried += [(start + at, end + at) for start, end in token_spans]
     return out, sorted(carried) if inner else carried
@@ -426,7 +424,7 @@ def merge_project(project: ProjectSource) -> MergedDocument:
                 m.group(0), f"already in the source, at offset {m.start()} in {rel_path}"
             )
         visiting.append(rel_path)
-        spans = comment_spans(text, verbatim=True)
+        spans = comment_spans(text)
         span_at = _span_index(spans)
         cuts, inner = [], []
         scan = 0
@@ -485,12 +483,12 @@ def extract_captions(
     short-caption argument, and nested braces in the body.  Tokens are
     numbered from zero in document order.  Captions in comments and in
     verbatim-like environments are text, not captions.  *spans*, *text*'s
-    ``comment_spans(text, verbatim=True)``, is scanned when not given.
+    ``comment_spans(text)``, is scanned when not given.
     """
     if warnings is None:
         warnings = []
     if spans is None:
-        spans = comment_spans(text, verbatim=True)
+        spans = comment_spans(text)
     span_at = _span_index(spans)
     in_float = _span_index(_float_spans(text, span_at))
     pmap = PlaceholderMap()
@@ -529,7 +527,7 @@ def extract_captions(
             )
             continue
         token = cap_token(len(cuts))
-        pmap.add(token, KIND_CAP, text[i + 1 : close])
+        pmap.add(token, text[i + 1 : close])
         cuts.append((i + 1, close, token))
         scan = close
     out, spans = _cut(text, spans, cuts)
@@ -562,9 +560,9 @@ def extract_environments(
     if warnings is None:
         warnings = []
     if spans is None:
-        spans = comment_spans(text, verbatim=True)
+        spans = comment_spans(text)
     span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
-    body_start, body_end = _document_body(text, span_at)
+    _, body_start, body_end = document_body(text, spans)
     pmap = PlaceholderMap()
     cuts: list[tuple[int, int, str]] = []
     scan = body_start
@@ -576,7 +574,7 @@ def extract_environments(
                 f"UnmatchedEnvironment: stray \\end{{{name}}} at offset {m.start()}"
             )
             continue
-        # A verbatim's own body is a span of the verbatim view.
+        # A verbatim's own body is one of the spans.
         end = _find_env_end(text, m.end(), name, span_at if name in VERBATIM_ENVS else verbatim_at)
         if end is None or end > body_end:
             warnings.append(
@@ -585,26 +583,26 @@ def extract_environments(
             )
             continue
         token = env_token(len(cuts))
-        pmap.add(token, KIND_ENV, text[m.start() : end])
+        pmap.add(token, text[m.start() : end])
         cuts.append((m.start(), end, token))
         scan = end
     out, spans = _cut(text, spans, cuts)
     return out, pmap, spans
 
 
-def _document_body(text: str, span_at) -> tuple[int, int]:
+def document_body(text: str, spans: list[tuple[int, int]]) -> tuple[int | None, int, int]:
+    """Where the live ``\\begin{document}`` starts (or None), and where the body starts and ends.
+
+    The body runs from that ``\\begin`` to the live ``\\end{document}`` after
+    it, or to the end of *text*; with no ``\\begin``, it is all of *text*.
+    Neither counts inside one of *spans*, *text*'s ``comment_spans``.
+    """
+    span_at = _span_index(spans)
     m = _next_live(_BEGIN_DOC_RE, text, span_at)
     if m is None:
-        return 0, len(text)
+        return None, 0, len(text)
     e = _next_live(_END_DOC_RE, text, span_at, m.end())
-    return m.end(), e.start() if e is not None else len(text)
-
-
-def find_begin_document(text: str) -> tuple[int | None, list[tuple[int, int]]]:
-    """Offset of the first effective ``\\begin{document}``, or None, and *text*'s comment spans."""
-    spans = comment_spans(text)
-    m = _next_live(_BEGIN_DOC_RE, text, _span_index(spans))
-    return (m.start() if m is not None else None), spans
+    return m.start(), m.end(), e.start() if e is not None else len(text)
 
 
 # --------------------------------------------------------------------------
@@ -648,14 +646,15 @@ class TranslationUnit:
 def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> list[TranslationUnit]:
     """Cut the document into preamble + section-sized units.
 
-    The preamble (up to and including ``\\begin{document}``) becomes a
-    non-translatable unit.  The body is split before every sectioning
+    The preamble (up to and including the live ``\\begin{document}``, as
+    :func:`document_body` finds it) becomes a non-translatable unit.  The body is split before every sectioning
     command; front matter before the first section is its own unit.  The
     concatenation of all ``source_text`` fields equals *text* exactly.
     """
-    span_at = _span_index(comment_spans(text) if spans is None else _comments(text, spans))
-    m = _next_live(_BEGIN_DOC_RE, text, span_at)
-    prev = scan = 0 if m is None else m.end()
+    if spans is None:
+        spans = comment_spans(text)
+    _, prev, _ = document_body(text, spans)
+    scan, span_at = prev, _span_index(_comments(text, spans))
     units = [TranslationUnit(0, GRAN_SECTION, text[:prev], False, role="preamble")] if prev else []
     segments: list[str] = []
     while (c := _next_live(_SECTION_RE, text, span_at, scan)) is not None:

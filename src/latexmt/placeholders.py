@@ -13,11 +13,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
-KIND_CAP = "CAP"
-KIND_ENV = "ENV"
-
-_KINDS = (KIND_CAP, KIND_ENV)
-
 # Any token this package ever emits.
 TOKEN_RE = re.compile(
     r"<PLACEHOLDER_(?:CAP|ENV)_\d+>|<PLACEHOLDER_FILE_\d+_(?:begin|end)>"
@@ -46,7 +41,6 @@ def file_end_token(index: int) -> str:
 @dataclass(frozen=True)
 class PlaceholderEntry:
     token: str
-    kind: str
     original_text: str
 
 
@@ -54,27 +48,21 @@ class PlaceholderMap:
     """Ordered, write-once table from token to the exact source text it hides."""
 
     def __init__(self):
-        self._entries: list[PlaceholderEntry] = []
         self._by_token: dict[str, PlaceholderEntry] = {}
 
-    def add(self, token: str, kind: str, original_text: str) -> PlaceholderEntry:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown placeholder kind: {kind!r}")
+    def add(self, token: str, original_text: str) -> None:
         if token in self._by_token:
             raise ValueError(f"duplicate placeholder token: {token}")
-        entry = PlaceholderEntry(token, kind, original_text)
-        self._entries.append(entry)
-        self._by_token[token] = entry
-        return entry
+        self._by_token[token] = PlaceholderEntry(token, original_text)
 
     def get(self, token: str) -> PlaceholderEntry | None:
         return self._by_token.get(token)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_token)
 
     def __iter__(self) -> Iterator[PlaceholderEntry]:
-        return iter(self._entries)
+        return iter(self._by_token.values())
 
     def restore(self, text: str) -> str:
         """Replace every known token in *text* with its original source.
@@ -91,6 +79,6 @@ class PlaceholderMap:
 
     def save(self, path: Path | str) -> None:
         """Write the entries, in order, as ``{"entries": [...]}`` JSON."""
-        payload = {"entries": [asdict(e) for e in self._entries]}
+        payload = {"entries": [asdict(e) for e in self]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         Path(path).write_text(text, encoding="utf-8")

@@ -47,7 +47,6 @@ from latexmt.placeholders import (
     CAP_TOKEN_RE,
     ENV_TOKEN_RE,
     FILE_TOKEN_RE,
-    KIND_ENV,
     PlaceholderMap,
     TOKEN_RE,
     env_token,
@@ -249,7 +248,7 @@ def test_05_validator_mechanics(announce):
         assert len(result.reports) == cfg.max_validation_rounds
         assert unit.status == STATUS_FAILED
         env_map = PlaceholderMap()
-        env_map.add(env_token(0), KIND_ENV, "\\begin{equation}x\\end{equation}")
+        env_map.add(env_token(0), "\\begin{equation}x\\end{equation}")
         text = reassemble([unit], PlaceholderMap(), env_map)
         assert "Keep \\textbf{this}" in text  # source fallback, not the broken text
         assert "\\\u5de6" not in text

@@ -307,6 +307,13 @@ def test_command_counts_must_match_exactly():
     assert "source has 2, translation has 1" in findings[0].description
 
 
+def test_a_command_used_more_often_is_a_count_change():
+    [finding] = check_command_integrity(unit_with("\\emph{a}", "\\emph{a} \\emph{b}"))
+    assert finding.description == (
+        "control sequence \\emph count changed (source has 1, translation has 2)"
+    )
+
+
 # --------------------------------------------------------------------------
 # completeness judge
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,26 @@ def test_parse_reports_unit_counts(tmp_path, capsys):
 
 def test_parse_missing_project_is_usage_error(tmp_path):
     assert run(["parse", "--project", str(tmp_path / "nope")]) == 2
+
+
+def test_parse_prints_a_brace_less_input_warning(tmp_path, capsys):
+    main = PARSE_FIXTURE["main.tex"].replace("alpha text\n", "\\input chap\n")
+    proj = write_files(tmp_path / "doc", {"main.tex": main, "chap.tex": "x\n"})
+    assert run(["parse", "--project", str(proj), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: brace-less \\input at offset 53 in main.tex; not merged, left in place\n"
+    )
+
+
+def test_parse_of_an_include_cycle_is_a_failure(tmp_path, capsys):
+    proj = write_files(tmp_path / "doc", {
+        "main.tex": "\\documentclass{a}\\begin{document}\\input{a}\\end{document}",
+        "a.tex": "\\input{a}",
+    })
+    assert run(["parse", "--project", str(proj), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error: InclusionCycle: inclusion cycle: main.tex -> a.tex -> a.tex\n"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +239,19 @@ def test_translate_missing_engine_skips_compilation(tmp_path, capsys):
         f"TeX engine not found on PATH: {engine}; compilation skipped"
         in report["warnings"]
     )
+
+
+def test_translate_again_replaces_the_previous_tree(tmp_path):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--mock", "echo", "--no-compile"]
+    assert run([*argv, "--out", str(out)]) == 0
+    first = (out / "doc" / "report.json").read_bytes()
+    stale = out / "doc" / "tex" / "stale.tex"
+    stale.write_text("left over\n")
+    assert run([*argv, "--out", str(out)]) == 0
+    assert not stale.exists()
+    assert (out / "doc" / "report.json").read_bytes() == first
 
 
 def test_translate_missing_project_is_usage_error(tmp_path, capsys):
@@ -524,6 +560,18 @@ def test_two_projects_with_one_name_are_a_usage_error_before_any_tree_is_touched
 BODY = "\\begin{document}\n\\section{A}\nalpha text\n\\end{document}\n"
 XECJK = "\\usepackage{xeCJK}\n"
 INPUTS_PREAMBLE = "\\documentclass{article}\n\\input{preamble}\n"
+
+
+def test_a_config_preamble_entry_replaces_that_languages_lines(tmp_path):
+    proj = write_files(tmp_path / "doc", {"main.tex": "\\documentclass{article}\n" + BODY})
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text('language_preambles:\n  zh: ["\\\\usepackage{ctex}"]\n')
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--config", str(cfg), "--mock", "echo"]
+    assert run([*argv, "--to", "zh", "--no-compile", "--out", str(out)]) == 0
+    assert (out / "doc" / "tex" / "main.tex").read_text() == (
+        "\\documentclass{article}\n\\usepackage{ctex}\n" + BODY
+    )
 
 
 @pytest.mark.parametrize(
@@ -891,6 +939,26 @@ def test_score_skipped_report_and_empty_input(tmp_path, capsys):
     assert "no compile data" in capsys.readouterr().err
 
 
+def test_score_an_output_root_reads_its_reports_compile_data(tmp_path, capsys):
+    compiled = {"skipped": False, "error_count": 1, "warning_count": 2, "success": True}
+    write_files(tmp_path / "out", {
+        "a/report.json": json.dumps({"doc_id": "a", "compile": compiled}),
+        "a/logs/compile.log": "! ignored, the report has the counts\n",
+        "b/report.json": json.dumps({"doc_id": "b", "compile": {"skipped": True}}),
+    })
+    assert run(["score", str(tmp_path / "out"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["documents"] == [
+        {"doc_id": "a", "error_count": 1, "warning_count": 2, "compiled": True, "score": 100.0}
+    ]
+
+
+def test_score_names_a_compile_log_after_its_output_tree(tmp_path, capsys):
+    write_files(tmp_path / "out", {"paper/logs/compile.log": "Output written on main.pdf\n"})
+    assert run(["score", str(tmp_path / "out"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["documents"][0]["doc_id"] == "paper"
+
+
 def test_score_directory_walk(tmp_path, capsys):
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -942,6 +1010,15 @@ def test_config_check_rejects_unknown_keys(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "translate" in capsys.readouterr().out
+
+
+def test_python_m_latexmt_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "latexmt", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: latexmt ")
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -97,6 +97,23 @@ def test_bool_is_not_an_integer(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "line, wanted",
+    [
+        ("compile_enabled: 1", "compile_enabled must be a boolean, got 1"),
+        ("request_timeout: fast", "request_timeout must be a number, got 'fast'"),
+        ("request_timeout: true", "request_timeout must be a number, got True"),
+        ("model: 3", "model must be a string, got 3"),
+        ("language_preambles: [a]", "language_preambles must be a mapping, got ['a']"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_named(tmp_path, line, wanted):
+    path = tmp_path / "run.yaml"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(wanted)}$"):
+        load_config(path)
+
+
 def test_int_accepted_for_float_field(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("request_timeout: 30\n")
@@ -151,6 +168,13 @@ def test_replay_mock_requires_a_recording_apart_from_out_dir(tmp_path):
     assert config.replay_from == "recorded"
 
 
+def test_validation_rejects_an_empty_target_language_and_an_unknown_mock():
+    with pytest.raises(ConfigError, match="^target_language must be set$"):
+        load_config(None, {"target_language": ""})
+    with pytest.raises(ConfigError, match="^mock must be empty, 'echo' or 'replay', not 'live'$"):
+        load_config(None, {"mock": "live"})
+
+
 def test_validation_rejects_a_source_language_the_prompts_do_not_support():
     for tag in ("de", "zh-CN", "", "english"):
         with pytest.raises(ConfigError, match="source_language must be English"):
@@ -183,6 +207,11 @@ def test_invalid_yaml_is_a_config_error(tmp_path):
     path.write_text("target_language: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_an_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="^cannot read config file: "):
+        load_config(tmp_path / "missing.yaml")
 
 
 def test_non_mapping_root_rejected(tmp_path):

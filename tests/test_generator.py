@@ -35,8 +35,6 @@ from latexmt.parser import (
     parse_project,
 )
 from latexmt.placeholders import (
-    KIND_CAP,
-    KIND_ENV,
     PlaceholderMap,
     cap_token,
     env_token,
@@ -49,9 +47,9 @@ def built_doc():
     """A tiny hand-assembled document: section + figure env + caption."""
     env_body = "\\begin{figure}\\caption{" + cap_token(0) + "}\\end{figure}"
     env_map = PlaceholderMap()
-    env_map.add(env_token(0), KIND_ENV, env_body)
+    env_map.add(env_token(0), env_body)
     cap_map = PlaceholderMap()
-    cap_map.add(cap_token(0), KIND_CAP, "A caption")
+    cap_map.add(cap_token(0), "A caption")
     units = [
         TranslationUnit(
             id=0,
@@ -288,9 +286,27 @@ def test_inject_preamble_adds_a_line_that_is_only_commented_out(monkeypatch):
     commented = DOC.replace("\\begin", "% \\usepackage{xeCJK}\n\\begin")
     out = inject_language_preamble(commented, "zh")
     assert out == commented.replace("\\begin", "\\usepackage{xeCJK}\n\\begin")
-    assert len(scans) == 1  # the \\begin{document} search's scan, reused
+    assert len(scans) == 1  # one scan for the \\begin{document} search and the lines loaded
     live = DOC.replace("\\begin", "\\usepackage{xeCJK} % CJK\n\\begin")
     assert inject_language_preamble(live, "zh") == live
+
+
+def test_inject_preamble_goes_before_the_real_begin_document():
+    text = DOC.replace("\\begin", "\\begin{comment}\n\\begin{document}\n\\end{comment}\n\\begin", 1)
+    real = text.rindex("\\begin{document}")
+    assert inject_language_preamble(text, "zh") == (
+        text[:real] + "\\usepackage{xeCJK}\n" + text[real:]
+    )
+
+
+@pytest.mark.parametrize("env, arg", [("comment", ""), ("filecontents*", "{x.sty}")])
+def test_inject_preamble_adds_a_line_that_only_a_verbatim_body_holds(env, arg):
+    block = f"\\begin{{{env}}}{arg}\n\\usepackage{{xeCJK}}\n\\end{{{env}}}\n"
+    text = DOC.replace("\\begin", block + "\\begin", 1)
+    real = text.rindex("\\begin{document}")
+    assert inject_language_preamble(text, "zh") == (
+        text[:real] + "\\usepackage{xeCJK}\n" + text[real:]
+    )
 
 
 def test_inject_preamble_custom_table():

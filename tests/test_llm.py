@@ -388,6 +388,15 @@ def test_http_backend_malformed_payload():
         backend.complete(req())
 
 
+def test_http_backend_other_status_is_an_error_sent_once():
+    session = FakeSession([FakeResponse(404, text="no such model"), FakeResponse(200, ok_payload())])
+    client = client_for(HttpBackend("http://h", session=session), retry_budget=3)
+    with pytest.raises(LlmError, match="^HTTP 404: no such model$") as info:
+        client.chat(req())
+    assert not isinstance(info.value, TransientLlmError)
+    assert len(session.requests) == 1
+
+
 def cut_payload(text="bonj", finish_reason="length"):
     payload = ok_payload(text)
     payload["choices"][0]["finish_reason"] = finish_reason

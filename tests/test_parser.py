@@ -44,15 +44,13 @@ def test_escaped_percent_is_not_a_comment():
 def test_percent_inside_verbatim_is_literal():
     text = "\\begin{verbatim}\na % b\n\\end{verbatim}\nc % d\n"
     spans = comment_spans(text)
-    assert len(spans) == 1
-    s, e = spans[0]
-    assert text[s:e] == "% d"
+    assert [text[s:e] for s, e in spans] == ["\\begin{verbatim}\na % b\n\\end{verbatim}", "% d"]
 
 
 def test_verbatim_opened_and_closed_on_one_line():
     text = "\\begin{verbatim}x\\end{verbatim} % tail\nnext % two\n"
     spans = comment_spans(text)
-    assert [text[s:e] for s, e in spans] == ["% tail", "% two"]
+    assert [text[s:e] for s, e in spans] == ["\\begin{verbatim}x\\end{verbatim}", "% tail", "% two"]
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +135,31 @@ def test_caption_inside_verbatim_body_is_text(project_factory, block):
     [verbatim] = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
     assert verbatim.source_text == block[:-1]
     assert "PLACEHOLDER_CAP" not in verbatim.source_text
+
+
+def test_captionof_without_a_braced_type_is_left_alone():
+    for text in ("\\begin{figure}\\captionof table{x}\\end{figure}",
+                 "\\begin{figure}\\captionof{table\\end{figure}"):
+        warnings = []
+        out, pmap, _ = extract_captions(text, warnings)
+        assert (out, len(pmap), warnings) == (text, 0, [])
+
+
+def test_unterminated_optional_argument_is_a_warning():
+    text = "\\begin{figure}\\caption[short{x}\\end{figure}"
+    warnings = []
+    out, pmap, _ = extract_captions(text, warnings)
+    assert (out, len(pmap)) == (text, 0)
+    assert warnings == [
+        "UnbalancedBraces: unterminated optional argument of \\caption at offset 14"
+    ]
+
+
+def test_bare_caption_has_nothing_to_protect():
+    text = "\\begin{figure}\\caption[s] x\\end{figure}"
+    warnings = []
+    out, pmap, _ = extract_captions(text, warnings)
+    assert (out, len(pmap), warnings) == (text, 0, [])
 
 
 def test_captionsetup_is_not_a_caption():
@@ -233,6 +256,16 @@ def test_verbatim_inside_a_block_hides_its_end():
     assert pmap.restore(out) == text
 
 
+def test_an_end_document_inside_a_body_verbatim_does_not_end_the_body(project_factory):
+    verbatim = "\\begin{verbatim}\n\\end{document}\n\\end{verbatim}"
+    itemize = "\\begin{itemize}\n\\item x\n\\end{itemize}"
+    main = _body(f"\\section{{A}}\n{verbatim}\n{itemize}\n")
+    parsed = parse_project(ProjectSource.from_dir(project_factory({"main.tex": main})))
+    envs = [u for u in enumerate_units(parsed) if u.granularity == GRAN_ENVIRONMENT]
+    assert [u.source_text for u in envs] == [verbatim, itemize]
+    assert parsed.warnings == []
+
+
 def test_commented_begin_ignored():
     text = _body("% \\begin{figure}\nreal text\n")
     out, pmap, _ = extract_environments(text)
@@ -294,6 +327,24 @@ def test_percent_in_a_one_line_verbatim_leaves_later_comments_alone():
     assert len(units) == 3
     assert "% \\section{Hidden}" in units[1].source_text
     assert units[2].source_text.startswith("\\section{A}")
+
+
+# A \\begin{document} inside a preamble comment block, which TeX never reads.
+COMMENTED_BEGIN = (
+    "\\documentclass{article}\n\\begin{comment}\n\\begin{document}\n\\end{comment}\n"
+    "\\begin{document}\n\\begin{itemize}\n\\item x\n\\end{itemize}\n\\end{document}\n"
+)
+
+
+def test_a_begin_document_inside_a_preamble_comment_block_is_not_the_real_one():
+    real = COMMENTED_BEGIN.rindex("\\begin{document}") + len("\\begin{document}")
+    warnings = []
+    out, pmap, spans = extract_environments(COMMENTED_BEGIN, warnings)
+    assert warnings == []
+    assert [e.original_text for e in pmap] == ["\\begin{itemize}\n\\item x\n\\end{itemize}"]
+    for units in (split_sections(COMMENTED_BEGIN), split_sections(out, spans)):
+        assert units[0].role == "preamble"
+        assert units[0].source_text == COMMENTED_BEGIN[:real]
 
 
 def test_fragment_without_document_env():
@@ -369,6 +420,12 @@ def test_main_detection_falls_back_alphabetically(project_factory):
         }
     )
     assert ProjectSource.from_dir(root).main_file == "alpha.tex"
+
+
+def test_main_detection_needs_a_documentclass(project_factory):
+    root = project_factory({"a.tex": "\\section{A}\n", "b.tex": "text\n"})
+    with pytest.raises(MissingMainFile, match="no file contains \\\\documentclass"):
+        ProjectSource.from_dir(root)
 
 
 def test_explicit_main_must_exist(project_factory):

@@ -1,10 +1,11 @@
 """The spans each parser pass hands on, and the float and end searches.
 
-``merge_project`` puts the merged text's verbatim view
-(``comment_spans(text, verbatim=True)``) together from its files', and
+``merge_project`` puts the merged text's spans (``comment_spans(text)``:
+comments and verbatim-like bodies) together from its files', and
 ``extract_captions`` and ``extract_environments`` carry their input's
 through their cuts; each hands it on to the next pass.  Carried or scanned,
-the spans must be the ones a scan of the output gives, in both views.
+the spans must be the ones a scan of the output gives, and their comments
+the ones the ``%`` walk finds.
 ``_float_spans`` searches float names only and ``_find_env_end`` compiles
 each name's pattern once; the walks they replaced are kept below as their
 oracles.
@@ -29,7 +30,7 @@ from latexmt.parser import (
     merge_project,
 )
 
-from test_parser_scan_equivalence import ESCAPED_BEGIN, texts
+from test_parser_scan_equivalence import ESCAPED_BEGIN, oracle_comment_spans, texts
 from test_round_trip import projects
 
 # --------------------------------------------------------------------------
@@ -137,11 +138,11 @@ ESCAPED_BEGIN_IN_FLOAT = (
 
 def assert_hands_on_a_scan(text: str, spans=None) -> None:
     decapped, _, spans = parser.extract_captions(text, None, spans)
-    assert spans == comment_spans(decapped, verbatim=True)
-    assert _comments(decapped, spans) == comment_spans(decapped)
+    assert spans == comment_spans(decapped)
+    assert _comments(decapped, spans) == oracle_comment_spans(decapped)
     stripped, _, spans = parser.extract_environments(decapped, None, spans)
-    assert spans == comment_spans(stripped, verbatim=True)
-    assert _comments(stripped, spans) == comment_spans(stripped)
+    assert spans == comment_spans(stripped)
+    assert _comments(stripped, spans) == oracle_comment_spans(stripped)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,7 +164,7 @@ def test_each_pass_hands_on_what_a_scan_of_its_output_gives(text):
 @example(INCLUDE_IN_SKIPPED)
 def test_each_pass_hands_on_what_a_scan_gives_on_merged_projects(files):
     doc = merged(files)
-    assert doc.spans == comment_spans(doc.text, verbatim=True)
+    assert doc.spans == comment_spans(doc.text)
     assert_hands_on_a_scan(doc.text, doc.spans)
 
 
@@ -171,7 +172,7 @@ def test_each_pass_hands_on_what_a_scan_gives_on_merged_projects(files):
 @given(texts() | cut_texts() | projects().map(lambda files: merged(files).text))
 @example(CAPTION_BEFORE_SKIPPED)
 def test_float_and_end_searches_match_the_walks(text):
-    span_at = _span_index(comment_spans(text, verbatim=True))
+    span_at = _span_index(comment_spans(text))
     assert parser._float_spans(text, span_at) == walk_float_spans(text, span_at)
     for m in BEGIN_RE.finditer(text):
         assert parser._find_env_end(text, m.end(), m.group(1), span_at) == (

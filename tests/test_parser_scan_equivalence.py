@@ -3,7 +3,9 @@
 ``comment_spans``, ``_match_group`` and ``_match_optional`` jump between
 interesting characters with ``str.find`` and regular expressions.  The
 walks below step through every character instead; they are the reference,
-and the two must agree on any text.
+and the two must agree on any text.  The ``%`` walk finds the comments
+alone, so ``comment_spans``' comments are checked against it apart from its
+verbatim-like bodies.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latexmt import parser
-from latexmt.parser import VERBATIM_ENVS, _span_index
+from latexmt.parser import VERBATIM_ENVS, _comments, _span_index
 
 # --------------------------------------------------------------------------
 # reference walks
@@ -23,13 +25,29 @@ BEGIN_RE = re.compile(r"\\begin\s*\{([^{}]*)\}")
 
 
 def oracle_comment_spans(text: str) -> list[tuple[int, int]]:
+    """The ``%`` comments of *text*."""
+    return oracle_walk(text)[0]
+
+
+def oracle_spans(text: str) -> list[tuple[int, int]]:
+    """The comments and the verbatim-like bodies of *text*, in order."""
+    comments, bodies = oracle_walk(text)
+    return sorted(comments + bodies)
+
+
+def oracle_walk(text: str) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The comments of *text*, and its verbatim-like bodies from ``\\begin`` to ``\\end``."""
     spans: list[tuple[int, int]] = []
+    bodies: list[tuple[int, int]] = []
     in_verbatim: str | None = None
+    opened = 0
     offset = 0
     for line in text.splitlines(keepends=True):
         content_len = len(line.rstrip("\r\n"))
         if in_verbatim is not None:
-            if f"\\end{{{in_verbatim}}}" in line:
+            end = f"\\end{{{in_verbatim}}}"
+            if end in line:
+                bodies.append((opened, offset + line.index(end) + len(end)))
                 in_verbatim = None
             offset += len(line)
             continue
@@ -52,10 +70,14 @@ def oracle_comment_spans(text: str) -> list[tuple[int, int]]:
             close = line.find(end, begin.end(), content_len)
             if close == -1:
                 in_verbatim = begin.group(1)
+                opened = offset + begin.start()
                 break
             start = close + len(end)
+            bodies.append((offset + begin.start(), offset + start))
         offset += len(line)
-    return spans
+    if in_verbatim is not None:
+        bodies.append((opened, len(text)))
+    return spans, bodies
 
 
 def oracle_landings(line: str, start: int, limit: int) -> set[int]:
@@ -167,7 +189,7 @@ def texts(draw):
 
 
 def _span_at(text: str):
-    return _span_index(oracle_comment_spans(text))
+    return _span_index(oracle_spans(text))
 
 
 def _starts(text: str) -> list[int]:
@@ -201,20 +223,20 @@ ESCAPES = "[\\]]{\\}}[{\\{]}]\\\n{\\\n}"
 @example(ESCAPED_PERCENT)
 @example(ESCAPED_BEGIN)
 def test_comment_spans_matches_the_walk(text):
-    assert parser.comment_spans(text) == oracle_comment_spans(text)
+    assert _comments(text, parser.comment_spans(text)) == oracle_comment_spans(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(texts())
 @example(VERBATIM_THEN_COMMENT)
 @example(CUT_VERBATIM)
+@example(ESCAPED_BEGIN)
+@example(SPLIT_BEGIN)
 def test_verbatim_spans_only_add_verbatim_bodies(text):
-    comments = parser.comment_spans(text)
-    spans = parser.comment_spans(text, verbatim=True)
-    assert spans == sorted(spans)
+    spans = parser.comment_spans(text)
+    assert spans == oracle_spans(text)
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-    added = [span for span in spans if span not in comments]
-    assert [span for span in spans if span in comments] == comments
+    added = [span for span in spans if span not in _comments(text, spans)]
     assert all(text.startswith("\\begin", start) for start, _ in added)
 
 

@@ -3,8 +3,6 @@ import json
 import pytest
 
 from latexmt.placeholders import (
-    KIND_CAP,
-    KIND_ENV,
     PlaceholderMap,
     TOKEN_RE,
     cap_token,
@@ -36,8 +34,8 @@ def test_token_re_ignores_lookalikes():
 
 def test_add_and_restore():
     pmap = PlaceholderMap()
-    pmap.add(cap_token(0), KIND_CAP, "A caption")
-    pmap.add(env_token(0), KIND_ENV, "\\begin{x}\\end{x}")
+    pmap.add(cap_token(0), "A caption")
+    pmap.add(env_token(0), "\\begin{x}\\end{x}")
     text = f"pre {env_token(0)} mid {cap_token(0)} post"
     assert pmap.restore(text) == "pre \\begin{x}\\end{x} mid A caption post"
 
@@ -49,32 +47,27 @@ def test_restore_leaves_unknown_tokens_alone():
 
 def test_duplicate_token_rejected():
     pmap = PlaceholderMap()
-    pmap.add(cap_token(0), KIND_CAP, "one")
+    pmap.add(cap_token(0), "one")
     with pytest.raises(ValueError):
-        pmap.add(cap_token(0), KIND_CAP, "two")
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        PlaceholderMap().add(cap_token(0), "WEIRD", "x")
+        pmap.add(cap_token(0), "two")
 
 
 def test_json_round_trip(tmp_path):
     pmap = PlaceholderMap()
-    pmap.add(env_token(0), KIND_ENV, "\\begin{a}%\n\\end{a}")
-    pmap.add(cap_token(0), KIND_CAP, "Nested {braces {deep}}")
+    pmap.add(env_token(0), "\\begin{a}%\n\\end{a}")
+    pmap.add(cap_token(0), "Nested {braces {deep}}")
     path = tmp_path / "map.json"
     pmap.save(path)
     loaded = json.loads(path.read_text(encoding="utf-8"))["entries"]
     assert [e["token"] for e in loaded] == [e.token for e in pmap]
     assert [e["original_text"] for e in loaded] == [e.original_text for e in pmap]
-    assert [e["kind"] for e in loaded] == [KIND_ENV, KIND_CAP]
+    assert all(set(e) == {"token", "original_text"} for e in loaded)
 
 
 def test_insertion_order_preserved():
     pmap = PlaceholderMap()
     for i in (2, 0, 1):
-        pmap.add(env_token(i), KIND_ENV, str(i))
+        pmap.add(env_token(i), str(i))
     assert [e.token for e in pmap] == [env_token(2), env_token(0), env_token(1)]
     assert len(pmap) == 3
     assert pmap.get(env_token(0)) is not None

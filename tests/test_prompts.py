@@ -38,6 +38,11 @@ def test_edited_override_is_picked_up(tmp_path):
     assert prompts.load_template("completeness", tmp_path) == "second, longer"
 
 
+def test_an_unknown_template_name_is_refused(tmp_path):
+    with pytest.raises(KeyError, match="unknown prompt template: 'judge'"):
+        prompts.load_template("judge", tmp_path)
+
+
 def test_missing_override_falls_back_to_packaged_template(tmp_path):
     (tmp_path / "filter.txt").mkdir()  # not a file: ignored, as a missing one is
     assert prompts.load_template("filter", tmp_path) == prompts.load_template("filter")
