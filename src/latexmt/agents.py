@@ -20,16 +20,18 @@ as they stand, its terms request chained, and again if the terms just mined
 add pairs.  An early reply answers only a byte-equal request.  An early
 request never taken runs only above a bound of 1, and is then discarded
 unseen (:class:`~latexmt.llm.Pending`), so every bound runs one program.
-Every filter call is submitted at the start; an environment's decision is
+The filter's jobs are submitted before the loop starts
+(:func:`~latexmt.unit_filter.classify_units`); an environment's decision is
 taken once the groups are read as far as its unit.  Every agent builds its
 request with :func:`~latexmt.prompts.request` and records warnings with
 :meth:`LlmClient.warn`, which keeps a job's warnings with its calls; jobs
-are taken in program order, the validation jobs in unit order, so results,
-findings, warnings and the transcript read as in a serial run.  Two
-validation dimensions are mechanical (placeholder and control-sequence
-conservation); the third asks a judge model about content completeness and
-degrades to "skipped" without a usable judge reply.  Units still failing
-after the round cap fall back to their source text.
+are taken in program order, the validation jobs read back in the order they
+were started, which is unit order, so results, findings, warnings and the
+transcript read as in a serial run.  Two validation dimensions are
+mechanical (placeholder and control-sequence conservation); the third asks a
+judge model about content completeness and degrades to "skipped" without a
+usable judge reply.  Units still failing after the round cap fall back to
+their source text.
 """
 
 from __future__ import annotations
@@ -253,12 +255,12 @@ def check_round(
 
 
 def validate_unit(
-    unit: TranslationUnit, client: LlmClient, config: RunConfig, first: tuple | None = None
+    unit: TranslationUnit, client: LlmClient, config: RunConfig, first: tuple | None
 ) -> list[tuple[list[Finding], bool]]:
     """Validate *unit*, revising until clean or capped: ``(findings, judge skipped)`` a round.
 
-    A round is :func:`check_round` of the unit alone, round 1 unless *first*
-    is given.  A failed revision keeps the round's findings, unjudged.
+    Round 1 is *first*, if given; every other round is :func:`check_round`
+    of the unit alone.  A failed revision keeps the round's findings, unjudged.
     """
     rounds = [first or check_round((unit,), client, config)[0]]
     while rounds[-1][0] and len(rounds) < config.max_validation_rounds:
@@ -291,37 +293,30 @@ def validate_group(
 
 
 def validate_translations(
-    units: list[TranslationUnit],
-    client: LlmClient,
-    config: RunConfig,
-    started: dict[int, tuple[Pending[list], int]] | None = None,
+    checks: Sequence[tuple[Sequence[TranslationUnit], Pending[list]]], client: LlmClient
 ) -> list[ErrorReport]:
-    """Validate every candidate translation in *units*, revising until clean or capped.
+    """Each ``(group, job)`` of *checks*: the group's :func:`validate_group` rounds, as reports.
 
-    A unit in *started* maps to its group's :func:`validate_group` job and
-    its place in the group; the rest run :func:`validate_unit` now.  The units
-    are taken in order, so reports (one per round), warnings and the
-    transcript read as in a serial run.  A unit with findings after
-    ``max_validation_rounds`` is FAILED, with a warning.
+    The jobs are read back in the order they were started, which is unit
+    order, so reports (one per round), warnings and the transcript read as
+    in a serial run.  A unit with findings after ``max_validation_rounds``
+    is FAILED, with a warning.
     """
     reports: list[ErrorReport] = []
-    for unit in units:
-        if not unit.needs_translation or unit.translated_text is None:
-            continue
-        job, place = (started or {}).get(unit.id, (None, 0))
-        rounds = job.result()[place] if job else validate_unit(unit, client, config)
-        rounds = rounds.result() if isinstance(rounds, Pending) else rounds
-        reports += [ErrorReport(index + 1) for index in range(len(reports), len(rounds))]
-        for report, (findings, skipped) in zip(reports, rounds):
-            report.findings.extend(findings)
-            if skipped:
-                report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
-        unit.status = STATUS_FAILED if findings else STATUS_VALIDATED
-        if findings:
-            client.warn(
-                f"unit {unit.id} still failing after {len(rounds)} validation "
-                f"rounds; falling back to source text"
-            )
+    for group, job in checks:
+        for unit, rounds in zip(group, job.result()):
+            rounds = rounds.result() if isinstance(rounds, Pending) else rounds
+            reports += [ErrorReport(index + 1) for index in range(len(reports), len(rounds))]
+            for report, (findings, skipped) in zip(reports, rounds):
+                report.findings.extend(findings)
+                if skipped:
+                    report.skipped.append(f"unit {unit.id}: {DIM_COMPLETENESS}")
+            unit.status = STATUS_FAILED if findings else STATUS_VALIDATED
+            if findings:
+                client.warn(
+                    f"unit {unit.id} still failing after {len(rounds)} validation "
+                    f"rounds; falling back to source text"
+                )
     return reports
 
 
@@ -543,23 +538,21 @@ def run_pipeline(
 ) -> PipelineResult:
     """Translate every unit, one step per group, and validate each once it is translated.
 
-    *classify* is the environment units' filter decisions
-    (:func:`~latexmt.unit_filter.classify_units`): their model work is all
-    submitted at the start, and the groups (:func:`grouped`) are read only
-    as far as the next step needs, each environment's decision taken, in
-    unit order, as its unit is read.  The validation jobs are taken by
-    :func:`validate_translations`.  The run
-    fails only when no unit produced a candidate translation; an invalid
-    *config* raises :class:`ConfigError` before any call.  Warnings go to
-    ``client.warnings``.
+    *classify* is the environment units' filter decisions and jobs
+    (:func:`~latexmt.unit_filter.classify_units`), and the groups
+    (:func:`grouped`) are read only as far as the next step needs, each
+    environment's decision taken, in unit order, as its unit is read.  Each
+    group's validation job goes on one list as it starts, for
+    :func:`validate_translations` to read back.  The run fails only when no
+    unit produced a candidate translation; an invalid *config* raises
+    :class:`ConfigError` before any call.  Warnings go to ``client.warnings``.
     """
     config.validate()
     summary = Summary()
     dictionary = TermDictionary()
     sections = [i for i, unit in enumerate(units) if unit.granularity == GRAN_SECTION]
     tail = sections[-1] + 1 if sections else 0  # where the units after the last section start
-    jobs = [client.submit(work) if callable(work) else work for work in classify]
-    decided = (job.result() if isinstance(job, Pending) else job for job in jobs)
+    decided = (item.result() if isinstance(item, Pending) else item for item in classify)
     decisions = []  # every decision, taken in unit order as the groups are read
 
     def translatable(part: Sequence[TranslationUnit]) -> Iterator[TranslationUnit]:
@@ -585,11 +578,10 @@ def run_pipeline(
             if new_section := section_source(group):
                 client.send_early(summary_request(summary, new_section, config))
 
-    validating: dict[int, tuple[Pending[list], int]] = {}  # each unit's group job, and its place
+    checks: list[tuple[tuple[TranslationUnit, ...], Pending[list]]] = []  # in unit order
 
     def validate(group: tuple[TranslationUnit, ...]) -> None:
-        job = client.submit(validate_group, group, client, config)
-        validating.update((unit.id, (job, place)) for place, unit in enumerate(group))
+        checks.append((group, client.submit(validate_group, group, client, config)))
 
     def step(i: int, group: tuple[TranslationUnit, ...], within: tuple = ()) -> None:
         """*group*'s translator call, then its summary update, validation job and terms.
@@ -640,7 +632,7 @@ def run_pipeline(
     for unit in units:
         if not unit.needs_translation:
             unit.status = STATUS_VALIDATED  # emitted verbatim, nothing to check
-    if groups and not validating:
+    if groups and not checks:
         raise PipelineFailed(f"all {sum(map(len, groups))} translatable units failed")
-    reports = validate_translations(units, client, config, validating)
+    reports = validate_translations(checks, client)
     return PipelineResult(units, summary, dictionary, reports, decisions)

@@ -157,8 +157,8 @@ def translate_project(
 ) -> RunOutcome:
     """Run the whole pipeline for one project directory.
 
-    The environment units' filter work runs inside the translation loop
-    (:func:`~latexmt.agents.run_pipeline`), while the sections translate.
+    The filter jobs (:func:`~latexmt.unit_filter.classify_units`) run while
+    the sections translate (:func:`~latexmt.agents.run_pipeline`).
     The Generator stage follows: the language preamble goes into the
     reassembled merged document before it is split back into files, and
     :func:`~latexmt.generator.compile_document` compiles and scores them.

@@ -54,15 +54,15 @@ def reassemble(
     units: list[TranslationUnit],
     cap_map: PlaceholderMap,
     env_map: PlaceholderMap,
-    merged: MergedDocument | None = None,
+    merged: MergedDocument,
 ) -> str:
     """Rebuild the merged document from translated units and maps.
 
     Section units are concatenated in id order, then ENV tokens are
     replaced (by the environment unit's output if one exists, else the
     original text), then CAP tokens inside those bodies the same way.
-    When *merged* is given, its file-boundary tokens are verified to
-    survive exactly once each; they are otherwise left for :func:`unmerge`.
+    Every file-boundary token of *merged* must survive exactly once; the
+    tokens are left for :func:`unmerge`.
     """
     by_token = {u.token: u for u in units if u.token is not None}
     text = "".join(u.output_text() for u in units if u.granularity == GRAN_SECTION)
@@ -75,14 +75,13 @@ def reassemble(
             if n == 0:
                 raise MissingPlaceholderUse(entry.token, "never substituted back")
             raise DuplicatePlaceholderUse(entry.token, f"substituted {n} times")
-    if merged is not None:
-        file_counts = Counter(m.group(0) for m in FILE_TOKEN_RE.finditer(text))
-        for boundary in merged.boundaries:
-            for token in (file_begin_token(boundary.token_id), file_end_token(boundary.token_id)):
-                if (n := file_counts[token]) != 1:
-                    raise UnbalancedFileBoundaries(
-                        f"{token} appears {n} times after reassembly (expected 1)"
-                    )
+    file_counts = Counter(m.group(0) for m in FILE_TOKEN_RE.finditer(text))
+    for boundary in merged.boundaries:
+        for token in (file_begin_token(boundary.token_id), file_end_token(boundary.token_id)):
+            if (n := file_counts[token]) != 1:
+                raise UnbalancedFileBoundaries(
+                    f"{token} appears {n} times after reassembly (expected 1)"
+                )
     return text
 
 

@@ -13,11 +13,11 @@ Every pass finds structure with ``_next_live``: a match counts only when it
 is not escaped and lies outside the spans it is given.  ``comment_spans``
 finds them in one scan: the comments (an unescaped ``%`` hides the rest of
 the line; inside ``verbatim``-like environments it is literal) and the
-verbatim-like bodies.  Includes, captions and ``document_body`` skip both;
-the block and section searches skip the comments alone (``_comments``),
-since a verbatim block is itself a block.  Each source file is scanned
-once: the merge puts the merged text's spans together from its files', and
-each pass hands its output's on, carried through its cuts, to the next.
+verbatim-like bodies.  Includes, captions, sections and ``document_body``
+skip both; the block search skips the comments alone (``_comments``), since
+a verbatim block is itself a block.  Each source file is scanned once: the
+merge puts the merged text's spans together from its files', and each pass
+hands its output's on, carried through its cuts, to the next.
 Where carrying would not give what a scan gives, the text is scanned
 again.  A source that already holds a placeholder token is refused.
 Structural problems such as unbalanced braces, a stray ``\\end`` or a
@@ -26,7 +26,6 @@ brace-less ``\\input`` are recorded as warning strings, never raised.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -647,14 +646,15 @@ def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> lis
     """Cut the document into preamble + section-sized units.
 
     The preamble (up to and including the live ``\\begin{document}``, as
-    :func:`document_body` finds it) becomes a non-translatable unit.  The body is split before every sectioning
-    command; front matter before the first section is its own unit.  The
-    concatenation of all ``source_text`` fields equals *text* exactly.
+    :func:`document_body` finds it) becomes a non-translatable unit.  The
+    body is split before every live sectioning command; front matter before
+    the first section is its own unit.  The units are numbered from 0; their
+    ``source_text`` fields concatenate to *text* exactly.
     """
     if spans is None:
         spans = comment_spans(text)
     _, prev, _ = document_body(text, spans)
-    scan, span_at = prev, _span_index(_comments(text, spans))
+    scan, span_at = prev, _span_index(spans)
     units = [TranslationUnit(0, GRAN_SECTION, text[:prev], False, role="preamble")] if prev else []
     segments: list[str] = []
     while (c := _next_live(_SECTION_RE, text, span_at, scan)) is not None:
@@ -697,11 +697,12 @@ def _env_name_of(block: str) -> str | None:
 def enumerate_units(doc: ParsedDocument) -> list[TranslationUnit]:
     """Flatten a parsed document into the ordered unit list.
 
-    Section units come first (they carry the placeholder tokens), then one
-    unit per environment, then one per caption.  Environment units start
-    with ``needs_translation=False``; the unit filter may flip them.
+    The parse's own section units come first (they carry the placeholder
+    tokens), then one unit per environment, then one per caption.
+    Environment units start with ``needs_translation=False``; the unit
+    filter may flip them.
     """
-    units = [dataclasses.replace(u, id=i) for i, u in enumerate(doc.section_units)]
+    units = list(doc.section_units)
     for entry in doc.env_map:
         name = _env_name_of(entry.original_text)
         units.append(

@@ -10,15 +10,13 @@ is recorded as a warning (:meth:`LlmClient.warn`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 from . import prompts
 from .config import RunConfig
 from .errors import ConfigError, LlmError
-from .llm import LlmClient
+from .llm import LlmClient, Pending
 from .parser import GRAN_ENVIRONMENT, TranslationUnit
 
 SOURCE_PREDEFINED = "PREDEFINED"
@@ -88,18 +86,21 @@ def classify_unit(
 
 def classify_units(
     units: list[TranslationUnit], protected: frozenset[str], client: LlmClient, config: RunConfig
-) -> list[FilterDecision | Callable[[], FilterDecision]]:
+) -> list[FilterDecision | Pending[FilterDecision]]:
     """The filter decision of every environment unit, in unit order.
 
     Protected and nameless environments are decided here, with no call.
-    For the rest the item is the work: it classifies its unit, applies the
-    decision in place and returns it; :func:`~latexmt.agents.run_pipeline`
-    submits them all at once and takes each as the groups reach its unit.
+    For the rest the item is a job, submitted here: it classifies its unit,
+    applies the decision in place and returns it;
+    :func:`~latexmt.agents.run_pipeline` takes each as the groups reach its
+    unit.  An invalid *config* raises :class:`ConfigError` before any job.
     """
+    config.validate()
+
     def classify(unit: TranslationUnit) -> FilterDecision:
         decision = classify_unit(unit, protected, client, config)
         unit.needs_translation = decision.translate
         return decision
 
-    environments = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
-    return [classify(u) if _protected(u, protected) else partial(classify, u) for u in environments]
+    envs = [u for u in units if u.granularity == GRAN_ENVIRONMENT]
+    return [classify(u) if _protected(u, protected) else client.submit(classify, u) for u in envs]

@@ -20,7 +20,6 @@ from latexmt.agents import (
     TermDictionary,
     extract_terms,
     run_pipeline,
-    validate_translations,
 )
 from latexmt.config import RunConfig
 from latexmt.evaluator import FCScoreParams, LogStats, fc_score, parse_log
@@ -36,8 +35,8 @@ from latexmt.parser import (
     GRAN_ENVIRONMENT,
     GRAN_SECTION,
     STATUS_FAILED,
-    STATUS_TRANSLATED,
     STATUS_VALIDATED,
+    MergedDocument,
     ProjectSource,
     TranslationUnit,
     enumerate_units,
@@ -215,12 +214,19 @@ def test_05_validator_mechanics(announce):
     try:
         # (a) every injected fault is caught in round 1
         unit = TranslationUnit(id=0, granularity=GRAN_SECTION, source_text=FAULT_SOURCE)
-        unit.translated_text = FAULT_BROKEN
-        unit.status = STATUS_TRANSLATED
-        judge = EchoBackend()
+        judged = []
+        backend = RuleBackend(
+            [
+                (r"^\[Original\]", lambda _m, request: judged.append(request) or "OK"),
+                (r"^\[Source\]", "N/A"),
+                (r"^prev_summary:", "digest"),
+            ],
+            default=FAULT_BROKEN,
+        )
         cfg = RunConfig(completeness_check=False, max_validation_rounds=1)
-        [report] = validate_translations([unit], quiet_client(judge), cfg)
-        assert judge.calls == 0
+        [report] = run_pipeline([unit], quiet_client(backend), cfg).reports
+        assert unit.translated_text == FAULT_BROKEN
+        assert judged == []  # neither judge nor corrector consulted
         dims = [f.dimension for f in report.findings]
         texts = " | ".join(f.description for f in report.findings)
         assert DIM_PLACEHOLDER in dims
@@ -249,7 +255,8 @@ def test_05_validator_mechanics(announce):
         assert unit.status == STATUS_FAILED
         env_map = PlaceholderMap()
         env_map.add(env_token(0), "\\begin{equation}x\\end{equation}")
-        text = reassemble([unit], PlaceholderMap(), env_map)
+        one_file = MergedDocument(FAULT_SOURCE, "main.tex")
+        text = reassemble([unit], PlaceholderMap(), env_map, one_file)
         assert "Keep \\textbf{this}" in text  # source fallback, not the broken text
         assert "\\\u5de6" not in text
         status = "PASS"

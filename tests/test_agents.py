@@ -40,6 +40,7 @@ from latexmt.agents import (
     summary_request,
     translate_unit,
     update_summary,
+    validate_group,
     validate_translations,
 )
 from latexmt.config import RunConfig
@@ -47,6 +48,7 @@ from latexmt.errors import ConfigError, LlmError, TransientLlmError
 from latexmt.llm import (
     EchoBackend,
     LlmClient,
+    Pending,
     RuleBackend,
     UsageLedger,
 )
@@ -314,6 +316,12 @@ def test_a_command_used_more_often_is_a_count_change():
     )
 
 
+def validated(unit, client, config):
+    """*unit*'s reports, its check started and read back as :func:`run_pipeline` does."""
+    job = client.submit(validate_group, (unit,), client, config)
+    return validate_translations([((unit,), job)], client)
+
+
 # --------------------------------------------------------------------------
 # completeness judge
 
@@ -339,7 +347,7 @@ def test_completeness_garbage_reply_skips_dimension():
     assert check_round((u,), client, CFG) == [([], True)]
     assert any("unparseable" in w for w in client.warnings)
     # validate_translations records the skip in the round's report.
-    [report] = validate_translations([u], client, CFG)
+    [report] = validated(u, client, CFG)
     assert report.ok
     assert report.skipped == [f"unit 0: {DIM_COMPLETENESS}"]
 
@@ -355,7 +363,7 @@ def test_mechanical_failures_suppress_completeness_call():
     u = unit_with("a <PLACEHOLDER_ENV_0>", "a")  # placeholder lost
     backend = RuleBackend([], default="OK")
     one_round = RunConfig(max_validation_rounds=1)  # no revision either
-    [report] = validate_translations([u], make_client(backend), one_round)
+    [report] = validated(u, make_client(backend), one_round)
     assert backend.calls == 0  # judge never consulted
     assert {f.unit_id for f in report.findings} == {0}
 
@@ -364,16 +372,36 @@ def test_completeness_disabled_by_config():
     u = unit_with("plain", "plain translated")
     backend = RuleBackend([], default="OK")
     cfg = RunConfig(completeness_check=False)
-    [report] = validate_translations([u], make_client(backend), cfg)
+    [report] = validated(u, make_client(backend), cfg)
     assert backend.calls == 0
     assert report.ok
 
 
 def test_validate_skips_units_without_candidates():
-    pending = section_unit(0, "never translated")
-    backend = EchoBackend()
-    assert validate_translations([pending], make_client(backend), CFG) == []  # no round
-    assert backend.calls == 0
+    # The translator answers only the lone message "translated": the group of
+    # both units fails, then unit 0 alone does, so it has no candidate.
+    judged = []
+
+    def judge(match, _request):
+        judged.append(match[1])
+        return "OK"
+
+    backend = RuleBackend(
+        [
+            (r"^prev_summary:", "digest"),
+            (r"^\[Source\]", "N/A"),
+            (r"^\[Original\]\n(.*)\n\n\[Translation\]", judge),
+            (r"^translated$", "traduit"),
+        ]
+    )
+    units = [section_unit(0, "never translated"), section_unit(1, "translated")]
+    client = make_client(backend)
+    result = run_pipeline(units, client, CFG)
+    assert [u.status for u in units] == [STATUS_FAILED, STATUS_VALIDATED]
+    assert units[0].translated_text is None
+    assert [r.to_dict() for r in result.reports] == [{"round": 1, "findings": [], "skipped": []}]
+    assert judged == ["translated"]  # unit 1 alone is judged
+    assert not any("validation rounds" in w for w in client.warnings)
 
 
 # --------------------------------------------------------------------------
@@ -1217,7 +1245,7 @@ def test_protected_environments_leave_the_steps_and_groups_of_an_unfiltered_run(
 
     for bound in (1, 4):
         classify, result, sent = run(bound, True)
-        assert classify and not any(callable(work) for work in classify)
+        assert classify and not any(isinstance(item, Pending) for item in classify)
         assert [d.source for d in result.decisions] == [SOURCE_PREDEFINED]
         assert run(bound, False)[2] == sent
         # The units up to the last section in one group, then the ten captions in one.

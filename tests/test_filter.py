@@ -1,8 +1,10 @@
 """Environment-content filtering: predefined list, model contract, defaults."""
 
+from latexmt.agents import run_pipeline
 from latexmt.config import RunConfig
-from latexmt.llm import EchoBackend, LlmClient, RuleBackend, UsageLedger
-from latexmt.parser import GRAN_CAPTION, GRAN_ENVIRONMENT, TranslationUnit
+from latexmt.errors import ConfigError
+from latexmt.llm import EchoBackend, LlmClient, Pending, RuleBackend, UsageLedger
+from latexmt.parser import GRAN_CAPTION, GRAN_ENVIRONMENT, GRAN_SECTION, TranslationUnit
 from latexmt.unit_filter import (
     SOURCE_DEFAULT,
     SOURCE_LLM,
@@ -31,8 +33,8 @@ def env_unit(uid=0, name="tcolorbox", text="Some prose inside."):
 CFG = RunConfig()
 
 
-def client_of(backend):
-    return LlmClient(backend, UsageLedger(), sleep=lambda _s: None)
+def client_of(backend, max_in_flight=1):
+    return LlmClient(backend, UsageLedger(), sleep=lambda _s: None, max_in_flight=max_in_flight)
 
 
 def test_default_list_protects_math_and_verbatim():
@@ -146,14 +148,30 @@ def test_classify_units_applies_decisions_and_skips_other_kinds():
     ]
     backend = RuleBackend([(r"Read this", "True")])
     items = classify_units(units, protected_environments(), client_of(backend), CFG)
-    assert backend.calls == 0 and units[1].needs_translation is False  # work not run yet
+    assert backend.calls == 0 and units[1].needs_translation is False  # job not run yet
     assert items[0] == FilterDecision(0, False, SOURCE_PREDEFINED)  # decided with no job
-    decisions = [item() if callable(item) else item for item in items]
+    assert isinstance(items[1], Pending)
+    decisions = [item.result() if isinstance(item, Pending) else item for item in items]
     assert [d.unit_id for d in decisions] == [0, 1]
     assert units[0].needs_translation is False
     assert units[1].needs_translation is True
     assert units[2].needs_translation is True  # captions are not the filter's business
     assert backend.calls == 1
+
+
+@pytest.mark.parametrize("bad", [{"max_validation_rounds": 0}, {"term_dict_cap": 0}])
+def test_an_invalid_config_starts_no_filter_job(bad):
+    units = [
+        TranslationUnit(0, GRAN_SECTION, "Some text."),
+        *(env_unit(uid, "notebox", f"Box {uid}.") for uid in range(1, 9)),
+    ]
+    backend = EchoBackend()
+    config = RunConfig(**bad)
+    with client_of(backend, max_in_flight=8) as client:
+        with pytest.raises(ConfigError):
+            classify = classify_units(units, protected_environments(), client, config)
+            run_pipeline(units, client, config, classify)
+    assert backend.calls == 0
 
 
 def test_custom_protected_list_from_file(tmp_path):

@@ -43,6 +43,9 @@ from latexmt.placeholders import (
 )
 
 
+ONE_FILE = MergedDocument("", "main.tex")  # no file boundaries to check
+
+
 def built_doc():
     """A tiny hand-assembled document: section + figure env + caption."""
     env_body = "\\begin{figure}\\caption{" + cap_token(0) + "}\\end{figure}"
@@ -86,7 +89,7 @@ def built_doc():
 
 def test_reassemble_identity_without_translations():
     units, cap_map, env_map = built_doc()
-    text = reassemble(units, cap_map, env_map)
+    text = reassemble(units, cap_map, env_map, ONE_FILE)
     assert text == "pre \\begin{figure}\\caption{A caption}\\end{figure} post"
 
 
@@ -94,7 +97,7 @@ def test_reassemble_uses_validated_caption():
     units, cap_map, env_map = built_doc()
     units[3].translated_text = "Une l\u00e9gende"
     units[3].status = STATUS_VALIDATED
-    text = reassemble(units, cap_map, env_map)
+    text = reassemble(units, cap_map, env_map, ONE_FILE)
     assert "\\caption{Une l\u00e9gende}" in text
     assert "A caption" not in text
 
@@ -106,7 +109,7 @@ def test_reassemble_translated_env_must_keep_inner_tokens():
         "\\begin{figure}\\caption{" + cap_token(0) + "} (translated)\\end{figure}"
     )
     units[2].status = STATUS_VALIDATED
-    text = reassemble(units, cap_map, env_map)
+    text = reassemble(units, cap_map, env_map, ONE_FILE)
     assert "(translated)" in text
     assert "\\caption{A caption}" in text
 
@@ -116,7 +119,7 @@ def test_reassemble_detects_dropped_token():
     units[1].translated_text = "dropped post"
     units[1].status = STATUS_VALIDATED
     with pytest.raises(MissingPlaceholderUse):
-        reassemble(units, cap_map, env_map)
+        reassemble(units, cap_map, env_map, ONE_FILE)
 
 
 def test_reassemble_detects_duplicated_token():
@@ -124,7 +127,7 @@ def test_reassemble_detects_duplicated_token():
     units[1].translated_text = env_token(0) + env_token(0)
     units[1].status = STATUS_VALIDATED
     with pytest.raises(DuplicatePlaceholderUse):
-        reassemble(units, cap_map, env_map)
+        reassemble(units, cap_map, env_map, ONE_FILE)
 
 
 def test_reassemble_detects_unknown_token():
@@ -132,7 +135,7 @@ def test_reassemble_detects_unknown_token():
     units[1].translated_text = env_token(0) + " " + env_token(5)
     units[1].status = STATUS_VALIDATED
     with pytest.raises(UnresolvedPlaceholder):
-        reassemble(units, cap_map, env_map)
+        reassemble(units, cap_map, env_map, ONE_FILE)
 
 
 def test_reassemble_verifies_file_boundaries_when_merged_given():

@@ -318,6 +318,14 @@ def test_commented_section_is_not_a_cut():
     assert "% \\section{ghost}" in units[1].source_text
 
 
+def test_section_in_an_unterminated_verbatim_is_not_a_cut():
+    # TeX reads everything after an unclosed \begin{verbatim} as verbatim.
+    text = "\\begin{document}\nA\n\\begin{verbatim}\n\\section{X}\ncode\n"
+    units = split_sections(text)
+    assert [u.role for u in units] == ["preamble", "body"]
+    assert units[1].source_text == "\nA\n\\begin{verbatim}\n\\section{X}\ncode\n"
+
+
 def test_percent_in_a_one_line_verbatim_leaves_later_comments_alone():
     text = (
         "\\begin{document}\n\\begin{verbatim}50%\\end{verbatim}\n"
