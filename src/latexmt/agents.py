@@ -28,7 +28,9 @@ request with :func:`~latexmt.prompts.request` and records warnings with
 are taken in program order, the validation jobs read back in the order they
 were started, which is unit order, so results, findings, warnings and the
 transcript read as in a serial run.  Two validation dimensions are
-mechanical (placeholder and control-sequence conservation); the third asks a
+mechanical, rows of one table (:data:`RULES`) that one loop checks
+(:func:`check_rules`): placeholder tokens and control sequences keep their
+counts, and a new mechanical dimension is one more row.  The third asks a
 judge model about content completeness and degrades to "skipped" without a
 usable judge reply.  Units still failing after the round cap fall back to
 their source text.
@@ -41,7 +43,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import prompts
 from .config import RunConfig
@@ -77,23 +79,6 @@ JUDGE_FORMAT = (
     "is complete and faithful, output exactly: OK\nOtherwise output every header line copied "
     'exactly, in order, each followed by OK or by that part\'s findings, one "- " line each.'
 )
-
-# Control sequences that may legitimately appear or vanish when prose moves
-# between languages (quotation marks get replaced by native punctuation).
-DEFAULT_COMMAND_ALLOWLIST = frozenset(
-    {
-        "textquotedblleft",
-        "textquotedblright",
-        "textquoteleft",
-        "textquoteright",
-        "textellipsis",
-    }
-)
-
-# A control word is a backslash followed by letters.  Matching any Unicode
-# letter (not just A-Z) is deliberate: a translator that invents something
-# like a backslash followed by CJK characters must be caught, not ignored.
-_CONTROL_WORD_RE = re.compile(r"\\[^\W\d_]+", re.UNICODE)
 
 _TERM_LINE_RE = re.compile(r'^\s*"(.+?)"\s*-\s*"(.+?)"\s*$')
 
@@ -143,9 +128,6 @@ class Finding:
     dimension: str
     description: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ErrorReport:
@@ -162,7 +144,7 @@ class ErrorReport:
     def to_dict(self) -> dict:
         return {
             "round": self.round_index,
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": [asdict(f) for f in self.findings],
             "skipped": list(self.skipped),
         }
 
@@ -171,38 +153,54 @@ class ErrorReport:
 # mechanical validation
 
 
-def _miscounted(unit: TranslationUnit, pattern: re.Pattern) -> list[tuple[str, int, int]]:
-    """``(match, have, want)`` for each *pattern* match the translation has a different count of."""
-    want = Counter(pattern.findall(unit.source_text))
-    have = Counter(pattern.findall(unit.translated_text or ""))
-    return [(k, have[k], want[k]) for k in sorted(want.keys() | have.keys()) if have[k] != want[k]]
+class Rule(NamedTuple):
+    """A mechanical dimension: each match of *pattern* keeps its count in the translation.
+
+    A finding names the match after *noun* and says it is *fewer* or *more*,
+    or introduced if the source has none.  Matches in *free* may come and go.
+    """
+
+    dimension: str
+    pattern: re.Pattern
+    noun: str
+    fewer: str
+    more: str
+    free: frozenset
 
 
-def check_placeholder_integrity(unit: TranslationUnit) -> list[Finding]:
-    """Compare placeholder-token multisets between source and translation."""
+# One row per mechanical dimension.  A control word is a backslash followed by
+# letters, any Unicode letters: a translator that invents something like a
+# backslash followed by CJK characters must be caught, not ignored.  A line
+# break \\ is matched too, so the backslash that ends it starts no control
+# word (``a\\b`` is a line break, then a word); line breaks and quotation
+# macros may come and go, replaced by the target's own punctuation.
+RULES = (
+    Rule(DIM_PLACEHOLDER, TOKEN_RE, "placeholder", "lost", "duplicated", frozenset()),
+    Rule(
+        DIM_COMMAND,
+        re.compile(r"\\(?:\\|[^\W\d_]+)"),
+        "control sequence",
+        "dropped",
+        "count changed",
+        frozenset({r"\\", r"\textquotedblleft", r"\textquotedblright", r"\textquoteleft",
+                   r"\textquoteright", r"\textellipsis"}),
+    ),
+)
+
+
+def check_rules(unit: TranslationUnit) -> list[Finding]:
+    """Each :data:`RULES` row's findings on *unit*, one per match whose count changes."""
     findings = []
-    for token, have, want in _miscounted(unit, TOKEN_RE):
-        change = "lost" if have < want else "duplicated"
-        desc = f"placeholder {token} {change} (source has {want}, translation has {have})"
-        findings.append(Finding(unit.id, DIM_PLACEHOLDER, desc))
-    return findings
-
-
-def check_command_integrity(
-    unit: TranslationUnit, allowlist: frozenset = DEFAULT_COMMAND_ALLOWLIST
-) -> list[Finding]:
-    """Compare control-sequence multisets between source and translation."""
-    findings = []
-    for cmd, have, want in _miscounted(unit, _CONTROL_WORD_RE):
-        if cmd[1:] in allowlist:
-            continue
-        if want == 0:
-            desc = f"control sequence {cmd} introduced by translation ({have} occurrences, none in source)"
-        elif have < want:
-            desc = f"control sequence {cmd} dropped (source has {want}, translation has {have})"
-        else:
-            desc = f"control sequence {cmd} count changed (source has {want}, translation has {have})"
-        findings.append(Finding(unit.id, DIM_COMMAND, desc))
+    for rule in RULES:
+        want = Counter(rule.pattern.findall(unit.source_text))
+        have = Counter(rule.pattern.findall(unit.translated_text or ""))
+        for match in sorted(k for k in want | have if want[k] != have[k] and k not in rule.free):
+            n, m = want[match], have[match]
+            if n:
+                how = f"{rule.fewer if m < n else rule.more} (source has {n}, translation has {m})"
+            else:
+                how = f"introduced by translation ({m} occurrence{'s' * (m > 1)}, none in source)"
+            findings.append(Finding(unit.id, rule.dimension, f"{rule.noun} {match} {how}"))
     return findings
 
 
@@ -220,7 +218,7 @@ def check_round(
     too, skips a lone unit's dimension, or gives None for a group, whose
     units are then to be checked alone; either with a warning.
     """
-    rounds = [(check_placeholder_integrity(u) + check_command_integrity(u), False) for u in group]
+    rounds = [(check_rules(u), False) for u in group]
     clean = [u for u, (mech, _) in zip(group, rounds) if not mech]
     if not clean or not config.completeness_check:
         return rounds

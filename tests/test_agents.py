@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from latexmt import agents, prompts
 from latexmt.agents import (
-    DEFAULT_COMMAND_ALLOWLIST,
     DIM_COMMAND,
     DIM_COMPLETENESS,
     DIM_PLACEHOLDER,
@@ -24,8 +23,7 @@ from latexmt.agents import (
     PipelineFailed,
     Summary,
     TermDictionary,
-    check_command_integrity,
-    check_placeholder_integrity,
+    check_rules,
     check_round,
     extract_terms,
     fit_edges,
@@ -258,18 +256,27 @@ def unit_with(source, translated):
 
 
 def test_placeholder_drop_detected():
-    u = unit_with("a <PLACEHOLDER_ENV_0> b", "a b")
-    findings = check_placeholder_integrity(u)
-    assert len(findings) == 1
-    assert findings[0].dimension == DIM_PLACEHOLDER
-    assert "lost" in findings[0].description
+    [finding] = check_rules(unit_with("a <PLACEHOLDER_ENV_0> b", "a b"))
+    assert finding.dimension == DIM_PLACEHOLDER
+    assert finding.description == (
+        "placeholder <PLACEHOLDER_ENV_0> lost (source has 1, translation has 0)"
+    )
 
 
 def test_placeholder_duplicate_detected():
     u = unit_with("a <PLACEHOLDER_CAP_1> b", "<PLACEHOLDER_CAP_1> <PLACEHOLDER_CAP_1>")
-    findings = check_placeholder_integrity(u)
-    assert len(findings) == 1
-    assert "duplicated" in findings[0].description
+    [finding] = check_rules(u)
+    assert finding.description == (
+        "placeholder <PLACEHOLDER_CAP_1> duplicated (source has 1, translation has 2)"
+    )
+
+
+def test_an_invented_placeholder_is_introduced_not_duplicated():
+    [finding] = check_rules(unit_with("a", "a <PLACEHOLDER_ENV_2>"))
+    assert finding.dimension == DIM_PLACEHOLDER
+    assert finding.description == (
+        "placeholder <PLACEHOLDER_ENV_2> introduced by translation (1 occurrence, none in source)"
+    )
 
 
 def test_placeholder_reorder_is_fine():
@@ -277,43 +284,73 @@ def test_placeholder_reorder_is_fine():
         "<PLACEHOLDER_ENV_0> m <PLACEHOLDER_ENV_1>",
         "<PLACEHOLDER_ENV_1> m <PLACEHOLDER_ENV_0>",
     )
-    assert check_placeholder_integrity(u) == []
+    assert check_rules(u) == []
 
 
 def test_command_drop_detected():
-    u = unit_with("use \\textbf{x} here", "use x here")
-    findings = check_command_integrity(u)
-    assert [f.dimension for f in findings] == [DIM_COMMAND]
-    assert "\\textbf" in findings[0].description
+    [finding] = check_rules(unit_with("use \\textbf{x} here", "use x here"))
+    assert finding.dimension == DIM_COMMAND
+    assert finding.description == (
+        "control sequence \\textbf dropped (source has 1, translation has 0)"
+    )
 
 
 def test_invented_unicode_command_detected():
     u = unit_with("pair \\left( x \\right)", "pair \\\u5de6( x \\\u53f3)")
-    findings = check_command_integrity(u)
-    descriptions = " | ".join(f.description for f in findings)
-    assert "\\left" in descriptions and "\\right" in descriptions
-    assert "\\\u5de6" in descriptions and "\\\u53f3" in descriptions
-    assert len(findings) == 4
+    assert [f.description for f in check_rules(u)] == [
+        "control sequence \\left dropped (source has 1, translation has 0)",
+        "control sequence \\right dropped (source has 1, translation has 0)",
+        "control sequence \\\u53f3 introduced by translation (1 occurrence, none in source)",
+        "control sequence \\\u5de6 introduced by translation (1 occurrence, none in source)",
+    ]
 
 
 def test_command_allowlist_tolerates_quote_macros():
-    u = unit_with("plain text", "\\textquotedblleft quoted\\textquotedblright")
-    assert check_command_integrity(u, DEFAULT_COMMAND_ALLOWLIST) == []
-    assert len(check_command_integrity(u, frozenset())) == 2
+    quoted = "\\textquotedblleft a\\textquotedblright \\textquoteleft b\\textquoteright"
+    quoted += "\\textellipsis"
+    assert check_rules(unit_with("plain text", quoted)) == []
+    assert check_rules(unit_with(quoted, "plain text")) == []
+    [finding] = check_rules(unit_with("plain text", "\\textbf{plain} \\textbf{text} " + quoted))
+    assert finding.description == (
+        "control sequence \\textbf introduced by translation (2 occurrences, none in source)"
+    )
 
 
 def test_command_counts_must_match_exactly():
-    u = unit_with("\\emph{a} \\emph{b}", "\\emph{a}")
-    findings = check_command_integrity(u)
-    assert len(findings) == 1
-    assert "source has 2, translation has 1" in findings[0].description
+    [finding] = check_rules(unit_with("\\emph{a} \\emph{b}", "\\emph{a}"))
+    assert finding.description == (
+        "control sequence \\emph dropped (source has 2, translation has 1)"
+    )
 
 
 def test_a_command_used_more_often_is_a_count_change():
-    [finding] = check_command_integrity(unit_with("\\emph{a}", "\\emph{a} \\emph{b}"))
+    [finding] = check_rules(unit_with("\\emph{a}", "\\emph{a} \\emph{b}"))
     assert finding.description == (
         "control sequence \\emph count changed (source has 1, translation has 2)"
     )
+
+
+def test_a_word_after_a_line_break_is_not_a_control_word():
+    assert check_rules(unit_with("Alice\\\\University", "爱丽丝\\\\某大学")) == []
+    # Line breaks themselves may come and go.
+    assert check_rules(unit_with("a\\\\b\\\\", "a b")) == []
+    # The backslash after a \\ starts a control word; \\\\ is two line breaks.
+    [finding] = check_rules(unit_with("a\\\\\\textbf{b} c\\\\\\\\d", "a\\\\b c\\\\\\\\e"))
+    assert finding.description == (
+        "control sequence \\textbf dropped (source has 1, translation has 0)"
+    )
+
+
+def test_findings_come_row_by_row_in_match_order():
+    u = unit_with(
+        "\\emph{x} <PLACEHOLDER_ENV_1> <PLACEHOLDER_ENV_0>",
+        "\\textit{x} <PLACEHOLDER_ENV_1>",
+    )
+    assert [f.description.split()[:3] for f in check_rules(u)] == [
+        ["placeholder", "<PLACEHOLDER_ENV_0>", "lost"],
+        ["control", "sequence", "\\emph"],
+        ["control", "sequence", "\\textit"],
+    ]
 
 
 def validated(unit, client, config):
