@@ -13,7 +13,8 @@ Each translated document gets its own output tree::
 
 ``<doc-id>`` is the name of the project directory made absolute.  A batch
 whose projects share a name, and an output tree that is, holds or lies in
-its project, are refused before any tree is touched.
+its project, are refused before any tree is touched; a project that fails
+to parse keeps its last tree.
 
 report.json deliberately excludes wall-clock data so that two runs with the
 same config and mock transcript are byte-identical.
@@ -64,6 +65,8 @@ from .unit_filter import classify_units, protected_environments
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
+# Errors that are the caller's to fix: each exits EXIT_USAGE.
+USAGE_ERRORS = (ConfigError, MissingMainFile, EmptyCorpus)
 
 # Model calls one document keeps in flight at most, where they do not
 # depend on each other; ``workers`` projects run side by side on top.
@@ -108,13 +111,6 @@ def _build_client(config: RunConfig, logs_dir: Path) -> LlmClient:
     )
 
 
-def _preamble_table(config: RunConfig) -> dict:
-    table = dict(DEFAULT_LANGUAGE_PREAMBLES)
-    for lang, lines in (config.language_preambles or {}).items():
-        table[lang] = tuple(lines)
-    return table
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n",
@@ -152,83 +148,86 @@ def _out_root(project_dir: Path | str, config: RunConfig) -> Path:
     return out_root
 
 
+def _setup(project_dir: Path | str, config: RunConfig, main_file: str | None):
+    """``(out_root, parsed, units)`` of a project, or the error that refuses it.
+
+    It writes nothing, so ``translate`` and ``parse`` call it before they
+    touch the output tree: a refused project keeps its last output.
+    """
+    out_root = _out_root(project_dir, config)
+    parsed = parse_project(ProjectSource.from_dir(Path(project_dir), main_file))
+    return out_root, parsed, enumerate_units(parsed)
+
+
 def translate_project(
     project_dir: Path | str, config: RunConfig, main_file: str | None = None
 ) -> RunOutcome:
     """Run the whole pipeline for one project directory.
 
-    The filter jobs (:func:`~latexmt.unit_filter.classify_units`) run while
-    the sections translate (:func:`~latexmt.agents.run_pipeline`).
+    Setup comes first: :func:`_setup`, the client and the protected list,
+    any of which can refuse the project.  Only then is the previous output
+    tree deleted.  The filter jobs (:func:`~latexmt.unit_filter.classify_units`)
+    run while the sections translate (:func:`~latexmt.agents.run_pipeline`).
     The Generator stage follows: the language preamble goes into the
     reassembled merged document before it is split back into files, and
     :func:`~latexmt.generator.compile_document` compiles and scores them.
-    Every run that gets past parsing writes a report.json, including failed
+    Every run that gets past setup writes a report.json, including failed
     ones; partial outputs stay on disk for inspection.
     """
-    out_root = _out_root(project_dir, config)
-    doc_id = out_root.name
-    project = ProjectSource.from_dir(Path(project_dir), main_file)
-    tex_dir = out_root / "tex"
-    pdf_dir = out_root / "pdf"
-    logs_dir = out_root / "logs"
-    maps_dir = out_root / "maps"
+    out_root, parsed, units = _setup(project_dir, config, main_file)
+    tex_dir, pdf_dir = out_root / "tex", out_root / "pdf"
+    logs_dir, maps_dir = out_root / "logs", out_root / "maps"
     # A client opens no file and starts no thread before its first call, so
-    # it is built here, with the protected list: a replay with no recording
-    # or an unreadable list stops before the previous run's tree is deleted.
+    # it is part of setup: a replay with no recording stops here.
     client = _build_client(config, logs_dir)
     protected = protected_environments(config.protected_envs_path)
     if out_root.exists():
         shutil.rmtree(out_root)
-    for d in (tex_dir, pdf_dir, logs_dir, maps_dir):
-        d.mkdir(parents=True, exist_ok=True)
     # Non-.tex project files (figures, .bib, .cls) ride along untouched;
     # unmerge overwrites the translated .tex files afterwards.
-    shutil.copytree(project.root_dir, tex_dir, dirs_exist_ok=True)
-
-    parsed = parse_project(project)
-    units = enumerate_units(parsed)
+    shutil.copytree(project_dir, tex_dir)
+    for d in (pdf_dir, logs_dir, maps_dir):
+        d.mkdir()
     warnings = client.warnings  # the agents add theirs after the parser's
     warnings.extend(parsed.warnings)
 
     report: dict = {
-        "doc_id": doc_id,
-        "main_file": project.main_file,
+        "doc_id": out_root.name,
+        "main_file": parsed.merged.main_file,
         "source_language": config.source_language,
         "target_language": config.target_language,
+        "compile": {"skipped": True, "reason": "compilation disabled"},
+        "fc_score": None,
+        "error": None,
     }
-    error: str | None = None
-    fc = None
-    compile_info: dict = {"skipped": True, "reason": "compilation disabled"}
     try:
         filtering = classify_units(units, protected, client, config)
         result = run_pipeline(units, client, config, filtering)
         body = reassemble(units, parsed.cap_map, parsed.env_map, parsed.merged)
         if config.inject_preamble:
+            preambles = {**DEFAULT_LANGUAGE_PREAMBLES, **config.language_preambles}
             body = inject_language_preamble(
-                body, base_language(config.target_language), _preamble_table(config), warnings
+                body, base_language(config.target_language), preambles, warnings
             )
         written = unmerge(body, parsed.merged, tex_dir)
-        report["filter"] = [dataclasses.asdict(d) for d in result.decisions]
-        report["rounds_used"] = len(result.reports)
-        report["validation"] = [r.to_dict() for r in result.reports]
-        report["summary"] = {
-            "version": result.summary.version,
-            "words": result.summary.word_count,
+        report |= {
+            "filter": [dataclasses.asdict(d) for d in result.decisions],
+            "rounds_used": len(result.reports),
+            "validation": [r.to_dict() for r in result.reports],
+            "summary": {"version": result.summary.version, "words": result.summary.word_count},
+            "terms": [[src, tgt] for src, tgt in result.dictionary],
+            "output_files": sorted(str(p.relative_to(out_root)) for p in written),
         }
-        report["terms"] = [[src, tgt] for src, tgt in result.dictionary]
-        report["output_files"] = sorted(
-            str(p.relative_to(out_root)) for p in written
-        )
         (logs_dir / "summary.txt").write_text(
             result.summary.text, encoding="utf-8", errors="surrogateescape"
         )
         if config.compile_enabled:
-            compile_info, fc = compile_document(
+            report["compile"], report["fc_score"] = compile_document(
                 tex_dir, pdf_dir, logs_dir, parsed.merged.main_file, config, warnings
             )
     except LatexmtError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        warnings.append(error)
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        warnings.append(report["error"])
     finally:
         client.close()
 
@@ -238,12 +237,9 @@ def translate_project(
     _write_maps(parsed, maps_dir)
     report["units"] = units_to_manifest(units)
     report["usage"] = client.ledger.summary()
-    report["compile"] = compile_info
-    report["fc_score"] = fc
     report["warnings"] = warnings
-    report["error"] = error
     _write_json(out_root / "report.json", report)
-    return RunOutcome(doc_id, out_root, error is None, error, False, report)
+    return RunOutcome(out_root.name, out_root, not report["error"], report["error"], False, report)
 
 
 def cmd_translate(args) -> int:
@@ -261,7 +257,7 @@ def cmd_translate(args) -> int:
     def run_one(doc_id: str, path: str) -> RunOutcome:
         try:
             return translate_project(path, config, args.main)
-        except (MissingMainFile, ConfigError) as exc:
+        except USAGE_ERRORS as exc:
             return RunOutcome(doc_id, Path(config.out_dir) / doc_id, False, str(exc), True)
         except LatexmtError as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -301,10 +297,7 @@ def _flag_overrides(args) -> dict:
 
 def cmd_parse(args) -> int:
     config = load_config(args.config, _flag_overrides(args))
-    out_root = _out_root(args.project, config)
-    project = ProjectSource.from_dir(Path(args.project), args.main)
-    parsed = parse_project(project)
-    units = enumerate_units(parsed)
+    out_root, parsed, units = _setup(args.project, config, args.main)
     maps_dir = out_root / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
     _write_maps(parsed, maps_dir)
@@ -479,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, MissingMainFile, EmptyCorpus) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LatexmtError as exc:

@@ -3,6 +3,11 @@
 Fatal conditions raise; recoverable ones are recorded as warning strings:
 the parser's on the parse result, the agents' on the client
 (:meth:`~latexmt.llm.LlmClient.warn`), and a run's all in its report.json.
+The agents recover from an :class:`LlmError` (a unit falls back, a check is
+skipped); an :class:`AuthError` is not one, since no later call can succeed,
+so it stops the run.  A parse error (:class:`InclusionCycle`,
+:class:`PlaceholderError`) refuses a project before its last output tree is
+deleted.  No message names its class: whoever prints it puts the name first.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ class LlmError(LatexmtError):
     """Base class for chat-completion failures."""
 
 
-class AuthError(LlmError):
-    """The endpoint rejected our credentials; retrying will not help."""
+class AuthError(LatexmtError):
+    """The endpoint rejected our credentials; neither a retry nor another unit will help."""
 
 
 class TransientLlmError(LlmError):
@@ -74,10 +79,7 @@ class PlaceholderError(LatexmtError):
 
     def __init__(self, token: str, detail: str = ""):
         self.token = token
-        msg = f"{type(self).__name__}: {token}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"{token} ({detail})" if detail else token)
 
 
 class UnresolvedPlaceholder(PlaceholderError):

@@ -11,7 +11,7 @@ import pytest
 
 from latexmt import agents, cli, prompts
 from latexmt.config import RunConfig, load_config
-from latexmt.errors import PlaceholderError
+from latexmt.errors import AuthError
 from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
 
 from conftest import tree_snapshot, write_files
@@ -167,24 +167,46 @@ def test_translate_transcript_rebuilds_every_request(tmp_path, monkeypatch):
     assert sum(map(len, stored)) < sum(map(len, {r.system_prompt for r in sent}))
 
 
-@pytest.mark.parametrize("token", ["<PLACEHOLDER_ENV_0>", "<PLACEHOLDER_FILE_0_end>"])
-def test_a_placeholder_shaped_source_fails_before_any_model_call(tmp_path, monkeypatch, token):
-    # Either token used to cost every call of the run and then fail reassembly.
+def _planted(token: str) -> tuple[dict, str]:
+    """The parse fixture with *token* in its source, and the error that names it once."""
     main = PARSE_FIXTURE["main.tex"].replace("beta text", f"beta {token}")
-    proj = write_files(tmp_path / "doc", {"main.tex": main})
+    where = f"already in the source, at offset {main.index(token)} in main.tex"
+    return {"main.tex": main}, f"PlaceholderError: {token} ({where})"
+
+
+@pytest.mark.parametrize(
+    "files, error",
+    [
+        pytest.param(*_planted("<PLACEHOLDER_ENV_0>"), id="<PLACEHOLDER_ENV_0>"),
+        pytest.param(*_planted("<PLACEHOLDER_FILE_0_end>"), id="<PLACEHOLDER_FILE_0_end>"),
+        pytest.param(
+            {
+                "main.tex": PARSE_FIXTURE["main.tex"].replace("beta text", "\\input{a}"),
+                "a.tex": "\\input{b}\n",
+                "b.tex": "\\input{a}\n",
+            },
+            "InclusionCycle: inclusion cycle: main.tex -> a.tex -> b.tex -> a.tex",
+            id="include-cycle",
+        ),
+    ],
+)
+def test_a_placeholder_shaped_source_fails_before_any_model_call(
+    tmp_path, monkeypatch, capsys, files, error
+):
+    # A planted token used to cost every call of the run and then fail
+    # reassembly, and a source that failed to parse deleted the last output.
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    write_files(proj, files)
     sent = []
-    build = cli._build_client
-
-    def recording(config, logs_dir):
-        client = build(config, logs_dir)
-        client.backend = RuleBackend([(r"", lambda match, request: sent.append(request) or "x")])
-        return client
-
-    monkeypatch.setattr(cli, "_build_client", recording)
-    config = load_config(None, {"out_dir": str(tmp_path / "out"), "compile_enabled": False})
-    with pytest.raises(PlaceholderError, match=f"offset {main.index(token)} in main.tex"):
-        cli.translate_project(proj, config)
+    backend = RuleBackend([(r"", lambda match, request: sent.append(request) or "x")])
+    code, after = _translate(proj, out, monkeypatch, "--mock", "echo", backend=backend)
+    assert code == 3
+    assert capsys.readouterr().err == f"doc: FAILED: {error}\n"
     assert sent == []
+    assert after == before
 
 
 def test_translate_uses_every_template_from_prompt_dir(tmp_path):
@@ -885,6 +907,33 @@ def test_an_unreadable_protected_list_is_a_usage_error_that_keeps_the_last_outpu
     assert code == 2
     assert "doc: FAILED: cannot read protected_envs_path:" in capsys.readouterr().err
     assert after == before
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_a_rejected_key_stops_the_run(tmp_path, monkeypatch, capsys, bound):
+    # AuthError used to be an LlmError: every unit failed on its own, and
+    # the run ended in PipelineFailed with the cause only in the warnings.
+    body = "".join(f"\\section{{S{i}}}\nText {i}.\n" for i in range(6))
+    proj = write_files(
+        tmp_path / "doc",
+        {"main.tex": f"\\documentclass{{article}}\n\\begin{{document}}\n{body}\\end{{document}}\n"},
+    )
+    calls = []
+
+    class Refusing:
+        def complete(self, request):
+            calls.append(request)
+            raise AuthError("endpoint rejected credentials (HTTP 401)")
+
+    out = tmp_path / "out"
+    code, _ = _translate(proj, out, monkeypatch, "--mock", "echo", bound=bound, backend=Refusing())
+    error = "AuthError: endpoint rejected credentials (HTTP 401)"
+    assert code == 3
+    assert capsys.readouterr().err == f"doc: FAILED: {error}\n"
+    assert json.loads((out / "doc" / "report.json").read_text())["error"] == error
+    # The first refusal stops the run. Above a bound of 1, jobs already queued
+    # still run, so a few more calls may be made.
+    assert 1 <= len(calls) <= (1 if bound == 1 else 2 * bound)
 
 
 def test_translate_rejects_bad_config(tmp_path):

@@ -118,7 +118,10 @@ def test_reassemble_detects_dropped_token():
     units, cap_map, env_map = built_doc()
     units[1].translated_text = "dropped post"
     units[1].status = STATUS_VALIDATED
-    with pytest.raises(MissingPlaceholderUse):
+    # The message is the token and its detail: the class is named by whoever prints it.
+    with pytest.raises(
+        MissingPlaceholderUse, match=r"^<PLACEHOLDER_[A-Z]+_\d+> \(never substituted back\)$"
+    ):
         reassemble(units, cap_map, env_map, ONE_FILE)
 
 
@@ -126,7 +129,9 @@ def test_reassemble_detects_duplicated_token():
     units, cap_map, env_map = built_doc()
     units[1].translated_text = env_token(0) + env_token(0)
     units[1].status = STATUS_VALIDATED
-    with pytest.raises(DuplicatePlaceholderUse):
+    with pytest.raises(
+        DuplicatePlaceholderUse, match=r"^<PLACEHOLDER_[A-Z]+_\d+> \(substituted 2 times\)$"
+    ):
         reassemble(units, cap_map, env_map, ONE_FILE)
 
 
@@ -134,7 +139,9 @@ def test_reassemble_detects_unknown_token():
     units, cap_map, env_map = built_doc()
     units[1].translated_text = env_token(0) + " " + env_token(5)
     units[1].status = STATUS_VALIDATED
-    with pytest.raises(UnresolvedPlaceholder):
+    with pytest.raises(
+        UnresolvedPlaceholder, match=r"^<PLACEHOLDER_[A-Z]+_\d+> \(not present in any map\)$"
+    ):
         reassemble(units, cap_map, env_map, ONE_FILE)
 
 
