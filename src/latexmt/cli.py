@@ -32,8 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .agents import run_pipeline
 from .config import RunConfig, base_language, load_config
 from .errors import (
@@ -392,6 +390,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_config_check(args) -> int:
+    import yaml
+
     config = load_config(args.config, {})
     payload = dataclasses.asdict(config)
     payload["chosen_engine"] = config.chosen_engine

@@ -8,8 +8,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
 
 LANGUAGE_NAMES = {
@@ -113,6 +111,9 @@ class RunConfig:
             problems.append(f"prompt_dir is not a directory: {self.prompt_dir!r}")
         if self.mock not in ("", "echo", "replay"):
             problems.append(f"mock must be empty, 'echo' or 'replay', not {self.mock!r}")
+        if not self.mock and not self.endpoint.lower().startswith(("http://", "https://")):
+            # Without a scheme every request fails; refuse before any tree is touched.
+            problems.append(f"endpoint must start with http:// or https://, not {self.endpoint!r}")
         replaying = self.mock == "replay"
         if replaying and not self.replay_from:
             problems.append("mock=replay requires replay_from")
@@ -192,6 +193,8 @@ def load_config(
             setattr(config, key, _coerce(key, getattr(defaults, key), value))
 
     if path is not None:
+        import yaml  # only here: a run without a config file never loads PyYAML
+
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:

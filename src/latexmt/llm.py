@@ -41,9 +41,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Generic, Iterator, Sequence, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, Sequence, TypeVar
 
 from .errors import (
     AuthError,
@@ -53,6 +51,9 @@ from .errors import (
     RetryBudgetExhausted,
     TransientLlmError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 TRANSCRIPT_NAME = "llm_transcript.jsonl"
 PROMPTS_NAME = "llm_prompts.jsonl"
@@ -216,7 +217,10 @@ def _retry_after(value: str | None) -> float | None:
 
 
 class HttpBackend(_CallCounter):
-    """OpenAI-compatible /chat/completions over HTTP."""
+    """OpenAI-compatible /chat/completions over HTTP.
+
+    Only this backend imports ``requests``: a run without one never loads it.
+    """
 
     def __init__(
         self,
@@ -234,9 +238,15 @@ class HttpBackend(_CallCounter):
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def complete(self, request: ChatRequest) -> ChatResult:
+        import requests
+
         self._count()
         payload = {
             "model": self.model,
@@ -251,8 +261,14 @@ class HttpBackend(_CallCounter):
             resp = self._session.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except (
+            requests.Timeout,
+            requests.ConnectionError,
+            requests.exceptions.ChunkedEncodingError,  # the reply was cut off mid-body
+        ) as exc:
             raise TransientLlmError(f"transport failure: {exc}") from exc
+        except requests.RequestException as exc:
+            raise LlmError(f"request failed: {type(exc).__name__}: {exc}") from exc
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
         if resp.status_code == 429 or resp.status_code >= 500:

@@ -909,6 +909,22 @@ def test_an_unreadable_protected_list_is_a_usage_error_that_keeps_the_last_outpu
     assert after == before
 
 
+def test_an_endpoint_without_a_scheme_is_a_usage_error_that_keeps_the_last_output(
+    tmp_path, monkeypatch, capsys
+):
+    # It used to crash the run with requests' InvalidSchema after the
+    # previous tree was deleted, leaving no report.json.
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    code, after = _translate(proj, out, monkeypatch, "--endpoint", "localhost:8000/v1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "endpoint must start with http:// or https://, not 'localhost:8000/v1'" in err
+    assert after == before
+
+
 @pytest.mark.parametrize("bound", [1, 8])
 def test_a_rejected_key_stops_the_run(tmp_path, monkeypatch, capsys, bound):
     # AuthError used to be an LlmError: every unit failed on its own, and

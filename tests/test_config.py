@@ -175,6 +175,16 @@ def test_validation_rejects_an_empty_target_language_and_an_unknown_mock():
         load_config(None, {"mock": "live"})
 
 
+def test_a_live_endpoint_needs_an_http_scheme():
+    for bad in ("localhost:8000/v1", "api.example.com/v1", "ftp://h/v1", ""):
+        with pytest.raises(ConfigError, match="^endpoint must start with http:// or https://"):
+            load_config(None, {"endpoint": bad})
+    for good in ("http://localhost:8000/v1", "https://api.example.com/v1", "HTTPS://H/v1"):
+        assert load_config(None, {"endpoint": good}).endpoint == good
+    # A mock never sends a request, so its endpoint is not checked.
+    assert load_config(None, {"endpoint": "localhost:8000/v1", "mock": "echo"}).mock == "echo"
+
+
 def test_validation_rejects_a_source_language_the_prompts_do_not_support():
     for tag in ("de", "zh-CN", "", "english"):
         with pytest.raises(ConfigError, match="source_language must be English"):

@@ -381,6 +381,34 @@ def test_http_backend_transport_errors_are_transient():
         backend.complete(req())
 
 
+def test_a_connection_dropped_mid_reply_is_retried():
+    dropped = requests.exceptions.ChunkedEncodingError("connection broken: IncompleteRead")
+    session = FakeSession([dropped, FakeResponse(200, ok_payload("done"))])
+    client = client_for(HttpBackend("http://h", session=session), retry_budget=2)
+    assert client.chat(req()) == "done"
+    assert len(session.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        requests.exceptions.InvalidSchema("No connection adapters were found"),
+        requests.exceptions.InvalidURL("Invalid URL: No host supplied"),
+        requests.exceptions.ContentDecodingError("bad gzip"),
+        requests.exceptions.TooManyRedirects("Exceeded 30 redirects."),
+    ],
+)
+def test_any_other_request_error_is_one_llm_error_sent_once(error):
+    # These used to escape the client as themselves and abort the whole run.
+    session = FakeSession([error, FakeResponse(200, ok_payload())])
+    client = client_for(HttpBackend("http://h", session=session), retry_budget=3)
+    with pytest.raises(LlmError, match=f"^request failed: {type(error).__name__}: ") as info:
+        client.chat(req())
+    assert not isinstance(info.value, TransientLlmError)
+    assert info.value.__cause__ is error
+    assert len(session.requests) == 1
+
+
 def test_http_backend_malformed_payload():
     session = FakeSession([FakeResponse(200, {"surprise": True})])
     backend = HttpBackend("http://h", session=session)
