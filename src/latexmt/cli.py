@@ -6,8 +6,10 @@ Each translated document gets its own output tree::
     out/<doc-id>/tex/      translated sources (plus untouched project files)
     out/<doc-id>/pdf/      compiled artifact, when an engine ran
     out/<doc-id>/logs/     engine log (compile.log, moved out of tex/) and its
-                           timing, LLM transcript, its prompt sidecar and
-                           what speculative calls cost (speculation.json)
+                           timing, LLM transcript and the sidecar of the
+                           blocks of its prompts, messages and replies (read
+                           both with llm.read_transcript), and what
+                           speculative calls cost (speculation.json)
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
 

@@ -7,6 +7,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 
@@ -28,6 +29,14 @@ LANGUAGE_NAMES = {
 CJK_LANGUAGES = frozenset({"zh", "ja", "ko"})
 
 _ENV_VAR_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+
+def _hostname(url: str) -> str | None:
+    """The host *url* names, or None: also for one that does not parse, like ``http://[``."""
+    try:
+        return urlsplit(url).hostname
+    except ValueError:
+        return None
 
 
 def base_language(tag: str) -> str:
@@ -111,9 +120,11 @@ class RunConfig:
             problems.append(f"prompt_dir is not a directory: {self.prompt_dir!r}")
         if self.mock not in ("", "echo", "replay"):
             problems.append(f"mock must be empty, 'echo' or 'replay', not {self.mock!r}")
+        # Without a scheme or a host every request fails; refuse before any tree is touched.
         if not self.mock and not self.endpoint.lower().startswith(("http://", "https://")):
-            # Without a scheme every request fails; refuse before any tree is touched.
             problems.append(f"endpoint must start with http:// or https://, not {self.endpoint!r}")
+        elif not self.mock and not _hostname(self.endpoint):
+            problems.append(f"endpoint must name a host, not {self.endpoint!r}")
         replaying = self.mock == "replay"
         if replaying and not self.replay_from:
             problems.append("mock=replay requires replay_from")

@@ -7,8 +7,9 @@ transcript holds for the same request.  None has a tokenizer; their token
 counts are estimated as characters / 4.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
-accounting, the optional request transcript (each system-prompt block stored
-once, in a sidecar; :func:`read_transcript` joins them back), the run's
+accounting, the optional request transcript (each block of a call's system
+prompt, user message and reply stored once, in a sidecar;
+:func:`read_transcript` joins them back), the run's
 warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
 (:meth:`LlmClient.submit`), whose calls and warnings count only once they
 are kept; a job may submit the next job of a chain, and each is kept on
@@ -62,8 +63,12 @@ SPECULATED = dict.fromkeys(
     ("hits", "misses", "discarded_calls", "discarded_prompt_tokens", "discarded_completion_tokens"),
     0,
 )
-# Where a system prompt's blocks start: a template, summary or term list is one part.
+# A text's blocks start here, and after the ``[Name]`` header line that opens
+# a block or the text: a template, a summary, a term list, the source a judge
+# quotes or the translation it checks is one block of its own.
 _BLOCK_START = "\n\n["
+_TEXTS = ("system", "user", "reply")  # the texts of a call, stored as their blocks' ids
+_FIELDS = {f"{name}_parts" for name in _TEXTS} | {"temperature", "max_new_tokens"}
 EARLY, BACKGROUND = 0, 1  # the ranks of queued jobs: the lowest runs first
 _STOP = (2, 0, None)  # queued behind every job, it stops a pool thread
 _private = partial(field, init=False, repr=False, compare=False)  # not in __init__, repr or ==
@@ -158,7 +163,8 @@ class ReplayBackend(_CallCounter):
     so calls may come in any order.  A request recorded twice replays its
     first reply.  Only successful calls are recorded, so a call that failed
     in the recording fails here as an unrecorded request.  A missing
-    recording is a :class:`ConfigError`.
+    recording, or a line of it that :func:`read_transcript` refuses, is a
+    :class:`ConfigError`, raised here: before a run touches its output.
     """
 
     def __init__(self, logs_dir: Path | str):
@@ -537,15 +543,12 @@ class LlmClient:
     def _line(self, request: ChatRequest, result: ChatResult) -> tuple | None:
         if self.transcript_path is None:
             return None
-        head, *blocks = request.system_prompt.split(_BLOCK_START)
-        parts = [(_part_id(p), p) for p in [head] + [_BLOCK_START + b for b in blocks] if p]
-        record = {
-            "system_parts": [part_id for part_id, _ in parts],
-            "user": request.user_message,
-            "temperature": request.temperature,
-            "max_new_tokens": request.max_new_tokens,
-            "reply": result.text,
-        }
+        parts = []
+        record = {"max_new_tokens": request.max_new_tokens, "temperature": request.temperature}
+        for name, text in zip(_TEXTS, (request.system_prompt, request.user_message, result.text)):
+            blocks = [(_part_id(block), block) for block in _blocks(text)]
+            record[f"{name}_parts"] = [part_id for part_id, _ in blocks]
+            parts += blocks
         return _json_line(record), parts
 
 
@@ -564,13 +567,55 @@ def _part_id(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:32]
 
 
+def _blocks(text: str) -> list[str]:
+    """*text* cut before each ``\\n\\n[``, and after a ``[Name]`` line that opens a block or *text*.
+
+    The blocks, none empty, join back to *text*.
+    """
+    blocks = []
+    for n, block in enumerate(text.split(_BLOCK_START)):
+        start = 0
+        if n:
+            block, start = _BLOCK_START + block, 2
+        if block.startswith("[", start):
+            end = block.find("\n", start + 1)
+            if end > 0 and block[end - 1] == "]":
+                blocks.append(block[: end + 1])
+                block = block[end + 1 :]
+        if block:
+            blocks.append(block)
+    return blocks
+
+
+def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
+    """``(where, value)`` of each line of *path*; a line that is not JSON is a ConfigError."""
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{path}, line {n}"
+        try:
+            value = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: not JSON ({exc})") from None
+        yield where, value
+
+
 def read_transcript(logs_dir: Path | str) -> Iterator[dict]:
-    """Each transcribed call in order, its ``system`` prompt joined back."""
+    """Each transcribed call in order, its ``system``, ``user`` and ``reply`` joined back.
+
+    A line that is not JSON, is not in this layout or names a block the
+    sidecar lacks is a :class:`ConfigError` that names its file and line.
+    """
     logs_dir = Path(logs_dir)
-    sidecar = logs_dir / PROMPTS_NAME  # absent when no call had a system prompt
-    lines = sidecar.read_text(encoding="utf-8").splitlines() if sidecar.exists() else []
-    texts = {part["id"]: part["text"] for part in map(json.loads, lines)}
-    for line in (logs_dir / TRANSCRIPT_NAME).read_text(encoding="utf-8").splitlines():
-        call = json.loads(line)
-        call["system"] = "".join(texts[i] for i in call.pop("system_parts"))
-        yield call
+    sidecar = logs_dir / PROMPTS_NAME  # absent when every text transcribed was empty
+    texts = {}
+    for where, part in _json_lines(sidecar) if sidecar.exists() else ():
+        if not isinstance(part, dict) or set(part) != {"id", "text"}:
+            raise ConfigError(f"{where}: not a block of id and text")
+        texts[part["id"]] = part["text"]
+    for where, call in _json_lines(logs_dir / TRANSCRIPT_NAME):
+        if not isinstance(call, dict) or set(call) != _FIELDS:
+            raise ConfigError(f"{where}: not a transcript line of this layout {sorted(_FIELDS)}")
+        try:
+            record = {name: "".join(texts[i] for i in call[f"{name}_parts"]) for name in _TEXTS}
+        except KeyError as exc:
+            raise ConfigError(f"{where}: block {exc.args[0]} is not in {sidecar}") from None
+        yield record | {key: call[key] for key in ("temperature", "max_new_tokens")}

@@ -25,10 +25,12 @@ from latexmt.config import RunConfig
 from latexmt.evaluator import FCScoreParams, LogStats, fc_score, parse_log
 from latexmt.generator import compile_document, reassemble, unmerge
 from latexmt.llm import (
+    TRANSCRIPT_NAME,
     EchoBackend,
     LlmClient,
     RuleBackend,
     UsageLedger,
+    read_transcript,
 )
 from latexmt.parser import (
     GRAN_CAPTION,
@@ -345,7 +347,8 @@ def test_07_bookkeeping(tmp_path, announce):
         # summary updated once per section group, over its sections in document
         # order; a group reply that does not split updates it once per section
         def bookkeeping(group_rules, name):
-            transcript = tmp_path / name
+            (tmp_path / name).mkdir()
+            transcript = tmp_path / name / TRANSCRIPT_NAME
             units = [
                 TranslationUnit(id=0, granularity=GRAN_SECTION, source_text="S1 text\n"),
                 TranslationUnit(id=1, granularity=GRAN_SECTION, source_text="S2 text\n"),
@@ -370,13 +373,13 @@ def test_07_bookkeeping(tmp_path, announce):
             )
             with quiet_client(backend, transcript_path=transcript) as client:
                 result = run_pipeline(units, client, RunConfig(completeness_check=False))
-            entries = [json.loads(line) for line in transcript.read_text().splitlines()]
+            entries = list(read_transcript(tmp_path / name))
             summaries = [e["user"] for e in entries if e["user"].startswith("prev_summary:")]
             return backend.calls, result, summaries, client.warnings
 
         group_reply = "<PLACEHOLDER_PART_0>\nt1\n\n<PLACEHOLDER_PART_1>\nt2\n"
         calls, result, summaries, warnings = bookkeeping(
-            [(r"^<PLACEHOLDER_PART_0>", group_reply)], "grouped.jsonl"
+            [(r"^<PLACEHOLDER_PART_0>", group_reply)], "grouped"
         )
         assert calls == 5  # the group's translation, summary and terms; the caption's two
         assert (result.summary.version, result.summary.text) == (1, "sum1")
@@ -385,7 +388,7 @@ def test_07_bookkeeping(tmp_path, announce):
         assert warnings == []
 
         # The group request matches no rule, so its sections go one by one.
-        calls, result, summaries, warnings = bookkeeping([], "alone.jsonl")
+        calls, result, summaries, warnings = bookkeeping([], "alone")
         assert calls == 9
         assert [w.split(":")[0] for w in warnings] == [
             "group translation failed for units 0, 1, sent one by one"

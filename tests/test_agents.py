@@ -1,6 +1,5 @@
 """The translate/validate/revise loop, rolling summary, term dictionary."""
 
-import json
 import re
 import threading
 import time
@@ -44,11 +43,13 @@ from latexmt.agents import (
 from latexmt.config import RunConfig
 from latexmt.errors import ConfigError, LlmError, TransientLlmError
 from latexmt.llm import (
+    TRANSCRIPT_NAME,
     EchoBackend,
     LlmClient,
     Pending,
     RuleBackend,
     UsageLedger,
+    read_transcript,
 )
 from latexmt.parser import (
     GRAN_CAPTION,
@@ -70,6 +71,12 @@ from latexmt.unit_filter import (
 
 
 JOIN_TIMEOUT_S = 30.0
+
+
+def transcript_in(directory):
+    """Where a client transcribes for :func:`read_transcript` of *directory*, which it makes."""
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / TRANSCRIPT_NAME
 
 
 def make_client(backend, transcript_path=None, max_in_flight=1):
@@ -819,7 +826,7 @@ def test_pipeline_partial_translation_failure_is_tolerated():
 
 
 def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
-    transcript = tmp_path / "t.jsonl"
+    transcript = transcript_in(tmp_path)
     s1 = section_unit(0, "S1 source text")
     s2 = section_unit(1, "S2 source text")
     c1 = caption_unit(2, "C1 caption text")
@@ -844,7 +851,7 @@ def test_pipeline_summary_updated_once_per_section_in_order(tmp_path):
     ]
     assert result.summary.text == "sum2"
     assert result.summary.version == 2
-    entries = [json.loads(line) for line in transcript.read_text().splitlines()]
+    entries = list(read_transcript(tmp_path))
     summary_calls = [e for e in entries if e["user"].startswith("prev_summary:")]
     assert len(summary_calls) == 2
     assert "new_section:\nS1 source text" in summary_calls[0]["user"]
@@ -933,7 +940,7 @@ def speculation_units():
 
 
 def run_speculating(tmp_path, bound):
-    sent, transcript = [], tmp_path / f"bound{bound}.jsonl"
+    sent, transcript = [], transcript_in(tmp_path / f"bound{bound}")
     backend = pinning_backend(sent, threading.Event() if bound > 1 else None)
     with make_client(backend, transcript, bound) as client:
         result = run_pipeline(speculation_units(), client, RunConfig(completeness_check=False))
@@ -954,7 +961,7 @@ def test_speculation_discards_a_miss_and_keeps_a_serial_runs_outputs(tmp_path, a
     # Unit 1 was sent without the pair, then again with it; only the resend counts.
     unit1 = [r for r in sent if r.user_message == "A second calibration run."]
     assert [r.system_prompt.endswith('"calibration" - "KALIB"') for r in unit1] == [False, True]
-    transcribed = [json.loads(line) for line in lines.splitlines()]
+    transcribed = list(read_transcript(tmp_path / "bound4"))
     assert sum(e["user"] == "A second calibration run." for e in transcribed) == 1
     # Unit 1's first request, and the update of the section that failed.
     assert client.speculation["misses"] == 2
@@ -1047,7 +1054,7 @@ def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monke
     runs = {}
     for bound in (1, 4):
         events.clear()
-        sent, path = [], tmp_path / f"bound{bound}.jsonl"
+        sent, path = [], transcript_in(tmp_path / f"bound{bound}")
         with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
             result = run_pipeline(tail_units(), client, RunConfig(completeness_check=False))
         runs[bound] = path.read_bytes(), dict(client.speculation), sent
@@ -1066,7 +1073,7 @@ def test_speculation_sends_the_tail_units_ahead_with_their_terms(tmp_path, monke
     # Caption 2 was sent without the pair, then with it; only the second is transcribed.
     second = [r.system_prompt for r in sent if r.user_message == "Another tree, pruned."]
     assert [system.endswith('"tree" - "BAUM"') for system in second] == [False, True]
-    transcribed = [json.loads(line) for line in lines.splitlines()]
+    transcribed = list(read_transcript(tmp_path / "bound4"))
     assert [e["user"] for e in transcribed].count("Another tree, pruned.") == 1
     # Every unit goes alone, the captions before the last section and the one after it.
     translator = [e["user"] for e in transcribed if not e["user"].startswith(("[", "prev_summary:"))]
@@ -1204,10 +1211,10 @@ def run_grouped(tmp_path, bound, fault, name):
             return message.replace("<PLACEHOLDER_CAP_3>\n", "", 1)
         return message
 
-    path = tmp_path / f"{name}.jsonl"
+    path = transcript_in(tmp_path / name)
     with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
         result = run_pipeline(grouped_units(), client, CFG)
-    transcribed = [json.loads(line)["user"] for line in path.read_text().splitlines()]
+    transcribed = [call["user"] for call in read_transcript(path.parent)]
     return result, client.warnings, path.read_bytes(), transcribed
 
 
@@ -1272,13 +1279,13 @@ def test_protected_environments_leave_the_steps_and_groups_of_an_unfiltered_run(
         ]
 
     def run(bound, filtered):
-        path = tmp_path / f"b{bound}-{filtered}.jsonl"
+        path = transcript_in(tmp_path / f"b{bound}-{filtered}")
         with make_client(EchoBackend(), path, bound) as client:
             todo = units()
             classify = classify_units(todo, protected_environments(), client, CFG) if filtered else ()
             result = run_pipeline(todo, client, CFG, classify)
-        sent = [json.loads(line) for line in path.read_text().splitlines()]
-        return classify, result, [(e["system_parts"], e["user"]) for e in sent]
+        sent = read_transcript(path.parent)
+        return classify, result, [(e["system"], e["user"]) for e in sent]
 
     for bound in (1, 4):
         classify, result, sent = run(bound, True)
@@ -1322,10 +1329,10 @@ def run_section_group(tmp_path, bound, translate):
             return "OK"
         return translate(message)
 
-    path = tmp_path / f"b{bound}.jsonl"
+    path = transcript_in(tmp_path / f"b{bound}")
     with make_client(RuleBackend([(r"", answer)]), path, bound) as client:
         result = run_pipeline(section_group_units(), client, CFG)
-    transcribed = [json.loads(line)["user"] for line in path.read_text().splitlines()]
+    transcribed = [call["user"] for call in read_transcript(path.parent)]
     return result, transcribed, path.read_bytes(), client
 
 

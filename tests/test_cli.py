@@ -893,6 +893,28 @@ def test_a_project_without_a_recording_is_a_usage_error(tmp_path, monkeypatch, c
     assert tree_snapshot(out / "two") == before  # the last run's output is untouched
 
 
+def test_a_recording_cut_off_mid_line_is_a_usage_error_that_keeps_the_last_output(
+    tmp_path, monkeypatch, capsys
+):
+    # A truncated last line used to end the run with a JSONDecodeError traceback.
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    recorded_dir, out = tmp_path / "recorded", tmp_path / "out"
+    assert _translate(proj, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    transcript = recorded_dir / "doc" / "logs" / TRANSCRIPT_NAME
+    lines = transcript.read_text().splitlines(keepends=True)
+    transcript.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    capsys.readouterr()
+    code, after = _translate(
+        proj, out, monkeypatch, "--mock", "replay", "--replay-from", str(recorded_dir)
+    )
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"doc: FAILED: {transcript}, line {len(lines)}: not JSON (")
+    assert after == before
+
+
 def test_an_unreadable_protected_list_is_a_usage_error_that_keeps_the_last_output(
     tmp_path, monkeypatch, capsys
 ):
@@ -922,6 +944,21 @@ def test_an_endpoint_without_a_scheme_is_a_usage_error_that_keeps_the_last_outpu
     assert code == 2
     err = capsys.readouterr().err
     assert "endpoint must start with http:// or https://, not 'localhost:8000/v1'" in err
+    assert after == before
+
+
+def test_an_endpoint_without_a_host_is_a_usage_error_that_keeps_the_last_output(
+    tmp_path, monkeypatch, capsys
+):
+    # It used to replace the tree, fail every call with requests' InvalidURL
+    # and exit 3 with PipelineFailed.
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    code, after = _translate(proj, out, monkeypatch, "--endpoint", "http://")
+    assert code == 2
+    assert capsys.readouterr().err == "error: endpoint must name a host, not 'http://'\n"
     assert after == before
 
 

@@ -185,6 +185,15 @@ def test_a_live_endpoint_needs_an_http_scheme():
     assert load_config(None, {"endpoint": "localhost:8000/v1", "mock": "echo"}).mock == "echo"
 
 
+def test_a_live_endpoint_needs_a_host():
+    for bad in ("http://", "https:///v1", "http://:8000/v1", "HTTP://@/v1", "http://[/v1"):
+        with pytest.raises(ConfigError, match="^endpoint must name a host, not "):
+            load_config(None, {"endpoint": bad})
+    for good in ("http://localhost:8000/v1", "https://user@h/v1", "http://[::1]:8000/v1"):
+        assert load_config(None, {"endpoint": good}).endpoint == good
+    assert load_config(None, {"endpoint": "http://", "mock": "echo"}).mock == "echo"
+
+
 def test_validation_rejects_a_source_language_the_prompts_do_not_support():
     for tag in ("de", "zh-CN", "", "english"):
         with pytest.raises(ConfigError, match="source_language must be English"):

@@ -1,11 +1,16 @@
 """Client retry behaviour, mock backends, HTTP adapter, usage ledger, fan-out."""
 
 import json
+import re
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latexmt.agents import run_pipeline
 from latexmt.config import RunConfig
@@ -97,6 +102,27 @@ def test_replay_backend_without_a_recording_is_a_config_error(tmp_path):
     for logs in (tmp_path / "missing", tmp_path):  # no directory; no transcript in it
         with pytest.raises(ConfigError, match="no recording to replay: .* not found"):
             ReplayBackend(logs)
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda line: line[: len(line) // 2], r"not JSON \("),
+        (lambda line: line.replace('"reply_parts": ["', '"reply_parts": ["0'), "block 0"),
+        (  # the layout before every text was stored as blocks
+            lambda _line: '{"max_new_tokens": 8192, "reply": "r", "system_parts": [], '
+            '"temperature": 0.7, "user": "u"}',
+            r"not a transcript line of this layout \['max_new_tokens', ",
+        ),
+    ],
+)
+def test_replay_backend_refuses_a_bad_line_naming_its_file_and_line(tmp_path, damage, problem):
+    record(tmp_path, [(req("a"), "reply a"), (req("b"), "reply b")])
+    transcript = tmp_path / TRANSCRIPT_NAME
+    first, last = transcript.read_text().splitlines()
+    transcript.write_text(f"{first}\n{damage(last)}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(transcript))}, line 2: {problem}"):
+        ReplayBackend(tmp_path)
 
 
 
@@ -222,15 +248,19 @@ def test_client_records_usage_per_successful_call():
 
 
 def test_transcript_written_as_jsonl(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     backend = RuleBackend([("^first$", "alpha"), ("^second$", "beta")])
     client = client_for(backend, transcript_path=path)
     client.chat(req("first"))
     client.chat(req("second"))
     client.close()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [entry["reply"] for entry in lines] == ["alpha", "beta"]
-    assert lines[0]["user"] == "first"
+    assert [sorted(entry) for entry in lines] == 2 * [
+        ["max_new_tokens", "reply_parts", "system_parts", "temperature", "user_parts"]
+    ]
+    calls = list(read_transcript(tmp_path))
+    assert [c["reply"] for c in calls] == ["alpha", "beta"]
+    assert calls[0]["user"] == "first"
 
 
 # Prompts that share blocks, in the layout the agents use, and edge cases:
@@ -272,7 +302,8 @@ def test_read_transcript_without_any_system_prompt(tmp_path):
     client = client_for(EchoBackend(), transcript_path=tmp_path / TRANSCRIPT_NAME)
     with client:
         client.chat(req("only a user message", ""))
-    assert not (tmp_path / PROMPTS_NAME).exists()
+    (line,) = (tmp_path / TRANSCRIPT_NAME).read_text().splitlines()
+    assert json.loads(line)["system_parts"] == []
     assert [c["system"] for c in read_transcript(tmp_path)] == [""]
 
 
@@ -282,13 +313,17 @@ def test_each_prompt_block_is_stored_once_before_its_first_use(tmp_path):
     first_use = []
     for line in (tmp_path / TRANSCRIPT_NAME).read_text().splitlines():
         entry = json.loads(line)
-        assert "system" not in entry
-        first_use += [i for i in entry["system_parts"] if i not in first_use]
+        assert not {"system", "user", "reply"} & set(entry)
+        for field in ("system_parts", "user_parts", "reply_parts"):
+            first_use += [i for i in entry[field] if i not in first_use]
     assert [part["id"] for part in stored] == first_use
     texts = [part["text"] for part in stored]
     assert len(set(texts)) == len(texts)
-    assert texts[:3] == [
-        "Translate.", "\n\n[Summary]\n(none yet)", "\n\n[Term Dictionary]\n(empty)",
+    # Each header line is a block, so the summary and the terms are blocks of their own;
+    # echo's reply is the user message, stored once.
+    assert texts[:6] == [
+        "Translate.", "\n\n[Summary]\n", "(none yet)", "\n\n[Term Dictionary]\n", "(empty)",
+        "user 0",
     ]
 
 
@@ -300,6 +335,66 @@ def test_prompt_sidecar_is_the_same_under_concurrency(tmp_path):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "concurrent" / name
         ).read_bytes()
+
+
+def test_a_text_quoted_under_a_header_is_not_stored_again(tmp_path):
+    source, translation = "A source.\n\n[1] A citation.", "Une source.\n\n[1] Une citation."
+    record(
+        tmp_path,
+        [
+            (req(source, "Translate."), translation),
+            (req(f"[Source]\n{source}\n\n[Translation]\n{translation}", "Mine."), "N/A"),
+        ],
+    )
+    stored = [json.loads(line) for line in (tmp_path / PROMPTS_NAME).read_text().splitlines()]
+    assert [part["text"] for part in stored] == [
+        "Translate.", "A source.", "\n\n[1] A citation.", "Une source.", "\n\n[1] Une citation.",
+        "Mine.", "[Source]\n", "\n\n[Translation]\n", "N/A",
+    ]
+
+
+class ReplyByTemperature:
+    """Answers a request with ``replies[int(temperature)]``, whatever the order of calls."""
+
+    def __init__(self, replies):
+        self.replies = replies
+
+    def complete(self, request):
+        return ChatResult(self.replies[int(request.temperature)])
+
+
+# Texts built to hit the cuts: block starts, header lines at the start and
+# after a block start, brackets that open no header, non-ASCII and a lone surrogate.
+PIECES = st.sampled_from(
+    ["\n\n[", "[x]\n", "\n\n[Summary]\n", "[", "]\n", "\n", "\u56fe", "\udcff"]
+)
+TEXTS = st.lists(st.one_of(PIECES, st.text(max_size=6)), max_size=8).map("".join)
+CALLS = st.lists(
+    st.tuples(st.one_of(st.just(""), TEXTS), TEXTS, TEXTS.filter(str.strip)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CALLS)
+def test_read_transcript_gives_back_every_text_sent_and_stores_each_block_once(calls):
+    requests_ = [ChatRequest(system, user, float(i)) for i, (system, user, _) in enumerate(calls)]
+    written = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for bound in (1, 4):
+            logs = Path(tmp) / str(bound)
+            logs.mkdir()
+            backend = ReplyByTemperature([reply for *_, reply in calls])
+            transcript = logs / TRANSCRIPT_NAME
+            with client_for(backend, transcript_path=transcript, max_in_flight=bound) as client:
+                for job in [client.submit(client.chat, r) for r in requests_]:
+                    job.result()
+            assert [(c["system"], c["user"], c["reply"]) for c in read_transcript(logs)] == calls
+            stored = [json.loads(line) for line in (logs / PROMPTS_NAME).read_text().splitlines()]
+            assert len({part["id"] for part in stored}) == len(stored)
+            assert len({part["text"] for part in stored}) == len(stored)
+            assert all(part["text"] for part in stored)
+            written.add((transcript.read_bytes(), (logs / PROMPTS_NAME).read_bytes()))
+    assert len(written) == 1  # the same files at either bound
 
 
 # --------------------------------------------------------------------------
@@ -557,11 +652,11 @@ def test_client_waits_as_long_as_retry_after_asks_within_the_cap():
 
 
 def transcript_users(path):
-    return [json.loads(line)["user"] for line in path.read_text().splitlines()]
+    return [call["user"] for call in read_transcript(path.parent)]
 
 
 def test_jobs_taken_in_order_give_results_and_transcript_in_that_order(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=4)
     items = [str(i) for i in range(12)]
     threads = threading.active_count()
@@ -592,7 +687,7 @@ def test_jobs_run_up_to_the_bound_at_once():
 
 
 def test_jobs_discarded_after_an_error_still_run(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=3)
 
     def call(item):
@@ -615,7 +710,7 @@ def test_jobs_discarded_after_an_error_still_run(tmp_path):
 
 
 def test_with_bound_one_jobs_run_inline_in_the_order_taken(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     backend = RuleBackend([("x", "a"), ("y", "b"), ("z", "c")])
     client = client_for(backend, transcript_path=path)
     assert client.max_in_flight == 1
@@ -640,7 +735,7 @@ def test_with_bound_one_jobs_run_inline_in_the_order_taken(tmp_path):
 
 
 def test_results_commit_in_the_order_they_are_taken(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     with client_for(EchoBackend(), transcript_path=path, max_in_flight=3) as client:
         jobs = {u: client.submit(client.chat, req(u)) for u in ("a", "bb", "ccc")}
         assert [jobs[u]._future.result() for u in jobs] == ["a", "bb", "ccc"]
@@ -656,7 +751,7 @@ def test_results_commit_in_the_order_they_are_taken(tmp_path):
 
 
 def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     started, release = threading.Event(), threading.Event()
 
     def slow(item):
@@ -675,7 +770,7 @@ def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
 
 
 def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     started, release = threading.Barrier(3, timeout=10), threading.Event()
 
     def gated(item):
@@ -700,7 +795,7 @@ def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
 
 def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
     backend = RuleBackend([], default="first")
-    with client_for(backend, transcript_path=tmp_path / "t.jsonl") as client:
+    with client_for(backend, transcript_path=tmp_path / TRANSCRIPT_NAME) as client:
         dropped = client.submit(client.chat, req("dropped"))
         kept = client.submit(client.chat, req("kept"))
         assert backend.calls == 0
@@ -708,7 +803,7 @@ def test_with_bound_one_a_job_runs_inside_result_or_never(tmp_path):
         assert kept.result() == "first"
         assert kept.result() == "first"  # taken again: run and committed once
     assert backend.calls == 1
-    assert transcript_users(tmp_path / "t.jsonl") == ["kept"]
+    assert transcript_users(tmp_path / TRANSCRIPT_NAME) == ["kept"]
     assert dict(client.speculation) == dict.fromkeys(client.speculation, 0)
 
 
@@ -748,7 +843,7 @@ class Gated:
 
 def test_pool_runs_requests_sent_early_before_jobs_submitted_earlier(tmp_path):
     gated = Gated("held 0", "held 1")
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     with client_for(RuleBackend([(r"", gated)]), transcript_path=path, max_in_flight=2) as client:
         held = [client.submit(client.chat, req(message)) for message in gated.release]
         background = [client.submit(client.chat, req(f"background {i}")) for i in range(3)]
@@ -796,7 +891,7 @@ def test_pool_runs_the_programs_own_call_before_jobs_submitted_earlier():
 
 @pytest.mark.parametrize("bound", [1, 4])
 def test_a_call_after_close_raises_and_opens_no_file(tmp_path, bound):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     client = client_for(EchoBackend(), transcript_path=path, max_in_flight=bound)
     assert client.chat(req("before")) == "before"
     client.close()
@@ -859,7 +954,8 @@ def test_an_early_reply_is_kept_only_for_an_equal_request(tmp_path):
 
     lines = {}
     for bound in (1, 3):  # at bound 1, a serial run: nothing is sent early
-        path = tmp_path / f"b{bound}.jsonl"
+        path = tmp_path / f"b{bound}" / TRANSCRIPT_NAME
+        path.parent.mkdir()
         backend = RuleBackend([(r"", reply)])
         with client_for(backend, transcript_path=path, max_in_flight=bound) as client:
             if bound > 1:
@@ -885,7 +981,7 @@ def test_an_early_reply_is_kept_only_for_an_equal_request(tmp_path):
 
 
 def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     with client_for(EchoBackend(), transcript_path=path) as client:
         client.send_early(req("taken"))
         client.send_early(req("never taken"))
@@ -899,7 +995,7 @@ def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_a_request_chained_behind_an_early_one_is_early_once_that_one_is_taken(tmp_path, bound):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
         client.send_early(req("unit"), lambda text: req(f"terms of {text}"))
         assert client.reply(req("before")) == "before"  # not sent early: a plain call
@@ -912,7 +1008,7 @@ def test_a_request_chained_behind_an_early_one_is_early_once_that_one_is_taken(t
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_a_chained_request_already_pending_is_a_miss_for_the_later_chain(tmp_path, bound):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
     with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
         for unit in ("a", "b"):
             client.send_early(req(unit), lambda _text: req("shared terms"))
@@ -983,7 +1079,7 @@ def test_a_job_that_raises_still_commits_its_warnings(bound):
 
 @pytest.mark.parametrize("bound", [1, 3])
 def test_chained_jobs_commit_in_the_order_they_are_taken(tmp_path, bound):
-    path = tmp_path / "transcript.jsonl"
+    path = tmp_path / TRANSCRIPT_NAME
 
     def step(item, left):
         time.sleep(0.002 * left if item == "a" else 0.0)  # b's chain runs ahead
