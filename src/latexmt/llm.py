@@ -1,10 +1,9 @@
-"""Chat-completion access: one real HTTP backend, three deterministic mocks.
+"""Chat-completion access: one real HTTP backend, two deterministic mocks.
 
 The mocks answer from the request alone: :class:`EchoBackend` returns the
-user message, :class:`RuleBackend` the reply of the first regex rule that
-matches it, and :class:`ReplayBackend` the reply a recorded run's
-transcript holds for the same request.  None has a tokenizer; their token
-counts are estimated as characters / 4.
+user message, and :class:`ReplayBackend` the reply a recorded run's
+transcript holds for the same request.  Neither has a tokenizer; their
+token counts are estimated as characters / 4.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
 accounting, the optional request transcript (each block of a call's system
@@ -34,7 +33,6 @@ import hashlib
 import itertools
 import json
 import queue
-import re
 import threading
 import time
 from collections import Counter
@@ -136,27 +134,14 @@ def _estimated(request: ChatRequest, reply: str) -> ChatResult:
     )
 
 
-class _CallCounter:
-    """A ``calls`` count that concurrent callers can bump safely."""
-
-    def __init__(self):
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _count(self) -> None:
-        with self._lock:
-            self.calls += 1
-
-
-class EchoBackend(_CallCounter):
+class EchoBackend:
     """Returns the user message unchanged. The identity translator."""
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self._count()
         return _estimated(request, request.user_message)
 
 
-class ReplayBackend(_CallCounter):
+class ReplayBackend:
     """Answers each request with its reply in a recorded run's transcript.
 
     A request is keyed on every field, all of which the transcript records,
@@ -168,7 +153,6 @@ class ReplayBackend(_CallCounter):
     """
 
     def __init__(self, logs_dir: Path | str):
-        super().__init__()
         transcript = Path(logs_dir) / TRANSCRIPT_NAME
         if not transcript.is_file():
             raise ConfigError(f"no recording to replay: {transcript} not found")
@@ -178,38 +162,9 @@ class ReplayBackend(_CallCounter):
             self._replies.setdefault(ChatRequest(*fields), call["reply"])
 
     def complete(self, request: ChatRequest) -> ChatResult:
-        self._count()
         if request not in self._replies:
             raise LlmError(f"request not in the recording: {request.user_message[:80]!r}")
         return _estimated(request, self._replies[request])
-
-
-class RuleBackend(_CallCounter):
-    """First regex rule matching the user message wins; optional default."""
-
-    def __init__(
-        self,
-        rules: Sequence[tuple[str, str | Callable[[re.Match, ChatRequest], str]]],
-        default: str | None = None,
-    ):
-        super().__init__()
-        self._rules = [(re.compile(pat, re.S), reply) for pat, reply in rules]
-        self._default = default
-
-    def complete(self, request: ChatRequest) -> ChatResult:
-        self._count()
-        for pattern, reply in self._rules:
-            m = pattern.search(request.user_message)
-            if m is not None:
-                text = reply(m, request) if callable(reply) else reply
-                break
-        else:
-            if self._default is None:
-                raise LlmError(
-                    f"no rule matched user message: {request.user_message[:80]!r}"
-                )
-            text = self._default
-        return _estimated(request, text)
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -222,7 +177,7 @@ def _retry_after(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-class HttpBackend(_CallCounter):
+class HttpBackend:
     """OpenAI-compatible /chat/completions over HTTP.
 
     Only this backend imports ``requests``: a run without one never loads it.
@@ -236,7 +191,6 @@ class HttpBackend(_CallCounter):
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
-        super().__init__()
         endpoint = endpoint.rstrip("/")
         if not endpoint.endswith("/chat/completions"):
             endpoint += "/chat/completions"
@@ -253,7 +207,6 @@ class HttpBackend(_CallCounter):
     def complete(self, request: ChatRequest) -> ChatResult:
         import requests
 
-        self._count()
         payload = {
             "model": self.model,
             "messages": request.messages(),
@@ -288,20 +241,20 @@ class HttpBackend(_CallCounter):
             )
         if resp.status_code != 200:
             raise LlmError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
+        try:  # a missing or null reply, usage or token count is empty or 0
             data = resp.json()
             choice = data["choices"][0]
-            text = choice["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            text = choice["message"]["content"] or ""
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
+            usage = data.get("usage") or {}
+            tokens = [usage.get(key) for key in ("prompt_tokens", "completion_tokens")]
+            tokens = [0 if n is None else int(n) for n in tokens]
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise LlmError(f"malformed completion payload: {exc}") from exc
         if choice.get("finish_reason") == "length":
             raise LlmError(f"reply cut off at max_tokens ({request.max_new_tokens})")
-        usage = data.get("usage") or {}
-        return ChatResult(
-            text or "",
-            int(usage.get("prompt_tokens", 0)),
-            int(usage.get("completion_tokens", 0)),
-        )
+        return ChatResult(text, *tokens)
 
 
 R = TypeVar("R")
@@ -608,8 +561,10 @@ def read_transcript(logs_dir: Path | str) -> Iterator[dict]:
     sidecar = logs_dir / PROMPTS_NAME  # absent when every text transcribed was empty
     texts = {}
     for where, part in _json_lines(sidecar) if sidecar.exists() else ():
-        if not isinstance(part, dict) or set(part) != {"id", "text"}:
-            raise ConfigError(f"{where}: not a block of id and text")
+        if not isinstance(part, dict) or set(part) != {"id", "text"} or not all(
+            isinstance(value, str) for value in part.values()
+        ):
+            raise ConfigError(f"{where}: not a block of id and text, both strings")
         texts[part["id"]] = part["text"]
     for where, call in _json_lines(logs_dir / TRANSCRIPT_NAME):
         if not isinstance(call, dict) or set(call) != _FIELDS:
@@ -618,4 +573,6 @@ def read_transcript(logs_dir: Path | str) -> Iterator[dict]:
             record = {name: "".join(texts[i] for i in call[f"{name}_parts"]) for name in _TEXTS}
         except KeyError as exc:
             raise ConfigError(f"{where}: block {exc.args[0]} is not in {sidecar}") from None
+        except TypeError:  # parts that are not iterable, or an id that cannot be a key
+            raise ConfigError(f"{where}: parts that are not a list of block ids") from None
         yield record | {key: call[key] for key in ("temperature", "max_new_tokens")}

@@ -1,10 +1,16 @@
-"""Shared fixtures: the corpus of small LaTeX projects and client helpers."""
+"""Shared fixtures: the corpus of small LaTeX projects, and counting mock backends."""
 
 from __future__ import annotations
 
+import re
+import threading
 from pathlib import Path
+from typing import Callable, Sequence
 
 import pytest
+
+from latexmt.errors import LlmError
+from latexmt.llm import ChatRequest, ChatResult, _estimated
 
 # ---------------------------------------------------------------------------
 # corpus
@@ -236,3 +242,49 @@ def tree_snapshot(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# ---------------------------------------------------------------------------
+# mock backends that count their calls, which pool threads may make at once
+
+
+class Counted:
+    """*backend* with a count of the calls made to it."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> ChatResult:
+        with self._lock:
+            self.calls += 1
+        return self.backend.complete(request)
+
+
+class RuleBackend:
+    """First regex rule matching the user message wins; optional default; counts its calls."""
+
+    def __init__(
+        self,
+        rules: Sequence[tuple[str, str | Callable[[re.Match, ChatRequest], str]]],
+        default: str | None = None,
+    ):
+        self._rules = [(re.compile(pat, re.S), reply) for pat, reply in rules]
+        self._default = default
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> ChatResult:
+        with self._lock:
+            self.calls += 1
+        for pattern, reply in self._rules:
+            m = pattern.search(request.user_message)
+            if m is not None:
+                text = reply(m, request) if callable(reply) else reply
+                break
+        else:
+            if self._default is None:
+                raise LlmError(f"no rule matched user message: {request.user_message[:80]!r}")
+            text = self._default
+        return _estimated(request, text)

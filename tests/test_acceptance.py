@@ -28,7 +28,6 @@ from latexmt.llm import (
     TRANSCRIPT_NAME,
     EchoBackend,
     LlmClient,
-    RuleBackend,
     UsageLedger,
     read_transcript,
 )
@@ -60,7 +59,7 @@ from latexmt.unit_filter import (
     protected_environments,
 )
 
-from conftest import CORPUS, tree_snapshot, write_files
+from conftest import CORPUS, Counted, RuleBackend, tree_snapshot, write_files
 from test_evaluator import read_log
 
 
@@ -287,7 +286,7 @@ def test_06_filter_contract(announce):
             )
 
         for name in sorted(protected):
-            backend = EchoBackend()
+            backend = Counted(EchoBackend())
             decision = classify_unit(
                 env_unit(name), protected, quiet_client(backend), RunConfig()
             )

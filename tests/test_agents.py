@@ -47,7 +47,6 @@ from latexmt.llm import (
     EchoBackend,
     LlmClient,
     Pending,
-    RuleBackend,
     UsageLedger,
     read_transcript,
 )
@@ -68,6 +67,8 @@ from latexmt.unit_filter import (
     classify_units,
     protected_environments,
 )
+
+from conftest import Counted, RuleBackend
 
 
 JOIN_TIMEOUT_S = 30.0
@@ -648,7 +649,7 @@ def test_pipeline_skips_non_translatable_units_without_calls():
             role="preamble",
         )
     ]
-    backend = EchoBackend()
+    backend = Counted(EchoBackend())
     result = run_pipeline(units, make_client(backend), CFG)
     assert backend.calls == 0
     assert units[0].status == STATUS_VALIDATED
@@ -790,7 +791,7 @@ def test_failed_revision_carries_findings_instead_of_rejudging():
 
 @pytest.mark.parametrize("bad", [{"max_validation_rounds": 0}, {"term_dict_cap": 0}])
 def test_pipeline_rejects_an_invalid_config_before_any_call(bad):
-    backend = EchoBackend()
+    backend = Counted(EchoBackend())
     with pytest.raises(ConfigError):
         run_pipeline([section_unit(0, "text")], make_client(backend), RunConfig(**bad))
     assert backend.calls == 0

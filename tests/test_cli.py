@@ -12,9 +12,9 @@ import pytest
 from latexmt import agents, cli, prompts
 from latexmt.config import RunConfig, load_config
 from latexmt.errors import AuthError
-from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, RuleBackend, read_transcript
+from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, read_transcript
 
-from conftest import tree_snapshot, write_files
+from conftest import RuleBackend, tree_snapshot, write_files
 from test_generator import fake_engine
 
 

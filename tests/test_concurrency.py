@@ -20,10 +20,10 @@ import time
 from latexmt import agents, cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
-from latexmt.llm import ChatRequest, LlmClient, RuleBackend, read_transcript
+from latexmt.llm import ChatRequest, LlmClient, read_transcript
 from latexmt.placeholders import TOKEN_RE
 
-from conftest import write_files
+from conftest import RuleBackend, write_files
 
 JOIN_TIMEOUT_S = 60.0
 FILTER_PROMPT = prompts.render("filter")

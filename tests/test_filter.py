@@ -3,7 +3,7 @@
 from latexmt.agents import run_pipeline
 from latexmt.config import RunConfig
 from latexmt.errors import ConfigError
-from latexmt.llm import EchoBackend, LlmClient, Pending, RuleBackend, UsageLedger
+from latexmt.llm import EchoBackend, LlmClient, Pending, UsageLedger
 from latexmt.parser import GRAN_CAPTION, GRAN_ENVIRONMENT, GRAN_SECTION, TranslationUnit
 from latexmt.unit_filter import (
     SOURCE_DEFAULT,
@@ -16,6 +16,8 @@ from latexmt.unit_filter import (
 )
 
 import pytest
+
+from conftest import Counted, RuleBackend
 
 
 def env_unit(uid=0, name="tcolorbox", text="Some prose inside."):
@@ -45,7 +47,7 @@ def test_default_list_protects_math_and_verbatim():
 
 
 def test_protected_env_never_queries_the_model():
-    backend = EchoBackend()
+    backend = Counted(EchoBackend())
     decision = classify_unit(
         env_unit(name="equation"), protected_environments(), client_of(backend), CFG
     )
@@ -56,7 +58,7 @@ def test_protected_env_never_queries_the_model():
 def test_nameless_block_is_predefined_preserve():
     unit = env_unit()
     unit.env_name = None
-    backend = EchoBackend()
+    backend = Counted(EchoBackend())
     decision = classify_unit(unit, protected_environments(), client_of(backend), CFG)
     assert decision.source == SOURCE_PREDEFINED
     assert backend.calls == 0
@@ -165,7 +167,7 @@ def test_an_invalid_config_starts_no_filter_job(bad):
         TranslationUnit(0, GRAN_SECTION, "Some text."),
         *(env_unit(uid, "notebox", f"Box {uid}.") for uid in range(1, 9)),
     ]
-    backend = EchoBackend()
+    backend = Counted(EchoBackend())
     config = RunConfig(**bad)
     with client_of(backend, max_in_flight=8) as client:
         with pytest.raises(ConfigError):

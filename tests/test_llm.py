@@ -31,11 +31,12 @@ from latexmt.llm import (
     HttpBackend,
     LlmClient,
     ReplayBackend,
-    RuleBackend,
     UsageLedger,
     read_transcript,
 )
 from latexmt.parser import GRAN_SECTION, STATUS_FAILED, STATUS_VALIDATED, TranslationUnit
+
+from conftest import Counted, RuleBackend
 
 
 def req(user="hello", system="sys"):
@@ -104,8 +105,13 @@ def test_replay_backend_without_a_recording_is_a_config_error(tmp_path):
             ReplayBackend(logs)
 
 
+def redo(line, key, value):
+    """*line*, a JSON object, with *key* set to *value*."""
+    return json.dumps({**json.loads(line), key: value})
+
+
 @pytest.mark.parametrize(
-    "damage, problem",
+    "damage, problem",  # a damage to the transcript's last line, or (file name, damage)
     [
         (lambda line: line[: len(line) // 2], r"not JSON \("),
         (lambda line: line.replace('"reply_parts": ["', '"reply_parts": ["0'), "block 0"),
@@ -114,14 +120,19 @@ def test_replay_backend_without_a_recording_is_a_config_error(tmp_path):
             '"temperature": 0.7, "user": "u"}',
             r"not a transcript line of this layout \['max_new_tokens', ",
         ),
+        (lambda line: redo(line, "user_parts", 5), "parts that are not a list of block ids"),
+        ((PROMPTS_NAME, lambda line: redo(line, "id", [1])), "not a block of id and text, "),
+        ((PROMPTS_NAME, lambda line: redo(line, "text", 5)), "not a block of id and text, "),
     ],
 )
 def test_replay_backend_refuses_a_bad_line_naming_its_file_and_line(tmp_path, damage, problem):
     record(tmp_path, [(req("a"), "reply a"), (req("b"), "reply b")])
-    transcript = tmp_path / TRANSCRIPT_NAME
-    first, last = transcript.read_text().splitlines()
-    transcript.write_text(f"{first}\n{damage(last)}\n")
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(transcript))}, line 2: {problem}"):
+    name, damage = damage if isinstance(damage, tuple) else (TRANSCRIPT_NAME, damage)
+    path = tmp_path / name
+    *lines, last = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in [*lines, damage(last)]))
+    where = f"{re.escape(str(path))}, line {len(lines) + 1}"
+    with pytest.raises(ConfigError, match=f"^{where}: {problem}"):
         ReplayBackend(tmp_path)
 
 
@@ -505,10 +516,26 @@ def test_any_other_request_error_is_one_llm_error_sent_once(error):
 
 
 def test_http_backend_malformed_payload():
-    session = FakeSession([FakeResponse(200, {"surprise": True})])
-    backend = HttpBackend("http://h", session=session)
-    with pytest.raises(LlmError):
-        backend.complete(req())
+    for payload in (
+        {"surprise": True},
+        {**ok_payload(), "usage": [1]},
+        {**ok_payload(), "usage": {"prompt_tokens": "n/a"}},
+        {**ok_payload(), "usage": {"completion_tokens": [3]}},
+        {"choices": [{"message": {"content": 5}}]},
+    ):
+        session = FakeSession([FakeResponse(200, payload)])
+        client = client_for(HttpBackend("http://h", session=session), retry_budget=3)
+        with pytest.raises(LlmError, match="^malformed completion payload: ") as info:
+            client.chat(req())
+        assert not isinstance(info.value, TransientLlmError), payload
+        assert len(session.requests) == 1 and client.ledger.calls == 0, payload
+
+
+def test_http_backend_counts_a_null_token_count_as_0():
+    payload = {**ok_payload(), "usage": {"prompt_tokens": None, "completion_tokens": 3}}
+    session = FakeSession([FakeResponse(200, payload)])
+    result = HttpBackend("http://h", session=session).complete(req())
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("bonjour", 0, 3)
 
 
 def test_http_backend_other_status_is_an_error_sent_once():
@@ -688,7 +715,7 @@ def test_jobs_run_up_to_the_bound_at_once():
 
 def test_jobs_discarded_after_an_error_still_run(tmp_path):
     path = tmp_path / TRANSCRIPT_NAME
-    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=3)
+    client = client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=3)
 
     def call(item):
         if item == 2:
@@ -759,7 +786,7 @@ def test_a_job_discarded_while_running_is_dropped_when_it_ends(tmp_path):
         assert release.wait(10)
         return client.chat(req(item))
 
-    with client_for(EchoBackend(), transcript_path=path, max_in_flight=2) as client:
+    with client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=2) as client:
         job = client.submit(slow, "late")
         assert started.wait(10)
         job.discard()
@@ -778,7 +805,7 @@ def test_a_queued_job_discarded_before_it_starts_still_runs(tmp_path):
         assert release.wait(10)
         return client.chat(req(item))
 
-    with client_for(EchoBackend(), transcript_path=path, max_in_flight=2) as client:
+    with client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=2) as client:
         gates = [client.submit(gated, item) for item in ("a", "b")]
         queued = client.submit(client.chat, req("queued"))
         started.wait()  # both threads hold a gated job: the third waits in the queue
@@ -892,7 +919,7 @@ def test_pool_runs_the_programs_own_call_before_jobs_submitted_earlier():
 @pytest.mark.parametrize("bound", [1, 4])
 def test_a_call_after_close_raises_and_opens_no_file(tmp_path, bound):
     path = tmp_path / TRANSCRIPT_NAME
-    client = client_for(EchoBackend(), transcript_path=path, max_in_flight=bound)
+    client = client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=bound)
     assert client.chat(req("before")) == "before"
     client.close()
     with pytest.raises(RuntimeError, match="closed"):
@@ -982,7 +1009,7 @@ def test_an_early_reply_is_kept_only_for_an_equal_request(tmp_path):
 
 def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
     path = tmp_path / TRANSCRIPT_NAME
-    with client_for(EchoBackend(), transcript_path=path) as client:
+    with client_for(Counted(EchoBackend()), transcript_path=path) as client:
         client.send_early(req("taken"))
         client.send_early(req("never taken"))
         assert client.backend.calls == 0
@@ -996,7 +1023,7 @@ def test_with_bound_one_a_request_sent_early_runs_only_when_taken(tmp_path):
 @pytest.mark.parametrize("bound", [1, 3])
 def test_a_request_chained_behind_an_early_one_is_early_once_that_one_is_taken(tmp_path, bound):
     path = tmp_path / TRANSCRIPT_NAME
-    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+    with client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=bound) as client:
         client.send_early(req("unit"), lambda text: req(f"terms of {text}"))
         assert client.reply(req("before")) == "before"  # not sent early: a plain call
         assert client.reply(req("unit")) == "unit"
@@ -1009,7 +1036,7 @@ def test_a_request_chained_behind_an_early_one_is_early_once_that_one_is_taken(t
 @pytest.mark.parametrize("bound", [1, 3])
 def test_a_chained_request_already_pending_is_a_miss_for_the_later_chain(tmp_path, bound):
     path = tmp_path / TRANSCRIPT_NAME
-    with client_for(EchoBackend(), transcript_path=path, max_in_flight=bound) as client:
+    with client_for(Counted(EchoBackend()), transcript_path=path, max_in_flight=bound) as client:
         for unit in ("a", "b"):
             client.send_early(req(unit), lambda _text: req("shared terms"))
         assert [client.reply(req(unit)) for unit in ("a", "b")] == ["a", "b"]

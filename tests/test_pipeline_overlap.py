@@ -18,9 +18,8 @@ import pytest
 from latexmt import agents, cli, prompts
 from latexmt.config import load_config
 from latexmt.errors import TransientLlmError
-from latexmt.llm import RuleBackend
 
-from conftest import write_files
+from conftest import RuleBackend, write_files
 
 JOIN_TIMEOUT_S = 30.0
 FILTER_PROMPT = prompts.render("filter")
