@@ -4,10 +4,10 @@ The pipeline runs in a fixed order so that later passes see the tokens of
 earlier ones:
 
 1. ``merge_project``       - inline \\input/\\include files between boundary tokens
-2. ``extract_captions``    - swap caption bodies inside floats for CAP tokens
-3. ``extract_environments``- swap top-level environment blocks for ENV tokens
-4. ``split_sections``      - cut the remaining text at sectioning commands
-5. ``enumerate_units``     - one flat, ordered list of translation units
+2. ``extract_environments``- swap caption bodies inside floats for CAP tokens
+   (``extract_captions``) and top-level environment blocks for ENV tokens
+3. ``split_sections``      - cut the remaining text at sectioning commands
+4. ``enumerate_units``     - one flat, ordered list of translation units
 
 Every pass finds structure with ``_next_live``: a match counts only when it
 is not escaped and lies outside the spans it is given.  ``comment_spans``
@@ -16,12 +16,12 @@ the line; inside ``verbatim``-like environments it is literal) and the
 verbatim-like bodies.  Includes, captions, sections and ``document_body``
 skip both; the block search skips the comments alone (``_comments``), since
 a verbatim block is itself a block.  Each source file is scanned once: the
-merge puts the merged text's spans together from its files', and each pass
-hands its output's on, carried through its cuts, to the next.
-Where carrying would not give what a scan gives, the text is scanned
-again.  A source that already holds a placeholder token is refused.
-Structural problems such as unbalanced braces, a stray ``\\end`` or a
-brace-less ``\\input`` are recorded as warning strings, never raised.
+merge puts the merged text's spans together from its files', and one walk
+over its blocks finds the floats, so one cut carries them to the stripped
+text, or where that would not give what a scan gives, it is scanned again.
+A source that already holds a placeholder token is refused.  Structural
+problems such as unbalanced braces, a stray ``\\end`` or a brace-less
+``\\input`` are recorded as warning strings, never raised.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from pathlib import Path, PurePosixPath
 
 from .errors import InclusionCycle, MissingMainFile, PlaceholderError
@@ -86,7 +87,6 @@ FLOAT_ENVS = frozenset(
     }
 )
 
-_BEGIN_RE = re.compile(r"\\begin\s*\{([^{}]*)\}")
 _FLOAT_BEGIN_RE = re.compile(
     r"\\begin\s*\{(" + "|".join(map(re.escape, sorted(FLOAT_ENVS))) + r")\}"
 )
@@ -95,8 +95,12 @@ _BEGIN_DOC_RE = re.compile(r"\\begin\s*\{document\}")
 _END_DOC_RE = re.compile(r"\\end\s*\{document\}")
 _CAPTION_RE = re.compile(r"\\caption(of)?\*?(?![A-Za-z@])")
 _SECTION_RE = re.compile(r"\\(?:part|chapter|section|subsection|subsubsection)\*?(?![A-Za-z@])")
-# Group 1 is None for the brace-less TeX form, \input chap.
-_INCLUDE_RE = re.compile(r"\\(?:input|include)(?![A-Za-z@])(?:\s*\{\s*([^{}%]+?)\s*\}|(?!\s*\{))")
+# Group 1 is the path of \input or \include, None for the brace-less TeX form,
+# \input chap; group 2 names a directive that is never merged (the match takes its arguments).
+_INCLUDE_RE = re.compile(
+    r"\\(?:(?:input|include)(?![A-Za-z@])(?:\s*\{\s*([^{}%]+?)\s*\}|(?!\s*\{))"
+    r"|(subfile|import|subimport)(?![A-Za-z@])(?:\s*\{[^{}%]*\}){0,2})"
+)
 # Where str.splitlines ends a line, and the \begin of a verbatim-like
 # environment on one line (\s less the line breaks).
 _LINE_BREAK_RE = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -109,6 +113,11 @@ _SPACE_RE = re.compile(r"[ \t\r\n]*")
 # The characters brace matching stops at; a backslash takes the next one along
 # (only those it takes from brace matching, or from the next backslash, matter).
 _GROUP_RE = re.compile(r"\\[{}\\]|[{}]")
+# A brace group at most three deep, read the same way.
+_FLAT = r"[^{}\\]*(?:\\.[^{}\\]*)*"
+_SHALLOW_GROUP_RE = re.compile(
+    rf"\{{{_FLAT}(?:\{{{_FLAT}(?:\{{{_FLAT}\}}{_FLAT})*\}}{_FLAT})*\}}", re.DOTALL
+)
 _OPTIONAL_RE = re.compile(r"\\[{}\[\]\\]|[{}\[\]]")
 
 
@@ -222,6 +231,7 @@ def _span_index(spans: list[tuple[int, int]]):
             return spans[i]
         return None
 
+    lookup.spans, lookup.starts = spans, starts  # for walks that bisect for themselves
     return lookup
 
 
@@ -237,57 +247,46 @@ def _structural(text: str, pos: int, span_at, pattern: re.Pattern):
     """Yield (offset, char) for each *pattern* character from *pos* on.
 
     Comments are jumped over, and a backslash takes the next character along
-    with it, so escaped characters are never yielded.
+    with it, so escaped characters are never yielded.  A match is looked up
+    among the spans only when it lies at or past the next span's start.
     """
+    spans, starts, next_start = span_at.spans, span_at.starts, -1
     while (m := pattern.search(text, pos)) is not None:
         i = m.start()
-        span = span_at(i)
-        if span is not None:
-            pos = span[1]
-        else:
-            pos = m.end()
-            if text[i] != "\\":
-                yield i, text[i]
+        if i >= next_start:
+            k = bisect_right(starts, i)
+            if k and i < spans[k - 1][1]:
+                pos = spans[k - 1][1]
+                continue
+            next_start = starts[k] if k < len(starts) else len(text)
+        pos = m.end()
+        if text[i] != "\\":
+            yield i, text[i]
 
 
-def _match_group(text: str, open_pos: int, span_at) -> int | None:
-    """Index of the ``}`` closing the ``{`` at *open_pos*, or None."""
-    depth = 0
-    for i, ch in _structural(text, open_pos, span_at, _GROUP_RE):
-        if ch == "{":
-            depth += 1
-        else:
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+def _match_group(text: str, open_pos: int, span_at, pattern: re.Pattern = _GROUP_RE) -> int | None:
+    """Index of the ``}`` closing the ``{`` at *open_pos*, or None.
 
-
-def _match_optional(text: str, open_pos: int, span_at) -> int | None:
-    """Index of the ``]`` closing the ``[`` at *open_pos*, or None.
-
-    Brackets inside brace groups do not count, so ``[short {a]b}]`` closes
-    at the final bracket.
+    With ``_OPTIONAL_RE``, of the ``]`` closing a ``[``; brackets inside brace
+    groups do not count, so ``[short {a]b}]`` closes at the final bracket.
     """
-    bracket = 0
-    brace = 0
-    for i, ch in _structural(text, open_pos, span_at, _OPTIONAL_RE):
-        if ch == "{":
-            brace += 1
-        elif ch == "}":
-            brace -= 1
-        elif brace == 0:
-            if ch == "[":
-                bracket += 1
-            else:
-                bracket -= 1
-                if bracket == 0:
-                    return i
+    # A group at most three deep that holds no span is matched in one search.
+    if pattern is _GROUP_RE and (m := _SHALLOW_GROUP_RE.match(text, open_pos)) is not None:
+        k = bisect_left(span_at.starts, m.end())
+        if not k or span_at.spans[k - 1][1] <= open_pos:
+            return m.end() - 1
+    closer, brace, bracket = "}" if pattern is _GROUP_RE else "]", 0, 0
+    for i, ch in _structural(text, open_pos, span_at, pattern):
+        if ch in "{}":
+            brace += 1 if ch == "{" else -1
+        elif not brace:
+            bracket += 1 if ch == "[" else -1
+        if ch == closer and not brace and not bracket:
+            return i
     return None
 
 
-def _skip_ws(text: str, i: int) -> int:
-    return _SPACE_RE.match(text, i).end()
+_match_optional = partial(_match_group, pattern=_OPTIONAL_RE)
 
 
 def _find_env_end(text: str, search_from: int, name: str, span_at) -> int | None:
@@ -319,7 +318,7 @@ def _next_live(pattern: re.Pattern, text: str, span_at, pos: int = 0, endpos: in
     """
     endpos = len(text) if endpos is None else endpos
     while (m := pattern.search(text, pos, endpos)) is not None:
-        if span_at(m.start()) is None and not _escaped(text, m.start()):
+        if span_at(i := m.start()) is None and not _escaped(text, i):
             return m
         pos = m.end()
     return None
@@ -405,9 +404,9 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     ``<PLACEHOLDER_FILE_k_end>`` so it can be split back out verbatim.
     Include paths resolve relative to the project root.  Directives in
     comments and verbatim-like environments are text, not includes.
-    Unresolvable and brace-less (``\\input chap``) directives are left in
-    place, a repeat include is inlined again, each with a warning; cycles
-    are fatal.
+    Unresolvable and brace-less (``\\input chap``) directives, ``\\subfile``,
+    ``\\import`` and ``\\subimport`` stay in place, a repeat include is
+    inlined again, each with a warning; cycles are fatal.
     """
     warnings: list[str] = []
     boundaries: list[FileBoundary] = []
@@ -431,8 +430,8 @@ def merge_project(project: ProjectSource) -> MergedDocument:
             scan = m.end()
             if m.group(1) is None:
                 warnings.append(
-                    f"brace-less {m.group(0)} at offset {m.start()} in {rel_path}; "
-                    f"not merged, left in place"
+                    f"{'brace-less ' if m.group(2) is None else ''}{m.group(0)} at offset "
+                    f"{m.start()} in {rel_path}; not merged, left in place"
                 )
                 continue
             target = _resolve_include(project.files, m.group(1))
@@ -473,120 +472,126 @@ def merge_project(project: ProjectSource) -> MergedDocument:
 # protection passes
 
 
-def extract_captions(
-    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None
-) -> tuple[str, PlaceholderMap, list[tuple[int, int]]]:
-    """Replace caption bodies inside float environments with CAP tokens.
+def extract_captions(text: str, warnings: list[str], span_at, floats):
+    """Cut the caption bodies in *floats*, ``(start, end, region_end)`` in order, for CAP tokens.
 
     Handles ``\\caption``, ``\\caption*`` and ``\\captionof``, an optional
-    short-caption argument, and nested braces in the body.  Tokens are
-    numbered from zero in document order.  Captions in comments and in
-    verbatim-like environments are text, not captions.  *spans*, *text*'s
-    ``comment_spans(text)``, is scanned when not given.
+    short-caption argument, and nested braces in the body; captions in
+    *span_at*'s spans are text.  Returns the cuts ``(start, end, token)``,
+    the map, and whether each float ends in its region and each body lies in
+    its float, holds no ``\\begin`` or ``\\end`` and does not start on the
+    line a verbatim-like body ends on: where not, the cuts change the walk.
     """
-    if warnings is None:
-        warnings = []
-    if spans is None:
-        spans = comment_spans(text)
-    span_at = _span_index(spans)
-    in_float = _span_index(_float_spans(text, span_at))
-    pmap = PlaceholderMap()
-    cuts: list[tuple[int, int, str]] = []
-    scan = 0
-    while (m := _next_live(_CAPTION_RE, text, span_at, scan)) is not None:
-        scan = m.end()
-        if in_float(m.start()) is None:
-            continue
-        i = m.end()
-        if m.group(1):  # \captionof{type} carries the float type first
-            i = _skip_ws(text, i)
-            if i >= len(text) or text[i] != "{":
+    pmap, cuts, exact, scan = PlaceholderMap(), [], True, 0
+    for float_start, float_end, region_end in floats:
+        exact = exact and float_end <= region_end
+        scan = max(scan, float_start)
+        while (m := _next_live(_CAPTION_RE, text, span_at, scan, float_end)) is not None:
+            scan = i = m.end()
+            if m.group(1):  # \captionof{type} carries the float type first
+                i = _SPACE_RE.match(text, i).end()
+                if not text.startswith("{", i) or (close := _match_group(text, i, span_at)) is None:
+                    continue
+                i = close + 1
+            i = _SPACE_RE.match(text, i).end()
+            if text.startswith("[", i):
+                if (close := _match_optional(text, i, span_at)) is None:
+                    where = f"{m.group(0)} at offset {m.start()}"
+                    warnings.append(f"UnbalancedBraces: unterminated optional argument of {where}")
+                    continue
+                i = _SPACE_RE.match(text, close + 1).end()
+            if not text.startswith("{", i):
+                continue  # bare \caption without a braced body: nothing to protect
+            if (close := _match_group(text, i, span_at)) is None:
+                warnings.append(f"UnbalancedBraces: {m.group(0)} at offset {m.start()} never closes")
                 continue
-            close = _match_group(text, i, span_at)
-            if close is None:
-                continue
-            i = close + 1
-        i = _skip_ws(text, i)
-        if i < len(text) and text[i] == "[":
-            close = _match_optional(text, i, span_at)
-            if close is None:
-                warnings.append(
-                    f"UnbalancedBraces: unterminated optional argument of "
-                    f"{m.group(0)} at offset {m.start()}"
-                )
-                continue
-            i = close + 1
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != "{":
-            continue  # bare \caption without a braced body: nothing to protect
-        close = _match_group(text, i, span_at)
-        if close is None:
-            warnings.append(
-                f"UnbalancedBraces: {m.group(0)} at offset {m.start()} never closes"
-            )
-            continue
-        token = cap_token(len(cuts))
-        pmap.add(token, text[i + 1 : close])
-        cuts.append((i + 1, close, token))
-        scan = close
-    out, spans = _cut(text, spans, cuts)
-    return out, pmap, spans
+            token = cap_token(len(cuts))
+            pmap.add(token, text[i + 1 : close])
+            cuts.append((i + 1, close, token))
+            scan = close
+            k = bisect_left(span_at.starts, i) - 1  # does a verbatim-like body end on this line?
+            on_rest = k >= 0 and text[span_at.starts[k]] == "\\"
+            on_rest = on_rest and not _LINE_BREAK_RE.search(text, span_at.spans[k][1], i)
+            exact = exact and close < float_end and not on_rest
+            exact = exact and not _BEGIN_OR_END_RE.search(text, i + 1, close)
+    return cuts, pmap, exact
 
 
-def _float_spans(text: str, span_at) -> list[tuple[int, int]]:
-    """Spans of outermost float environments (where captions may live)."""
-    spans: list[tuple[int, int]] = []
-    scan = 0
-    while (m := _next_live(_FLOAT_BEGIN_RE, text, span_at, scan)) is not None:
+def _floats(text: str, span_at, start: int, end: int):
+    """Yield ``(start, end, region_end)`` for each outermost float beginning in ``text[start:end]``."""
+    scan = start
+    while (m := _next_live(_FLOAT_BEGIN_RE, text, span_at, scan, end)) is not None:
         scan = m.end()
-        if (end := _find_env_end(text, m.end(), m.group(1), span_at)) is not None:
-            spans.append((m.start(), end))
-            scan = end
-    return spans
+        if (close := _find_env_end(text, scan, m.group(1), span_at)) is not None:
+            yield m.start(), close, end
+            scan = close
 
 
 def extract_environments(
-    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None
-) -> tuple[str, PlaceholderMap, list[tuple[int, int]]]:
-    """Replace each top-level ``\\begin{x}...\\end{x}`` block with an ENV token.
+    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None,
+    captions: bool = True,
+) -> tuple[str, PlaceholderMap, PlaceholderMap, list[tuple[int, int]]]:
+    """Swap caption bodies in floats for CAP tokens and top-level blocks for ENV tokens.
 
-    Only the document body is scanned (the preamble is never translated).
-    Nested environments ride along inside their outermost block.  An
-    unterminated begin or a stray end is recorded as a warning and the text
-    is passed through unchanged.  Comments hide structure from the search
-    for blocks; inside a block, verbatim-like bodies hide it too.
+    Only the body's blocks are cut, but every float's captions are, and a
+    block holds its floats'.  Nested environments ride along inside their
+    outermost block.  A stray ``\\end`` or an unterminated ``\\begin`` is a
+    warning, after the captions', at its offset with the captions cut.
+    Comments hide structure from the search for blocks; inside a block,
+    verbatim-like bodies hide it too.  Where the caption cuts would change
+    the walk, they are made first and the rest is walked without *captions*.
+    Returns the stripped text, the CAP and ENV maps, and the spans.
     """
-    if warnings is None:
-        warnings = []
-    if spans is None:
-        spans = comment_spans(text)
+    warnings = [] if warnings is None else warnings
+    spans = comment_spans(text) if spans is None else spans
     span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
-    _, body_start, body_end = document_body(text, spans)
-    pmap = PlaceholderMap()
-    cuts: list[tuple[int, int, str]] = []
-    scan = body_start
+    begin_doc, body_start, body_end = document_body(text, spans)
+    floats = list(_floats(text, verbatim_at, 0, begin_doc or 0))
+    blocks, strays, scan = [], [], body_start
     while (m := _next_live(_BEGIN_OR_END_RE, text, span_at, scan, body_end)) is not None:
-        scan = m.end()
-        which, name = m.group(1), m.group(2)
+        start, scan, (which, name) = m.start(), m.end(), m.groups()
         if which == "end":
-            warnings.append(
-                f"UnmatchedEnvironment: stray \\end{{{name}}} at offset {m.start()}"
-            )
+            strays.append((start, f"stray \\end{{{name}}}", ""))
             continue
         # A verbatim's own body is one of the spans.
-        end = _find_env_end(text, m.end(), name, span_at if name in VERBATIM_ENVS else verbatim_at)
+        end = _find_env_end(text, scan, name, span_at if name in VERBATIM_ENVS else verbatim_at)
         if end is None or end > body_end:
-            warnings.append(
-                f"UnmatchedEnvironment: \\begin{{{name}}} at offset {m.start()} "
-                f"has no matching \\end"
-            )
+            strays.append((start, f"\\begin{{{name}}}", " has no matching \\end"))
+            floats += _floats(text, verbatim_at, start, scan) if end else ()
             continue
-        token = env_token(len(cuts))
-        pmap.add(token, text[m.start() : end])
-        cuts.append((m.start(), end, token))
+        blocks.append((start, end))
+        if name in FLOAT_ENVS and verbatim_at(start) is None:
+            floats.append((start, end, end))
+        elif _FLOAT_BEGIN_RE.search(text, scan, end):
+            floats += _floats(text, verbatim_at, start, end)
         scan = end
-    out, spans = _cut(text, spans, cuts)
-    return out, pmap, spans
+    floats += _floats(text, verbatim_at, body_end, len(text))
+    cap_warnings: list[str] = []
+    cuts, cap_map, exact = extract_captions(text, cap_warnings, verbatim_at, floats if captions else [])
+    if not exact:
+        whole = _floats(text, verbatim_at, 0, len(text))
+        cuts, cap_map, _ = extract_captions(text, warnings, verbatim_at, whole)
+        decapped, spans = _cut(text, spans, cuts)
+        out, _, env_map, spans = extract_environments(decapped, warnings, spans, captions=False)
+        return out, cap_map, env_map, spans
+    starts = [start for start, _, _ in cuts]
+    shifts = list(accumulate((len(token) - (b - a) for a, b, token in cuts), initial=0))
+    warnings += cap_warnings
+    warnings += [f"UnmatchedEnvironment: {what} at offset {pos + shifts[bisect_left(starts, pos)]}{tail}"
+                 for pos, what, tail in strays]
+    # Captions before the first block are in the preamble, those after the last after the body.
+    k = bisect_left(starts, blocks[0][0]) if blocks else len(cuts)
+    env_map, out_cuts = PlaceholderMap(), cuts[:k]
+    for n, (start, end) in enumerate(blocks):
+        pieces, pos = [], start
+        while k < len(cuts) and cuts[k][0] < end:
+            pieces += (text[pos : cuts[k][0]], cuts[k][2])
+            pos = cuts[k][1]
+            k += 1
+        env_map.add(token := env_token(n), "".join(pieces) + text[pos:end])
+        out_cuts.append((start, end, token))
+    out, spans = _cut(text, spans, out_cuts + cuts[k:])
+    return out, cap_map, env_map, spans
 
 
 def document_body(text: str, spans: list[tuple[int, int]]) -> tuple[int | None, int, int]:
@@ -683,15 +688,9 @@ def parse_project(project: ProjectSource) -> ParsedDocument:
     """Run the full parse pipeline over a project."""
     merged = merge_project(project)
     warnings = list(merged.warnings)
-    decapped, cap_map, spans = extract_captions(merged.text, warnings, merged.spans)
-    stripped, env_map, spans = extract_environments(decapped, warnings, spans)
+    stripped, cap_map, env_map, spans = extract_environments(merged.text, warnings, merged.spans)
     sections = split_sections(stripped, spans)
     return ParsedDocument(merged, stripped, cap_map, env_map, sections, warnings)
-
-
-def _env_name_of(block: str) -> str | None:
-    m = _BEGIN_RE.match(block)
-    return m.group(1) if m is not None else None
 
 
 def enumerate_units(doc: ParsedDocument) -> list[TranslationUnit]:
@@ -704,7 +703,7 @@ def enumerate_units(doc: ParsedDocument) -> list[TranslationUnit]:
     """
     units = list(doc.section_units)
     for entry in doc.env_map:
-        name = _env_name_of(entry.original_text)
+        name = _BEGIN_OR_END_RE.match(entry.original_text).group(2)
         units.append(
             TranslationUnit(len(units), GRAN_ENVIRONMENT, entry.original_text, False,
                             token=entry.token, env_name=name, role="env")

@@ -1,5 +1,7 @@
 """Parsing: comments, captions, environments, sections, merging."""
 
+from pathlib import Path
+
 import pytest
 
 from latexmt.errors import InclusionCycle, MissingMainFile
@@ -11,6 +13,9 @@ from latexmt.parser import (
     STATUS_VALIDATED,
     ProjectSource,
     TranslationUnit,
+    _cut,
+    _floats,
+    _span_index,
     comment_spans,
     enumerate_units,
     extract_captions,
@@ -57,43 +62,51 @@ def test_verbatim_opened_and_closed_on_one_line():
 # captions
 
 
+def decap(text, warnings=None):
+    """*text* with the captions in its floats cut, and their map."""
+    warnings = [] if warnings is None else warnings
+    span_at = _span_index(comment_spans(text))
+    cuts, pmap, _ = extract_captions(text, warnings, span_at, _floats(text, span_at, 0, len(text)))
+    return _cut(text, [], cuts)[0], pmap
+
+
 def test_caption_with_nested_braces():
     text = "\\begin{figure}\\caption{a {b {c}} d}\\end{figure}"
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert out == "\\begin{figure}\\caption{" + cap_token(0) + "}\\end{figure}"
     assert pmap.get(cap_token(0)).original_text == "a {b {c}} d"
 
 
 def test_caption_short_argument_preserved():
     text = "\\begin{figure}\\caption[s]{long body}\\end{figure}"
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert "\\caption[s]{" + cap_token(0) + "}" in out
     assert pmap.get(cap_token(0)).original_text == "long body"
 
 
 def test_captionof_keeps_float_type():
     text = "\\begin{figure}\\captionof{table}{body}\\end{figure}"
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert "\\captionof{table}{" + cap_token(0) + "}" in out
     assert pmap.get(cap_token(0)).original_text == "body"
 
 
 def test_starred_caption():
     text = "\\begin{figure}\\caption*{star}\\end{figure}"
-    _, pmap, _ = extract_captions(text)
+    _, pmap = decap(text)
     assert pmap.get(cap_token(0)).original_text == "star"
 
 
 def test_caption_outside_float_left_alone():
     text = "Intro. \\caption{loose} Outro."
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert out == text
     assert len(pmap) == 0
 
 
 def test_commented_caption_ignored():
     text = "\\begin{figure}\n% \\caption{ghost}\n\\caption{real}\n\\end{figure}"
-    _, pmap, _ = extract_captions(text)
+    _, pmap = decap(text)
     assert [e.original_text for e in pmap] == ["real"]
 
 
@@ -102,7 +115,7 @@ def test_caption_numbering_is_zero_based_document_order():
         "\\begin{figure}\\caption{first}\\end{figure}"
         "\\begin{table}\\caption{second}\\end{table}"
     )
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert [e.token for e in pmap] == [cap_token(0), cap_token(1)]
     assert out.index(cap_token(0)) < out.index(cap_token(1))
 
@@ -110,7 +123,7 @@ def test_caption_numbering_is_zero_based_document_order():
 def test_unbalanced_caption_is_a_warning_not_an_error():
     text = "\\begin{figure}\\caption{never closes\\end{figure}"
     warnings = []
-    out, pmap, _ = extract_captions(text, warnings)
+    out, pmap = decap(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("UnbalancedBraces" in w for w in warnings)
@@ -141,14 +154,14 @@ def test_captionof_without_a_braced_type_is_left_alone():
     for text in ("\\begin{figure}\\captionof table{x}\\end{figure}",
                  "\\begin{figure}\\captionof{table\\end{figure}"):
         warnings = []
-        out, pmap, _ = extract_captions(text, warnings)
+        out, pmap = decap(text, warnings)
         assert (out, len(pmap), warnings) == (text, 0, [])
 
 
 def test_unterminated_optional_argument_is_a_warning():
     text = "\\begin{figure}\\caption[short{x}\\end{figure}"
     warnings = []
-    out, pmap, _ = extract_captions(text, warnings)
+    out, pmap = decap(text, warnings)
     assert (out, len(pmap)) == (text, 0)
     assert warnings == [
         "UnbalancedBraces: unterminated optional argument of \\caption at offset 14"
@@ -158,15 +171,104 @@ def test_unterminated_optional_argument_is_a_warning():
 def test_bare_caption_has_nothing_to_protect():
     text = "\\begin{figure}\\caption[s] x\\end{figure}"
     warnings = []
-    out, pmap, _ = extract_captions(text, warnings)
+    out, pmap = decap(text, warnings)
     assert (out, len(pmap), warnings) == (text, 0, [])
 
 
 def test_captionsetup_is_not_a_caption():
     text = "\\begin{figure}\\captionsetup{font=small}\\caption{real}\\end{figure}"
-    out, pmap, _ = extract_captions(text)
+    out, pmap = decap(text)
     assert "\\captionsetup{font=small}" in out
     assert [e.original_text for e in pmap] == ["real"]
+
+
+def _parse(main: str, **files: str):
+    files["main.tex"] = "\\documentclass{article}\n" + main
+    return parse_project(ProjectSource(Path("."), "main.tex", files))
+
+
+def _entries(pmap):
+    return [(e.token, e.original_text) for e in pmap]
+
+
+def test_floats_in_the_preamble_and_after_the_document_keep_their_tokens_in_order():
+    parsed = _parse(
+        "\\begin{figure}\\caption{Pre}\\end{figure}\n\\begin{document}\n"
+        "\\begin{figure}\\caption{Body}\\end{figure}\n\\end{document}\n"
+        "\\begin{table}\\caption{Post}\\end{table}\n"
+    )
+    assert _entries(parsed.cap_map) == [
+        (cap_token(0), "Pre"), (cap_token(1), "Body"), (cap_token(2), "Post")
+    ]
+    assert _entries(parsed.env_map) == [
+        (env_token(0), f"\\begin{{figure}}\\caption{{{cap_token(1)}}}\\end{{figure}}")
+    ]
+    assert parsed.text.index(cap_token(0)) < parsed.text.index(env_token(0))
+    assert parsed.text.index(env_token(0)) < parsed.text.index(cap_token(2))
+
+
+def test_only_captions_inside_floats_are_captioned():
+    parsed = _parse(
+        "\\begin{document}\n"
+        "\\begin{center}\\begin{figure}\\caption{Inside}\\end{figure}\\end{center}\n"
+        "Text \\captionof{figure}{Loose}.\n"
+        "\\begin{minipage}{1in}\\captionof{table}{Mini}\\end{minipage}\n"
+        "\\begin{verbatim}\n\\begin{figure}\\caption{Code}\\end{figure}\n\\end{verbatim}\n"
+        "\\end{document}\n"
+    )
+    assert _entries(parsed.cap_map) == [(cap_token(0), "Inside")]
+    figure = f"\\begin{{figure}}\\caption{{{cap_token(0)}}}\\end{{figure}}"
+    center = parsed.env_map.get(env_token(0)).original_text
+    assert center == f"\\begin{{center}}{figure}\\end{{center}}"
+    assert "\\captionof{figure}{Loose}" in parsed.text
+    assert parsed.warnings == []
+
+
+def test_a_float_that_runs_past_its_block_keeps_its_caption():
+    # The float ends after the itemize block it begins in: its caption is
+    # cut where it is, between the block and the next one.
+    parsed = _parse(
+        "\\begin{document}\n"
+        "\\begin{itemize}\\begin{figure}\\end{itemize}\\caption{Past}\\end{figure}\n"
+        "\\begin{table}\\caption{Next}\\end{table}\n\\end{document}\n"
+    )
+    assert _entries(parsed.cap_map) == [(cap_token(0), "Past"), (cap_token(1), "Next")]
+    assert _entries(parsed.env_map) == [
+        (env_token(0), "\\begin{itemize}\\begin{figure}\\end{itemize}"),
+        (env_token(1), f"\\begin{{table}}\\caption{{{cap_token(1)}}}\\end{{table}}"),
+    ]
+    assert f"{env_token(0)}\\caption{{{cap_token(0)}}}\\end{{figure}}\n{env_token(1)}" in parsed.text
+    assert parsed.warnings == ["UnmatchedEnvironment: stray \\end{figure} at offset 112"]
+
+
+def test_a_float_that_runs_past_the_body_keeps_its_caption():
+    parsed = _parse(
+        "\\begin{document}\n\\begin{figure}\\caption{Open}\n\\end{document}\n\\end{figure}\n"
+    )
+    assert _entries(parsed.cap_map) == [(cap_token(0), "Open")]
+    assert len(parsed.env_map) == 0
+    assert parsed.text.endswith(
+        f"\\begin{{figure}}\\caption{{{cap_token(0)}}}\n\\end{{document}}\n\\end{{figure}}\n"
+    )
+    assert parsed.warnings == [
+        "UnmatchedEnvironment: \\begin{figure} at offset 41 has no matching \\end"
+    ]
+
+
+def test_a_caption_body_after_its_float_stays_out_of_the_next_block():
+    # The short caption holds the figure's \end, so the figure's block ends
+    # inside it and the caption's body comes after the block.
+    parsed = _parse(
+        "\\begin{document}\n\\begin{figure}\\caption[\\end{figure}]{Short}\\end{figure}\n"
+        "\\begin{table}\\caption{Next}\\end{table}\n\\end{document}\n"
+    )
+    assert _entries(parsed.cap_map) == [(cap_token(0), "Short"), (cap_token(1), "Next")]
+    assert _entries(parsed.env_map) == [
+        (env_token(0), "\\begin{figure}\\caption[\\end{figure}"),
+        (env_token(1), f"\\begin{{table}}\\caption{{{cap_token(1)}}}\\end{{table}}"),
+    ]
+    assert f"{env_token(0)}]{{{cap_token(0)}}}\\end{{figure}}\n{env_token(1)}\n" in parsed.text
+    assert parsed.warnings == ["UnmatchedEnvironment: stray \\end{figure} at offset 98"]
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +287,7 @@ def test_top_level_environments_extracted_nested_ride_along():
         "pre\n\\begin{center}\\begin{figure}x\\end{figure}\\end{center}\n"
         "mid\n\\begin{equation}e = m\\end{equation}\npost\n"
     )
-    out, pmap, _ = extract_environments(text)
+    out, _, pmap, _ = extract_environments(text)
     assert [e.token for e in pmap] == [env_token(0), env_token(1)]
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{center}")
     assert "\\begin{figure}x\\end{figure}" in pmap.get(env_token(0)).original_text
@@ -201,7 +303,7 @@ def test_preamble_environments_untouched():
         "\\begin{filecontents*}{d.csv}\n1,2\n\\end{filecontents*}\n"
         "\\begin{document}\n\\begin{itemize}\\item a\\end{itemize}\n\\end{document}\n"
     )
-    out, pmap, _ = extract_environments(text)
+    out, _, pmap, _ = extract_environments(text)
     assert len(pmap) == 1
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{itemize}")
     assert "\\begin{filecontents*}{d.csv}" in out
@@ -210,7 +312,7 @@ def test_preamble_environments_untouched():
 def test_stray_end_is_a_warning():
     warnings = []
     text = _body("x\\end{itemize} y\n")
-    out, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap, _ = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("stray \\end{itemize}" in w for w in warnings)
@@ -219,7 +321,7 @@ def test_stray_end_is_a_warning():
 def test_unterminated_begin_is_a_warning():
     warnings = []
     text = _body("x\\begin{itemize} y\n")
-    out, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap, _ = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("no matching \\end" in w for w in warnings)
@@ -228,7 +330,7 @@ def test_unterminated_begin_is_a_warning():
 def test_same_name_nesting_matched_by_depth():
     block = "\\begin{itemize}\\item o\\begin{itemize}\\item i\\end{itemize}\\end{itemize}"
     text = _body(block + "\n")
-    _, pmap, _ = extract_environments(text)
+    _, _, pmap, _ = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
 
 
@@ -238,7 +340,7 @@ def test_verbatim_body_swallowed_whole():
         "\\end{lstlisting}"
     )
     text = _body(block + "\n")
-    out, pmap, _ = extract_environments(text)
+    out, _, pmap, _ = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
     assert "% not a comment" not in out
 
@@ -250,7 +352,7 @@ def test_verbatim_inside_a_block_hides_its_end():
     )
     text = _body(block + "\n")
     warnings = []
-    out, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap, _ = extract_environments(text, warnings)
     assert [e.original_text for e in pmap] == [block]
     assert warnings == []
     assert pmap.restore(out) == text
@@ -268,7 +370,7 @@ def test_an_end_document_inside_a_body_verbatim_does_not_end_the_body(project_fa
 
 def test_commented_begin_ignored():
     text = _body("% \\begin{figure}\nreal text\n")
-    out, pmap, _ = extract_environments(text)
+    out, _, pmap, _ = extract_environments(text)
     assert out == text
     assert len(pmap) == 0
 
@@ -347,7 +449,7 @@ COMMENTED_BEGIN = (
 def test_a_begin_document_inside_a_preamble_comment_block_is_not_the_real_one():
     real = COMMENTED_BEGIN.rindex("\\begin{document}") + len("\\begin{document}")
     warnings = []
-    out, pmap, spans = extract_environments(COMMENTED_BEGIN, warnings)
+    out, _, pmap, spans = extract_environments(COMMENTED_BEGIN, warnings)
     assert warnings == []
     assert [e.original_text for e in pmap] == ["\\begin{itemize}\n\\item x\n\\end{itemize}"]
     for units in (split_sections(COMMENTED_BEGIN), split_sections(out, spans)):
@@ -588,6 +690,17 @@ def test_brace_less_input_is_left_in_place_with_a_warning(project_factory):
 )
 def test_brace_less_warning_only_for_live_brace_less_include(project_factory, body):
     assert _brace_less_warnings(project_factory, body) == []
+
+
+def test_subfile_import_and_subimport_are_left_in_place_with_a_warning():
+    body = "\\subfile{sec/a}\n\\import{sec/}{a}\n\\subimport {sec/}{a}\n% \\subfile{sec/a}\n"
+    parsed = _parse(f"\\begin{{document}}\n{body}\\end{{document}}\n", **{"sec/a.tex": "A.\n"})
+    main = "\\documentclass{article}\n\\begin{document}\n" + body + "\\end{document}\n"
+    assert parsed.merged.text == main
+    assert parsed.warnings == [
+        f"{directive} at offset {41 + body.index(directive)} in main.tex; not merged, left in place"
+        for directive in ("\\subfile{sec/a}", "\\import{sec/}{a}", "\\subimport {sec/}{a}")
+    ]
 
 
 def test_brace_less_include_warns_once_each(project_factory):

@@ -1,14 +1,16 @@
-"""The spans each parser pass hands on, and the float and end searches.
+"""The spans the parse hands on, the float and end searches, and the protection pass.
 
 ``merge_project`` puts the merged text's spans (``comment_spans(text)``:
 comments and verbatim-like bodies) together from its files', and
-``extract_captions`` and ``extract_environments`` carry their input's
-through their cuts; each hands it on to the next pass.  Carried or scanned,
-the spans must be the ones a scan of the output gives, and their comments
-the ones the ``%`` walk finds.
-``_float_spans`` searches float names only and ``_find_env_end`` compiles
-each name's pattern once; the walks they replaced are kept below as their
-oracles.
+``extract_environments`` carries them through its one cut and hands them on
+to ``split_sections``.  Carried or scanned, the spans must be the ones a scan
+of the output gives, and their comments the ones the ``%`` walk finds.
+``_floats`` searches float names only, in the regions the environments walk
+gives, and ``_find_env_end`` compiles each name's pattern once; the walks
+they replaced are kept below as their oracles.  So is the parse they
+replaced: a captions pass over the whole text, then an environments pass
+over what it left, each with its own cut.  The one walk must give the same
+stripped text, maps, warnings, spans and section units.
 """
 
 from __future__ import annotations
@@ -21,14 +23,25 @@ from hypothesis import strategies as st
 
 from latexmt import parser
 from latexmt.parser import (
+    _BEGIN_OR_END_RE,
+    _CAPTION_RE,
+    _FLOAT_BEGIN_RE,
     FLOAT_ENVS,
+    VERBATIM_ENVS,
     ProjectSource,
     _comments,
+    _cut,
+    _find_env_end,
+    _match_group,
+    _match_optional,
     _next_live,
     _span_index,
     comment_spans,
+    document_body,
     merge_project,
+    split_sections,
 )
+from latexmt.placeholders import PlaceholderMap, cap_token, env_token
 
 from test_parser_scan_equivalence import ESCAPED_BEGIN, oracle_comment_spans, texts
 from test_round_trip import projects
@@ -68,12 +81,117 @@ def uncached_find_env_end(text: str, search_from: int, name: str, span_at) -> in
 
 
 # --------------------------------------------------------------------------
+# the parse the one walk replaced
+
+
+def oracle_float_spans(text: str, span_at) -> list[tuple[int, int]]:
+    """Spans of outermost float environments (where captions may live)."""
+    spans: list[tuple[int, int]] = []
+    scan = 0
+    while (m := _next_live(_FLOAT_BEGIN_RE, text, span_at, scan)) is not None:
+        scan = m.end()
+        if (end := _find_env_end(text, m.end(), m.group(1), span_at)) is not None:
+            spans.append((m.start(), end))
+            scan = end
+    return spans
+
+
+def skip_ws(text: str, i: int) -> int:
+    return re.compile(r"[ \t\r\n]*").match(text, i).end()
+
+
+def oracle_captions(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+    """Replace caption bodies inside float environments with CAP tokens."""
+    span_at = _span_index(spans)
+    in_float = _span_index(oracle_float_spans(text, span_at))
+    pmap = PlaceholderMap()
+    cuts: list[tuple[int, int, str]] = []
+    scan = 0
+    while (m := _next_live(_CAPTION_RE, text, span_at, scan)) is not None:
+        scan = m.end()
+        if in_float(m.start()) is None:
+            continue
+        i = m.end()
+        if m.group(1):  # \captionof{type} carries the float type first
+            i = skip_ws(text, i)
+            if i >= len(text) or text[i] != "{":
+                continue
+            close = _match_group(text, i, span_at)
+            if close is None:
+                continue
+            i = close + 1
+        i = skip_ws(text, i)
+        if i < len(text) and text[i] == "[":
+            close = _match_optional(text, i, span_at)
+            if close is None:
+                warnings.append(
+                    f"UnbalancedBraces: unterminated optional argument of "
+                    f"{m.group(0)} at offset {m.start()}"
+                )
+                continue
+            i = close + 1
+        i = skip_ws(text, i)
+        if i >= len(text) or text[i] != "{":
+            continue  # bare \caption without a braced body: nothing to protect
+        close = _match_group(text, i, span_at)
+        if close is None:
+            warnings.append(
+                f"UnbalancedBraces: {m.group(0)} at offset {m.start()} never closes"
+            )
+            continue
+        token = cap_token(len(cuts))
+        pmap.add(token, text[i + 1 : close])
+        cuts.append((i + 1, close, token))
+        scan = close
+    out, spans = _cut(text, spans, cuts)
+    return out, pmap, spans
+
+
+def oracle_environments(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+    """Replace each top-level ``\\begin{x}...\\end{x}`` block of the body with an ENV token."""
+    span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
+    _, body_start, body_end = document_body(text, spans)
+    pmap = PlaceholderMap()
+    cuts: list[tuple[int, int, str]] = []
+    scan = body_start
+    while (m := _next_live(_BEGIN_OR_END_RE, text, span_at, scan, body_end)) is not None:
+        scan = m.end()
+        which, name = m.group(1), m.group(2)
+        if which == "end":
+            warnings.append(
+                f"UnmatchedEnvironment: stray \\end{{{name}}} at offset {m.start()}"
+            )
+            continue
+        # A verbatim's own body is one of the spans.
+        end = _find_env_end(text, m.end(), name, span_at if name in VERBATIM_ENVS else verbatim_at)
+        if end is None or end > body_end:
+            warnings.append(
+                f"UnmatchedEnvironment: \\begin{{{name}}} at offset {m.start()} "
+                f"has no matching \\end"
+            )
+            continue
+        token = env_token(len(cuts))
+        pmap.add(token, text[m.start() : end])
+        cuts.append((m.start(), end, token))
+        scan = end
+    out, spans = _cut(text, spans, cuts)
+    return out, pmap, spans
+
+
+def oracle_protect(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+    """The captions pass, then the environments pass over what it left."""
+    decapped, cap_map, spans = oracle_captions(text, warnings, spans)
+    stripped, env_map, spans = oracle_environments(decapped, warnings, spans)
+    return stripped, cap_map, env_map, spans
+
+
+# --------------------------------------------------------------------------
 # generated text
 
 # Captions and blocks to cut, among texts()'s comments and verbatims.
 CUT_MARKERS = [
-    "\\caption{", "\\caption[", "]", "}", "{", "\\begin{document}", "\n", "\\end{verbatim} ",
-    "\\begin{verbatim}\n",
+    "\\caption{", "\\caption[", "]", "}", "{", "\\begin{document}", "\\end{document}", "\n",
+    "\\end{verbatim} ", "\\begin{verbatim}\n",
 ]
 
 
@@ -84,6 +202,25 @@ def cut_texts(draw) -> str:
     space = draw(st.sampled_from(["", " ", "\n"]))
     markers = CUT_MARKERS + [f"\\begin{space}{{{name}}}", f"\\end{space}{{{name}}}"]
     return "".join(draw(st.lists(texts() | st.sampled_from(markers), max_size=10)))
+
+
+# The structure the environments walk and the float search see, and the
+# caption bodies that may cross it.
+STRUCTURE_MARKERS = [
+    "\\begin{figure}", "\\end{figure}", "\\begin{itemize}", "\\end{itemize}", "\\caption{",
+    "\\caption[", "\\captionof{t}{", "[", "]", "{", "}", "\\begin{document}", "\\end{document}",
+    "\\begin{verbatim}\n", "\\end{verbatim}", "\n", "%", "\\", "a",
+]
+
+
+def structure_texts() -> st.SearchStrategy[str]:
+    """A float, a caption in it and a block after, among floats, blocks and the document's bounds."""
+    pieces = st.lists(st.sampled_from(STRUCTURE_MARKERS), max_size=6).map("".join)
+    short = st.just("") | pieces.map(lambda p: f"[{p}]")  # the caption's optional argument
+    return st.tuples(pieces, pieces, short, pieces, pieces, pieces).map(
+        lambda p: f"{p[0]}\\begin{{figure}}{p[1]}\\caption{p[2]}{{{p[3]}}}{p[4]}"
+        f"\\begin{{table}}{p[5]}\\end{{table}}"
+    )
 
 
 def merged(files: dict[str, str]):
@@ -128,19 +265,50 @@ CAPTION_BEFORE_SKIPPED = (
 CAPTION_FROM_SKIPPED = (
     "\\begin{figure}\n\\begin{verbatim}\nx\n\\end{verbatim}\\caption{a\nb} %c\n\\end{figure}\n"
 )
+# ...and a caption cut that moves a commented \end{figure} onto that rest,
+# where it is live.
+CAPTION_FROM_SKIPPED_TO_END = (
+    "\\begin{figure}\n\\begin{verbatim}\nx\n\\end{verbatim}\\caption{a\nb} %\\end{figure}\n"
+    "\\end{figure}\n"
+)
 # A \begin after an escaped backslash opens no verbatim, before and after
 # the caption and block cuts around it.
 ESCAPED_BEGIN_IN_FLOAT = (
     "\\begin{document}\n\\begin{figure}\n\\caption{a} \\\\begin{verbatim} % c\n"
     "\\end{figure}\\\\begin{verbatim} %d\n\\end{document}\n"
 )
+# Floats the walk's blocks do not hold: one that runs past \end{document},
+# one that runs past the block it begins in, one in the preamble that runs
+# into the body, and one after the body.
+FLOAT_PAST_THE_BODY = (
+    "\\begin{document}\n\\begin{figure}\\caption{x}\n\\end{document}\n\\end{figure}\n"
+)
+FLOAT_PAST_ITS_BLOCK = (
+    "\\begin{itemize}\\begin{figure}\\end{itemize}\\caption{y}\\begin{table}\\caption{z}\\end{table}"
+    "\\end{figure}\n"
+)
+FLOAT_INTO_THE_BODY = (
+    "\\begin{figure}\n\\begin{document}\n\\caption{z}\n\\end{figure}\n"
+    "\\begin{table}\\caption{w}\\end{table}\\end{document}\n\\begin{figure}\\caption{v}\\end{figure}"
+)
+# Caption bodies that hold the structure the walk sees: the \end of their
+# float, and the \begin{document}.
+CAPTION_HOLDS_ITS_END = "\\begin{figure}\\caption{a\\end{figure}b}\\end{figure}\n"
+# A short caption that holds the float's \end puts the body after the float.
+ARGUMENT_HOLDS_ITS_END = (
+    "\\begin{document}\\begin{figure}\\caption[\\end{figure}]{a}\\end{figure}"
+    "\\begin{table}\\caption{b}\\end{table}\\end{document}\n"
+)
+CAPTION_HOLDS_THE_BEGIN = (
+    "\\begin{figure}\\caption{\\begin{document}}\\end{figure}\n\\begin{document}\n"
+    "\\begin{itemize}x\\end{itemize}\n\\end{document}\n"
+)
 
 
 def assert_hands_on_a_scan(text: str, spans=None) -> None:
-    decapped, _, spans = parser.extract_captions(text, None, spans)
-    assert spans == comment_spans(decapped)
-    assert _comments(decapped, spans) == oracle_comment_spans(decapped)
-    stripped, _, spans = parser.extract_environments(decapped, None, spans)
+    decapped, _, decapped_spans = oracle_captions(text, [], spans or comment_spans(text))
+    assert decapped_spans == comment_spans(decapped)
+    stripped, _, _, spans = parser.extract_environments(text, None, spans)
     assert spans == comment_spans(stripped)
     assert _comments(stripped, spans) == oracle_comment_spans(stripped)
 
@@ -168,12 +336,75 @@ def test_each_pass_hands_on_what_a_scan_gives_on_merged_projects(files):
     assert_hands_on_a_scan(doc.text, doc.spans)
 
 
+def assert_protects_as_the_two_passes(text: str, spans=None, warnings=()) -> None:
+    spans = comment_spans(text) if spans is None else spans
+    want_warnings, got_warnings = list(warnings), list(warnings)
+    want = oracle_protect(text, want_warnings, spans)
+    got = parser.extract_environments(text, got_warnings, spans)
+    assert got[0] == want[0]
+    for got_map, want_map in zip(got[1:3], want[1:3]):
+        assert [(e.token, e.original_text) for e in got_map] == [
+            (e.token, e.original_text) for e in want_map
+        ]
+    assert got_warnings == want_warnings
+    assert got[3] == want[3]
+    assert [vars(u) for u in split_sections(got[0], got[3])] == [
+        vars(u) for u in split_sections(want[0], want[3])
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts() | cut_texts() | structure_texts())
+@example(CAPTION_BEFORE_SKIPPED)
+@example(CAPTION_FROM_SKIPPED)
+@example(CAPTION_FROM_SKIPPED_TO_END)
+@example(ESCAPED_BEGIN_IN_FLOAT)
+@example(FLOAT_PAST_THE_BODY)
+@example(FLOAT_PAST_ITS_BLOCK)
+@example(FLOAT_INTO_THE_BODY)
+@example(CAPTION_HOLDS_ITS_END)
+@example(CAPTION_HOLDS_THE_BEGIN)
+@example(ARGUMENT_HOLDS_ITS_END)
+def test_one_walk_protects_as_the_two_passes(text):
+    assert_protects_as_the_two_passes(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(projects())
+@example(OPEN_VERBATIM_PROJECT)
+@example(INCLUDE_IN_SKIPPED)
+def test_one_walk_protects_merged_projects_as_the_two_passes(files):
+    doc = merged(files)
+    assert_protects_as_the_two_passes(doc.text, doc.spans, doc.warnings)
+
+
+def walk_floats(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The floats, with their regions' ends, that the environments walk hands ``extract_captions``."""
+    calls = []
+    real = parser.extract_captions
+    parser.extract_captions = lambda *args: calls.append(args[3]) or real(*args)
+    try:
+        parser.extract_environments(text, [], spans)
+    finally:
+        parser.extract_captions = real
+    return calls[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(texts() | cut_texts() | projects().map(lambda files: merged(files).text))
 @example(CAPTION_BEFORE_SKIPPED)
+@example(FLOAT_PAST_ITS_BLOCK)
 def test_float_and_end_searches_match_the_walks(text):
-    span_at = _span_index(comment_spans(text))
-    assert parser._float_spans(text, span_at) == walk_float_spans(text, span_at)
+    spans = comment_spans(text)
+    span_at = _span_index(spans)
+    whole = parser._floats(text, span_at, 0, len(text))
+    assert [(start, end) for start, end, _ in whole] == walk_float_spans(text, span_at)
+    # In the walk's regions, a float that runs past its region is reported.
+    floats = walk_floats(text, spans)
+    if all(end <= region_end for _, end, region_end in floats):
+        assert [(start, end) for start, end, _ in floats] == walk_float_spans(text, span_at)
+    else:
+        assert not parser.extract_captions(text, [], span_at, floats)[2]
     for m in BEGIN_RE.finditer(text):
         assert parser._find_env_end(text, m.end(), m.group(1), span_at) == (
             uncached_find_env_end(text, m.end(), m.group(1), span_at)
@@ -181,10 +412,15 @@ def test_float_and_end_searches_match_the_walks(text):
 
 
 def test_each_float_name_is_searched():
-    text = "".join(f"\\begin {{{name}}}%\n\\end{{{name}}}" for name in sorted(FLOAT_ENVS))
-    span_at = _span_index(comment_spans(text))
-    assert len(parser._float_spans(text, span_at)) == len(FLOAT_ENVS)
-    assert parser._float_spans(text, span_at) == walk_float_spans(text, span_at)
+    floats = "".join(f"\\begin {{{name}}}%\n\\end{{{name}}}" for name in sorted(FLOAT_ENVS))
+    for text in (
+        floats + "\\begin{document}\n",  # the preamble
+        "\\begin{document}\\begin{center}" + floats + "\\end{center}",  # a block
+    ):
+        spans = comment_spans(text)
+        found = [(start, end) for start, end, _ in walk_floats(text, spans)]
+        assert len(found) == len(FLOAT_ENVS)
+        assert found == walk_float_spans(text, _span_index(spans))
 
 
 def test_one_scan_per_source_file_and_none_after(monkeypatch):
