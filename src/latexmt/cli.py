@@ -335,18 +335,22 @@ def _stats_from_log(path: Path, count_box_warnings: bool) -> tuple[str, LogStats
 
 
 def _stats_from_report(path: Path) -> tuple[str, LogStats] | None:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    compile_info = payload.get("compile") or {}
-    if compile_info.get("skipped", True) or "error_count" not in compile_info:
-        return None
-    return (
-        payload.get("doc_id", path.parent.name),
-        LogStats(
-            compile_info["error_count"],
-            compile_info["warning_count"],
-            bool(compile_info.get("success")),
-        ),
-    )
+    """A report's compile counts, None when it has none; a damaged report is a ConfigError."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        compile_info = payload.get("compile") or {}
+        if compile_info.get("skipped", True) or "error_count" not in compile_info:
+            return None
+        return (
+            payload.get("doc_id", path.parent.name),
+            LogStats(
+                compile_info["error_count"],
+                compile_info["warning_count"],
+                bool(compile_info.get("success")),
+            ),
+        )
+    except (ValueError, AttributeError, KeyError) as exc:
+        raise ConfigError(f"{path} is not a report: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_score(args) -> int:

@@ -15,10 +15,10 @@ finds them in one scan: the comments (an unescaped ``%`` hides the rest of
 the line; inside ``verbatim``-like environments it is literal) and the
 verbatim-like bodies.  Includes, captions, sections and ``document_body``
 skip both; the block search skips the comments alone (``_comments``), since
-a verbatim block is itself a block.  Each source file is scanned once: the
-merge puts the merged text's spans together from its files', and one walk
-over its blocks finds the floats, so one cut carries them to the stripped
-text, or where that would not give what a scan gives, it is scanned again.
+a verbatim block is itself a block.  Each text is scanned at most once, by
+the pass that reads it: a source file only when it holds an include
+candidate, the merged text by the protection pass, whose one walk over its
+blocks also finds the floats, and the stripped text by the split.
 A source that already holds a placeholder token is refused.  Structural
 problems such as unbalanced braces, a stray ``\\end`` or a brace-less
 ``\\input`` are recorded as warning strings, never raised.
@@ -119,6 +119,8 @@ _SHALLOW_GROUP_RE = re.compile(
     rf"\{{{_FLAT}(?:\{{{_FLAT}(?:\{{{_FLAT}\}}{_FLAT})*\}}{_FLAT})*\}}", re.DOTALL
 )
 _OPTIONAL_RE = re.compile(r"\\[{}\[\]\\]|[{}\[\]]")
+# A segment of whitespace and placeholder tokens alone, which needs no translation.
+_BLANK_RE = re.compile(rf"(?:\s|{TOKEN_RE.pattern})*")
 
 
 # --------------------------------------------------------------------------
@@ -177,48 +179,14 @@ def _comments(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [span for span in spans if text[span[0]] == "%"]
 
 
-def _cut(text: str, spans: list[tuple[int, int]], cuts: list[tuple[int, int, str]], inner=()):
-    """*text* with each ``(start, end, token)`` cut replaced by its token, and its spans.
-
-    Of *spans*, *text*'s, those inside a cut go and later ones shift;
-    *inner*, if given, holds each token's own spans, or None where a span of
-    the token's runs on past it.  Where that would differ from a scan, the new
-    text is scanned: a span lies partly inside a cut, a cut is in the rest of
-    a line that the scan skips after a multi-line verbatim's ``\\end``, or a
-    token's span runs on.
-    """
-    if not cuts:
-        return text, spans
-    pieces, starts, ends, shifts = [], [], [], [0]
-    pos = 0
+def _cut(text: str, cuts: list[tuple[int, int, str]]) -> str:
+    """*text* with each ``(start, end, token)`` cut, in order, replaced by its token."""
+    pieces, pos = [], 0
     for a, b, token in cuts:
         pieces += (text[pos:a], token)
-        starts.append(a)
-        ends.append(b)
-        shifts.append(shifts[-1] + len(token) - (b - a))
         pos = b
     pieces.append(text[pos:])
-    out = "".join(pieces)
-    carried = []
-    for start, end in spans:
-        k = bisect_right(starts, start)  # the cuts that start at or before this span
-        inside = k > 0 and start < ends[k - 1]
-        exact = end <= ends[k - 1] if inside else k == len(cuts) or end <= starts[k]
-        if not inside:
-            carried.append((start + shifts[k], end + shifts[k]))
-        if text[start] == "\\":  # a verbatim: is a cut's end in the rest of its \end line?
-            rest = _line_bounds(text, end)[0]
-            i = bisect_left(starts, end)  # the first cut after it
-            if (i < len(cuts) and starts[i] <= rest) or (inside and ends[k - 1] < rest):
-                exact = exact and not _LINE_BREAK_RE.search(text, start, end)
-        if not exact:
-            return out, comment_spans(out)
-    for k, token_spans in enumerate(inner):
-        if token_spans is None:
-            return out, comment_spans(out)
-        at = starts[k] + shifts[k]
-        carried += [(start + at, end + at) for start, end in token_spans]
-    return out, sorted(carried) if inner else carried
+    return "".join(pieces)
 
 
 def _span_index(spans: list[tuple[int, int]]):
@@ -344,14 +312,15 @@ class ProjectSource:
     def from_dir(cls, root: Path | str, main_file: str | None = None) -> "ProjectSource":
         """Load every .tex file under *root*; auto-detect the main file.
 
-        Detection prefers ``main.tex`` when it holds a ``\\documentclass``,
-        then the alphabetically first file that does.
+        A directory or a broken link named ``*.tex`` is skipped.  Detection
+        prefers ``main.tex`` when it holds a ``\\documentclass``, then the
+        alphabetically first file that does.
         """
         root = Path(root)
         if not root.is_dir():
             raise MissingMainFile(f"project directory does not exist: {root}")
         files: dict[str, str] = {}
-        for path in sorted(root.rglob("*.tex")):
+        for path in sorted(p for p in root.rglob("*.tex") if p.is_file()):
             rel = path.relative_to(root).as_posix()
             files[rel] = path.read_text(encoding="utf-8", errors="surrogateescape")
         if not files:
@@ -386,7 +355,6 @@ class MergedDocument:
     main_file: str
     boundaries: tuple[FileBoundary, ...] = ()
     warnings: tuple[str, ...] = ()
-    spans: list[tuple[int, int]] | None = field(default=None, compare=False, repr=False)
 
 
 def _resolve_include(files: dict[str, str], raw: str) -> str | None:
@@ -406,7 +374,8 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     comments and verbatim-like environments are text, not includes.
     Unresolvable and brace-less (``\\input chap``) directives, ``\\subfile``,
     ``\\import`` and ``\\subimport`` stay in place, a repeat include is
-    inlined again, each with a warning; cycles are fatal.
+    inlined again, each with a warning; cycles are fatal.  A file with no
+    include candidate is returned as it is, unscanned.
     """
     warnings: list[str] = []
     boundaries: list[FileBoundary] = []
@@ -414,18 +383,18 @@ def merge_project(project: ProjectSource) -> MergedDocument:
     included: dict[str, str] = {}  # path -> where it was first included
     counter = 0
 
-    def expand(rel_path: str) -> tuple[str, list[tuple[int, int]]]:
+    def expand(rel_path: str) -> str:
         nonlocal counter
         text = project.files[rel_path]
         if "<PLACEHOLDER_" in text and (m := TOKEN_RE.search(text)) is not None:
             raise PlaceholderError(
                 m.group(0), f"already in the source, at offset {m.start()} in {rel_path}"
             )
+        if _INCLUDE_RE.search(text) is None:
+            return text
         visiting.append(rel_path)
-        spans = comment_spans(text)
-        span_at = _span_index(spans)
-        cuts, inner = [], []
-        scan = 0
+        span_at = _span_index(comment_spans(text))
+        cuts, scan = [], 0
         while (m := _next_live(_INCLUDE_RE, text, span_at, scan)) is not None:
             scan = m.end()
             if m.group(1) is None:
@@ -450,22 +419,15 @@ def merge_project(project: ProjectSource) -> MergedDocument:
                 )
             token_id = counter
             counter += 1
-            body, body_spans = expand(target)
+            body = file_begin_token(token_id) + expand(target) + file_end_token(token_id)
             boundaries.append(FileBoundary(token_id, target, m.group(0)))
-            begin = file_begin_token(token_id)
-            cuts.append((m.start(), m.end(), begin + body + file_end_token(token_id)))
-            # A last span with no line break after it runs on past the body.
-            open_end = body_spans and not _LINE_BREAK_RE.search(body, body_spans[-1][1])
-            shift = len(begin)
-            inner.append(None if open_end else [(a + shift, b + shift) for a, b in body_spans])
+            cuts.append((m.start(), m.end(), body))
         visiting.pop()
-        return _cut(text, spans, cuts, inner)
+        return _cut(text, cuts)
 
-    merged_text, spans = expand(project.main_file)
+    merged_text = expand(project.main_file)
     boundaries.sort(key=lambda b: b.token_id)
-    return MergedDocument(
-        merged_text, project.main_file, tuple(boundaries), tuple(warnings), spans
-    )
+    return MergedDocument(merged_text, project.main_file, tuple(boundaries), tuple(warnings))
 
 
 # --------------------------------------------------------------------------
@@ -528,9 +490,8 @@ def _floats(text: str, span_at, start: int, end: int):
 
 
 def extract_environments(
-    text: str, warnings: list[str] | None = None, spans: list[tuple[int, int]] | None = None,
-    captions: bool = True,
-) -> tuple[str, PlaceholderMap, PlaceholderMap, list[tuple[int, int]]]:
+    text: str, warnings: list[str] | None = None, captions: bool = True
+) -> tuple[str, PlaceholderMap, PlaceholderMap]:
     """Swap caption bodies in floats for CAP tokens and top-level blocks for ENV tokens.
 
     Only the body's blocks are cut, but every float's captions are, and a
@@ -540,10 +501,10 @@ def extract_environments(
     Comments hide structure from the search for blocks; inside a block,
     verbatim-like bodies hide it too.  Where the caption cuts would change
     the walk, they are made first and the rest is walked without *captions*.
-    Returns the stripped text, the CAP and ENV maps, and the spans.
+    Returns the stripped text and the CAP and ENV maps.
     """
     warnings = [] if warnings is None else warnings
-    spans = comment_spans(text) if spans is None else spans
+    spans = comment_spans(text)
     span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
     begin_doc, body_start, body_end = document_body(text, spans)
     floats = list(_floats(text, verbatim_at, 0, begin_doc or 0))
@@ -571,9 +532,8 @@ def extract_environments(
     if not exact:
         whole = _floats(text, verbatim_at, 0, len(text))
         cuts, cap_map, _ = extract_captions(text, warnings, verbatim_at, whole)
-        decapped, spans = _cut(text, spans, cuts)
-        out, _, env_map, spans = extract_environments(decapped, warnings, spans, captions=False)
-        return out, cap_map, env_map, spans
+        out, _, env_map = extract_environments(_cut(text, cuts), warnings, captions=False)
+        return out, cap_map, env_map
     starts = [start for start, _, _ in cuts]
     shifts = list(accumulate((len(token) - (b - a) for a, b, token in cuts), initial=0))
     warnings += cap_warnings
@@ -590,8 +550,7 @@ def extract_environments(
             k += 1
         env_map.add(token := env_token(n), "".join(pieces) + text[pos:end])
         out_cuts.append((start, end, token))
-    out, spans = _cut(text, spans, out_cuts + cuts[k:])
-    return out, cap_map, env_map, spans
+    return _cut(text, out_cuts + cuts[k:]), cap_map, env_map
 
 
 def document_body(text: str, spans: list[tuple[int, int]]) -> tuple[int | None, int, int]:
@@ -647,7 +606,7 @@ class TranslationUnit:
         return self.source_text
 
 
-def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> list[TranslationUnit]:
+def split_sections(text: str) -> list[TranslationUnit]:
     """Cut the document into preamble + section-sized units.
 
     The preamble (up to and including the live ``\\begin{document}``, as
@@ -656,8 +615,7 @@ def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> lis
     the first section is its own unit.  The units are numbered from 0; their
     ``source_text`` fields concatenate to *text* exactly.
     """
-    if spans is None:
-        spans = comment_spans(text)
+    spans = comment_spans(text)
     _, prev, _ = document_body(text, spans)
     scan, span_at = prev, _span_index(spans)
     units = [TranslationUnit(0, GRAN_SECTION, text[:prev], False, role="preamble")] if prev else []
@@ -667,8 +625,8 @@ def split_sections(text: str, spans: list[tuple[int, int]] | None = None) -> lis
         prev, scan = c.start(), c.end()
     segments.append(text[prev:])
     for seg in segments:
-        residue = TOKEN_RE.sub("", seg).strip()
-        units.append(TranslationUnit(len(units), GRAN_SECTION, seg, bool(residue), role="body"))
+        blank = _BLANK_RE.fullmatch(seg) is not None
+        units.append(TranslationUnit(len(units), GRAN_SECTION, seg, not blank, role="body"))
     return units
 
 
@@ -688,8 +646,8 @@ def parse_project(project: ProjectSource) -> ParsedDocument:
     """Run the full parse pipeline over a project."""
     merged = merge_project(project)
     warnings = list(merged.warnings)
-    stripped, cap_map, env_map, spans = extract_environments(merged.text, warnings, merged.spans)
-    sections = split_sections(stripped, spans)
+    stripped, cap_map, env_map = extract_environments(merged.text, warnings)
+    sections = split_sections(stripped)
     return ParsedDocument(merged, stripped, cap_map, env_map, sections, warnings)
 
 

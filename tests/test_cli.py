@@ -1055,6 +1055,22 @@ def test_score_an_output_root_reads_its_reports_compile_data(tmp_path, capsys):
     ]
 
 
+DAMAGED_REPORTS = {
+    "truncated": '{"doc_id": "a", "compile": {"skipped": fal',
+    "not-an-object": "[1, 2]",
+    "no-warning-count": json.dumps({"compile": {"skipped": False, "error_count": 1}}),
+}
+
+
+@pytest.mark.parametrize("text", DAMAGED_REPORTS.values(), ids=DAMAGED_REPORTS.keys())
+@pytest.mark.parametrize("as_dir", [False, True], ids=["file", "dir"])
+def test_score_a_damaged_report_is_a_usage_error(tmp_path, capsys, text, as_dir):
+    report = write_files(tmp_path / "out", {"a/report.json": text}) / "a" / "report.json"
+    assert run(["score", str(report.parent.parent if as_dir else report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report} is not a report: ") and err.count("\n") == 1
+
+
 def test_score_names_a_compile_log_after_its_output_tree(tmp_path, capsys):
     write_files(tmp_path / "out", {"paper/logs/compile.log": "Output written on main.pdf\n"})
     assert run(["score", str(tmp_path / "out"), "--json"]) == 0

@@ -67,7 +67,7 @@ def decap(text, warnings=None):
     warnings = [] if warnings is None else warnings
     span_at = _span_index(comment_spans(text))
     cuts, pmap, _ = extract_captions(text, warnings, span_at, _floats(text, span_at, 0, len(text)))
-    return _cut(text, [], cuts)[0], pmap
+    return _cut(text, cuts), pmap
 
 
 def test_caption_with_nested_braces():
@@ -287,7 +287,7 @@ def test_top_level_environments_extracted_nested_ride_along():
         "pre\n\\begin{center}\\begin{figure}x\\end{figure}\\end{center}\n"
         "mid\n\\begin{equation}e = m\\end{equation}\npost\n"
     )
-    out, _, pmap, _ = extract_environments(text)
+    out, _, pmap = extract_environments(text)
     assert [e.token for e in pmap] == [env_token(0), env_token(1)]
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{center}")
     assert "\\begin{figure}x\\end{figure}" in pmap.get(env_token(0)).original_text
@@ -303,7 +303,7 @@ def test_preamble_environments_untouched():
         "\\begin{filecontents*}{d.csv}\n1,2\n\\end{filecontents*}\n"
         "\\begin{document}\n\\begin{itemize}\\item a\\end{itemize}\n\\end{document}\n"
     )
-    out, _, pmap, _ = extract_environments(text)
+    out, _, pmap = extract_environments(text)
     assert len(pmap) == 1
     assert pmap.get(env_token(0)).original_text.startswith("\\begin{itemize}")
     assert "\\begin{filecontents*}{d.csv}" in out
@@ -312,7 +312,7 @@ def test_preamble_environments_untouched():
 def test_stray_end_is_a_warning():
     warnings = []
     text = _body("x\\end{itemize} y\n")
-    out, _, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("stray \\end{itemize}" in w for w in warnings)
@@ -321,7 +321,7 @@ def test_stray_end_is_a_warning():
 def test_unterminated_begin_is_a_warning():
     warnings = []
     text = _body("x\\begin{itemize} y\n")
-    out, _, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap = extract_environments(text, warnings)
     assert out == text
     assert len(pmap) == 0
     assert any("no matching \\end" in w for w in warnings)
@@ -330,7 +330,7 @@ def test_unterminated_begin_is_a_warning():
 def test_same_name_nesting_matched_by_depth():
     block = "\\begin{itemize}\\item o\\begin{itemize}\\item i\\end{itemize}\\end{itemize}"
     text = _body(block + "\n")
-    _, _, pmap, _ = extract_environments(text)
+    _, _, pmap = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
 
 
@@ -340,7 +340,7 @@ def test_verbatim_body_swallowed_whole():
         "\\end{lstlisting}"
     )
     text = _body(block + "\n")
-    out, _, pmap, _ = extract_environments(text)
+    out, _, pmap = extract_environments(text)
     assert [e.original_text for e in pmap] == [block]
     assert "% not a comment" not in out
 
@@ -352,7 +352,7 @@ def test_verbatim_inside_a_block_hides_its_end():
     )
     text = _body(block + "\n")
     warnings = []
-    out, _, pmap, _ = extract_environments(text, warnings)
+    out, _, pmap = extract_environments(text, warnings)
     assert [e.original_text for e in pmap] == [block]
     assert warnings == []
     assert pmap.restore(out) == text
@@ -370,7 +370,7 @@ def test_an_end_document_inside_a_body_verbatim_does_not_end_the_body(project_fa
 
 def test_commented_begin_ignored():
     text = _body("% \\begin{figure}\nreal text\n")
-    out, _, pmap, _ = extract_environments(text)
+    out, _, pmap = extract_environments(text)
     assert out == text
     assert len(pmap) == 0
 
@@ -449,10 +449,10 @@ COMMENTED_BEGIN = (
 def test_a_begin_document_inside_a_preamble_comment_block_is_not_the_real_one():
     real = COMMENTED_BEGIN.rindex("\\begin{document}") + len("\\begin{document}")
     warnings = []
-    out, _, pmap, spans = extract_environments(COMMENTED_BEGIN, warnings)
+    out, _, pmap = extract_environments(COMMENTED_BEGIN, warnings)
     assert warnings == []
     assert [e.original_text for e in pmap] == ["\\begin{itemize}\n\\item x\n\\end{itemize}"]
-    for units in (split_sections(COMMENTED_BEGIN), split_sections(out, spans)):
+    for units in (split_sections(COMMENTED_BEGIN), split_sections(out)):
         assert units[0].role == "preamble"
         assert units[0].source_text == COMMENTED_BEGIN[:real]
 
@@ -465,15 +465,22 @@ def test_fragment_without_document_env():
     assert "".join(u.source_text for u in units) == text
 
 
-def test_token_only_segment_needs_no_translation():
-    text = (
-        "\\documentclass{a}\\begin{document}"
-        + env_token(0)
-        + "\\section{A}text\\end{document}"
-    )
+@pytest.mark.parametrize(
+    "segment, needs_translation",
+    [
+        (env_token(0), False),
+        # \\s and str.isspace agree: an ideographic space, a separator control, a no-break space.
+        (f"{env_token(0)}\u3000{cap_token(1)}\x1c{env_token(2)}\xa0", False),
+        (f"\n{file_begin_token(0)}\n{file_end_token(0)}\n", False),
+        (f"{env_token(0)}x", True),
+    ],
+    ids=["token", "unicode-spaces", "file-tokens", "token-then-text"],
+)
+def test_token_only_segment_needs_no_translation(segment, needs_translation):
+    text = "\\documentclass{a}\\begin{document}" + segment + "\\section{A}text\\end{document}"
     units = split_sections(text)
-    assert units[1].source_text == env_token(0)
-    assert units[1].needs_translation is False
+    assert units[1].source_text == segment
+    assert units[1].needs_translation is needs_translation
 
 
 def test_starred_section_is_a_cut():
@@ -510,6 +517,12 @@ def test_from_dir_no_tex_files(tmp_path):
     (tmp_path / "readme.md").write_text("hi")
     with pytest.raises(MissingMainFile):
         ProjectSource.from_dir(tmp_path)
+
+
+def test_from_dir_skips_a_directory_and_a_broken_link_named_tex(project_factory):
+    root = project_factory({"main.tex": "\\documentclass{article}\n", "figs.tex/a.pdf": "x"})
+    (root / "gone.tex").symlink_to(root / "missing.tex")
+    assert ProjectSource.from_dir(root).files == {"main.tex": "\\documentclass{article}\n"}
 
 
 def test_main_detection_prefers_main_tex(project_factory):

@@ -1,16 +1,16 @@
-"""The spans the parse hands on, the float and end searches, and the protection pass.
+"""The scans a parse makes, the float and end searches, and the protection pass.
 
-``merge_project`` puts the merged text's spans (``comment_spans(text)``:
-comments and verbatim-like bodies) together from its files', and
-``extract_environments`` carries them through its one cut and hands them on
-to ``split_sections``.  Carried or scanned, the spans must be the ones a scan
-of the output gives, and their comments the ones the ``%`` walk finds.
-``_floats`` searches float names only, in the regions the environments walk
-gives, and ``_find_env_end`` compiles each name's pattern once; the walks
-they replaced are kept below as their oracles.  So is the parse they
-replaced: a captions pass over the whole text, then an environments pass
-over what it left, each with its own cut.  The one walk must give the same
-stripped text, maps, warnings, spans and section units.
+Each text is scanned (``comment_spans``: comments and verbatim-like bodies)
+at most once, by the pass that reads it: a source file only when it holds
+an include candidate, then the merged text, then the stripped text.  A cut
+is a plain splice; nothing is carried across it.  ``_floats`` searches float
+names only, in the regions the environments walk gives, and
+``_find_env_end`` compiles each name's pattern once; the walks they
+replaced are kept below as their oracles.  So is the parse they replaced: a
+captions pass over the whole text, then an environments pass over what it
+left, each with its own cut and its own scan.  The one walk must give the
+same stripped text, maps, warnings and section units, and the stripped
+text's comments must be the ones the ``%`` walk finds.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def skip_ws(text: str, i: int) -> int:
     return re.compile(r"[ \t\r\n]*").match(text, i).end()
 
 
-def oracle_captions(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+def oracle_captions(text: str, warnings: list[str]):
     """Replace caption bodies inside float environments with CAP tokens."""
-    span_at = _span_index(spans)
+    span_at = _span_index(comment_spans(text))
     in_float = _span_index(oracle_float_spans(text, span_at))
     pmap = PlaceholderMap()
     cuts: list[tuple[int, int, str]] = []
@@ -143,12 +143,12 @@ def oracle_captions(text: str, warnings: list[str], spans: list[tuple[int, int]]
         pmap.add(token, text[i + 1 : close])
         cuts.append((i + 1, close, token))
         scan = close
-    out, spans = _cut(text, spans, cuts)
-    return out, pmap, spans
+    return _cut(text, cuts), pmap
 
 
-def oracle_environments(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+def oracle_environments(text: str, warnings: list[str]):
     """Replace each top-level ``\\begin{x}...\\end{x}`` block of the body with an ENV token."""
+    spans = comment_spans(text)
     span_at, verbatim_at = _span_index(_comments(text, spans)), _span_index(spans)
     _, body_start, body_end = document_body(text, spans)
     pmap = PlaceholderMap()
@@ -174,15 +174,14 @@ def oracle_environments(text: str, warnings: list[str], spans: list[tuple[int, i
         pmap.add(token, text[m.start() : end])
         cuts.append((m.start(), end, token))
         scan = end
-    out, spans = _cut(text, spans, cuts)
-    return out, pmap, spans
+    return _cut(text, cuts), pmap
 
 
-def oracle_protect(text: str, warnings: list[str], spans: list[tuple[int, int]]):
+def oracle_protect(text: str, warnings: list[str]):
     """The captions pass, then the environments pass over what it left."""
-    decapped, cap_map, spans = oracle_captions(text, warnings, spans)
-    stripped, env_map, spans = oracle_environments(decapped, warnings, spans)
-    return stripped, cap_map, env_map, spans
+    decapped, cap_map = oracle_captions(text, warnings)
+    stripped, env_map = oracle_environments(decapped, warnings)
+    return stripped, cap_map, env_map
 
 
 # --------------------------------------------------------------------------
@@ -305,59 +304,28 @@ CAPTION_HOLDS_THE_BEGIN = (
 )
 
 
-def assert_hands_on_a_scan(text: str, spans=None) -> None:
-    decapped, _, decapped_spans = oracle_captions(text, [], spans or comment_spans(text))
-    assert decapped_spans == comment_spans(decapped)
-    stripped, _, _, spans = parser.extract_environments(text, None, spans)
-    assert spans == comment_spans(stripped)
-    assert _comments(stripped, spans) == oracle_comment_spans(stripped)
-
-
-@settings(max_examples=300, deadline=None)
-@given(texts() | cut_texts())
-@example(NESTED_VERBATIM)
-@example(BLOCK_BEFORE_SKIPPED)
-@example(CAPTION_BEFORE_SKIPPED)
-@example(CAPTION_FROM_SKIPPED)
-@example(ESCAPED_BEGIN)
-@example(ESCAPED_BEGIN_IN_FLOAT)
-def test_each_pass_hands_on_what_a_scan_of_its_output_gives(text):
-    assert_hands_on_a_scan(text)
-
-
-@settings(max_examples=150, deadline=None)
-@given(projects())
-@example(OPEN_VERBATIM_PROJECT)
-@example(COMMENT_END_PROJECT)
-@example(INCLUDE_IN_SKIPPED)
-def test_each_pass_hands_on_what_a_scan_gives_on_merged_projects(files):
-    doc = merged(files)
-    assert doc.spans == comment_spans(doc.text)
-    assert_hands_on_a_scan(doc.text, doc.spans)
-
-
-def assert_protects_as_the_two_passes(text: str, spans=None, warnings=()) -> None:
-    spans = comment_spans(text) if spans is None else spans
+def assert_protects_as_the_two_passes(text: str, warnings=()) -> None:
     want_warnings, got_warnings = list(warnings), list(warnings)
-    want = oracle_protect(text, want_warnings, spans)
-    got = parser.extract_environments(text, got_warnings, spans)
+    want = oracle_protect(text, want_warnings)
+    got = parser.extract_environments(text, got_warnings)
     assert got[0] == want[0]
-    for got_map, want_map in zip(got[1:3], want[1:3]):
+    for got_map, want_map in zip(got[1:], want[1:]):
         assert [(e.token, e.original_text) for e in got_map] == [
             (e.token, e.original_text) for e in want_map
         ]
     assert got_warnings == want_warnings
-    assert got[3] == want[3]
-    assert [vars(u) for u in split_sections(got[0], got[3])] == [
-        vars(u) for u in split_sections(want[0], want[3])
-    ]
+    assert _comments(got[0], comment_spans(got[0])) == oracle_comment_spans(got[0])
+    assert [vars(u) for u in split_sections(got[0])] == [vars(u) for u in split_sections(want[0])]
 
 
 @settings(max_examples=400, deadline=None)
 @given(texts() | cut_texts() | structure_texts())
+@example(NESTED_VERBATIM)
+@example(BLOCK_BEFORE_SKIPPED)
 @example(CAPTION_BEFORE_SKIPPED)
 @example(CAPTION_FROM_SKIPPED)
 @example(CAPTION_FROM_SKIPPED_TO_END)
+@example(ESCAPED_BEGIN)
 @example(ESCAPED_BEGIN_IN_FLOAT)
 @example(FLOAT_PAST_THE_BODY)
 @example(FLOAT_PAST_ITS_BLOCK)
@@ -372,19 +340,20 @@ def test_one_walk_protects_as_the_two_passes(text):
 @settings(max_examples=150, deadline=None)
 @given(projects())
 @example(OPEN_VERBATIM_PROJECT)
+@example(COMMENT_END_PROJECT)
 @example(INCLUDE_IN_SKIPPED)
 def test_one_walk_protects_merged_projects_as_the_two_passes(files):
     doc = merged(files)
-    assert_protects_as_the_two_passes(doc.text, doc.spans, doc.warnings)
+    assert_protects_as_the_two_passes(doc.text, doc.warnings)
 
 
-def walk_floats(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+def walk_floats(text: str) -> list[tuple[int, int, int]]:
     """The floats, with their regions' ends, that the environments walk hands ``extract_captions``."""
     calls = []
     real = parser.extract_captions
     parser.extract_captions = lambda *args: calls.append(args[3]) or real(*args)
     try:
-        parser.extract_environments(text, [], spans)
+        parser.extract_environments(text, [])
     finally:
         parser.extract_captions = real
     return calls[0]
@@ -400,7 +369,7 @@ def test_float_and_end_searches_match_the_walks(text):
     whole = parser._floats(text, span_at, 0, len(text))
     assert [(start, end) for start, end, _ in whole] == walk_float_spans(text, span_at)
     # In the walk's regions, a float that runs past its region is reported.
-    floats = walk_floats(text, spans)
+    floats = walk_floats(text)
     if all(end <= region_end for _, end, region_end in floats):
         assert [(start, end) for start, end, _ in floats] == walk_float_spans(text, span_at)
     else:
@@ -417,13 +386,12 @@ def test_each_float_name_is_searched():
         floats + "\\begin{document}\n",  # the preamble
         "\\begin{document}\\begin{center}" + floats + "\\end{center}",  # a block
     ):
-        spans = comment_spans(text)
-        found = [(start, end) for start, end, _ in walk_floats(text, spans)]
+        found = [(start, end) for start, end, _ in walk_floats(text)]
         assert len(found) == len(FLOAT_ENVS)
-        assert found == walk_float_spans(text, _span_index(spans))
+        assert found == walk_float_spans(text, _span_index(comment_spans(text)))
 
 
-def test_one_scan_per_source_file_and_none_after(monkeypatch):
+def test_each_text_is_scanned_once_and_a_leaf_file_never(monkeypatch):
     files = {
         "main.tex": (
             "\\documentclass{article}\n\\begin{document}\n\\input{a}\n"
@@ -431,11 +399,13 @@ def test_one_scan_per_source_file_and_none_after(monkeypatch):
         ),
         "a.tex": (
             "\\section{One}\n\\begin{figure}\n\\begin{verbatim}\n50% \\caption{x}\n"
-            "\\end{verbatim}\n\\caption[s]{A {b}} % c\n\\end{figure}\n"
+            "\\end{verbatim}\n\\caption[s]{A {b}} % c\n\\end{figure}\n\\input{c}\n"
+        ),
+        "b.tex": "\\begin{lstlisting}\n% x\n\\end{lstlisting}\n% \\input{a}\n",
+        "c.tex": (
             "\\begin{itemize}\\begin{itemize}\n\\item % \\end{itemize}\n"
             "\\end{itemize}\\end{itemize}\n"
         ),
-        "b.tex": "\\begin{lstlisting}\n% x\n\\end{lstlisting}\n% \\input{a}\n",
     }
     scanned = []
 
@@ -445,5 +415,7 @@ def test_one_scan_per_source_file_and_none_after(monkeypatch):
 
     monkeypatch.setattr(parser, "comment_spans", scan)
     parsed = parser.parse_project(ProjectSource(Path("."), "main.tex", files))
-    assert scanned == [files["main.tex"], files["a.tex"], files["b.tex"]]
+    # b.tex holds \input only in a comment; c.tex, a leaf, holds no candidate.
+    want = [files["main.tex"], files["a.tex"], files["b.tex"], parsed.merged.text, parsed.text]
+    assert scanned == want
     assert len(parsed.cap_map) == 1 and len(parsed.env_map) == 3
