@@ -6,17 +6,16 @@ Each translated document gets its own output tree::
     out/<doc-id>/tex/      translated sources (plus untouched project files)
     out/<doc-id>/pdf/      compiled artifact, when an engine ran
     out/<doc-id>/logs/     engine log (compile.log, moved out of tex/) and its
-                           timing, LLM transcript and the sidecar of the
-                           blocks of its prompts, messages and replies (read
-                           both with llm.read_transcript), and what
-                           speculative calls cost (speculation.json)
+                           timing, LLM transcript (read it with
+                           llm.read_transcript), and what speculative calls
+                           cost (speculation.json)
     out/<doc-id>/maps/     placeholder maps and file boundaries
     out/<doc-id>/report.json   outcome, with the unit manifest
 
 ``<doc-id>`` is the name of the project directory made absolute.  A batch
-whose projects share a name, and an output tree that is, holds or lies in
-its project, are refused before any tree is touched; a project that fails
-to parse keeps its last tree.
+whose projects share a name, and an output tree that overlaps its project
+or where a file stands, are refused before any tree is touched; a project
+that fails to parse keeps its last tree.
 
 report.json deliberately excludes wall-clock data so that two runs with the
 same config and mock transcript are byte-identical.
@@ -34,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import prompts
 from .agents import run_pipeline
 from .config import RunConfig, base_language, load_config
 from .errors import (
@@ -140,11 +140,14 @@ def _doc_id(project_dir: Path | str) -> str:
 
 
 def _out_root(project_dir: Path | str, config: RunConfig) -> Path:
-    """``<out>/<doc-id>``, refused if it is, holds or lies in the project directory."""
+    """``<out>/<doc-id>``, refused if it overlaps the project directory or a file is in its way."""
     out_root = Path(config.out_dir) / _doc_id(project_dir)
     mine, theirs = out_root.resolve(), Path(project_dir).resolve()
     if mine.is_relative_to(theirs) or theirs.is_relative_to(mine):
         raise ConfigError(f"output tree {out_root} overlaps the project directory {theirs}")
+    existing = next(path for path in (mine, *mine.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output tree {out_root} cannot be made: {existing} is not a directory")
     return out_root
 
 
@@ -181,6 +184,8 @@ def translate_project(
     # it is part of setup: a replay with no recording stops here.
     client = _build_client(config, logs_dir)
     protected = protected_environments(config.protected_envs_path)
+    for name in prompts.TEMPLATE_NAMES:  # a prompt_dir template that cannot be read stops here
+        prompts.load_template(name, config.prompt_dir)
     if out_root.exists():
         shutil.rmtree(out_root)
     # Non-.tex project files (figures, .bib, .cls) ride along untouched;

@@ -207,7 +207,7 @@ def load_config(
         import yaml  # only here: a run without a config file never loads PyYAML
 
         try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            raw = yaml.safe_load(Path(path).read_bytes())  # bytes not in UTF-8: a YAMLError
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -6,8 +6,8 @@ transcript holds for the same request.  Neither has a tokenizer; their
 token counts are estimated as characters / 4.
 
 Every agent goes through :class:`LlmClient`, which owns retries, usage
-accounting, the optional request transcript (each block of a call's system
-prompt, user message and reply stored once, in a sidecar;
+accounting, the optional request transcript (each block of a call's texts
+stored once, on a line before the first call that lists it by index;
 :func:`read_transcript` joins them back), the run's
 warnings (:meth:`LlmClient.warn`) and the jobs that run ahead of the program
 (:meth:`LlmClient.submit`), whose calls and warnings count only once they
@@ -29,7 +29,6 @@ difference.  Backends may be called from several threads at once.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import queue
@@ -40,7 +39,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generic, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import (
     AuthError,
@@ -55,7 +54,6 @@ if TYPE_CHECKING:
     import requests
 
 TRANSCRIPT_NAME = "llm_transcript.jsonl"
-PROMPTS_NAME = "llm_prompts.jsonl"
 # What LlmClient.speculation counts, each from 0.
 SPECULATED = dict.fromkeys(
     ("hits", "misses", "discarded_calls", "discarded_prompt_tokens", "discarded_completion_tokens"),
@@ -65,7 +63,7 @@ SPECULATED = dict.fromkeys(
 # a block or the text: a template, a summary, a term list, the source a judge
 # quotes or the translation it checks is one block of its own.
 _BLOCK_START = "\n\n["
-_TEXTS = ("system", "user", "reply")  # the texts of a call, stored as their blocks' ids
+_TEXTS = ("system", "user", "reply")  # the texts of a call, stored as their blocks' indexes
 _FIELDS = {f"{name}_parts" for name in _TEXTS} | {"temperature", "max_new_tokens"}
 EARLY, BACKGROUND = 0, 1  # the ranks of queued jobs: the lowest runs first
 _STOP = (2, 0, None)  # queued behind every job, it stops a pool thread
@@ -328,8 +326,8 @@ class LlmClient:
     took (misses), and the calls that :meth:`Pending.discard` dropped.
     :meth:`close`, or leaving a ``with`` block, discards the misses and,
     once each returns, what it chained, waits for every queued job, counts
-    what was discarded and closes the transcript files, which are buffered
-    until then: a killed process loses their tail.  A call or a job asked
+    what was discarded and closes the transcript, which is buffered until
+    then: a killed process loses its tail.  A call or a job asked
     for after that raises :class:`RuntimeError`.
     """
 
@@ -345,8 +343,8 @@ class LlmClient:
     warnings: list[str] = field(default_factory=list, init=False)
     _lock: threading.Lock = _private(default_factory=threading.Lock)
     _local: threading.local = _private(default_factory=threading.local)
-    _stored: set[str] = _private(default_factory=set)
-    _files: dict = _private(default_factory=dict)
+    _stored: dict[str, int] = _private(default_factory=dict)  # each block's index in the file
+    _file: TextIO | None = _private(default=None)
     _discarded: list = _private(default_factory=list)
     _early: dict = _private(default_factory=dict)
     _jobs: queue.PriorityQueue = _private(default_factory=queue.PriorityQueue)  # (rank, order, job)
@@ -430,7 +428,7 @@ class LlmClient:
         return text
 
     def close(self) -> None:
-        """Discard the misses and the jobs they chain, wait for the pool, count, close the files."""
+        """Discard the misses and the jobs they chain, wait for the pool, count, close the file."""
         self.speculation["misses"] += len(self._early)
         for early in self._early.values():
             early.discard()
@@ -450,9 +448,9 @@ class LlmClient:
                 discarded_completion_tokens=sum(c for _, c, _ in held),
             )
         self._discarded.clear()
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def __enter__(self) -> "LlmClient":
         return self
@@ -464,9 +462,9 @@ class LlmClient:
         """Count ``(prompt_tokens, completion_tokens, line)`` calls; write their lines.
 
         Inside a job they are held by the job, with *warnings*, instead.
-        A line is ``(json, parts)``, or None without a transcript.  New parts
-        go to the sidecar first, at this point and in transcript order, so
-        held calls give the same sidecar as a serial run.
+        A line is ``(record, texts)``, or None without a transcript.  A block
+        new to the file is numbered and written first, here, in commit order,
+        so held calls give the same file as a serial run.
         """
         job = getattr(self._local, "job", None)
         if job is not None:
@@ -480,29 +478,25 @@ class LlmClient:
         if not lines:
             return
         with self._lock:
-            new = {i: text for _, parts in lines for i, text in parts if i not in self._stored}
-            if new:
-                sidecar = self.transcript_path.with_name(PROMPTS_NAME)
-                self._append(sidecar, [_json_line({"id": i, "text": t}) for i, t in new.items()])
-            self._stored.update(new)
-            self._append(self.transcript_path, [line for line, _ in lines])
-
-    def _append(self, path: Path, lines: list[str]) -> None:
-        """Write *lines* to *path*, opened once per client and flushed by :meth:`close`."""
-        if path not in self._files:
-            self._files[path] = open(path, "a", encoding="utf-8")
-        self._files[path].writelines(lines)
+            out, stored = [], self._stored
+            for record, texts in lines:
+                for name, blocks in zip(_TEXTS, texts):
+                    for block in blocks:
+                        if block not in stored:
+                            stored[block] = len(stored)
+                            out.append(_json_line(block))
+                    record[f"{name}_parts"] = [stored[block] for block in blocks]
+                out.append(_json_line(record))
+            if self._file is None:  # opened once per client and flushed by close()
+                self._file = open(self.transcript_path, "a", encoding="utf-8")
+            self._file.writelines(out)
 
     def _line(self, request: ChatRequest, result: ChatResult) -> tuple | None:
         if self.transcript_path is None:
             return None
-        parts = []
         record = {"max_new_tokens": request.max_new_tokens, "temperature": request.temperature}
-        for name, text in zip(_TEXTS, (request.system_prompt, request.user_message, result.text)):
-            blocks = [(_part_id(block), block) for block in _blocks(text)]
-            record[f"{name}_parts"] = [part_id for part_id, _ in blocks]
-            parts += blocks
-        return _json_line(record), parts
+        texts = request.system_prompt, request.user_message, result.text
+        return record, [_blocks(text) for text in texts]
 
 
 def _work(jobs: queue.PriorityQueue) -> None:
@@ -511,13 +505,8 @@ def _work(jobs: queue.PriorityQueue) -> None:
     jobs.put(_STOP)
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
-
-
-def _part_id(text: str) -> str:
-    """The first 16 bytes of the part's sha256, in hex."""
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:32]
+def _json_line(value: dict | str) -> str:
+    return json.dumps(value, ensure_ascii=True, sort_keys=True) + "\n"
 
 
 def _blocks(text: str) -> list[str]:
@@ -541,8 +530,8 @@ def _blocks(text: str) -> list[str]:
 
 
 def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
-    """``(where, value)`` of each line of *path*; a line that is not JSON is a ConfigError."""
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    """``(where, value)`` of each line of *path*; a line not JSON in UTF-8 is a ConfigError."""
+    for n, line in enumerate(path.read_bytes().splitlines(), 1):
         where = f"{path}, line {n}"
         try:
             value = json.loads(line)
@@ -554,25 +543,26 @@ def _json_lines(path: Path) -> Iterator[tuple[str, object]]:
 def read_transcript(logs_dir: Path | str) -> Iterator[dict]:
     """Each transcribed call in order, its ``system``, ``user`` and ``reply`` joined back.
 
-    A line that is not JSON, is not in this layout or names a block the
-    sidecar lacks is a :class:`ConfigError` that names its file and line.
+    A line is a block, a JSON string, or a call, whose parts are indexes
+    among the block lines, from 0; a file cut at a line end reads back as
+    the calls before the cut.  A line that is not JSON or neither, or a part
+    not an earlier block's index, is a :class:`ConfigError` naming its line.
     """
-    logs_dir = Path(logs_dir)
-    sidecar = logs_dir / PROMPTS_NAME  # absent when every text transcribed was empty
-    texts = {}
-    for where, part in _json_lines(sidecar) if sidecar.exists() else ():
-        if not isinstance(part, dict) or set(part) != {"id", "text"} or not all(
-            isinstance(value, str) for value in part.values()
-        ):
-            raise ConfigError(f"{where}: not a block of id and text, both strings")
-        texts[part["id"]] = part["text"]
-    for where, call in _json_lines(logs_dir / TRANSCRIPT_NAME):
-        if not isinstance(call, dict) or set(call) != _FIELDS:
-            raise ConfigError(f"{where}: not a transcript line of this layout {sorted(_FIELDS)}")
-        try:
-            record = {name: "".join(texts[i] for i in call[f"{name}_parts"]) for name in _TEXTS}
-        except KeyError as exc:
-            raise ConfigError(f"{where}: block {exc.args[0]} is not in {sidecar}") from None
-        except TypeError:  # parts that are not iterable, or an id that cannot be a key
-            raise ConfigError(f"{where}: parts that are not a list of block ids") from None
-        yield record | {key: call[key] for key in ("temperature", "max_new_tokens")}
+    blocks: list[str] = []
+    for where, line in _json_lines(Path(logs_dir) / TRANSCRIPT_NAME):
+        if isinstance(line, str):
+            blocks.append(line)
+            continue
+        if not isinstance(line, dict) or set(line) != _FIELDS:
+            layout = f"a block string or a call {sorted(_FIELDS)}"
+            raise ConfigError(f"{where}: not a transcript line of this layout: {layout}")
+        record = {key: line[key] for key in ("temperature", "max_new_tokens")}
+        for name in _TEXTS:
+            parts = line[f"{name}_parts"]
+            if not isinstance(parts, list):
+                raise ConfigError(f"{where}: parts that are not a list of block indexes")
+            for i in parts:
+                if type(i) is not int or not 0 <= i < len(blocks):
+                    raise ConfigError(f"{where}: not a block on an earlier line: {i!r}")
+            record[name] = "".join(blocks[i] for i in parts)
+        yield record

@@ -17,6 +17,7 @@ from pathlib import Path
 from stat import S_ISREG
 
 from .config import RunConfig, language_name
+from .errors import ConfigError
 from .llm import ChatRequest
 
 TEMPLATE_NAMES = (
@@ -55,8 +56,11 @@ def load_template(name: str, prompt_dir: Path | str | None = None) -> str:
 
 @lru_cache(maxsize=64)
 def _override(path: Path, mtime_ns: int, size: int) -> str:
-    """A *prompt_dir* template, read again only once its stat changes."""
-    return path.read_text(encoding="utf-8")
+    """A *prompt_dir* template, read again only once its stat changes; unreadable, a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read prompt template {path}: {exc}") from None
 
 
 def render(name: str, tgt_language: str = "", prompt_dir: Path | str | None = None) -> str:

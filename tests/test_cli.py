@@ -12,7 +12,7 @@ import pytest
 from latexmt import agents, cli, prompts
 from latexmt.config import RunConfig, load_config
 from latexmt.errors import AuthError
-from latexmt.llm import PROMPTS_NAME, TRANSCRIPT_NAME, read_transcript
+from latexmt.llm import TRANSCRIPT_NAME, read_transcript
 
 from conftest import RuleBackend, tree_snapshot, write_files
 from test_generator import fake_engine
@@ -124,7 +124,6 @@ def test_translate_echo_identity_layout(tmp_path, capsys):
     assert report["compile"]["skipped"] is True
     assert report["usage"]["calls"] > 0
     assert (root / "logs" / TRANSCRIPT_NAME).is_file()
-    assert (root / "logs" / PROMPTS_NAME).is_file()
     # The unit manifest lives in report.json only.
     assert sorted(p.name for p in (root / "maps").iterdir()) == [
         "cap_map.json", "env_map.json", "file_boundaries.json",
@@ -161,8 +160,8 @@ def test_translate_transcript_rebuilds_every_request(tmp_path, monkeypatch):
     assert [c["system"] for c in calls] == [r.system_prompt for r in sent]
     assert [c["user"] for c in calls] == [r.user_message for r in sent]
     # Each block is stored once: prompts that share a template share its bytes.
-    sidecar = (out / "doc" / "logs" / PROMPTS_NAME).read_text().splitlines()
-    stored = [json.loads(line)["text"] for line in sidecar]
+    lines = (out / "doc" / "logs" / TRANSCRIPT_NAME).read_text().splitlines()
+    stored = [block for block in map(json.loads, lines) if isinstance(block, str)]
     assert len(set(stored)) == len(stored)
     assert sum(map(len, stored)) < sum(map(len, {r.system_prompt for r in sent}))
 
@@ -209,6 +208,13 @@ def test_a_placeholder_shaped_source_fails_before_any_model_call(
     assert after == before
 
 
+def write_cfg(tmp_path, prompt_dir):
+    """A config file, in *tmp_path*, that sets *prompt_dir*."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"prompt_dir: {json.dumps(str(prompt_dir))}\n")
+    return cfg
+
+
 def test_translate_uses_every_template_from_prompt_dir(tmp_path):
     proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
     prompt_dir = tmp_path / "prompts"
@@ -216,8 +222,7 @@ def test_translate_uses_every_template_from_prompt_dir(tmp_path):
     for name in prompts.TEMPLATE_NAMES:
         marker = f"MARKER {name}\n"
         (prompt_dir / f"{name}.txt").write_text(marker + prompts.load_template(name))
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text(f"prompt_dir: {json.dumps(str(prompt_dir))}\n")
+    cfg = write_cfg(tmp_path, prompt_dir)
     out = tmp_path / "out"
     code = run(
         [
@@ -233,6 +238,25 @@ def test_translate_uses_every_template_from_prompt_dir(tmp_path):
         seen.add(first.removeprefix("MARKER "))
     # The echo replies never need a revision, so the corrector stays idle.
     assert seen == set(prompts.TEMPLATE_NAMES) - {"corrector"}
+
+
+def test_a_prompt_template_not_in_utf8_is_refused_before_the_last_output_is_touched(
+    tmp_path, capsys
+):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    out = tmp_path / "out"
+    argv = ["translate", "--project", str(proj), "--mock", "echo", "--no-compile", "--out", str(out)]
+    assert run(argv) == 0
+    before = tree_snapshot(out)
+    prompt_dir = tmp_path / "prompts"
+    prompt_dir.mkdir()
+    template = prompt_dir / "translator.txt"
+    template.write_bytes(b"Translate \xff.\n")
+    capsys.readouterr()
+    assert run([*argv, "--config", str(write_cfg(tmp_path, prompt_dir))]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"doc: FAILED: cannot read prompt template {template}: ")
+    assert tree_snapshot(out) == before
 
 
 def test_translate_missing_engine_skips_compilation(tmp_path, capsys):
@@ -518,6 +542,18 @@ def test_a_project_without_a_name_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["translate", "parse"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_output_root_where_a_file_stands_is_a_usage_error(tmp_path, capsys, command, out):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    afile = write_files(tmp_path, {"afile": "not a directory\n"}) / "afile"
+    mock = ["--mock", "echo", "--no-compile"] if command == "translate" else []
+    assert run([command, "--project", str(proj), *mock, "--out", str(tmp_path / out)]) == 2
+    assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "doc"]
+
+
 OVERLAPS = [  # (cwd, --project, --out)
     ("papers", "paper", "."),  # the output tree is the project
     ("papers/paper", ".", "out"),  # the output tree lies inside the project
@@ -687,7 +723,7 @@ def test_a_compile_timeout_is_recorded_with_a_warning(tmp_path, capsys):
     assert report["fc_score"] is None
     assert report["warnings"][-1] == reason
     assert sorted(p.name for p in (out / "doc" / "logs").iterdir()) == [
-        PROMPTS_NAME, TRANSCRIPT_NAME, "speculation.json", "summary.txt",
+        TRANSCRIPT_NAME, "speculation.json", "summary.txt",
     ]
     assert list((out / "doc" / "pdf").iterdir()) == []
 
@@ -891,6 +927,28 @@ def test_a_project_without_a_recording_is_a_usage_error(tmp_path, monkeypatch, c
     missing = recorded_dir / "two" / "logs" / TRANSCRIPT_NAME
     assert f"two: FAILED: no recording to replay: {missing} not found" in captured.err
     assert tree_snapshot(out / "two") == before  # the last run's output is untouched
+
+
+def test_a_recording_not_in_utf8_is_a_usage_error_that_keeps_the_last_output(
+    tmp_path, monkeypatch, capsys
+):
+    proj = write_files(tmp_path / "doc", PARSE_FIXTURE)
+    recorded_dir, out = tmp_path / "recorded", tmp_path / "out"
+    assert _translate(proj, recorded_dir, monkeypatch, "--mock", "echo")[0] == 0
+    assert _translate(proj, out, monkeypatch, "--mock", "echo")[0] == 0
+    before = tree_snapshot(out)
+    transcript = recorded_dir / "doc" / "logs" / TRANSCRIPT_NAME
+    recorded = transcript.read_bytes()
+    transcript.write_bytes(recorded + b'"\xff"\n')
+    capsys.readouterr()
+    code, after = _translate(
+        proj, out, monkeypatch, "--mock", "replay", "--replay-from", str(recorded_dir)
+    )
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    where = f"{transcript}, line {len(recorded.splitlines()) + 1}"
+    assert line.startswith(f"doc: FAILED: {where}: not JSON ('utf-8' codec can't decode")
+    assert after == before
 
 
 def test_a_recording_cut_off_mid_line_is_a_usage_error_that_keeps_the_last_output(

@@ -3,8 +3,8 @@
 A content-keyed rule backend sleeps a per-request jitter, so calls finish
 out of order; the interpreter switches threads far more often than usual,
 and the client keeps more calls in flight than the machine has cores.
-report.json, the transcript and its prompt sidecar must still match a
-bound-1 run byte for byte, with the same ledger totals.
+report.json and the transcript must still match a bound-1 run byte for
+byte, with the same ledger totals.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ def _translate(project, out, bound: int, monkeypatch):
     return (
         (root / "report.json").read_bytes(),
         (root / "logs" / "llm_transcript.jsonl").read_bytes(),
-        (root / "logs" / "llm_prompts.jsonl").read_bytes(),
         built[0].ledger.summary(),
         replies.max_in_flight,
     )
@@ -160,15 +159,14 @@ def test_concurrent_document_matches_serial_run(tmp_path, monkeypatch):
         ]
     finally:
         sys.setswitchinterval(interval)
-    report, transcript, stored, ledger, in_flight = serial
+    report, transcript, ledger, in_flight = serial
     assert in_flight == 1
     assert b"revision failed" in report and b"unparseable" in report
     for run in runs:
         assert run[0] == report
         assert run[1] == transcript
-        assert run[2] == stored
-        assert run[3] == ledger
-        assert 1 < run[4] <= bound
+        assert run[2] == ledger
+        assert 1 < run[3] <= bound
 
 
 # --------------------------------------------------------------------------
@@ -237,30 +235,29 @@ def test_discarded_calls_reach_only_the_speculation_sidecar(tmp_path, monkeypatc
         runs[bound] = (
             (outcome.out_dir / "report.json").read_bytes(),
             (logs / "llm_transcript.jsonl").read_bytes(),
-            (logs / "llm_prompts.jsonl").read_bytes(),
             json.loads((logs / "speculation.json").read_text()),
             sent,
         )
     serial, speculated = runs[1], runs[4]
-    assert speculated[:3] == serial[:3]
+    assert speculated[:2] == serial[:2]
     # One program at every bound: only the calls discarded differ.
     counted = ("hits", "misses")
-    assert [speculated[3][k] for k in counted] == [serial[3][k] for k in counted]
-    assert {v for k, v in serial[3].items() if k.startswith("discarded_")} == {0}
+    assert [speculated[2][k] for k in counted] == [serial[2][k] for k in counted]
+    assert {v for k, v in serial[2].items() if k.startswith("discarded_")} == {0}
     # Two's first translation request, and the update of Three, which failed.
-    assert speculated[3]["misses"] == 2
+    assert speculated[2]["misses"] == 2
     report = json.loads(serial[0])
     assert report["summary"]["version"] == 3  # the failed section's update is not kept
-    assert report["usage"]["calls"] == len(serial[1].splitlines())
+    assert report["usage"]["calls"] == sum(line[:1] == b"{" for line in serial[1].splitlines())
     # Section Two's request transcribed is the one sent again with the pair.
     two = "\\section{Two}\nA second calibration run.\n"
     calls = [c for c in read_transcript(tmp_path / "b4" / "paper" / "logs") if c["user"] == two]
     assert len(calls) == 1 and calls[0]["system"].endswith('"calibration" - "KALIB"')
-    resent = [r.system_prompt for r in speculated[4] if r.user_message == two][-1]
+    resent = [r.system_prompt for r in speculated[3] if r.user_message == two][-1]
     assert calls[0]["system"] == resent
     # Every call sent beyond the serial run's was discarded (a discarded job
     # still runs, so its calls are counted whenever it was discarded).
-    assert len(speculated[4]) - len(serial[4]) == speculated[3]["discarded_calls"]
+    assert len(speculated[3]) - len(serial[3]) == speculated[2]["discarded_calls"]
 
 
 def _garbling(match, request) -> str:
@@ -298,7 +295,6 @@ def test_section_groups_give_the_same_report_and_transcript_at_bounds_1_and_4(
         runs[bound] = [
             (outcome.out_dir / "report.json").read_bytes(),
             (logs / "llm_transcript.jsonl").read_bytes(),
-            (logs / "llm_prompts.jsonl").read_bytes(),
             json.loads((logs / "speculation.json").read_text())["misses"],
         ]
     assert runs[4] == runs[1]
@@ -310,7 +306,7 @@ def test_section_groups_give_the_same_report_and_transcript_at_bounds_1_and_4(
     ]
     assert {u["status"] for u in report["units"]} == {"VALIDATED"}
     assert report["summary"]["version"] == 3  # the first group, then parts 8 and 9 alone
-    assert runs[1][3] >= 1  # the second group, sent before the pair was added
+    assert runs[1][2] >= 1  # the second group, sent before the pair was added
 
 
 def _revising(match, request) -> str:
@@ -365,7 +361,6 @@ def test_units_revised_in_several_rounds_give_the_same_outputs_at_bounds_1_and_4
         runs[bound] = [
             (outcome.out_dir / "report.json").read_bytes(),
             (logs / "llm_transcript.jsonl").read_bytes(),
-            (logs / "llm_prompts.jsonl").read_bytes(),
         ]
     assert runs[4] == runs[1]
     report = json.loads(runs[1][0])
@@ -507,7 +502,6 @@ def test_group_judging_gives_the_same_outputs_at_bounds_1_and_8(tmp_path, monkey
         runs[bound] = [
             (outcome.out_dir / "report.json").read_bytes(),
             (logs / "llm_transcript.jsonl").read_bytes(),
-            (logs / "llm_prompts.jsonl").read_bytes(),
         ]
     assert runs[8] == runs[1]
     report = json.loads(runs[1][0])
@@ -600,7 +594,6 @@ def test_tail_decisions_taken_group_by_group_give_the_same_outputs_at_bounds_1_a
         runs[bound] = [
             (outcome.out_dir / "report.json").read_bytes(),
             (logs / "llm_transcript.jsonl").read_bytes(),
-            (logs / "llm_prompts.jsonl").read_bytes(),
         ]
     assert runs[8] == runs[1]
     report = json.loads(runs[1][0])

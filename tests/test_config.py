@@ -233,6 +233,13 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
+def test_a_config_file_not_in_utf8_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(b"model: \xff\n")
+    with pytest.raises(ConfigError, match=f"^invalid YAML in {re.escape(str(path))}: "):
+        load_config(path)
+
+
 def test_non_mapping_root_rejected(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("- just\n- a\n- list\n")

@@ -1,10 +1,11 @@
 """Third-party packages are loaded only where they are used.
 
-A mock or replay ``translate``, ``parse`` and ``score`` never send a request
-or read a YAML file, so they load neither the HTTP stack nor PyYAML; every
-process pays for what it imports at start-up.  pytest has already imported
-both, so each check runs in one fresh interpreter: first the runs that must
-load neither, then the uses that load each, which must still work.
+A mock or replay ``translate``, ``parse`` and ``score`` never send a request,
+read a YAML file or hash, so they load neither the HTTP stack, PyYAML nor
+OpenSSL; every process pays for what it imports at start-up.  pytest has
+already imported them, so each check runs in one fresh interpreter: first
+the runs that must load none, then the uses that load each, which must
+still work.
 """
 
 import json
@@ -19,7 +20,7 @@ import latexmt
 
 from conftest import CORPUS, write_files
 
-HEAVY = ("requests", "urllib3", "yaml")
+HEAVY = ("requests", "urllib3", "yaml", "_hashlib")  # _hashlib: OpenSSL, behind hashlib
 # Prints one JSON object: for each run, which of HEAVY were loaded once it
 # had run, and what each later use gave.
 SCRIPT = """

@@ -23,7 +23,6 @@ from latexmt.errors import (
     TransientLlmError,
 )
 from latexmt.llm import (
-    PROMPTS_NAME,
     TRANSCRIPT_NAME,
     ChatRequest,
     ChatResult,
@@ -110,28 +109,40 @@ def redo(line, key, value):
     return json.dumps({**json.loads(line), key: value})
 
 
+# The recording the bad-line cases damage: blocks "sys", "a" and "reply a" on
+# lines 0-2, the first call on line 3, blocks "b" and "reply b", the second call.
 @pytest.mark.parametrize(
-    "damage, problem",  # a damage to the transcript's last line, or (file name, damage)
+    "damage, problem",  # a damage to the transcript's last line, or (line index, damage)
     [
         (lambda line: line[: len(line) // 2], r"not JSON \("),
-        (lambda line: line.replace('"reply_parts": ["', '"reply_parts": ["0'), "block 0"),
+        (lambda line: redo(line, "reply_parts", [9]), "not a block on an earlier line: 9$"),
         (  # the layout before every text was stored as blocks
             lambda _line: '{"max_new_tokens": 8192, "reply": "r", "system_parts": [], '
             '"temperature": 0.7, "user": "u"}',
-            r"not a transcript line of this layout \['max_new_tokens', ",
+            r"not a transcript line of this layout: a block string or a call \['max_new_tokens', ",
         ),
-        (lambda line: redo(line, "user_parts", 5), "parts that are not a list of block ids"),
-        ((PROMPTS_NAME, lambda line: redo(line, "id", [1])), "not a block of id and text, "),
-        ((PROMPTS_NAME, lambda line: redo(line, "text", 5)), "not a block of id and text, "),
+        (lambda line: redo(line, "user_parts", 5), "parts that are not a list of block indexes$"),
+        ((3, lambda line: redo(line, "user_parts", ["1"])), "not a block on an earlier line: '1'$"),
+        ((3, lambda line: redo(line, "user_parts", [-1])), "not a block on an earlier line: -1$"),
+        # a block that comes only after the call
+        ((3, lambda line: redo(line, "user_parts", [4])), "not a block on an earlier line: 4$"),
+        # neither a string nor a call: a number, or a block line of the layout with a sidecar
+        ((0, lambda _line: "5"), "not a transcript line of this layout: "),
+        (
+            (0, lambda line: json.dumps({"id": "0" * 32, "text": json.loads(line)})),
+            "not a transcript line of this layout: ",
+        ),
     ],
 )
 def test_replay_backend_refuses_a_bad_line_naming_its_file_and_line(tmp_path, damage, problem):
     record(tmp_path, [(req("a"), "reply a"), (req("b"), "reply b")])
-    name, damage = damage if isinstance(damage, tuple) else (TRANSCRIPT_NAME, damage)
-    path = tmp_path / name
-    *lines, last = path.read_text().splitlines()
-    path.write_text("".join(f"{line}\n" for line in [*lines, damage(last)]))
-    where = f"{re.escape(str(path))}, line {len(lines) + 1}"
+    n, damage = damage if isinstance(damage, tuple) else (-1, damage)
+    path = tmp_path / TRANSCRIPT_NAME
+    lines = path.read_text().splitlines()
+    n %= len(lines)
+    lines[n] = damage(lines[n])
+    path.write_text("".join(f"{line}\n" for line in lines))
+    where = f"{re.escape(str(path))}, line {n + 1}"
     with pytest.raises(ConfigError, match=f"^{where}: {problem}"):
         ReplayBackend(tmp_path)
 
@@ -266,8 +277,12 @@ def test_transcript_written_as_jsonl(tmp_path):
     client.chat(req("second"))
     client.close()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [sorted(entry) for entry in lines] == 2 * [
-        ["max_new_tokens", "reply_parts", "system_parts", "temperature", "user_parts"]
+    sampling = {"max_new_tokens": 8192, "temperature": 0.7}
+    assert lines == [  # each block a string line before its first use, then the call
+        "sys", "first", "alpha",
+        {"system_parts": [0], "user_parts": [1], "reply_parts": [2], **sampling},
+        "second", "beta",
+        {"system_parts": [0], "user_parts": [3], "reply_parts": [4], **sampling},
     ]
     calls = list(read_transcript(tmp_path))
     assert [c["reply"] for c in calls] == ["alpha", "beta"]
@@ -313,22 +328,35 @@ def test_read_transcript_without_any_system_prompt(tmp_path):
     client = client_for(EchoBackend(), transcript_path=tmp_path / TRANSCRIPT_NAME)
     with client:
         client.chat(req("only a user message", ""))
-    (line,) = (tmp_path / TRANSCRIPT_NAME).read_text().splitlines()
+    *_, line = (tmp_path / TRANSCRIPT_NAME).read_text().splitlines()
     assert json.loads(line)["system_parts"] == []
     assert [c["system"] for c in read_transcript(tmp_path)] == [""]
 
 
+def block_lines(path):
+    """The blocks the transcript at *path* stores, in order: its lines that are strings."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    return [x for x in lines if isinstance(x, str)]
+
+
 def test_each_prompt_block_is_stored_once_before_its_first_use(tmp_path):
     transcribe_all(tmp_path / TRANSCRIPT_NAME)
-    stored = [json.loads(line) for line in (tmp_path / PROMPTS_NAME).read_text().splitlines()]
-    first_use = []
+    blocks, used = 0, 0  # the block lines so far, and the blocks the calls so far use
     for line in (tmp_path / TRANSCRIPT_NAME).read_text().splitlines():
         entry = json.loads(line)
-        assert not {"system", "user", "reply"} & set(entry)
-        for field in ("system_parts", "user_parts", "reply_parts"):
-            first_use += [i for i in entry[field] if i not in first_use]
-    assert [part["id"] for part in stored] == first_use
-    texts = [part["text"] for part in stored]
+        if isinstance(entry, str):
+            blocks += 1
+            continue
+        assert set(entry) == {
+            "system_parts", "user_parts", "reply_parts", "temperature", "max_new_tokens"
+        }
+        parts = [i for field in ("system_parts", "user_parts", "reply_parts") for i in entry[field]]
+        assert all(i < blocks for i in parts)
+        # the blocks written since the last call are the ones this call uses first, in order
+        assert list(dict.fromkeys(i for i in parts if i >= used)) == list(range(used, blocks))
+        used = blocks
+    texts = block_lines(tmp_path / TRANSCRIPT_NAME)
+    assert len(texts) == blocks
     assert len(set(texts)) == len(texts)
     # Each header line is a block, so the summary and the terms are blocks of their own;
     # echo's reply is the user message, stored once.
@@ -338,14 +366,14 @@ def test_each_prompt_block_is_stored_once_before_its_first_use(tmp_path):
     ]
 
 
-def test_prompt_sidecar_is_the_same_under_concurrency(tmp_path):
+def test_transcript_is_the_same_under_concurrency(tmp_path):
     for name, bound in (("serial", 1), ("concurrent", 4)):
         (tmp_path / name).mkdir()
         transcribe_all(tmp_path / name / TRANSCRIPT_NAME, bound)
-    for name in (TRANSCRIPT_NAME, PROMPTS_NAME):
-        assert (tmp_path / "serial" / name).read_bytes() == (
-            tmp_path / "concurrent" / name
-        ).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "concurrent").iterdir()) == [TRANSCRIPT_NAME]
+    assert (tmp_path / "serial" / TRANSCRIPT_NAME).read_bytes() == (
+        tmp_path / "concurrent" / TRANSCRIPT_NAME
+    ).read_bytes()
 
 
 def test_a_text_quoted_under_a_header_is_not_stored_again(tmp_path):
@@ -357,8 +385,7 @@ def test_a_text_quoted_under_a_header_is_not_stored_again(tmp_path):
             (req(f"[Source]\n{source}\n\n[Translation]\n{translation}", "Mine."), "N/A"),
         ],
     )
-    stored = [json.loads(line) for line in (tmp_path / PROMPTS_NAME).read_text().splitlines()]
-    assert [part["text"] for part in stored] == [
+    assert block_lines(tmp_path / TRANSCRIPT_NAME) == [
         "Translate.", "A source.", "\n\n[1] A citation.", "Une source.", "\n\n[1] Une citation.",
         "Mine.", "[Source]\n", "\n\n[Translation]\n", "N/A",
     ]
@@ -385,27 +412,55 @@ CALLS = st.lists(
 )
 
 
+def transcribe_calls(calls, logs, bound):
+    """Transcribe *calls*, ``(system, user, reply)`` triples, into *logs* at *bound*."""
+    requests_ = [ChatRequest(system, user, float(i)) for i, (system, user, _) in enumerate(calls)]
+    backend = ReplyByTemperature([reply for *_, reply in calls])
+    logs.mkdir()
+    transcript = logs / TRANSCRIPT_NAME
+    with client_for(backend, transcript_path=transcript, max_in_flight=bound) as client:
+        for job in [client.submit(client.chat, r) for r in requests_]:
+            job.result()
+    return transcript
+
+
+def texts_read(logs):
+    return [(c["system"], c["user"], c["reply"]) for c in read_transcript(logs)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(CALLS)
 def test_read_transcript_gives_back_every_text_sent_and_stores_each_block_once(calls):
-    requests_ = [ChatRequest(system, user, float(i)) for i, (system, user, _) in enumerate(calls)]
     written = set()
     with tempfile.TemporaryDirectory() as tmp:
         for bound in (1, 4):
-            logs = Path(tmp) / str(bound)
-            logs.mkdir()
-            backend = ReplyByTemperature([reply for *_, reply in calls])
-            transcript = logs / TRANSCRIPT_NAME
-            with client_for(backend, transcript_path=transcript, max_in_flight=bound) as client:
-                for job in [client.submit(client.chat, r) for r in requests_]:
-                    job.result()
-            assert [(c["system"], c["user"], c["reply"]) for c in read_transcript(logs)] == calls
-            stored = [json.loads(line) for line in (logs / PROMPTS_NAME).read_text().splitlines()]
-            assert len({part["id"] for part in stored}) == len(stored)
-            assert len({part["text"] for part in stored}) == len(stored)
-            assert all(part["text"] for part in stored)
-            written.add((transcript.read_bytes(), (logs / PROMPTS_NAME).read_bytes()))
-    assert len(written) == 1  # the same files at either bound
+            transcript = transcribe_calls(calls, Path(tmp) / str(bound), bound)
+            assert texts_read(transcript.parent) == calls
+            blocks = block_lines(transcript)
+            assert len(set(blocks)) == len(blocks)
+            assert all(blocks)
+            written.add(transcript.read_bytes())
+    assert len(written) == 1  # the same file at either bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(CALLS)
+def test_a_transcript_cut_at_a_line_end_reads_back_as_the_calls_before_the_cut(calls):
+    """What a killed run leaves reads back as a prefix of its calls; a cut mid-line is refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for bound in (1, 4):
+            transcript = transcribe_calls(calls, Path(tmp) / str(bound), bound)
+            lines = transcript.read_text().splitlines(keepends=True)
+            cut = transcript.parent / "cut"
+            cut.mkdir()
+            for n, line in enumerate(lines):
+                (cut / TRANSCRIPT_NAME).write_text("".join(lines[:n]))
+                got = texts_read(cut)
+                assert got == calls[: len(got)]
+                assert len(got) == sum(kept.startswith("{") for kept in lines[:n])
+                (cut / TRANSCRIPT_NAME).write_text("".join(lines[:n]) + line[: len(line) // 2])
+                with pytest.raises(ConfigError, match=f", line {n + 1}: not JSON"):
+                    list(read_transcript(cut))
 
 
 # --------------------------------------------------------------------------
@@ -924,7 +979,7 @@ def test_a_call_after_close_raises_and_opens_no_file(tmp_path, bound):
     client.close()
     with pytest.raises(RuntimeError, match="closed"):
         client.chat(req("after"))
-    assert client._files == {}
+    assert client._file is None
     assert client.backend.calls == 1 and transcript_users(path) == ["before"]
 
 

@@ -127,7 +127,6 @@ def _translate(project, out, bound, monkeypatch, recorder):
     return outcomes[0], [
         (root / "report.json").read_bytes(),
         (logs / "llm_transcript.jsonl").read_bytes(),
-        (logs / "llm_prompts.jsonl").read_bytes(),
     ]
 
 
